@@ -156,80 +156,13 @@ impl Mpc {
         p.unwrap_or(self.config.cold_start_throughput).max(1.0)
     }
 
-    /// Receding-horizon plan; returns the rung for the immediate chunk.
-    ///
-    /// Naive reference implementation of the value iteration, kept verbatim
-    /// as the ground truth the optimized [`Mpc::plan_with`] is pinned
-    /// against.  Allocates fresh tables every call and re-evaluates the full
-    /// QoE expression in the innermost `(bin, prev, rung)` loop.
+    /// Receding-horizon plan through caller-owned [`MpcScratch`] tables;
+    /// returns the rung for the immediate chunk, with zero heap allocations
+    /// once the scratch has warmed up to the (rungs, bins) shape.
     ///
     /// Total: an empty `ctx.lookahead` (no upcoming chunk known — e.g. the
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
     /// of panicking on `menus[0]`.
-    // Buffer-bin and rung indices are the DP state; explicit loops keep
-    // the recursion readable next to the paper's Eq. (value iteration).
-    #[allow(clippy::needless_range_loop)]
-    pub fn plan_reference(&self, ctx: &AbrContext, throughput: f64) -> usize {
-        if ctx.lookahead.is_empty() {
-            return 0;
-        }
-        let horizon = self.config.horizon.min(ctx.lookahead.len());
-        let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
-        let n_rungs = menus[0].n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
-
-        // value[bin][prev_rung] = best QoE-to-go from `step`, where prev_rung
-        // indexes the previous step's menu.
-        let mut value = vec![vec![0.0f64; n_rungs]; bins];
-        for step in (1..horizon).rev() {
-            let mut next_value = vec![vec![f64::NEG_INFINITY; n_rungs]; bins];
-            let menu = &menus[step];
-            let prev_menu = &menus[step - 1];
-            for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
-                for prev in 0..n_rungs {
-                    let prev_ssim = prev_menu.options[prev].ssim_db;
-                    let mut best = f64::NEG_INFINITY;
-                    for (a, opt) in menu.options.iter().enumerate() {
-                        let t = opt.size / throughput;
-                        let stall = (t - buffer).max(0.0);
-                        let q = self.config.qoe.chunk_qoe(opt.ssim_db, Some(prev_ssim), stall);
-                        let next_buf =
-                            ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                        let to_go =
-                            if step + 1 < horizon { value[to_bin(next_buf)][a] } else { 0.0 };
-                        best = best.max(q + to_go);
-                    }
-                    next_value[bin][prev] = best;
-                }
-            }
-            value = next_value;
-        }
-
-        // Step 0: the real buffer and the real previous chunk.
-        let menu = &menus[0];
-        let mut best_rung = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for (a, opt) in menu.options.iter().enumerate() {
-            let t = opt.size / throughput;
-            let stall = (t - ctx.buffer).max(0.0);
-            let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-            let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-            let to_go = if horizon > 1 { value[to_bin(next_buf)][a] } else { 0.0 };
-            let score = q + to_go;
-            if score > best_score {
-                best_score = score;
-                best_rung = a;
-            }
-        }
-        best_rung
-    }
-
-    /// [`Mpc::plan_reference`] through caller-owned [`MpcScratch`] tables:
-    /// identical decisions, zero heap allocations once the scratch has warmed
-    /// up to the (rungs, bins) shape.
     ///
     /// Everything that does not depend on the previous rung is hoisted out of
     /// the inner `(bin, prev, rung)` loop: the transmission time `t = size /
@@ -239,7 +172,8 @@ impl Mpc {
     /// `m`).  The surviving inner-loop work is one subtraction, one addition,
     /// and a max over contiguous rows.
     ///
-    /// Decision equivalence is exact, not approximate: every floating-point
+    /// Decision equivalence with the naive reference value iteration (kept
+    /// beside the tests) is exact, not approximate: every floating-point
     /// expression keeps the reference's operand association —
     /// `(m − µ·stall) + to_go` reassociates `((ssim − λ·|Δ|) − µ·stall) +
     /// to_go` only at the subtraction the reference also performs — so the DP
@@ -396,6 +330,74 @@ mod tests {
                     .collect(),
             })
             .collect()
+    }
+
+    impl Mpc {
+        /// Naive reference implementation of the value iteration, kept verbatim
+        /// as the ground truth the optimized [`Mpc::plan_with`] is pinned
+        /// against.  Allocates fresh tables every call and re-evaluates the full
+        /// QoE expression in the innermost `(bin, prev, rung)` loop.
+        // Buffer-bin and rung indices are the DP state; explicit loops keep
+        // the recursion readable next to the paper's Eq. (value iteration).
+        #[allow(clippy::needless_range_loop)]
+        fn plan_reference(&self, ctx: &AbrContext, throughput: f64) -> usize {
+            if ctx.lookahead.is_empty() {
+                return 0;
+            }
+            let horizon = self.config.horizon.min(ctx.lookahead.len());
+            let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
+            let n_rungs = menus[0].n_rungs();
+            let bins = self.config.buffer_bins;
+            let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
+            let to_bin =
+                |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
+
+            // value[bin][prev_rung] = best QoE-to-go from `step`, where prev_rung
+            // indexes the previous step's menu.
+            let mut value = vec![vec![0.0f64; n_rungs]; bins];
+            for step in (1..horizon).rev() {
+                let mut next_value = vec![vec![f64::NEG_INFINITY; n_rungs]; bins];
+                let menu = &menus[step];
+                let prev_menu = &menus[step - 1];
+                for bin in 0..bins {
+                    let buffer = bin as f64 * bin_w;
+                    for prev in 0..n_rungs {
+                        let prev_ssim = prev_menu.options[prev].ssim_db;
+                        let mut best = f64::NEG_INFINITY;
+                        for (a, opt) in menu.options.iter().enumerate() {
+                            let t = opt.size / throughput;
+                            let stall = (t - buffer).max(0.0);
+                            let q = self.config.qoe.chunk_qoe(opt.ssim_db, Some(prev_ssim), stall);
+                            let next_buf =
+                                ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
+                            let to_go =
+                                if step + 1 < horizon { value[to_bin(next_buf)][a] } else { 0.0 };
+                            best = best.max(q + to_go);
+                        }
+                        next_value[bin][prev] = best;
+                    }
+                }
+                value = next_value;
+            }
+
+            // Step 0: the real buffer and the real previous chunk.
+            let menu = &menus[0];
+            let mut best_rung = 0;
+            let mut best_score = f64::NEG_INFINITY;
+            for (a, opt) in menu.options.iter().enumerate() {
+                let t = opt.size / throughput;
+                let stall = (t - ctx.buffer).max(0.0);
+                let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
+                let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
+                let to_go = if horizon > 1 { value[to_bin(next_buf)][a] } else { 0.0 };
+                let score = q + to_go;
+                if score > best_score {
+                    best_score = score;
+                    best_rung = a;
+                }
+            }
+            best_rung
+        }
     }
 
     fn info() -> TcpInfo {

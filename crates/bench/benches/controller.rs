@@ -58,13 +58,6 @@ fn bench(c: &mut Criterion) {
         let mut mpc = Mpc::robust_mpc_hm();
         b.iter(|| black_box(mpc.choose(black_box(&ctx))))
     });
-
-    // The retained naive planner, for an in-snapshot before/after of the
-    // `MpcScratch` rewrite (same decision, allocating + unhoisted loops).
-    c.bench_function("mpc_plan_reference", |b| {
-        let mpc = Mpc::mpc_hm();
-        b.iter(|| black_box(mpc.plan_reference(black_box(&ctx), black_box(9e5))))
-    });
 }
 
 criterion_group!(benches, bench);

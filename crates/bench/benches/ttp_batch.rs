@@ -5,9 +5,9 @@
 //! `(streams · rungs) × features` forward pass per step-net, instead of each
 //! stream cycling all five nets through cache alone.  This bench isolates
 //! that kernel: 16 concurrent streams × 10 rungs × 5 steps, batched in one
-//! call per step vs. 16 independent per-stream calls per step.  Both paths
-//! produce bit-identical distributions (pinned by `tests/invariants.rs`);
-//! the difference is purely how the same arithmetic is scheduled.
+//! call per step vs. 16 one-query calls per step.  Both produce
+//! bit-identical distributions (pinned by `tests/invariants.rs`); the
+//! difference is purely how the same arithmetic is scheduled.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fugu::ttp::TtpBatchQuery;
@@ -70,22 +70,20 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // The per-stream path the RCT loop takes with `batch_streams: false`:
-    // every stream walks all five step-nets on its own.
+    // Every stream planning alone, as a single Fugu instance does: a
+    // one-query batch per stream walks all five step-nets on its own.
     group.bench_function("16streams_per_stream", |b| {
         let mut scratch = TtpScratch::new();
         let mut out = vec![0.0; N_RUNGS * N_BINS];
         b.iter(|| {
             for i in 0..N_STREAMS {
+                let q = TtpBatchQuery {
+                    history: black_box(&histories[i]),
+                    tcp_info: &infos[i],
+                    proposed_sizes: &sizes,
+                };
                 for step in 0..ttp.horizon() {
-                    ttp.predict_time_distributions_into(
-                        step,
-                        black_box(&histories[i]),
-                        &infos[i],
-                        &sizes,
-                        &mut scratch,
-                        &mut out,
-                    );
+                    ttp.predict_time_distributions_batched_into(step, &[q], &mut scratch, &mut out);
                     black_box(&mut out);
                 }
             }

@@ -7,7 +7,7 @@
 //! should land comfortably under that budget.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fugu::{Ttp, TtpConfig, TtpScratch, N_BINS};
+use fugu::{Ttp, TtpBatchQuery, TtpConfig, TtpScratch, N_BINS};
 use puffer_abr::ChunkRecord;
 use puffer_net::TcpInfo;
 use std::hint::black_box;
@@ -29,40 +29,32 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(ttp.predict_time_distribution(0, black_box(&hist), &info, 9e5)))
     });
 
-    // Steady state for the batched paths: scratch and output buffers are
-    // reused across queries, as the planner reuses them across decisions.
+    // Steady state for the planner's one-query batches: scratch and output
+    // buffers are reused across queries, as the planner reuses them across
+    // decisions.
+    let sizes: Vec<f64> = (1..=10).map(|r| 5e4 * r as f64 * 2.5).collect();
     c.bench_function("ttp_batched_step_all_rungs", |b| {
-        let sizes: Vec<f64> = (1..=10).map(|r| 5e4 * r as f64 * 2.5).collect();
         let mut scratch = TtpScratch::new();
         let mut out = vec![0.0; sizes.len() * N_BINS];
         b.iter(|| {
-            ttp.predict_time_distributions_into(
-                0,
-                black_box(&hist),
-                &info,
-                &sizes,
-                &mut scratch,
-                &mut out,
-            );
+            let q = TtpBatchQuery {
+                history: black_box(&hist),
+                tcp_info: &info,
+                proposed_sizes: &sizes,
+            };
+            ttp.predict_time_distributions_batched_into(0, &[q], &mut scratch, &mut out);
             black_box(&mut out);
         })
     });
 
     c.bench_function("ttp_full_decision_queries", |b| {
         // Everything a chunk decision needs: 5 steps × 10 rungs.
-        let sizes: Vec<f64> = (1..=10).map(|r| 5e4 * r as f64 * 2.5).collect();
+        let q = TtpBatchQuery { history: &hist, tcp_info: &info, proposed_sizes: &sizes };
         let mut scratch = TtpScratch::new();
         let mut out = vec![0.0; sizes.len() * N_BINS];
         b.iter(|| {
             for step in 0..5 {
-                ttp.predict_time_distributions_into(
-                    step,
-                    &hist,
-                    &info,
-                    &sizes,
-                    &mut scratch,
-                    &mut out,
-                );
+                ttp.predict_time_distributions_batched_into(step, &[q], &mut scratch, &mut out);
                 black_box(&mut out);
             }
         })

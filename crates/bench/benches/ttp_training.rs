@@ -4,11 +4,10 @@
 //! production-scale reproduction the retrain is a recurring hot path.  These
 //! benches measure one full warm-start retrain (sample building, scaler
 //! refit, SGD over every step-net) at 1/2/5 worker threads — the trained
-//! model is bit-identical at every thread count — plus the pinned naive
-//! sequential reference trainer for comparison with the scratch-buffer path.
+//! model is bit-identical at every thread count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fugu::{train, train_reference, ChunkObservation, Dataset, TrainConfig, Ttp, TtpConfig};
+use fugu::{train, ChunkObservation, Dataset, TrainConfig, Ttp, TtpConfig};
 use puffer_net::TcpInfo;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -58,16 +57,6 @@ fn bench(c: &mut Criterion) {
                 // Warm-start retrain in place, exactly like the nightly job.
                 let mut rng = rand::rngs::StdRng::seed_from_u64(11);
                 black_box(train(&mut ttp, black_box(&data), 2, &cfg, &mut rng).unwrap());
-            })
-        });
-    }
-    {
-        let cfg = TrainConfig { threads: 1, ..base };
-        let mut ttp = Ttp::new(TtpConfig::default(), 7);
-        group.bench_function("reference", |b| {
-            b.iter(|| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-                black_box(train_reference(&mut ttp, black_box(&data), 2, &cfg, &mut rng).unwrap());
             })
         });
     }

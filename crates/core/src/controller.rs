@@ -16,7 +16,7 @@
 //! was 3–9× worse.
 
 use crate::bins::{bin_midpoint, N_BINS};
-use crate::ttp::{Ttp, TtpScratch};
+use crate::ttp::{Ttp, TtpBatchQuery, TtpScratch};
 use puffer_abr::AbrContext;
 use puffer_media::{QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
 use puffer_nn::loss::argmax;
@@ -127,7 +127,8 @@ impl StochasticMpc {
     }
 
     /// Plan over `ctx.lookahead` with time distributions from `ttp`; returns
-    /// the rung for the immediate chunk.
+    /// the rung for the immediate chunk.  All tables live in the caller's
+    /// [`PlanScratch`], so warm calls make zero heap allocations.
     ///
     /// The expected QoE of an action separates into a quality/variation term
     /// `M[a][prev]` (independent of the transmission time) and a
@@ -136,14 +137,6 @@ impl StochasticMpc {
     /// O(rungs·bins·(time bins + rungs)) rather than the naive
     /// O(bins·rungs²·time bins).  Probability mass below `PROB_EPSILON` is
     /// skipped; the TTP's distributions concentrate in a handful of bins.
-    pub fn plan(&self, ctx: &AbrContext, ttp: &Ttp) -> usize {
-        let mut scratch = PlanScratch::new();
-        self.plan_with(ctx, ttp, &mut scratch)
-    }
-
-    /// [`StochasticMpc::plan`] through caller-owned [`PlanScratch`] tables:
-    /// identical decisions, zero heap allocations once the scratch has warmed
-    /// up to the (horizon, rungs, bins) shape.
     // lint-root: panic-free, alloc-free
     pub fn plan_with(&self, ctx: &AbrContext, ttp: &Ttp, scratch: &mut PlanScratch) -> usize {
         self.fill_dists(ctx, ttp, scratch);
@@ -151,12 +144,11 @@ impl StochasticMpc {
     }
 
     /// The TTP-query half of [`StochasticMpc::plan_with`]: fill the
-    /// scratch's per-(step, rung) time-distribution table with one
-    /// per-stream batched forward per step.  The cross-stream batch
-    /// scheduler replaces this half — scattering rows from a
-    /// [`Ttp::predict_time_distributions_batched_into`] call into
-    /// [`PlanScratch::dists_for`] — and both halves feed the same
-    /// [`StochasticMpc::plan_from_dists`].
+    /// scratch's per-(step, rung) time-distribution table with one batch of
+    /// one query per step ([`Ttp::predict_time_distributions_batched_into`]).
+    /// The cross-stream batch scheduler replaces this half — scattering rows
+    /// of a many-query batch into [`PlanScratch::dists_for`] — and both
+    /// halves feed the same [`StochasticMpc::plan_from_dists`].
     // lint: panic-free — step/rung offsets are multiples of the same stride that sizes scratch.dists
     // lint: alloc-free — dists/sizes grow once to horizon*stride; warm calls only overwrite (tests/alloc_gate.rs)
     pub fn fill_dists(&self, ctx: &AbrContext, ttp: &Ttp, scratch: &mut PlanScratch) {
@@ -167,15 +159,13 @@ impl StochasticMpc {
         for step in 0..horizon {
             scratch.sizes.clear();
             scratch.sizes.extend(ctx.lookahead[step].options.iter().map(|o| o.size));
+            let query = TtpBatchQuery {
+                history: ctx.history,
+                tcp_info: &ctx.tcp_info,
+                proposed_sizes: &scratch.sizes,
+            };
             let out = &mut scratch.dists[step * stride..(step + 1) * stride];
-            ttp.predict_time_distributions_into(
-                step,
-                ctx.history,
-                &ctx.tcp_info,
-                &scratch.sizes,
-                &mut scratch.ttp,
-                out,
-            );
+            ttp.predict_time_distributions_batched_into(step, &[query], &mut scratch.ttp, out);
         }
     }
 
@@ -341,6 +331,11 @@ mod tests {
         (0..8).map(|_| ChunkRecord { size: rate, transmission_time: 1.0 }).collect()
     }
 
+    /// One decision through a fresh scratch.
+    fn plan(planner: &StochasticMpc, ctx: &AbrContext, ttp: &Ttp) -> usize {
+        planner.plan_with(ctx, ttp, &mut PlanScratch::new())
+    }
+
     /// Train a TTP on a world where time ≈ size/delivery_rate + 50 ms with
     /// multiplicative noise, so its predictions are meaningful (and genuinely
     /// uncertain) for controller tests.  Shared across tests — training in
@@ -389,7 +384,7 @@ mod tests {
             history: &h,
             tcp_info: tcp(1_400_000.0),
         };
-        let rung = StochasticMpc::default().plan(&ctx, ttp);
+        let rung = plan(&StochasticMpc::default(), &ctx, ttp);
         assert!(rung >= 2, "fast path should pick a high rung, got {rung}");
     }
 
@@ -407,7 +402,7 @@ mod tests {
             history: &h,
             tcp_info: tcp(60_000.0),
         };
-        let rung = StochasticMpc::default().plan(&ctx, ttp);
+        let rung = plan(&StochasticMpc::default(), &ctx, ttp);
         assert_eq!(rung, 0, "slow path + shallow buffer must pick the bottom rung");
     }
 
@@ -428,7 +423,7 @@ mod tests {
                 history: &h,
                 tcp_info: tcp(700_000.0),
             };
-            StochasticMpc::default().plan(&ctx, ttp)
+            plan(&StochasticMpc::default(), &ctx, ttp)
         };
         assert!(plan_at(0.5) <= plan_at(13.0), "deeper buffer must not reduce quality");
         assert!(plan_at(0.5) < 3, "shallow buffer should not gamble on the top rung");
@@ -466,8 +461,8 @@ mod tests {
                     history: &h,
                     tcp_info: tcp(rate),
                 };
-                let a = prob.plan(&ctx, ttp);
-                let b = point.plan(&ctx, ttp);
+                let a = plan(&prob, &ctx, ttp);
+                let b = plan(&point, &ctx, ttp);
                 prob_sum += a;
                 point_sum += b;
                 if a != b {
@@ -577,7 +572,7 @@ mod tests {
                     history: &h,
                     tcp_info: tcp(rate),
                 };
-                let fast = planner.plan(&ctx, ttp);
+                let fast = plan(&planner, &ctx, ttp);
                 let slow = naive_plan(&planner.config, &ctx, ttp);
                 assert_eq!(fast, slow, "buffer={buffer} rate={rate}");
                 let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
@@ -612,7 +607,7 @@ mod tests {
             });
             assert_eq!(
                 planner.plan_with(&ctx, ttp, &mut scratch),
-                planner.plan(&ctx, ttp),
+                plan(&planner, &ctx, ttp),
                 "lookahead={len} bins={bins}"
             );
         }
@@ -633,7 +628,7 @@ mod tests {
             tcp_info: tcp(800_000.0),
         };
         // Must not panic and must return a valid rung.
-        let rung = StochasticMpc::default().plan(&ctx, ttp);
+        let rung = plan(&StochasticMpc::default(), &ctx, ttp);
         assert!(rung < 4);
     }
 }

@@ -41,7 +41,6 @@ pub use controller::{ControllerConfig, PlanScratch, StochasticMpc};
 pub use dataset::{ChunkObservation, Dataset};
 pub use fugu::Fugu;
 pub use training::{
-    train, train_reference, validate_retrained, GateVerdict, RetrainGate, TrainConfig, TrainReport,
-    TrainScratch,
+    train, validate_retrained, GateVerdict, RetrainGate, TrainConfig, TrainReport, TrainScratch,
 };
 pub use ttp::{Ttp, TtpBatchQuery, TtpConfig, TtpScratch};

@@ -27,8 +27,8 @@
 //! a [`TrainScratch`] whose buffers (scaled-feature matrix, minibatch gather
 //! buffers, per-layer activations, logit gradients, backprop ping/pong) are
 //! resized in place and reused across batches, epochs, and steps.
-//! [`train_reference`], the naive allocating sequential trainer, is kept as
-//! the pinned equivalence oracle for both properties.
+//! The naive allocating sequential trainer is kept beside the tests as the
+//! pinned equivalence oracle for both properties.
 
 use crate::dataset::{Dataset, Sample};
 use crate::ttp::Ttp;
@@ -129,8 +129,8 @@ impl TrainReport {
 }
 
 /// One seed per lookahead step, drawn from the caller's RNG in fixed step
-/// order.  Both [`train`] and [`train_reference`] consume the caller's RNG
-/// identically (exactly `horizon` draws), so the two entry points — and any
+/// order.  [`train`] and the reference trainer in the tests consume the
+/// caller's RNG identically (exactly `horizon` draws), so the two — and any
 /// thread count — stay interchangeable mid-experiment.
 fn per_step_seeds<R: Rng + ?Sized>(horizon: usize, rng: &mut R) -> Vec<u64> {
     (0..horizon).map(|_| rng.random::<u64>()).collect()
@@ -155,7 +155,7 @@ fn effective_threads(requested: usize, horizon: usize) -> usize {
 /// first optimizer step of each call — so the *per-epoch* allocation count
 /// is exactly zero, which `tests/alloc_gate.rs` asserts by differencing two
 /// warmed calls that differ only in epoch count.  Public primarily for that
-/// gate; [`train`]/[`train_reference`] are the intended entry points.
+/// gate; [`train`] is the intended entry point.
 // lint-root: panic-free, alloc-free
 // lint: panic-free — shuffle/batch indices are ranges over the dataset length computed in the same loop
 // lint: alloc-free — scratch and shuffle buffers grow once; the per-epoch allocation delta is asserted zero by tests/alloc_gate.rs
@@ -223,7 +223,8 @@ pub fn train_one_net(
 /// step driven by its own RNG stream and each worker owning one
 /// [`TrainScratch`].  Steps are partitioned into contiguous chunks and
 /// results reduced in fixed step order, making the retrained model
-/// bit-identical to [`train_reference`] at any thread count.
+/// bit-identical to the naive sequential reference trainer (pinned in the
+/// tests) at any thread count.
 pub fn train<R: Rng + ?Sized>(
     ttp: &mut Ttp,
     data: &Dataset,
@@ -314,87 +315,6 @@ pub fn train<R: Rng + ?Sized>(
         })
     };
     let (samples_per_step, final_ce_per_step) = results.into_iter().unzip();
-    Some(TrainReport { samples_per_step, final_ce_per_step })
-}
-
-/// The naive allocating sequential trainer, pinned as the equivalence
-/// reference for [`train`]: per-batch row clones, an allocating forward
-/// cache, and a freshly-allocated gradient set per step — exactly the
-/// pre-scratch implementation, with the same per-step RNG streams as
-/// [`train`] so the two produce bit-identical models.
-pub fn train_reference<R: Rng + ?Sized>(
-    ttp: &mut Ttp,
-    data: &Dataset,
-    current_day: u32,
-    cfg: &TrainConfig,
-    rng: &mut R,
-) -> Option<TrainReport> {
-    let seeds = per_step_seeds(ttp.horizon(), rng);
-    let mut step_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    // Materialize per-step samples.
-    let mut per_step: Vec<Vec<Sample>> = (0..ttp.horizon())
-        .map(|step| {
-            let mut s =
-                data.build_samples(ttp, step, current_day, cfg.window_days, cfg.recency_half_life);
-            if s.len() > cfg.max_samples_per_step {
-                s.shuffle(&mut step_rngs[step]);
-                s.truncate(cfg.max_samples_per_step);
-            }
-            s
-        })
-        .collect();
-    if per_step[0].is_empty() {
-        return None;
-    }
-
-    if cfg.refit_scaler {
-        // Fit on step-0 features (all steps share the feature layout).
-        let rows: Vec<Vec<f32>> = per_step[0].iter().map(|s| s.features.clone()).collect();
-        ttp.set_scaler(Scaler::fit(&rows));
-    }
-    let scaler = ttp.scaler().clone();
-
-    let mut samples_per_step = Vec::with_capacity(ttp.horizon());
-    let mut final_ce_per_step = Vec::with_capacity(ttp.horizon());
-    for (step, samples) in per_step.iter_mut().enumerate() {
-        samples_per_step.push(samples.len());
-        if samples.is_empty() {
-            final_ce_per_step.push(f32::NAN);
-            continue;
-        }
-        // Pre-scale features once.
-        let scaled: Vec<Vec<f32>> = samples.iter().map(|s| scaler.transform(&s.features)).collect();
-        let mut order: Vec<usize> = (0..samples.len()).collect();
-        let mut opt = Sgd::new(cfg.lr, cfg.momentum);
-        let mut last_epoch_ce = 0.0f64;
-        for epoch in 0..cfg.epochs {
-            // "we shuffle the sampled data to remove correlation in the
-            // sequence of inputs" (§4.3).
-            order.shuffle(&mut step_rngs[step]);
-            let mut epoch_ce = 0.0f64;
-            let mut batches = 0usize;
-            for batch in order.chunks(cfg.batch_size) {
-                let rows: Vec<Vec<f32>> = batch.iter().map(|&i| scaled[i].clone()).collect();
-                let targets: Vec<usize> = batch.iter().map(|&i| samples[i].target).collect();
-                let weights: Vec<f32> = batch.iter().map(|&i| samples[i].weight).collect();
-                let x = Matrix::from_rows(&rows);
-                let net = &mut ttp.nets_mut()[step];
-                let cache = net.forward_cache(&x);
-                let (ce, dlogits) =
-                    loss::softmax_cross_entropy(cache.logits(), &targets, Some(&weights));
-                net.zero_grad();
-                net.backward(&cache, &dlogits);
-                net.clip_grad_norm(5.0);
-                net.step(&mut opt);
-                epoch_ce += f64::from(ce);
-                batches += 1;
-            }
-            if epoch == cfg.epochs - 1 {
-                last_epoch_ce = epoch_ce / batches.max(1) as f64;
-            }
-        }
-        final_ce_per_step.push(last_epoch_ce as f32);
-    }
     Some(TrainReport { samples_per_step, final_ce_per_step })
 }
 
@@ -579,6 +499,93 @@ mod tests {
             }
         }
         d
+    }
+
+    /// The naive allocating sequential trainer, pinned as the equivalence
+    /// reference for [`train`]: per-batch row clones, an allocating forward
+    /// cache, and a freshly-allocated gradient set per step — exactly the
+    /// pre-scratch implementation, with the same per-step RNG streams as
+    /// [`train`] so the two produce bit-identical models.
+    fn train_reference<R: Rng + ?Sized>(
+        ttp: &mut Ttp,
+        data: &Dataset,
+        current_day: u32,
+        cfg: &TrainConfig,
+        rng: &mut R,
+    ) -> Option<TrainReport> {
+        let seeds = per_step_seeds(ttp.horizon(), rng);
+        let mut step_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        // Materialize per-step samples.
+        let mut per_step: Vec<Vec<Sample>> = (0..ttp.horizon())
+            .map(|step| {
+                let mut s = data.build_samples(
+                    ttp,
+                    step,
+                    current_day,
+                    cfg.window_days,
+                    cfg.recency_half_life,
+                );
+                if s.len() > cfg.max_samples_per_step {
+                    s.shuffle(&mut step_rngs[step]);
+                    s.truncate(cfg.max_samples_per_step);
+                }
+                s
+            })
+            .collect();
+        if per_step[0].is_empty() {
+            return None;
+        }
+
+        if cfg.refit_scaler {
+            // Fit on step-0 features (all steps share the feature layout).
+            let rows: Vec<Vec<f32>> = per_step[0].iter().map(|s| s.features.clone()).collect();
+            ttp.set_scaler(Scaler::fit(&rows));
+        }
+        let scaler = ttp.scaler().clone();
+
+        let mut samples_per_step = Vec::with_capacity(ttp.horizon());
+        let mut final_ce_per_step = Vec::with_capacity(ttp.horizon());
+        for (step, samples) in per_step.iter_mut().enumerate() {
+            samples_per_step.push(samples.len());
+            if samples.is_empty() {
+                final_ce_per_step.push(f32::NAN);
+                continue;
+            }
+            // Pre-scale features once.
+            let scaled: Vec<Vec<f32>> =
+                samples.iter().map(|s| scaler.transform(&s.features)).collect();
+            let mut order: Vec<usize> = (0..samples.len()).collect();
+            let mut opt = Sgd::new(cfg.lr, cfg.momentum);
+            let mut last_epoch_ce = 0.0f64;
+            for epoch in 0..cfg.epochs {
+                // "we shuffle the sampled data to remove correlation in the
+                // sequence of inputs" (§4.3).
+                order.shuffle(&mut step_rngs[step]);
+                let mut epoch_ce = 0.0f64;
+                let mut batches = 0usize;
+                for batch in order.chunks(cfg.batch_size) {
+                    let rows: Vec<Vec<f32>> = batch.iter().map(|&i| scaled[i].clone()).collect();
+                    let targets: Vec<usize> = batch.iter().map(|&i| samples[i].target).collect();
+                    let weights: Vec<f32> = batch.iter().map(|&i| samples[i].weight).collect();
+                    let x = Matrix::from_rows(&rows);
+                    let net = &mut ttp.nets_mut()[step];
+                    let cache = net.forward_cache(&x);
+                    let (ce, dlogits) =
+                        loss::softmax_cross_entropy(cache.logits(), &targets, Some(&weights));
+                    net.zero_grad();
+                    net.backward(&cache, &dlogits);
+                    net.clip_grad_norm(5.0);
+                    net.step(&mut opt);
+                    epoch_ce += f64::from(ce);
+                    batches += 1;
+                }
+                if epoch == cfg.epochs - 1 {
+                    last_epoch_ce = epoch_ce / batches.max(1) as f64;
+                }
+            }
+            final_ce_per_step.push(last_epoch_ce as f32);
+        }
+        Some(TrainReport { samples_per_step, final_ce_per_step })
     }
 
     fn quick_cfg() -> TrainConfig {

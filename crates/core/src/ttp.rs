@@ -105,8 +105,8 @@ impl TtpConfig {
     }
 }
 
-/// Reusable buffers for [`Ttp::predict_time_distributions_into`], so the
-/// controller's inner loop (5 steps × all ladder rungs per chunk decision)
+/// Reusable buffers for [`Ttp::predict_time_distributions_batched_into`], so
+/// the controller's inner loop (5 steps × all ladder rungs per chunk decision)
 /// performs no heap allocations in steady state.
 #[derive(Debug, Clone)]
 pub struct TtpScratch {
@@ -117,10 +117,10 @@ pub struct TtpScratch {
     /// Standardized proposed-size column, one entry per rung.
     lasts: Vec<f32>,
     /// Batched input matrix (throughput ablation only; the transmission-time
-    /// path never materializes the batch).
+    /// path stages first-layer rows instead of materializing the batch).
     features: Matrix,
     /// Hidden-width accumulator for one query's shared-prefix response while
-    /// the staged batch matrix is lent out (cross-stream batching only).
+    /// the staged batch matrix is lent out.
     partial: Vec<f32>,
     /// Ping/pong activation buffers for the forward pass.
     mlp: MlpScratch,
@@ -161,11 +161,11 @@ fn rebin_throughput_to_time(probs: &[f32], size: f64, time_row: &mut [f64]) {
     }
 }
 
-/// One stream's query within a cross-stream batched TTP call
-/// ([`Ttp::predict_time_distributions_batched_into`]): the same
-/// (history, tcp_info, proposed sizes) triple the per-stream
-/// [`Ttp::predict_time_distributions_into`] takes, borrowed so a scheduler
-/// can assemble one query per concurrent stream without copying.
+/// One stream's query within a batched TTP call
+/// ([`Ttp::predict_time_distributions_batched_into`]): the (history,
+/// tcp_info, proposed sizes) of one decision step, borrowed so a scheduler
+/// can assemble one query per concurrent stream without copying.  A single
+/// stream's decision is a batch of one query.
 #[derive(Debug, Clone, Copy)]
 pub struct TtpBatchQuery<'a> {
     /// Delivered-chunk history, oldest first (zero-padded on the left when
@@ -317,8 +317,9 @@ impl Ttp {
     }
 
     /// Probability distribution over *transmission-time* bins for sending a
-    /// chunk of `proposed_size` at lookahead `step` — the interface the
-    /// controller consumes, uniform across targets.
+    /// chunk of `proposed_size` at lookahead `step` — a one-size, one-query
+    /// call of [`Ttp::predict_time_distributions_batched_into`], uniform
+    /// across targets.
     pub fn predict_time_distribution(
         &self,
         step: usize,
@@ -326,108 +327,31 @@ impl Ttp {
         tcp_info: &TcpInfo,
         proposed_size: f64,
     ) -> Vec<f64> {
-        self.predict_time_distributions(step, history, tcp_info, &[proposed_size])
-            .pop()
-            .expect("one size in, one distribution out")
-    }
-
-    /// Batched variant of [`Ttp::predict_time_distribution`]: one forward
-    /// pass for all candidate sizes of a step (the controller queries all
-    /// ladder rungs at once; < 0.3 ms per chunk on the paper's server, §4.5).
-    pub fn predict_time_distributions(
-        &self,
-        step: usize,
-        history: &[ChunkRecord],
-        tcp_info: &TcpInfo,
-        proposed_sizes: &[f64],
-    ) -> Vec<Vec<f64>> {
-        let mut scratch = TtpScratch::new();
-        let mut flat = vec![0.0f64; proposed_sizes.len() * N_BINS];
-        self.predict_time_distributions_into(
+        let query = TtpBatchQuery { history, tcp_info, proposed_sizes: &[proposed_size] };
+        let mut out = vec![0.0f64; N_BINS];
+        self.predict_time_distributions_batched_into(
             step,
-            history,
-            tcp_info,
-            proposed_sizes,
-            &mut scratch,
-            &mut flat,
+            &[query],
+            &mut TtpScratch::new(),
+            &mut out,
         );
-        flat.chunks(N_BINS).map(|c| c.to_vec()).collect()
+        out
     }
 
-    /// Allocation-free core of [`Ttp::predict_time_distributions`]: writes
-    /// the distribution for `proposed_sizes[r]` into
-    /// `out[r * N_BINS..(r + 1) * N_BINS]`, reusing `scratch` buffers across
-    /// calls.  Bit-identical to the allocating wrapper: only the proposed
-    /// size (the last feature column) varies across rungs, so one row is
-    /// standardized and that column patched per rung; the per-element math is
-    /// unchanged.
-    // lint-root: panic-free, alloc-free
-    // lint: panic-free — entry asserts pin history/sizes/out dims; interior indexing is relative to those
-    // lint: alloc-free — feature/probability scratch grows once to the net dims; warm calls are allocation-free per tests/alloc_gate.rs
-    pub fn predict_time_distributions_into(
-        &self,
-        step: usize,
-        history: &[ChunkRecord],
-        tcp_info: &TcpInfo,
-        proposed_sizes: &[f64],
-        scratch: &mut TtpScratch,
-        out: &mut [f64],
-    ) {
-        assert!(step < self.config.horizon, "step {step} beyond horizon");
-        assert!(!proposed_sizes.is_empty());
-        assert_eq!(out.len(), proposed_sizes.len() * N_BINS, "output buffer shape mismatch");
-        let f = self.config.n_features();
-        self.raw_features_into(history, tcp_info, proposed_sizes[0], &mut scratch.raw);
-        scratch.scaled.resize(f, 0.0);
-        self.scaler.transform_into(&scratch.raw, &mut scratch.scaled);
-        match self.config.target {
-            PredictionTarget::TransmissionTime => {
-                // Rows differ only in the standardized proposed size, so the
-                // batch is never materialized: the first layer's response to
-                // the shared prefix is computed once, and each rung adds its
-                // own last-feature term (bit-identical to the full matmul —
-                // the last feature is its final accumulation step).
-                let (mean, std) = (self.scaler.mean()[f - 1], self.scaler.std()[f - 1]);
-                scratch.lasts.clear();
-                scratch.lasts.extend(proposed_sizes.iter().map(|&s| (s as f32 - mean) / std));
-                let logits = self.nets[step].forward_shared_last_into(
-                    &scratch.scaled[..f - 1],
-                    &scratch.lasts,
-                    &mut scratch.mlp,
-                );
-                loss::softmax_rows_inplace(logits);
-                for (o, &p) in out.iter_mut().zip(logits.data()) {
-                    *o = f64::from(p);
-                }
-            }
-            PredictionTarget::Throughput => {
-                // The throughput net ignores the proposed size, so all batch
-                // rows would be identical: forward one row and re-bin it per
-                // size (each throughput bin implies a transmission time).
-                scratch.features.resize(1, f);
-                scratch.features.row_mut(0).copy_from_slice(&scratch.scaled);
-                let logits = self.nets[step].forward_into(&scratch.features, &mut scratch.mlp);
-                loss::softmax_rows_inplace(logits);
-                let probs = logits.row(0);
-                out.fill(0.0);
-                for (r, &size) in proposed_sizes.iter().enumerate() {
-                    let time_row = &mut out[r * N_BINS..(r + 1) * N_BINS];
-                    rebin_throughput_to_time(probs, size, time_row);
-                }
-            }
-        }
-    }
-
-    /// Cross-stream batched variant of
-    /// [`Ttp::predict_time_distributions_into`]: one forward pass per
-    /// step-net over *all* concurrent streams' rungs at once, instead of one
-    /// (rungs × features) micro-batch per stream.  Rows are written to `out`
-    /// contiguously in query order — query `q`'s rung `r` lands at flat row
-    /// `Σ_{i<q} sizes_i.len() + r` — and every row is **bit-identical** to
-    /// what the per-stream call would produce for that query alone:
+    /// Probability distributions over *transmission-time* bins for every
+    /// query's candidate sizes at lookahead `step` — the TTP's one inference
+    /// entry point.  One forward pass per call covers every query's rungs (a
+    /// controller's ladder, or a whole wave of concurrent streams).  Rows are
+    /// written to `out` contiguously in query order — query `q`'s rung `r`
+    /// lands at flat row `Σ_{i<q} sizes_i.len() + r` — and every row is
+    /// **bit-identical** to what that query would produce in a batch of its
+    /// own:
     ///
-    /// * each query's first-layer rows are staged with the exact op sequence
-    ///   of the shared-prefix path ([`Mlp::first_layer_shared_last_rows`]);
+    /// * each query's first-layer rows are staged by
+    ///   [`Mlp::first_layer_shared_last_rows`]: the shared feature prefix is
+    ///   accumulated once and each rung adds its own proposed-size term, the
+    ///   same op sequence as the full matmul on the materialized row (the
+    ///   last feature is its final accumulation step);
     /// * bias, activation, the tail matmuls, and the softmax are all
     ///   row-wise independent with a fixed per-element operation order, so
     ///   batch size cannot change any row's value
@@ -486,7 +410,7 @@ impl Ttp {
             PredictionTarget::Throughput => {
                 // The throughput net ignores the proposed size, so one row
                 // per *query* suffices; each query's row is then re-binned
-                // once per rung, exactly like the per-stream path.
+                // once per rung (each throughput bin implies a time).
                 scratch.features.resize(queries.len(), f);
                 for (i, q) in queries.iter().enumerate() {
                     self.raw_features_into(
@@ -665,57 +589,46 @@ mod tests {
         assert_eq!(tput_ttp.target_bin(0.0, 0.0), 0);
     }
 
+    /// Every query's sizes at `step` as one batch through a fresh scratch.
+    fn predict_batch(ttp: &Ttp, step: usize, queries: &[TtpBatchQuery<'_>]) -> Vec<f64> {
+        let rows: usize = queries.iter().map(|q| q.proposed_sizes.len()).sum();
+        let mut out = vec![0.0f64; rows * N_BINS];
+        ttp.predict_time_distributions_batched_into(
+            step,
+            queries,
+            &mut TtpScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
-    fn batched_into_matches_allocating_path() {
+    fn rungs_of_one_query_match_single_size_queries() {
         let sizes: Vec<f64> = (1..=10).map(|r| 120_000.0 * r as f64).collect();
+        let (h, info) = (history(8), tcp());
         for (seed, target) in
             [(11, PredictionTarget::TransmissionTime), (12, PredictionTarget::Throughput)]
         {
             let ttp = Ttp::new(TtpConfig { target, ..TtpConfig::default() }, seed);
             let mut scratch = TtpScratch::new();
             let mut flat = vec![0.0f64; sizes.len() * N_BINS];
-            // Reuse the same scratch across steps and batch sizes.
+            // Reuse the same scratch across steps.
             for step in 0..ttp.horizon() {
-                let reference = ttp.predict_time_distributions(step, &history(8), &tcp(), &sizes);
-                ttp.predict_time_distributions_into(
-                    step,
-                    &history(8),
-                    &tcp(),
-                    &sizes,
-                    &mut scratch,
-                    &mut flat,
-                );
-                for (r, d) in reference.iter().enumerate() {
-                    assert_eq!(d[..], flat[r * N_BINS..(r + 1) * N_BINS], "step {step} rung {r}");
-                }
-                // Pin against the fully naive per-size path (raw features →
-                // scale → one-row matmul → softmax), which shares none of the
-                // batched shared-prefix machinery.
-                if target == PredictionTarget::TransmissionTime {
-                    for (r, &size) in sizes.iter().enumerate() {
-                        let raw = ttp.raw_features(&history(8), &tcp(), size);
-                        let naive = ttp.predict_probs(step, &raw);
-                        for (b, &p) in naive.iter().enumerate() {
-                            assert_eq!(
-                                f64::from(p),
-                                flat[r * N_BINS + b],
-                                "naive path step {step} rung {r} bin {b}"
-                            );
-                        }
+                let q = TtpBatchQuery { history: &h, tcp_info: &info, proposed_sizes: &sizes };
+                ttp.predict_time_distributions_batched_into(step, &[q], &mut scratch, &mut flat);
+                for (r, &size) in sizes.iter().enumerate() {
+                    let row = &flat[r * N_BINS..(r + 1) * N_BINS];
+                    let one = ttp.predict_time_distribution(step, &h, &info, size);
+                    assert_eq!(row, one, "step {step} rung {r}");
+                    // Pin against the fully naive per-size path (raw features
+                    // → scale → one-row `forward` → softmax), which shares
+                    // none of the staged shared-prefix machinery.
+                    if target == PredictionTarget::TransmissionTime {
+                        let naive = ttp.predict_probs(step, &ttp.raw_features(&h, &info, size));
+                        let naive: Vec<f64> = naive.iter().map(|&p| f64::from(p)).collect();
+                        assert_eq!(row, naive, "naive path step {step} rung {r}");
                     }
                 }
-                // A single-size query through the same scratch.
-                let one = ttp.predict_time_distribution(step, &history(8), &tcp(), sizes[3]);
-                let mut one_flat = vec![0.0f64; N_BINS];
-                ttp.predict_time_distributions_into(
-                    step,
-                    &history(8),
-                    &tcp(),
-                    &sizes[3..4],
-                    &mut scratch,
-                    &mut one_flat,
-                );
-                assert_eq!(one, one_flat);
             }
         }
     }
@@ -723,8 +636,8 @@ mod tests {
     #[test]
     fn cross_stream_batched_matches_independent_queries() {
         // The batching contract: one batched call over N streams' queries is
-        // bit-identical to N independent per-stream calls, for both targets
-        // and ragged per-query rung counts.
+        // bit-identical to N one-query batches, for both targets and ragged
+        // per-query rung counts.
         for (seed, target) in
             [(21, PredictionTarget::TransmissionTime), (22, PredictionTarget::Throughput)]
         {
@@ -754,16 +667,7 @@ mod tests {
                 );
                 let mut row0 = 0;
                 for (i, q) in queries.iter().enumerate() {
-                    let mut single = vec![0.0f64; q.proposed_sizes.len() * N_BINS];
-                    let mut single_scratch = TtpScratch::new();
-                    ttp.predict_time_distributions_into(
-                        step,
-                        q.history,
-                        q.tcp_info,
-                        q.proposed_sizes,
-                        &mut single_scratch,
-                        &mut single,
-                    );
+                    let single = predict_batch(&ttp, step, std::slice::from_ref(q));
                     assert_eq!(
                         single[..],
                         batched[row0 * N_BINS..(row0 + q.proposed_sizes.len()) * N_BINS],
@@ -791,11 +695,9 @@ mod tests {
             f64::MAX,
             800_000.0,
         ];
-        let mut scratch = TtpScratch::new();
-        let mut out = vec![0.0f64; sizes.len() * N_BINS];
-        let h = history(8);
-        let info = tcp();
-        ttp.predict_time_distributions_into(0, &h, &info, &sizes, &mut scratch, &mut out);
+        let (h, info) = (history(8), tcp());
+        let q = TtpBatchQuery { history: &h, tcp_info: &info, proposed_sizes: &sizes };
+        let out = predict_batch(&ttp, 0, &[q]);
         for (r, row) in out.chunks(N_BINS).enumerate() {
             let mass: f64 = row.iter().sum();
             assert!((mass - 1.0).abs() < 1e-5, "row {r} mass {mass}");
@@ -803,11 +705,6 @@ mod tests {
         // NaN times clamp low; +inf sizes clamp to the slowest bin.
         assert!((out[0] - 1.0).abs() < 1e-5, "NaN size concentrates in bin 0");
         assert!((out[N_BINS + N_BINS - 1] - 1.0).abs() < 1e-5, "inf size in last bin");
-        // Same guarantees through the batched entry point.
-        let q = TtpBatchQuery { history: &h, tcp_info: &info, proposed_sizes: &sizes };
-        let mut batched = vec![0.0f64; sizes.len() * N_BINS];
-        ttp.predict_time_distributions_batched_into(0, &[q], &mut scratch, &mut batched);
-        assert_eq!(out, batched);
     }
 
     #[test]

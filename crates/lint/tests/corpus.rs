@@ -43,7 +43,6 @@ fn symbol_table_covers_every_fn_token() {
 const GATED: &[(Option<&str>, &str)] = &[
     (Some("StochasticMpc"), "plan_with"),
     (Some("Mpc"), "plan_with"),
-    (Some("Ttp"), "predict_time_distributions_into"),
     (Some("Ttp"), "predict_time_distributions_batched_into"),
     (Some("ArchiveWriter"), "push_sent"),
     (Some("ArchiveWriter"), "push_acked"),

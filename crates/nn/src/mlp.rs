@@ -349,68 +349,21 @@ impl Mlp {
         &mut scratch.ping
     }
 
-    /// Batched forward for inputs whose rows are identical except for the
-    /// *final* feature — the TTP's per-rung proposed-size column.  The first
-    /// layer's response to the shared prefix is computed once and each row's
-    /// last-feature contribution added on top.  Because the last feature is
-    /// also the final accumulation step of the ikj matmul (and the zero-skip
-    /// matches), the output is bit-identical to [`Mlp::forward_into`] on the
-    /// materialized batch.
-    // lint: panic-free — entry asserts pin shared/tail dims; row offsets derive from them
-    // lint: alloc-free — ping/pong buffers grow once to batch shape; warm calls are allocation-free per tests/alloc_gate.rs
-    pub fn forward_shared_last_into<'a>(
-        &self,
-        shared: &[f32],
-        last_feature: &[f32],
-        scratch: &'a mut MlpScratch,
-    ) -> &'a mut Matrix {
-        let l0 = &self.layers[0];
-        assert_eq!(shared.len() + 1, l0.in_dim(), "shared prefix + 1 == input dim");
-        let h = l0.out_dim();
-        let n = last_feature.len();
-
-        // partial = shared · W[..f-1, :], same k-order and zero-skip as
-        // `matmul_into`.  The kernel tier is hoisted out of the loops (one
-        // detection per call, not per k).
-        let tier = Tier::detect();
-        scratch.pong.resize(1, h);
-        scratch.pong.data_mut().fill(0.0);
-        for (k, &a) in shared.iter().enumerate() {
-            if a == 0.0 {
-                continue;
-            }
-            axpy_with(tier, a, l0.w.row(k), scratch.pong.data_mut());
-        }
-
-        scratch.ping.resize(n, h);
-        let w_last = l0.w.row(shared.len());
-        for (i, &a) in last_feature.iter().enumerate() {
-            let row = scratch.ping.row_mut(i);
-            row.copy_from_slice(scratch.pong.row(0));
-            if a != 0.0 {
-                axpy_with(tier, a, w_last, row);
-            }
-        }
-        scratch.ping.add_row_broadcast(&l0.b);
-        if self.layers.len() > 1 {
-            scratch.ping.map_inplace(|v| self.activation.apply(v));
-        }
-        self.forward_tail(scratch)
-    }
-
     /// Stage the *pre-bias* first-layer rows of one shared-prefix group into
     /// rows `row0..row0 + last_feature.len()` of `staged` (grown beforehand
     /// via [`MlpScratch::staged_rows_mut`]).
     ///
-    /// This is the per-group half of [`Mlp::forward_shared_last_into`],
-    /// decoupled from the tail so that *many* groups — one per concurrent
-    /// stream, each with its own shared feature prefix and per-rung last
-    /// column — can be stacked into a single staged matrix and finished by
-    /// one [`Mlp::forward_staged_into`] pass per step-net.  The op sequence
-    /// per row (zeroed partial accumulated by k-ascending `axpy` with the
-    /// same zero-skip, then the row's own last-feature `axpy`) is exactly the
-    /// single-group path's, so every staged row is bit-identical to what
-    /// `forward_shared_last_into` would have produced for that group alone.
+    /// A group's rows are identical except for the *final* feature — the
+    /// TTP's per-rung proposed-size column — so the first layer's response
+    /// to the shared prefix is computed once and each row's last-feature
+    /// contribution added on top.  Many groups — one per concurrent stream —
+    /// can be stacked into a single staged matrix and finished by one
+    /// [`Mlp::forward_staged_into`] pass per step-net.  The op sequence per
+    /// row (zeroed partial accumulated by k-ascending `axpy` with the same
+    /// zero-skip, then the row's own last-feature `axpy`) is the ikj
+    /// matmul's on the materialized row, whose last feature is the final
+    /// accumulation step, so every staged row is bit-identical to
+    /// [`Mlp::forward`]'s first layer on that row.
     ///
     /// `partial` is a reusable hidden-width accumulator owned by the caller
     /// (it cannot live in the scratch, whose `ping` is lent out as `staged`).
@@ -454,9 +407,9 @@ impl Mlp {
     ///
     /// The bias broadcast, activation, and tail matmuls are all row-wise
     /// independent with a fixed per-element operation order, so each row of
-    /// the result is bit-identical to running its group alone through
-    /// [`Mlp::forward_shared_last_into`] — the argument `docs/BATCHING.md`
-    /// spells out.  Returns the logits (one row per staged row).
+    /// the result is bit-identical to [`Mlp::forward`] on the materialized
+    /// row — the argument `docs/BATCHING.md` spells out.  Returns the logits
+    /// (one row per staged row).
     // lint: panic-free — entry asserts pin the staged dims; layer indexing is over self.layers
     pub fn forward_staged_into<'a>(&self, scratch: &'a mut MlpScratch) -> &'a mut Matrix {
         let l0 = &self.layers[0];
@@ -762,33 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn forward_shared_last_is_bit_identical_to_materialized_batch() {
-        let mut r = rng();
-        for dims in [&[6usize, 8, 8, 4][..], &[5, 21][..], &[4, 16, 3][..]] {
-            let net = Mlp::new(dims, Activation::Relu, &mut r);
-            let f = dims[0];
-            let shared: Vec<f32> = (0..f - 1).map(|i| (i as f32 * 0.71).sin()).collect();
-            // Include 0.0 so the zero-skip path is exercised on both sides.
-            let lasts = [0.6f32, -1.2, 0.0, 2.4];
-            let mut batch = Matrix::zeros(lasts.len(), f);
-            for (i, &l) in lasts.iter().enumerate() {
-                batch.row_mut(i)[..f - 1].copy_from_slice(&shared);
-                batch.row_mut(i)[f - 1] = l;
-            }
-            let reference = net.forward(&batch);
-            let mut scratch = MlpScratch::new();
-            let out = net.forward_shared_last_into(&shared, &lasts, &mut scratch);
-            assert_eq!(reference.data(), out.data());
-        }
-    }
-
-    #[test]
-    fn staged_multi_group_batch_is_bit_identical_to_per_group_passes() {
-        // The cross-stream batching contract: stacking several shared-prefix
-        // groups (streams) into one staged matrix and finishing with a single
-        // tail pass must reproduce every group's forward_shared_last_into
-        // output bit-for-bit — including ragged group sizes, zeros in both
-        // the prefix and the last column, and a single-layer (linear) net.
+    fn staged_shared_last_batch_is_bit_identical_to_materialized_forward() {
+        // The batching contract: stacking several shared-prefix groups
+        // (streams) into one staged matrix and finishing with a single tail
+        // pass must reproduce `forward` on each group's materialized batch
+        // bit-for-bit — including ragged group sizes, zeros in both the
+        // prefix and the last column (the zero-skip), and a single-layer
+        // (linear) net.
         let mut r = rng();
         for dims in [&[6usize, 8, 8, 4][..], &[5, 21][..], &[4, 16, 3][..]] {
             let net = Mlp::new(dims, Activation::Relu, &mut r);
@@ -826,10 +759,14 @@ mod tests {
             let flat = out.data().to_vec();
             let cols = *dims.last().unwrap();
 
-            let mut single = MlpScratch::new();
             let mut row0 = 0;
             for (shared, lasts) in &groups {
-                let reference = net.forward_shared_last_into(shared, lasts, &mut single);
+                let mut batch = Matrix::zeros(lasts.len(), f);
+                for (i, &l) in lasts.iter().enumerate() {
+                    batch.row_mut(i)[..f - 1].copy_from_slice(shared);
+                    batch.row_mut(i)[f - 1] = l;
+                }
+                let reference = net.forward(&batch);
                 assert_eq!(
                     reference.data(),
                     &flat[row0 * cols..(row0 + lasts.len()) * cols],

@@ -1,15 +1,15 @@
 //! Cross-stream batched TTP inference for the RCT day loop.
 //!
-//! One Fugu chunk decision queries the TTP `horizon × rungs` times; with the
-//! per-stream path each concurrent stream does this alone, cycling all five
-//! step-nets' weights through cache per decision.  A [`BatchRunner`] instead
-//! holds a *wave* of concurrent Fugu-family sessions suspended at their
-//! chunk decisions (the [`SessionRun`] state machine) and answers all of
-//! them per round: for every lookahead step, the staged decisions of every
-//! session in the wave become one `(streams · rungs) × features` forward
-//! pass through that step's network
-//! ([`Ttp::predict_time_distributions_batched_into`]), so each weight matrix
-//! is streamed through cache once per round instead of once per stream.
+//! One Fugu chunk decision queries the TTP `horizon × rungs` times; a stream
+//! planning alone cycles all five step-nets' weights through cache per
+//! decision.  A [`BatchRunner`] instead holds a *wave* of concurrent
+//! Fugu-family sessions suspended at their chunk decisions (the
+//! [`SessionRun`] state machine) and answers all of them per round: for
+//! every lookahead step, the staged decisions of every session in the wave
+//! become one `(streams · rungs) × features` forward pass through that
+//! step's network ([`Ttp::predict_time_distributions_batched_into`]), so
+//! each weight matrix is streamed through cache once per round instead of
+//! once per stream.
 //!
 //! Arms that share the same TTP snapshot (`Arc` identity — e.g. ablation
 //! arms built with [`SchemeSpec::fugu_frozen_shared`]) are merged into one
@@ -17,24 +17,21 @@
 //! per step-net, growing the effective batch the blocked kernels were built
 //! for.  Planning stays per-arm — each session's value iteration runs with
 //! its own arm's controller configuration — only the network forward is
-//! shared.  `ExperimentConfig::batch_across_arms` turns the merging off
-//! (every batchable arm becomes a singleton group, reproducing per-arm
-//! passes exactly).
+//! shared.
 //!
-//! Results are bit-identical to the per-stream path (`docs/BATCHING.md`):
-//! every kernel in the forward pass is row-independent with a fixed
-//! per-element operation order, and the batched entry point replays the
-//! exact shared-prefix first-layer sequence of the single-stream path, so
-//! co-batching — across streams or across arms — cannot change any
-//! session's distributions — pinned by the fingerprint tests in
-//! `tests/determinism.rs` and the property test in `tests/invariants.rs`.
+//! Co-batching cannot change any session's distributions
+//! (`docs/BATCHING.md`): every kernel in the forward pass is row-independent
+//! with a fixed per-element operation order, so a query's rows are the same
+//! in a wave as in a batch of one — pinned by the property test in
+//! `tests/invariants.rs` and, end to end, by the golden fingerprints in
+//! `tests/golden.rs`.
 //!
 //! Admission contract under fault injection: sessions carrying an injected
 //! panic (`FaultPlan::session_panic_after`) are *never* admitted to a wave —
 //! the worker runs them inline under `catch_unwind` so an unwinding session
-//! can only take itself down, not the co-batched wave.  Because batching is
-//! bit-identical to the inline path, routing a session inline never changes
-//! its outcome, so the exclusion cannot perturb a zero-fault replay.
+//! can only take itself down, not the co-batched wave.  An inline Fugu
+//! decision is a one-query batch through the same entry point, so routing a
+//! session inline never changes its outcome.
 
 use crate::experiment::{ArmAbrs, ExperimentConfig};
 use crate::scheme::SchemeSpec;
@@ -60,8 +57,7 @@ struct ActiveSession {
     arm: usize,
     run: SessionRun,
     /// Planner tables for this session's staged decision; reused across
-    /// sessions via the spare list, exactly like the pooled per-worker
-    /// Fugu's scratch in the inline path.
+    /// sessions via the spare list.
     scratch: PlanScratch,
 }
 
@@ -86,27 +82,19 @@ struct Span {
 
 /// Group arms sharing the *same* TTP snapshot (`Arc` identity — the batching
 /// key `SchemeSpec::fugu_planner` documents) so their staged decisions merge
-/// into one batched pass; with `batch_across_arms` off, every batchable arm
-/// is its own singleton group.  Returns `(groups, arm → group index)`.
-/// Workers build a fresh runner every day, after any nightly retraining has
-/// swapped an arm's `Arc`, so the groups always reflect the snapshots
-/// actually in play.
-fn ttp_groups_for(
-    planners: &[Option<ArmPlanner>],
-    batch_across_arms: bool,
-) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
+/// into one batched pass.  Returns `(groups, arm → group index)`.  Workers
+/// build a fresh runner every day, after any nightly retraining has swapped
+/// an arm's `Arc`, so the groups always reflect the snapshots actually in
+/// play.
+fn ttp_groups_for(planners: &[Option<ArmPlanner>]) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_of: Vec<Option<usize>> = vec![None; planners.len()];
     for arm in 0..planners.len() {
         let Some(ap) = planners[arm].as_ref() else { continue };
-        let joined = if batch_across_arms {
-            groups.iter().position(|grp| {
-                let lead = planners[grp[0]].as_ref().expect("groups hold batchable arms");
-                Arc::ptr_eq(&lead.ttp, &ap.ttp)
-            })
-        } else {
-            None
-        };
+        let joined = groups.iter().position(|grp| {
+            let lead = planners[grp[0]].as_ref().expect("groups hold batchable arms");
+            Arc::ptr_eq(&lead.ttp, &ap.ttp)
+        });
         match joined {
             Some(g) => {
                 groups[g].push(arm);
@@ -130,7 +118,7 @@ pub(crate) struct BatchRunner<'a> {
     planners: Vec<Option<ArmPlanner>>,
     /// Arms whose staged decisions merge into one batched pass: each inner
     /// vec holds the arm indices of one TTP-sharing group (`Arc::ptr_eq` on
-    /// the arms' TTPs; singletons when cross-arm batching is off).
+    /// the arms' TTPs).
     ttp_groups: Vec<Vec<usize>>,
     /// Arm index → its TTP group (`None` for non-batchable arms).
     group_of: Vec<Option<usize>>,
@@ -161,7 +149,7 @@ impl<'a> BatchRunner<'a> {
                     .map(|(ttp, config)| ArmPlanner { ttp, planner: StochasticMpc::new(config) })
             })
             .collect();
-        let (ttp_groups, group_of) = ttp_groups_for(&planners, cfg.batch_across_arms);
+        let (ttp_groups, group_of) = ttp_groups_for(&planners);
         BatchRunner {
             bank,
             cfg,
@@ -268,9 +256,9 @@ impl<'a> BatchRunner<'a> {
                     self.hist_flat.extend_from_slice(ctx.history);
                     let z0 = self.sizes_flat.len();
                     self.sizes_flat.extend(ctx.lookahead[step].options.iter().map(|o| o.size));
-                    // The per-stream fill writes `lookahead[step]`'s sizes
-                    // into a `n_rungs`-wide slot; a ragged ladder would have
-                    // tripped its length assert, so mirror that contract.
+                    // `fill_dists` writes `lookahead[step]`'s sizes into a
+                    // `n_rungs`-wide slot; a ragged ladder would trip its
+                    // length assert, so mirror that contract.
                     assert_eq!(self.sizes_flat.len() - z0, nr, "ladder width varies by step");
                     self.infos.push(ctx.tcp_info);
                     self.spans.push(Span {
@@ -308,8 +296,7 @@ impl<'a> BatchRunner<'a> {
                 );
                 drop(queries);
                 // Scatter each query's rows into its session's dists table
-                // at this step's offset — the same slot the per-stream
-                // `fill_dists` writes.
+                // at this step's offset — the same slot `fill_dists` writes.
                 let mut row0 = 0;
                 for sp in &self.spans {
                     let n = sp.sizes.1 - sp.sizes.0;
@@ -367,13 +354,8 @@ mod tests {
         ];
         let planners = planners_for(&schemes);
 
-        let (groups, group_of) = ttp_groups_for(&planners, true);
+        let (groups, group_of) = ttp_groups_for(&planners);
         assert_eq!(groups, vec![vec![1, 2], vec![3]]);
         assert_eq!(group_of, vec![None, Some(0), Some(0), Some(1)]);
-
-        // Cross-arm batching off: singleton groups, same membership.
-        let (groups, group_of) = ttp_groups_for(&planners, false);
-        assert_eq!(groups, vec![vec![1], vec![2], vec![3]]);
-        assert_eq!(group_of, vec![None, Some(0), Some(1), Some(2)]);
     }
 }

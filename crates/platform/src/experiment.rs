@@ -12,10 +12,9 @@ use crate::archive::TelemetrySpool;
 use crate::batch::BatchRunner;
 use crate::faults::{
     observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
-    NO_ARM, NO_SESSION,
 };
 use crate::scheme::SchemeSpec;
-use crate::session::{run_session, run_session_with_injected_panic, SessionOutcome};
+use crate::session::{SessionOutcome, SessionRun};
 use crate::stream::{QuitReason, StreamConfig};
 use crate::user::UserModel;
 use crate::MIN_CONSIDERED_WATCH;
@@ -29,6 +28,7 @@ use puffer_trace::TraceBank;
 use rand::Rng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// CONSORT-style stream accounting for one arm (Fig. A1).
@@ -90,30 +90,6 @@ pub struct ExperimentConfig {
     /// binaries use it so orderings stabilize at laptop scale.  `false`
     /// gives the paper's honest between-subjects RCT.
     pub paired: bool,
-    /// Reuse one ABR instance per (worker, arm) across a day's sessions via
-    /// [`puffer_abr::Abr::reset_stream`], instead of
-    /// [`SchemeSpec::instantiate`]-ing per session.  Skips the per-session
-    /// model clone (Fugu's TTP, Pensieve's policy) and keeps planner scratch
-    /// tables warm; results are identical because `reset_stream` runs before
-    /// every stream (pinned by `abr_reuse_matches_fresh_instantiation`).
-    /// `false` restores per-session instantiation.
-    pub reuse_abrs: bool,
-    /// Batch concurrent Fugu-family sessions' TTP queries: each worker runs
-    /// its sessions as suspended [`crate::session::SessionRun`] state
-    /// machines and answers a whole wave's chunk decisions with one
-    /// `(streams · rungs) × features` forward pass per lookahead step
-    /// (`crate::batch`).  Results are bit-identical to the per-stream path
-    /// (pinned by the fingerprint tests in `tests/determinism.rs`); `false`
-    /// restores the one-session-at-a-time inner loop.
-    pub batch_streams: bool,
-    /// Merge arms sharing the same TTP snapshot (`Arc` identity, e.g. arms
-    /// built with [`SchemeSpec::fugu_frozen_shared`]) into one batched pass
-    /// per step-net instead of one per arm (`crate::batch`).  Planning stays
-    /// per-arm; only the network forward is shared, so results are
-    /// bit-identical either way (pinned in `tests/determinism.rs` and
-    /// `tests/tier_identity.rs`).  Only meaningful when `batch_streams` is
-    /// on; `false` keeps every arm in its own singleton group.
-    pub batch_across_arms: bool,
     /// Spill telemetry to compacted `.puf` archives under this directory as
     /// sessions finish, one `telemetry_day<d>.puf` per simulated day
     /// (`docs/ARCHIVE.md`).  Workers write private spool files incrementally
@@ -140,9 +116,6 @@ impl Default for ExperimentConfig {
             retrain: Some(TrainConfig::default()),
             user: UserModel::default(),
             paired: false,
-            reuse_abrs: true,
-            batch_streams: true,
-            batch_across_arms: true,
             archive_sink: None,
             faults: FaultPlan::none(),
         }
@@ -224,60 +197,6 @@ fn session_id(day: u32, index: usize) -> u64 {
     (u64::from(day) << 32) | index as u64
 }
 
-fn run_one_session(
-    abr: &mut dyn Abr,
-    arm: usize,
-    bank: &TraceBank,
-    cfg: &ExperimentConfig,
-    session_id: u64,
-    seed: u64,
-) -> SessionOutcome {
-    let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-    run_session(bank, abr, &cfg.user, cfg.cc, stream_cfg, session_id, seed)
-}
-
-fn run_one_session_panicking(
-    abr: &mut dyn Abr,
-    arm: usize,
-    bank: &TraceBank,
-    cfg: &ExperimentConfig,
-    session_id: u64,
-    seed: u64,
-    panic_after: u32,
-) -> SessionOutcome {
-    let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-    run_session_with_injected_panic(
-        bank,
-        abr,
-        &cfg.user,
-        cfg.cc,
-        stream_cfg,
-        session_id,
-        seed,
-        panic_after,
-    )
-}
-
-/// Spill one finished session's telemetry to the worker's spool, tagged
-/// with the session's spec index — must run before [`account_session`]
-/// consumes the streams.  An injected archive fault at this coordinate
-/// surfaces as a synthetic I/O error, exactly like a real disk failure.
-fn spill_session(
-    spool: &mut Option<TelemetrySpool>,
-    day: u32,
-    faults: &FaultPlan,
-    tag: usize,
-    out: &SessionOutcome,
-) -> std::io::Result<()> {
-    if let Some(spool) = spool.as_mut() {
-        if faults.archive_error_at(day, tag as u64) {
-            return Err(std::io::Error::other("injected archive-sink fault"));
-        }
-        spool.add_session(tag as u64, out.streams.iter().map(|s| &s.telemetry))?;
-    }
-    Ok(())
-}
-
 /// Fold one session's outcome into the CONSORT accounting (Fig. A1).
 fn account_session(arm: usize, out: SessionOutcome) -> SessionResult {
     let mut consort = ConsortCounts { sessions: 1, ..ConsortCounts::default() };
@@ -320,17 +239,20 @@ fn quarantined_session(arm: usize) -> SessionResult {
     }
 }
 
-/// Everything one worker brings back from a day.
-struct WorkerDay {
+/// One worker's account of its day, built up as its sessions retire.
+struct WorkerDay<'c> {
+    day: u32,
+    faults: &'c FaultPlan,
     /// `(spec index, result)` pairs in completion order — the caller sorts
     /// by index before aggregating.
     results: Vec<(usize, SessionResult)>,
-    /// The worker's finished spool file, if the archive sink is on and every
-    /// write succeeded.
-    spool: Option<std::path::PathBuf>,
+    /// The worker's telemetry spool while its archive sink is healthy.
+    spool: Option<TelemetrySpool>,
+    /// The finished spool file, once [`WorkerDay::close`] has written it.
+    spool_path: Option<PathBuf>,
     /// A spool abandoned after a write error (partial file awaiting
     /// cleanup).
-    abandoned_spool: Option<std::path::PathBuf>,
+    abandoned_spool: Option<PathBuf>,
     /// Archive-degradation incidents this worker hit (the caller sorts them
     /// by session coordinate, restoring scheduling independence).
     incidents: Vec<Incident>,
@@ -338,184 +260,147 @@ struct WorkerDay {
     archive_failed: bool,
 }
 
+impl<'c> WorkerDay<'c> {
+    /// Start the day.  With the archive sink on, each worker spools
+    /// telemetry to its own `.puf` file as sessions finish; the per-day
+    /// merge in [`run_rct`] restores session order.
+    fn open(cfg: &'c ExperimentConfig, day: u32, worker: usize) -> Self {
+        let mut w = WorkerDay {
+            day,
+            faults: &cfg.faults,
+            results: Vec::new(),
+            spool: None,
+            spool_path: None,
+            abandoned_spool: None,
+            incidents: Vec::new(),
+            archive_failed: false,
+        };
+        if let Some(dir) = &cfg.archive_sink {
+            match TelemetrySpool::create(dir, &format!(".spool_day{day}_worker{worker}.puf")) {
+                Ok(spool) => w.spool = Some(spool),
+                Err(_) => w.archive_fault(None),
+            }
+        }
+        w
+    }
+
+    /// Record an archive-sink failure — at `(arm, session)` when one was
+    /// being spilled — and degrade the day to CSV-only.
+    fn archive_fault(&mut self, at: Option<(usize, usize)>) {
+        let (kind, action) = (IncidentKind::ArchiveIo, DegradeAction::CsvOnly);
+        self.incidents.push(match at {
+            Some((arm, i)) => Incident::on_session(self.day, arm, i, kind, action, 0),
+            None => Incident::on_day(self.day, kind, action, 0),
+        });
+        self.archive_failed = true;
+    }
+
+    /// Spill a finished session's telemetry to the spool, tagged with its
+    /// spec index, then fold it into the CONSORT accounting.  A spill error
+    /// abandons the spool: telemetry keeps flowing to the in-memory
+    /// statistics, only the on-disk archive degrades.
+    fn retire(&mut self, i: usize, arm: usize, outcome: SessionOutcome) {
+        if self.spill(i, &outcome).is_err() {
+            self.archive_fault(Some((arm, i)));
+            self.abandoned_spool = self.spool.take().map(|s| s.path().to_owned());
+        }
+        let mut res = account_session(arm, outcome);
+        if self.faults.nan_telemetry_at(self.day, i as u64) {
+            poison_observations(&mut res.observations);
+        }
+        self.results.push((i, res));
+    }
+
+    /// An injected archive fault at this coordinate surfaces as a synthetic
+    /// I/O error, exactly like a real disk failure.
+    fn spill(&mut self, i: usize, outcome: &SessionOutcome) -> std::io::Result<()> {
+        let Some(spool) = self.spool.as_mut() else { return Ok(()) };
+        if self.faults.archive_error_at(self.day, i as u64) {
+            return Err(std::io::Error::other("injected archive-sink fault"));
+        }
+        spool.add_session(i as u64, outcome.streams.iter().map(|s| &s.telemetry))
+    }
+
+    /// End the day: finish the spool file.
+    fn close(mut self) -> Self {
+        if let Some(spool) = self.spool.take() {
+            let path = spool.path().to_owned();
+            match spool.finish() {
+                Ok(p) => self.spool_path = Some(p),
+                Err(_) => {
+                    self.archive_fault(None);
+                    self.abandoned_spool = Some(path);
+                }
+            }
+        }
+        self
+    }
+}
+
 /// One worker's day: claim sessions off the shared counter until it runs
 /// dry.  Fugu-family sessions join the worker's [`BatchRunner`] wave (their
-/// chunk decisions are answered by batched TTP passes); everything else runs
-/// inline — including sessions carrying an injected panic fault, so the
-/// unwind is confined to one session and cannot take the wave down with it.
+/// chunk decisions are answered by batched TTP passes).  Every other
+/// session runs inline on its arm's pooled ABR: non-batchable arms, and
+/// sessions carrying an injected panic fault, so the unwind is confined to
+/// one session and cannot take the wave down with it.
 ///
 /// Every inline session runs under [`catch_unwind`]: a panic (injected or
 /// real) quarantines that session instead of killing the worker and the
 /// day.  Archive-sink errors abandon the spool and mark the day
 /// `archive_failed` instead of aborting.
-fn run_day_worker(
+fn run_day_worker<'c>(
     specs: &[(usize, u64, u64)],
     next: &AtomicUsize,
     schemes: &[SchemeSpec],
     bank: &TraceBank,
-    cfg: &ExperimentConfig,
+    cfg: &'c ExperimentConfig,
     day: u32,
     worker: usize,
-) -> WorkerDay {
-    let mut out: Vec<(usize, SessionResult)> = Vec::new();
-    let mut incidents: Vec<Incident> = Vec::new();
-    let mut archive_failed = false;
-    let mut abandoned_spool: Option<std::path::PathBuf> = None;
+) -> WorkerDay<'c> {
+    let mut account = WorkerDay::open(cfg, day, worker);
     let mut pool = ArmAbrs::new(schemes);
-    let mut batcher =
-        if cfg.batch_streams { Some(BatchRunner::new(schemes, bank, cfg)) } else { None };
-    // Each worker spools telemetry to its own `.puf` file as sessions
-    // finish; the per-day merge in `run_rct` restores session order.
-    let mut spool = match cfg.archive_sink.as_ref() {
-        None => None,
-        Some(dir) => {
-            match TelemetrySpool::create(dir, &format!(".spool_day{day}_worker{worker}.puf")) {
-                Ok(s) => Some(s),
-                Err(_) => {
-                    incidents.push(Incident {
-                        day,
-                        arm: NO_ARM,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ArchiveIo,
-                        action: DegradeAction::CsvOnly,
-                        value: 0,
-                    });
-                    archive_failed = true;
-                    None
-                }
-            }
-        }
-    };
-    // Abandon the spool after a write error: telemetry keeps flowing to the
-    // in-memory statistics, only the on-disk archive degrades.
-    let spill = |spool: &mut Option<TelemetrySpool>,
-                 abandoned: &mut Option<std::path::PathBuf>,
-                 incidents: &mut Vec<Incident>,
-                 archive_failed: &mut bool,
-                 i: usize,
-                 arm: usize,
-                 outcome: &SessionOutcome| {
-        if let Err(_e) = spill_session(spool, day, &cfg.faults, i, outcome) {
-            incidents.push(Incident {
-                day,
-                arm: arm as u32,
-                session: i as u64,
-                kind: IncidentKind::ArchiveIo,
-                action: DegradeAction::CsvOnly,
-                value: 0,
-            });
-            *archive_failed = true;
-            *abandoned = spool.take().map(|s| s.path().to_owned());
-        }
-    };
+    let mut wave = BatchRunner::new(schemes, bank, cfg);
     let mut finished: Vec<(usize, usize, SessionOutcome)> = Vec::new();
     let mut exhausted = false;
-    loop {
+    while !exhausted || !wave.is_empty() {
         // Claim work: batchable sessions fill the wave, others run inline.
-        while !exhausted && batcher.as_ref().is_none_or(BatchRunner::has_room) {
+        while !exhausted && wave.has_room() {
             // lint: atomic-ordering — RMW is already serialized; index alone claims the slot
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= specs.len() {
+            let Some(&(arm, id, seed)) = specs.get(i) else {
                 exhausted = true;
                 break;
-            }
-            let (arm, id, seed) = specs[i];
+            };
             let panic_after = cfg.faults.session_panic_after(day, i as u64);
-            match batcher.as_mut() {
-                Some(b) if b.is_batchable(arm) && panic_after.is_none() => {
-                    b.admit(i, arm, id, seed)
-                }
-                _ => {
-                    let mut fresh;
-                    let abr: &mut dyn Abr = if cfg.reuse_abrs {
-                        pool.get(arm)
-                    } else {
-                        fresh = schemes[arm].instantiate();
-                        fresh.as_mut()
-                    };
-                    // The pooled ABR is safe to keep using after an unwind:
-                    // `reset_stream` runs before every stream, clearing any
-                    // state the panic left half-updated.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| match panic_after {
-                        Some(after) => {
-                            run_one_session_panicking(abr, arm, bank, cfg, id, seed, after)
-                        }
-                        None => run_one_session(abr, arm, bank, cfg, id, seed),
-                    }));
-                    match outcome {
-                        Ok(outcome) => {
-                            spill(
-                                &mut spool,
-                                &mut abandoned_spool,
-                                &mut incidents,
-                                &mut archive_failed,
-                                i,
-                                arm,
-                                &outcome,
-                            );
-                            let mut res = account_session(arm, outcome);
-                            if cfg.faults.nan_telemetry_at(day, i as u64) {
-                                poison_observations(&mut res.observations);
-                            }
-                            out.push((i, res));
-                        }
-                        Err(_) => out.push((i, quarantined_session(arm))),
-                    }
-                }
+            if wave.is_batchable(arm) && panic_after.is_none() {
+                wave.admit(i, arm, id, seed);
+                continue;
+            }
+            let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
+            let abr = pool.get(arm);
+            // The pooled ABR is safe to keep using after an unwind:
+            // `reset_stream` runs before every stream, clearing any state the
+            // panic left half-updated.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                SessionRun::begin(bank, &cfg.user, cfg.cc, stream_cfg, id, seed).run_to_end(
+                    abr,
+                    &cfg.user,
+                    panic_after,
+                )
+            }));
+            match outcome {
+                Ok(outcome) => account.retire(i, arm, outcome),
+                Err(_) => account.results.push((i, quarantined_session(arm))),
             }
         }
-        match batcher.as_mut() {
-            None => break, // every claimed session already ran inline
-            Some(b) => {
-                if b.is_empty() {
-                    if exhausted {
-                        break;
-                    }
-                    continue;
-                }
-                b.round(&mut pool, &cfg.user, &mut finished);
-                for (i, arm, outcome) in finished.drain(..) {
-                    spill(
-                        &mut spool,
-                        &mut abandoned_spool,
-                        &mut incidents,
-                        &mut archive_failed,
-                        i,
-                        arm,
-                        &outcome,
-                    );
-                    let mut res = account_session(arm, outcome);
-                    if cfg.faults.nan_telemetry_at(day, i as u64) {
-                        poison_observations(&mut res.observations);
-                    }
-                    out.push((i, res));
-                }
+        if !wave.is_empty() {
+            wave.round(&mut pool, &cfg.user, &mut finished);
+            for (i, arm, outcome) in finished.drain(..) {
+                account.retire(i, arm, outcome);
             }
         }
     }
-    let spool_path = match spool {
-        None => None,
-        Some(s) => {
-            let path = s.path().to_owned();
-            match s.finish() {
-                Ok(p) => Some(p),
-                Err(_) => {
-                    incidents.push(Incident {
-                        day,
-                        arm: NO_ARM,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ArchiveIo,
-                        action: DegradeAction::CsvOnly,
-                        value: 0,
-                    });
-                    archive_failed = true;
-                    abandoned_spool = Some(path);
-                    None
-                }
-            }
-        }
-    };
-    WorkerDay { results: out, spool: spool_path, abandoned_spool, incidents, archive_failed }
+    account.close()
 }
 
 /// Run the RCT.  `schemes` defines the arms; Fugu arms flagged
@@ -575,25 +460,23 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                         continue;
                     };
                     *spec = SchemeSpec::Fugu { ttp: frozen.clone(), variant, label, retrain_daily };
-                    incidents.push(Incident {
+                    incidents.push(Incident::on_arm(
                         day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ModelUnavailable,
-                        action: DegradeAction::ServedFrozen,
-                        value: 1,
-                    });
+                        a,
+                        IncidentKind::ModelUnavailable,
+                        DegradeAction::ServedFrozen,
+                        1,
+                    ));
                 }
                 crate::faults::ModelOutage::PrimaryAndFrozen => {
                     *spec = SchemeSpec::Bba;
-                    incidents.push(Incident {
+                    incidents.push(Incident::on_arm(
                         day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::ModelUnavailable,
-                        action: DegradeAction::ServedBba,
-                        value: 2,
-                    });
+                        a,
+                        IncidentKind::ModelUnavailable,
+                        DegradeAction::ServedBba,
+                        2,
+                    ));
                 }
             }
         }
@@ -662,7 +545,7 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
         let mut worker_incidents: Vec<Incident> = Vec::new();
         for w in worker_days.drain(..) {
             indexed.extend(w.results);
-            spools.extend(w.spool);
+            spools.extend(w.spool_path);
             abandoned.extend(w.abandoned_spool);
             worker_incidents.extend(w.incidents);
         }
@@ -698,14 +581,12 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                         day_archive_path = Some(day_path);
                     }
                     Err(_) => {
-                        incidents.push(Incident {
+                        incidents.push(Incident::on_day(
                             day,
-                            arm: NO_ARM,
-                            session: NO_SESSION,
-                            kind: IncidentKind::ArchiveIo,
-                            action: DegradeAction::CsvOnly,
-                            value: 0,
-                        });
+                            IncidentKind::ArchiveIo,
+                            DegradeAction::CsvOnly,
+                            0,
+                        ));
                         for s in spools.drain(..) {
                             std::fs::remove_file(s).ok();
                         }
@@ -728,14 +609,14 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
             let arm = &mut arms[r.arm];
             if r.quarantined {
                 arm.consort.quarantined += 1;
-                incidents.push(Incident {
+                incidents.push(Incident::on_session(
                     day,
-                    arm: r.arm as u32,
-                    session: i as u64,
-                    kind: IncidentKind::SessionPanic,
-                    action: DegradeAction::Quarantined,
-                    value: u64::from(cfg.faults.session_panic_after(day, i as u64).unwrap_or(0)),
-                });
+                    r.arm,
+                    i,
+                    IncidentKind::SessionPanic,
+                    DegradeAction::Quarantined,
+                    u64::from(cfg.faults.session_panic_after(day, i as u64).unwrap_or(0)),
+                ));
                 continue;
             }
             arm.streams.extend(r.summaries);
@@ -749,14 +630,14 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                 if stream_obs.iter().all(observation_is_finite) {
                     dataset.add_stream(day, stream_obs);
                 } else {
-                    incidents.push(Incident {
+                    incidents.push(Incident::on_session(
                         day,
-                        arm: r.arm as u32,
-                        session: i as u64,
-                        kind: IncidentKind::BadTelemetry,
-                        action: DegradeAction::ObservationsDropped,
-                        value: stream_obs.len() as u64,
-                    });
+                        r.arm,
+                        i,
+                        IncidentKind::BadTelemetry,
+                        DegradeAction::ObservationsDropped,
+                        stream_obs.len() as u64,
+                    ));
                 }
             }
         }
@@ -771,14 +652,13 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                     continue;
                 }
                 let Some(incumbent) = spec.ttp().cloned() else {
-                    incidents.push(Incident {
+                    incidents.push(Incident::on_arm(
                         day,
-                        arm: a as u32,
-                        session: NO_SESSION,
-                        kind: IncidentKind::RetrainSkipped,
-                        action: DegradeAction::SkippedRetrain,
-                        value: 0,
-                    });
+                        a,
+                        IncidentKind::RetrainSkipped,
+                        DegradeAction::SkippedRetrain,
+                        0,
+                    ));
                     continue;
                 };
                 let gate = RetrainGate::default();
@@ -814,33 +694,29 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                             break;
                         }
                         (GateVerdict::Pass, _) => {
-                            incidents.push(Incident {
+                            incidents.push(Incident::on_arm(
                                 day,
-                                arm: a as u32,
-                                session: NO_SESSION,
-                                kind: IncidentKind::RetrainRecovered,
-                                action: DegradeAction::RetrySucceeded,
-                                value: 0,
-                            });
+                                a,
+                                IncidentKind::RetrainRecovered,
+                                DegradeAction::RetrySucceeded,
+                                0,
+                            ));
                             accepted = Some(candidate);
                             break;
                         }
-                        (v, 0) => incidents.push(Incident {
+                        // The action, not the value, records which attempt
+                        // was rejected.
+                        (v, attempt) => incidents.push(Incident::on_arm(
                             day,
-                            arm: a as u32,
-                            session: NO_SESSION,
-                            kind: IncidentKind::RetrainRejected,
-                            action: DegradeAction::RetriedTraining,
-                            value: u64::from(v.code()),
-                        }),
-                        (v, _) => incidents.push(Incident {
-                            day,
-                            arm: a as u32,
-                            session: NO_SESSION,
-                            kind: IncidentKind::RetrainRejected,
-                            action: DegradeAction::RolledBack,
-                            value: u64::from(v.code()),
-                        }),
+                            a,
+                            IncidentKind::RetrainRejected,
+                            if attempt == 0 {
+                                DegradeAction::RetriedTraining
+                            } else {
+                                DegradeAction::RolledBack
+                            },
+                            u64::from(v.code()),
+                        )),
                     }
                 }
                 let Some(new_ttp) = accepted else {
@@ -856,14 +732,13 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                     let cut = text.len() / 2;
                     match fugu::checkpoint::load_from_str(&text[..cut]) {
                         Err(_) => {
-                            incidents.push(Incident {
+                            incidents.push(Incident::on_arm(
                                 day,
-                                arm: a as u32,
-                                session: NO_SESSION,
-                                kind: IncidentKind::CheckpointTruncated,
-                                action: DegradeAction::KeptIncumbent,
-                                value: cut as u64,
-                            });
+                                a,
+                                IncidentKind::CheckpointTruncated,
+                                DegradeAction::KeptIncumbent,
+                                cut as u64,
+                            ));
                         }
                         Ok(reloaded) => spec.update_ttp(reloaded),
                     }
@@ -924,6 +799,7 @@ pub fn train_ttp_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::run_session;
     use fugu::TtpConfig;
 
     fn tiny_cfg(threads: usize) -> ExperimentConfig {
@@ -970,49 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn abr_reuse_matches_fresh_instantiation() {
-        // Worker-local ABR reuse must be invisible in the results: any
-        // cross-session state a scheme fails to clear in `reset_stream`
-        // (predictor history, RobustMPC error window, Pensieve's previous
-        // bitrate) would change some stream here.  Every stateful scheme is
-        // on an arm, and both thread counts are exercised because workers
-        // see different arm interleavings.
-        use puffer_abr::PensievePolicy;
-        use std::sync::Arc;
-        let schemes = || {
-            vec![
-                SchemeSpec::MpcHm,
-                SchemeSpec::RobustMpcHm,
-                SchemeSpec::Pensieve(Arc::new(PensievePolicy::new(17))),
-                SchemeSpec::fugu(Ttp::new(TtpConfig::default(), 8)),
-            ]
-        };
-        for threads in [1usize, 4] {
-            let mk = |reuse_abrs| ExperimentConfig {
-                seed: 21,
-                sessions_per_day: 16,
-                days: 2,
-                threads,
-                retrain: None,
-                reuse_abrs,
-                ..ExperimentConfig::default()
-            };
-            let reused = run_rct(schemes(), &mk(true));
-            let fresh = run_rct(schemes(), &mk(false));
-            for (a, b) in reused.arms.iter().zip(&fresh.arms) {
-                assert_eq!(a.consort, b.consort, "consort, arm {} threads {threads}", a.name);
-                assert_eq!(a.streams, b.streams, "streams, arm {} threads {threads}", a.name);
-                assert_eq!(
-                    a.session_durations, b.session_durations,
-                    "durations, arm {} threads {threads}",
-                    a.name
-                );
-            }
-            assert_eq!(reused.dataset.n_observations(), fresh.dataset.n_observations());
-        }
-    }
-
-    #[test]
     fn randomization_balances_arms() {
         let cfg = ExperimentConfig {
             sessions_per_day: 300,
@@ -1031,9 +864,8 @@ mod tests {
 
     #[test]
     fn daily_retraining_updates_fugu_model() {
-        let ttp = Ttp::new(TtpConfig::default(), 9);
-        let spec = SchemeSpec::fugu(ttp);
-        let before_ptr = std::sync::Arc::as_ptr(spec.ttp().unwrap()) as usize;
+        let spec = SchemeSpec::fugu(Ttp::new(TtpConfig::default(), 9));
+        let day0 = fugu::checkpoint::save_to_string(spec.ttp().unwrap());
         let cfg = ExperimentConfig {
             seed: 5,
             sessions_per_day: 25,
@@ -1046,12 +878,15 @@ mod tests {
             }),
             ..ExperimentConfig::default()
         };
-        // The schemes vector is moved in; verify training happened via the
-        // dataset and via a changed model by re-running collect path.
         let result = run_rct(vec![spec], &cfg);
         assert!(result.dataset.n_observations() > 0);
-        let _ = before_ptr; // pointer identity is not observable post-move
         assert!(result.arms[0].consort.considered > 0, "Fugu arm must produce streams");
+        let served = result.schemes[0].ttp().expect("the Fugu arm still serves a TTP");
+        assert_ne!(
+            fugu::checkpoint::save_to_string(served),
+            day0,
+            "the nightly retrain must swap in a model with different weights"
+        );
     }
 
     #[test]

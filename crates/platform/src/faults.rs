@@ -28,7 +28,6 @@
 //! pass-through — outputs are byte-identical to a build without it.  See
 //! `docs/ROBUSTNESS.md` for the full contract.
 
-use crate::session::SessionOutcome;
 use fugu::{ChunkObservation, Ttp};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -186,10 +185,13 @@ impl DegradeAction {
 /// renders the same record with stable kind/action names.
 ///
 /// `value` is kind-specific detail: the decision count for an injected
-/// session panic, the observation count for dropped telemetry,
-/// `verdict_code << 8 | attempt` for retrain rejections (verdict 1 =
-/// non-finite weights, 2 = holdout regression), the truncation length for a
-/// bad checkpoint, and the outage level for model unavailability.
+/// session panic, the observation count for dropped telemetry, the gate
+/// verdict code for a retrain rejection (1 = non-finite weights, 2 = holdout
+/// regression — the action tells the attempt: [`DegradeAction::RetriedTraining`]
+/// for the first, [`DegradeAction::RolledBack`] for the retry), the
+/// truncation length for a bad checkpoint, and the outage level for model
+/// unavailability (1 = served frozen, 2 = served BBA).  Everything else
+/// records 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Incident {
     /// Simulated day the event happened on.
@@ -207,6 +209,36 @@ pub struct Incident {
 }
 
 impl Incident {
+    /// A day-level incident, tied to no arm and no session (e.g. the day's
+    /// archive sink failed).
+    pub fn on_day(day: u32, kind: IncidentKind, action: DegradeAction, value: u64) -> Incident {
+        Incident { day, arm: NO_ARM, session: NO_SESSION, kind, action, value }
+    }
+
+    /// An arm-level incident, tied to no session (the model lifecycle:
+    /// retrains, checkpoints, outages).
+    pub fn on_arm(
+        day: u32,
+        arm: usize,
+        kind: IncidentKind,
+        action: DegradeAction,
+        value: u64,
+    ) -> Incident {
+        Incident { day, arm: arm as u32, session: NO_SESSION, kind, action, value }
+    }
+
+    /// A session-level incident at `(day, session index)` on `arm`.
+    pub fn on_session(
+        day: u32,
+        arm: usize,
+        session: usize,
+        kind: IncidentKind,
+        action: DegradeAction,
+        value: u64,
+    ) -> Incident {
+        Incident { day, arm: arm as u32, session: session as u64, kind, action, value }
+    }
+
     /// Wire form for the `.puf` incident block.
     pub fn to_row(self) -> crate::archive_format::IncidentRow {
         crate::archive_format::IncidentRow {
@@ -603,12 +635,6 @@ pub fn poison_observations(observations: &mut [Vec<ChunkObservation>]) {
     }
 }
 
-/// Whether a finished session contains any non-finite training features
-/// (used by the worker to know if the sanitizer will fire).
-pub fn outcome_has_poisoned_observations(out: &SessionOutcome) -> bool {
-    out.streams.iter().any(|s| !s.observations.iter().all(observation_is_finite))
-}
-
 /// Corrupt a retrained candidate in place, simulating diverged training.
 ///
 /// `ExplodingLoss` pins every step-net's saturated softmax mass on the last
@@ -681,22 +707,15 @@ mod tests {
     #[test]
     fn incident_csv_is_stable() {
         let incidents = vec![
-            Incident {
-                day: 0,
-                arm: 1,
-                session: 7,
-                kind: IncidentKind::SessionPanic,
-                action: DegradeAction::Quarantined,
-                value: 2,
-            },
-            Incident {
-                day: 1,
-                arm: NO_ARM,
-                session: NO_SESSION,
-                kind: IncidentKind::ArchiveIo,
-                action: DegradeAction::CsvOnly,
-                value: 0,
-            },
+            Incident::on_session(
+                0,
+                1,
+                7,
+                IncidentKind::SessionPanic,
+                DegradeAction::Quarantined,
+                2,
+            ),
+            Incident::on_day(1, IncidentKind::ArchiveIo, DegradeAction::CsvOnly, 0),
         ];
         assert_eq!(
             incidents_csv(&incidents),

@@ -1,11 +1,12 @@
 //! The scheme registry: experiment arms → algorithm instances (Fig. 5).
 //!
 //! Each session is assigned to one arm; the arm's [`SchemeSpec`] instantiates
-//! a fresh per-session algorithm (schemes carry per-stream state such as
-//! predictor history).  Learned models (Pensieve's policy, Fugu's TTP) are
-//! shared read-only behind `Arc` and cloned per session, which is what lets
-//! the day loop swap in a freshly retrained TTP between days (§4.3) without
-//! touching sessions already in flight.
+//! the algorithm.  The day loop keeps one instance per (worker, arm) and
+//! resets its per-stream state (such as predictor history) before every
+//! stream.  Learned models (Pensieve's policy, Fugu's TTP) are shared
+//! read-only behind `Arc`, and instances are rebuilt every day, which is
+//! what lets the day loop swap in a freshly retrained TTP between days
+//! (§4.3) without touching sessions already in flight.
 
 use fugu::{Fugu, Ttp, TtpVariant};
 use puffer_abr::{Abr, Bba, Bola, Mpc, PensievePolicy};
@@ -79,7 +80,8 @@ impl SchemeSpec {
         }
     }
 
-    /// Build a fresh per-session algorithm instance.
+    /// Build an algorithm instance; `reset_stream` readies it for each new
+    /// stream.
     pub fn instantiate(&self) -> Box<dyn Abr> {
         match self {
             SchemeSpec::Bba => Box::new(Bba::default()),

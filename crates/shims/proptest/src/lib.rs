@@ -202,6 +202,22 @@ impl Arbitrary for bool {
     }
 }
 
+pub struct AnyU64;
+
+impl Strategy for AnyU64 {
+    type Value = u64;
+    fn generate(&self, rng: &mut TestRng) -> Option<u64> {
+        Some(rng.next_u64())
+    }
+}
+
+impl Arbitrary for u64 {
+    type Strategy = AnyU64;
+    fn arbitrary() -> AnyU64 {
+        AnyU64
+    }
+}
+
 /// `any::<T>()` — canonical strategy for `T`.
 pub fn any<T: Arbitrary>() -> T::Strategy {
     T::arbitrary()

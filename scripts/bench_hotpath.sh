@@ -21,8 +21,9 @@
 #     interquartile range).  When the IQR exceeds 10% of the median the
 #     entry is marked `"noisy": true` and a warning is printed: a median
 #     from a run that noisy is weather, not climate, and must not be read
-#     as a regression or an improvement (`mpc_plan_reference` once drifted
-#     to 0.90x on an untouched path and nothing caught it).
+#     as a regression or an improvement (a since-removed reference-planner
+#     bench once drifted to 0.90x on an untouched path and nothing caught
+#     it).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -58,14 +58,13 @@ fn usage() -> ! {
 }
 
 /// Minimal flag parser: `--key value` pairs plus boolean flags.
-fn parse_flags(args: &[String], booleans: &[&str]) -> BTreeMap<String, String> {
+fn parse_flags(args: &[String], booleans: &[&str]) -> Result<BTreeMap<String, String>, String> {
     let mut out = BTreeMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         let Some(key) = a.strip_prefix("--") else {
-            eprintln!("unexpected argument '{a}'");
-            usage();
+            return Err(format!("unexpected argument '{a}'"));
         };
         if booleans.contains(&key) {
             out.insert(key.to_string(), "true".to_string());
@@ -74,15 +73,32 @@ fn parse_flags(args: &[String], booleans: &[&str]) -> BTreeMap<String, String> {
             out.insert(key.to_string(), v.clone());
             i += 2;
         } else {
-            eprintln!("flag --{key} needs a value");
-            usage();
+            return Err(format!("flag --{key} needs a value"));
         }
     }
-    out
+    Ok(out)
 }
 
+/// The parsed value of `--key`, or `default` when the flag is absent.  A
+/// value that does not parse is an error naming the flag, never a silent
+/// fallback to the default (`--sessions 1O` must not run 100 sessions).
+fn flag<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("invalid value '{v}' for --{key}")),
+    }
+}
+
+/// [`flag`] for the subcommands: a bad value prints the error and exits 2.
 fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    flags.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    flag(flags, key, default).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 fn scheme_by_name(name: &str) -> Option<SchemeSpec> {
@@ -582,13 +598,12 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
     let improvement: f64 = get(&flags, "improvement", 0.15);
     let n_boot: usize = get(&flags, "boot", 200);
     let confidence = 0.95;
-    let cuts: Vec<f64> = flags
-        .get("cuts")
-        .map(String::as_str)
-        .unwrap_or("5000,50000,500000")
-        .split(',')
-        .map(|c| c.trim().parse().unwrap_or_else(|_| panic!("bad cut '{c}'")))
-        .collect();
+    let cuts_flag = flags.get("cuts").map(String::as_str).unwrap_or("5000,50000,500000");
+    let Ok(cuts) = cuts_flag.split(',').map(|c| c.trim().parse()).collect::<Result<Vec<f64>, _>>()
+    else {
+        eprintln!("invalid value '{cuts_flag}' for --cuts");
+        return ExitCode::from(2);
+    };
     let max_cut = cuts.last().copied().expect("need at least one cut");
     let dir = Path::new(out_dir);
 
@@ -766,7 +781,10 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else { usage() };
-    let flags = parse_flags(&args[1..], &["paired", "emulation"]);
+    let flags = parse_flags(&args[1..], &["paired", "emulation"]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage()
+    });
     match command.as_str() {
         "simulate" => cmd_simulate(flags),
         "collect" => cmd_collect(flags),
@@ -777,5 +795,74 @@ fn main() -> ExitCode {
         "archive-stats" => cmd_archive_stats(flags),
         "power-analysis" => cmd_power_analysis(flags),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    fn argv(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    /// Characters that turn a number into a non-number wherever they land
+    /// (`'+'` is left out: a leading plus sign is a valid `u64`).
+    const TYPOS: [char; 7] = ['O', 'l', 'x', '.', ' ', '_', 'e'];
+
+    proptest! {
+        /// Every `u64` survives `--flag value` → `parse_flags` → `flag`.
+        #[test]
+        fn any_u64_flag_value_round_trips(n in any::<u64>()) {
+            let flags = parse_flags(&argv(&["--seed", &n.to_string()]), &[]).unwrap();
+            prop_assert_eq!(flag(&flags, "seed", 1u64), Ok(n));
+        }
+
+        /// A numeric flag whose value is not a number is an error naming the
+        /// flag, never the default.
+        #[test]
+        fn non_numeric_value_is_rejected(
+            n in any::<u64>(),
+            at in 0usize..21,
+            typo in 0usize..TYPOS.len(),
+        ) {
+            let mut value = n.to_string();
+            value.insert(at.min(value.len()), TYPOS[typo]);
+            let flags = parse_flags(&argv(&["--sessions", &value]), &[]).unwrap();
+            let err = flag(&flags, "sessions", 100usize).unwrap_err();
+            prop_assert!(err.contains("--sessions") && err.contains(&value), "{}", err);
+            prop_assert!(flag(&flags, "sessions", 100u64).is_err());
+        }
+
+        /// `parse_flags` keeps every `--key value` pair and boolean flag;
+        /// absent flags take their default.
+        #[test]
+        fn parse_flags_keeps_pairs_and_booleans(
+            values in vec(0u64..1_000_000, 1..6),
+            paired in any::<bool>(),
+        ) {
+            let mut args = Vec::new();
+            for (k, v) in values.iter().enumerate() {
+                args.push(format!("--k{k}"));
+                args.push(v.to_string());
+            }
+            if paired {
+                args.push("--paired".to_string());
+            }
+            let flags = parse_flags(&args, &["paired"]).unwrap();
+            for (k, v) in values.iter().enumerate() {
+                prop_assert_eq!(flag(&flags, &format!("k{k}"), 0u64), Ok(*v));
+            }
+            prop_assert_eq!(flags.contains_key("paired"), paired);
+            prop_assert_eq!(flag(&flags, "absent", 42u64), Ok(42));
+        }
+    }
+
+    #[test]
+    fn malformed_argument_lists_are_errors() {
+        assert!(parse_flags(&argv(&["sessions", "3"]), &[]).is_err());
+        assert!(parse_flags(&argv(&["--sessions"]), &[]).is_err());
     }
 }

@@ -163,31 +163,13 @@ fn mpc_plan_is_allocation_free() {
     }
 }
 
-/// The TTP inference kernel the planner calls per step: zero heap operations
-/// once `TtpScratch` and the output buffer are warm.
-#[test]
-fn ttp_predict_into_is_allocation_free() {
-    let ttp = Ttp::new(TtpConfig::default(), 7);
-    let h = history(1_400_000.0);
-    let info = tcp(1_400_000.0);
-    let sizes = [50_000.0, 250_000.0, 750_000.0, 1_375_000.0];
-    let mut scratch = TtpScratch::new();
-    let mut out = vec![0.0f64; sizes.len() * N_BINS];
-
-    ttp.predict_time_distributions_into(0, &h, &info, &sizes, &mut scratch, &mut out); // warm
-    let ops = heap_ops_in(|| {
-        ttp.predict_time_distributions_into(0, &h, &info, &sizes, &mut scratch, &mut out);
-    });
-    assert_eq!(ops, 0, "predict_time_distributions_into allocated on a warm scratch");
-}
-
-/// The batched cross-stream TTP query ([`crate::batch`]'s kernel): zero heap
-/// operations once the scratch has seen the wave's shape — the staging
-/// matrix, partial-row buffer, and output all live in `TtpScratch` or the
-/// caller's flat buffer, so growing the wave is the only thing that may ever
-/// allocate.  Both prediction targets are gated: the transmission-time path
-/// (shared-prefix staged rows) and the throughput ablation (plain batch +
-/// re-binning).
+/// The TTP inference entry point (one query per planner step, a whole wave
+/// in the batch scheduler): zero heap operations once the scratch has seen
+/// the wave's shape — the staging matrix, partial-row buffer, and output all
+/// live in `TtpScratch` or the caller's flat buffer, so growing the wave is
+/// the only thing that may ever allocate.  Both prediction targets are
+/// gated: the transmission-time path (shared-prefix staged rows) and the
+/// throughput ablation (plain batch + re-binning).
 #[test]
 fn ttp_batched_predict_into_is_allocation_free() {
     use fugu::ttp::TtpBatchQuery;

@@ -75,62 +75,6 @@ fn retraining_is_deterministic_across_thread_counts() {
 }
 
 #[test]
-fn batched_ttp_inference_is_bit_identical_to_per_stream() {
-    // The batched scheduler answers a whole wave of concurrent Fugu-family
-    // sessions' chunk decisions with one forward pass per lookahead step;
-    // the result must be indistinguishable from each stream planning alone.
-    // Pin it stream-by-stream (summaries, CONSORT, durations, dataset size)
-    // against the unbatched sequential path, across thread counts, for the
-    // full TTP, the point-estimate controller, and the throughput-predictor
-    // ablation (the re-binned batched path).
-    use puffer_repro::fugu::{Ttp, TtpConfig, TtpVariant};
-    let schemes = || {
-        vec![
-            SchemeSpec::fugu(Ttp::new(TtpConfig::default(), 11)),
-            SchemeSpec::fugu_frozen(
-                TtpVariant::PointEstimate.build_ttp(12),
-                TtpVariant::PointEstimate,
-                "Point Estimate",
-            ),
-            SchemeSpec::fugu_frozen(
-                TtpVariant::ThroughputPredictor.build_ttp(14),
-                TtpVariant::ThroughputPredictor,
-                "Throughput Predictor",
-            ),
-            SchemeSpec::Bba,
-        ]
-    };
-    let mk = |threads, batch_streams| ExperimentConfig {
-        seed: 13,
-        sessions_per_day: 12,
-        days: 2,
-        threads,
-        retrain: None,
-        batch_streams,
-        ..ExperimentConfig::default()
-    };
-    let baseline = run_rct(schemes(), &mk(1, false));
-    for threads in [1usize, 2, 8] {
-        let batched = run_rct(schemes(), &mk(threads, true));
-        assert_eq!(baseline.total_sessions, batched.total_sessions);
-        assert_eq!(
-            baseline.dataset.n_observations(),
-            batched.dataset.n_observations(),
-            "dataset, threads {threads}"
-        );
-        for (a, b) in baseline.arms.iter().zip(&batched.arms) {
-            assert_eq!(a.consort, b.consort, "consort, arm {} threads {threads}", a.name);
-            assert_eq!(a.streams, b.streams, "stream summaries, arm {} threads {threads}", a.name);
-            assert_eq!(
-                a.session_durations, b.session_durations,
-                "durations, arm {} threads {threads}",
-                a.name
-            );
-        }
-    }
-}
-
-#[test]
 fn different_seeds_differ() {
     let schemes = || vec![SchemeSpec::Bba];
     let a = run_rct(schemes(), &cfg(7, 2));

@@ -162,9 +162,9 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Batching N streams' TTP queries into one forward pass is bit-identical
-    /// to answering each stream alone — for both prediction targets, ragged
-    /// per-query rung counts, and partial histories.  This is the contract
-    /// the batched RCT day loop rests on (`docs/BATCHING.md`).
+    /// to N one-query batches — for both prediction targets, ragged per-query
+    /// rung counts, and partial histories.  This is the contract the batched
+    /// RCT day loop rests on (`docs/BATCHING.md`).
     #[test]
     fn batched_ttp_queries_match_independent_queries(
         seed in 0u64..10_000,
@@ -225,13 +225,11 @@ proptest! {
 
         let mut single_scratch = TtpScratch::new();
         let mut row0 = 0;
-        for i in 0..n_queries {
+        for (i, q) in queries.iter().enumerate() {
             let mut single = vec![0.0f64; sizes[i].len() * N_BINS];
-            ttp.predict_time_distributions_into(
+            ttp.predict_time_distributions_batched_into(
                 step,
-                &histories[i],
-                &infos[i],
-                &sizes[i],
+                std::slice::from_ref(q),
                 &mut single_scratch,
                 &mut single,
             );

@@ -5,8 +5,8 @@
 //! unit/property tests pin that per kernel.  This test pins it end-to-end:
 //! a whole RCT — including two ablation arms sharing one TTP snapshot, the
 //! cross-arm batching case — must produce identical arm summaries on every
-//! supported tier, at threads 1/2/8, with cross-arm batching on and off, and
-//! with the batched scheduler disabled entirely.
+//! supported tier and at threads 1/2/8 (which changes how sessions are dealt
+//! into each worker's wave).
 //!
 //! This lives in its own integration-test binary on purpose: `force_tier` is
 //! a process-global override, and a separate binary means no other test can
@@ -52,35 +52,24 @@ fn assert_same(
 
 #[test]
 fn tiers_and_cross_arm_batching_are_bit_identical() {
-    let mk = |threads, batch_streams, batch_across_arms| ExperimentConfig {
+    let mk = |threads| ExperimentConfig {
         seed: 23,
         sessions_per_day: 10,
         days: 1,
         threads,
         retrain: None,
-        batch_streams,
-        batch_across_arms,
         ..ExperimentConfig::default()
     };
 
-    // Ground truth: scalar kernels, sequential, per-stream (no batching).
+    // Ground truth: scalar kernels, sequential.
     force_tier(Some(Tier::Scalar));
-    let baseline = run_rct(schemes(), &mk(1, false, false));
+    let baseline = run_rct(schemes(), &mk(1));
 
     for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
         force_tier(Some(tier));
-        for (threads, batch_streams, across) in
-            [(1, true, true), (2, true, false), (8, true, true), (8, false, false)]
-        {
-            let r = run_rct(schemes(), &mk(threads, batch_streams, across));
-            assert_same(
-                &baseline,
-                &r,
-                &format!(
-                    "tier {tier:?}, threads {threads}, batch_streams {batch_streams}, \
-                     across-arms {across}"
-                ),
-            );
+        for threads in [1, 2, 8] {
+            let r = run_rct(schemes(), &mk(threads));
+            assert_same(&baseline, &r, &format!("tier {tier:?}, threads {threads}"));
         }
     }
     force_tier(None);
