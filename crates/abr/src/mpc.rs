@@ -17,6 +17,7 @@
 use crate::predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
 use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
 use puffer_media::{ChunkMenu, QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+use std::ops::Range;
 
 /// Tuning knobs for the MPC family.
 #[derive(Debug, Clone, Copy)]
@@ -47,29 +48,63 @@ impl Default for MpcConfig {
     }
 }
 
+/// Nearest buffer bin to `buffer` on the grid `0, bin_w, 2·bin_w, …` of
+/// `bins` levels: exactly `((buffer / bin_w).round() as usize).min(bins - 1)`,
+/// the discretization both MPC and Fugu's planner (§4.4) use, without the
+/// `round` libm call.  With `x = buffer / bin_w` and `i = ⌊x⌋`, `x − i` is
+/// exact for 0 ≤ x < 2⁵³, so rounding half away from zero is `i + 1`
+/// exactly when `x − i ≥ 0.5`; negative `x` gives 0 like the saturating
+/// cast of a rounded negative.
+#[inline]
+pub fn buffer_bin(buffer: f64, bin_w: f64, bins: usize) -> usize {
+    let x: f64 = buffer / bin_w;
+    let i = x as usize;
+    if i >= bins - 1 {
+        bins - 1
+    } else if x - i as f64 >= 0.5 {
+        i + 1
+    } else {
+        i
+    }
+}
+
+/// Playback buffer after a chunk that takes `t` seconds to send: it drains
+/// for `t` (never below empty), gains the chunk, and caps at the client's
+/// maximum.  The one buffer transition both planners evaluate; it is
+/// monotone non-decreasing in `buffer`, which the planners' reachable-bin
+/// spans rely on.
+#[inline]
+pub fn buffer_after(buffer: f64, t: f64) -> f64 {
+    ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS)
+}
+
 /// Reusable flat tables for [`Mpc::plan_with`].
 ///
 /// The MPC family plans once per chunk on every stream of every MPC arm, so
 /// the planner is a simulation hot path (§5.1: "MPC and Fugu even share most
 /// of their codebase" — Fugu's `PlanScratch` got this treatment first).
-/// Every per-decision table lives here as a flat `Vec` indexed arithmetically
-/// — `value[bin·R + prev]`, `mu_stall`/`to_go[bin·R + a]`, `m[prev·R + a]` —
-/// so steady-state planning allocates nothing and the inner maximization
-/// walks contiguous rows.
+/// Every per-decision table lives here as a flat `Vec`, rung-major with the
+/// buffer bin innermost — `value[prev·B + bin]`, `mu_stall`/`to_go[a·B +
+/// bin]`, `m[prev·R + a]` — so steady-state planning allocates nothing and
+/// the maximization runs over contiguous bins.  `reach[step]` holds the
+/// bins a forward pass from the real buffer can reach at each step; only
+/// those are ever computed or read.
 #[derive(Debug, Clone, Default)]
 pub struct MpcScratch {
-    /// Value table for the step below, `bin * n_rungs + prev`.
+    /// Value table for the step below, `prev * bins + bin`.
     value: Vec<f64>,
     /// Value table being built for this step (ping/pong partner of `value`).
     next_value: Vec<f64>,
-    /// `µ · stall` per `bin * n_rungs + a` — `prev`-independent.
+    /// `µ · stall` per `a * bins + bin` — `prev`-independent.
     mu_stall: Vec<f64>,
-    /// Value-to-go after action `a` from `bin`, `bin * n_rungs + a`.
+    /// Value-to-go after action `a` from `bin`, `a * bins + bin`.
     to_go: Vec<f64>,
     /// Quality-minus-smoothness term per `prev * n_rungs + a`.
     m: Vec<f64>,
-    /// Transmission time per rung of the step being expanded.
+    /// Transmission time per `step * n_rungs + a`.
     times: Vec<f64>,
+    /// Buffer bins reachable from the root at each step.
+    reach: Vec<Range<usize>>,
 }
 
 impl MpcScratch {
@@ -164,25 +199,35 @@ impl Mpc {
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
     /// of panicking on `menus[0]`.
     ///
+    /// Like the deployed controller's forward recursion with memoization,
+    /// the value iteration only visits the states the root can reach: a
+    /// forward pass from `ctx.buffer` bounds, per step, the span of buffer
+    /// bins reachable through any rung's transmission time.  The
+    /// post-transfer bin is monotone non-decreasing in the pre-transfer
+    /// buffer, so the bins reached from a span lie between the images of its
+    /// two ends, and every value the backward pass reads lies inside the next
+    /// step's span.
+    ///
     /// Everything that does not depend on the previous rung is hoisted out of
-    /// the inner `(bin, prev, rung)` loop: the transmission time `t = size /
-    /// throughput` (per rung), the stall term `µ·(t − buffer)⁺` and the
-    /// post-transfer buffer bin (per rung × buffer bin), and the quality part
+    /// the inner `(prev, rung, bin)` loop: the transmission time `t = size /
+    /// throughput` (per step × rung), the stall term `µ·(t − buffer)⁺` and the
+    /// value-to-go after the transfer (per rung × bin), and the quality part
     /// of `chunk_qoe` (folded into the per-`(prev, rung)` smoothness table
     /// `m`).  The surviving inner-loop work is one subtraction, one addition,
-    /// and a max over contiguous rows.
+    /// and a max, over contiguous bins.
     ///
     /// Decision equivalence with the naive reference value iteration (kept
     /// beside the tests) is exact, not approximate: every floating-point
     /// expression keeps the reference's operand association —
     /// `(m − µ·stall) + to_go` reassociates `((ssim − λ·|Δ|) − µ·stall) +
-    /// to_go` only at the subtraction the reference also performs — so the DP
-    /// values are bit-identical, the step-0 argmax scans rungs in the same
-    /// order with the same strict `>` (first max wins), and the chosen rung
-    /// matches the reference on ties too.  Pinned by the property tests
-    /// below.
+    /// to_go` only at the subtraction the reference also performs — and
+    /// each value folds its rungs through `f64::max` in the same ascending
+    /// order, so the DP values are bit-identical; the step-0 argmax scans
+    /// rungs in the same order with the same strict `>` (first max wins), so
+    /// the chosen rung matches the reference on ties too.  Pinned by the
+    /// property tests below.
     // lint-root: panic-free, alloc-free
-    // lint: panic-free — DP indices are bounded by the horizon*bins dims that size the tables at the top of the fn
+    // lint: panic-free — every index is a bin of a reachable span (< bins) or a rung/step below the dims that size the tables at the top of the fn
     // lint: alloc-free — scratch tables grow once to horizon*bins; warm calls are allocation-free per tests/alloc_gate.rs
     pub fn plan_with(&self, ctx: &AbrContext, throughput: f64, scratch: &mut MpcScratch) -> usize {
         if ctx.lookahead.is_empty() {
@@ -193,45 +238,61 @@ impl Mpc {
         let n_rungs = menus[0].n_rungs();
         let bins = self.config.buffer_bins;
         let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
+        let to_bin = |buffer: f64| buffer_bin(buffer, bin_w, bins);
         let mu = self.config.qoe.mu;
         let lambda = self.config.qoe.lambda;
 
-        // (Re)shape the tables; `value` must start zeroed (terminal step),
-        // everything else is fully overwritten before being read.
-        scratch.value.clear();
-        scratch.value.resize(bins * n_rungs, 0.0);
-        scratch.next_value.resize(bins * n_rungs, 0.0);
-        scratch.mu_stall.resize(bins * n_rungs, 0.0);
-        scratch.to_go.resize(bins * n_rungs, 0.0);
+        // (Re)shape the tables.  Each entry is written before it is read,
+        // so stale contents from an earlier decision never leak in.
+        scratch.value.resize(n_rungs * bins, 0.0);
+        scratch.next_value.resize(n_rungs * bins, 0.0);
+        scratch.mu_stall.resize(n_rungs * bins, 0.0);
+        scratch.to_go.resize(n_rungs * bins, 0.0);
         scratch.m.resize(n_rungs * n_rungs, 0.0);
-        scratch.times.resize(n_rungs, 0.0);
+        scratch.times.resize(horizon * n_rungs, 0.0);
+        scratch.reach.resize(horizon, 0..0);
+
+        // Per step and rung: the deterministic transmission time.
+        for (step, menu) in menus.iter().enumerate() {
+            let row = &mut scratch.times[step * n_rungs..(step + 1) * n_rungs];
+            for (t, opt) in row.iter_mut().zip(&menu.options) {
+                *t = opt.size / throughput;
+            }
+        }
+
+        // Forward pass: the span of bins each step's value is read at.  The
+        // root's span is the real buffer's image; a step's span is the
+        // images of the previous span's two ends.
+        let (mut lo_buf, mut hi_buf) = (ctx.buffer, ctx.buffer);
+        for step in 1..horizon {
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            for &t in &scratch.times[(step - 1) * n_rungs..step * n_rungs] {
+                lo = lo.min(to_bin(buffer_after(lo_buf, t)));
+                hi = hi.max(to_bin(buffer_after(hi_buf, t)));
+            }
+            // Empty only without rungs, when nothing below is read either.
+            scratch.reach[step] = if lo <= hi { lo..hi + 1 } else { 0..0 };
+            (lo_buf, hi_buf) = (lo as f64 * bin_w, hi as f64 * bin_w);
+        }
 
         for step in (1..horizon).rev() {
             let menu = &menus[step];
             let prev_menu = &menus[step - 1];
+            let span = scratch.reach[step].clone();
+            let times = &scratch.times[step * n_rungs..(step + 1) * n_rungs];
 
-            // Per rung: the deterministic transmission time.
-            for (t, opt) in scratch.times.iter_mut().zip(&menu.options) {
-                *t = opt.size / throughput;
-            }
-            // Per (buffer bin, rung): µ·stall and the value-to-go after the
-            // transfer — both independent of the previous rung.
+            // Per (rung, reachable bin): µ·stall and the value-to-go after
+            // the transfer — both independent of the previous rung.
             let last_step = step + 1 >= horizon;
-            for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
-                let ms_row = &mut scratch.mu_stall[bin * n_rungs..(bin + 1) * n_rungs];
-                let tg_row = &mut scratch.to_go[bin * n_rungs..(bin + 1) * n_rungs];
-                for a in 0..n_rungs {
-                    let t = scratch.times[a];
-                    ms_row[a] = mu * (t - buffer).max(0.0);
-                    tg_row[a] = if last_step {
-                        0.0
-                    } else {
-                        let next_buf =
-                            ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                        scratch.value[to_bin(next_buf) * n_rungs + a]
-                    };
+            for (a, &t) in times.iter().enumerate() {
+                let row = a * bins..(a + 1) * bins;
+                let ms_row = &mut scratch.mu_stall[row.clone()][span.clone()];
+                let tg_row = &mut scratch.to_go[row.clone()][span.clone()];
+                let value_a = &scratch.value[row];
+                for ((ms, tg), bin) in ms_row.iter_mut().zip(tg_row).zip(span.clone()) {
+                    let buffer = bin as f64 * bin_w;
+                    *ms = mu * (t - buffer).max(0.0);
+                    *tg = if last_step { 0.0 } else { value_a[to_bin(buffer_after(buffer, t))] };
                 }
             }
             // Per (previous rung, rung): quality minus the λ·|Δssim|
@@ -242,18 +303,16 @@ impl Mpc {
                     *ma = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
-            // The maximization: all rows contiguous in the rung index.
-            for bin in 0..bins {
-                let ms_row = &scratch.mu_stall[bin * n_rungs..(bin + 1) * n_rungs];
-                let tg_row = &scratch.to_go[bin * n_rungs..(bin + 1) * n_rungs];
-                let nv_row = &mut scratch.next_value[bin * n_rungs..(bin + 1) * n_rungs];
-                for (prev, nv) in nv_row.iter_mut().enumerate() {
-                    let m_row = &scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
-                    let mut best = f64::NEG_INFINITY;
-                    for a in 0..n_rungs {
-                        best = best.max((m_row[a] - ms_row[a]) + tg_row[a]);
+            // The maximization: rungs in ascending order, bins innermost.
+            for prev in 0..n_rungs {
+                let nv = &mut scratch.next_value[prev * bins..(prev + 1) * bins][span.clone()];
+                nv.fill(f64::NEG_INFINITY);
+                for (a, &ma) in scratch.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
+                    let ms_row = &scratch.mu_stall[a * bins..(a + 1) * bins][span.clone()];
+                    let tg_row = &scratch.to_go[a * bins..(a + 1) * bins][span.clone()];
+                    for ((v, &ms), &tg) in nv.iter_mut().zip(ms_row).zip(tg_row) {
+                        *v = v.max((ma - ms) + tg);
                     }
-                    *nv = best;
                 }
             }
             std::mem::swap(&mut scratch.value, &mut scratch.next_value);
@@ -264,13 +323,14 @@ impl Mpc {
         let menu = &menus[0];
         let mut best_rung = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for (a, opt) in menu.options.iter().enumerate() {
-            let t = opt.size / throughput;
+        for (a, (opt, &t)) in menu.options.iter().zip(&scratch.times[..n_rungs]).enumerate() {
             let stall = (t - ctx.buffer).max(0.0);
             let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-            let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-            let to_go =
-                if horizon > 1 { scratch.value[to_bin(next_buf) * n_rungs + a] } else { 0.0 };
+            let to_go = if horizon > 1 {
+                scratch.value[a * bins + to_bin(buffer_after(ctx.buffer, t))]
+            } else {
+                0.0
+            };
             let score = q + to_go;
             if score > best_score {
                 best_score = score;
@@ -576,34 +636,41 @@ mod tests {
         })]
 
         /// The scratch planner must choose the reference's rung on random
-        /// menus (varying rung counts and horizons), buffers, and
-        /// throughputs — including menus with exactly-duplicated rungs,
-        /// where the scores tie bit-for-bit and first-max tie-breaking
-        /// decides.
+        /// menus (varying rung counts and horizons), buffer discretizations,
+        /// buffers (exactly empty and full among them), and throughputs —
+        /// including menus with exactly-duplicated rungs, where the scores
+        /// tie bit-for-bit and first-max tie-breaking decides.
         #[test]
         fn scratch_planner_matches_reference(
             h in 1usize..7,
             n_rungs in 1usize..12,
+            bins in 2usize..130,
             buffer in 0.0f64..15.0,
+            edge in 0u8..8,
             throughput in 10_000.0f64..3_000_000.0,
             seed in 0u64..u64::MAX,
             dup in proptest::any::<bool>(),
             robust in proptest::any::<bool>(),
         ) {
+            let buffer = match edge {
+                0 => 0.0,
+                1 => MAX_BUFFER_SECONDS,
+                _ => buffer,
+            };
             let mut rng = proptest::TestRng::new(seed);
             let mut unit = move || rng.unit_f64();
             let m = random_menus(h, n_rungs, &mut unit, dup);
             let hist = history_at(throughput);
             let prev = if buffer > 7.5 { Some(11.0) } else { None };
             let c = AbrContext { prev_ssim_db: prev, ..ctx(buffer, &m, &hist) };
-            let mpc = if robust { Mpc::robust_mpc_hm() } else { Mpc::mpc_hm() };
+            let mpc = Mpc::new(MpcConfig { robust, buffer_bins: bins, ..MpcConfig::default() });
             let mut scratch = MpcScratch::new();
             let fast = mpc.plan_with(&c, throughput, &mut scratch);
             let slow = mpc.plan_reference(&c, throughput);
             proptest::prop_assert_eq!(
                 fast, slow,
-                "h={} rungs={} buffer={} throughput={} dup={}",
-                h, n_rungs, buffer, throughput, dup
+                "h={} rungs={} bins={} buffer={} throughput={} dup={}",
+                h, n_rungs, bins, buffer, throughput, dup
             );
             // Reusing the warmed scratch must not change the answer.
             let again = mpc.plan_with(&c, throughput, &mut scratch);
@@ -627,6 +694,28 @@ mod tests {
             let mut mpc = Mpc::mpc_hm();
             let predicted = mpc.predict(&c);
             proptest::prop_assert_eq!(mpc.choose(&c), mpc.plan_reference(&c, predicted));
+        }
+    }
+
+    #[test]
+    fn buffer_bin_matches_round() {
+        // Rounding is decided near half-integers: check every f64 within
+        // ±2000 ulps of each one up to 130.5 (past the largest grid the
+        // planners are tested at), plus the largest f64 below 0.5, whose
+        // `x + 0.5` rounds up to 1.0 in naive implementations.  Both with
+        // the clamp out of reach and at a 61-bin grid's last bin.
+        let check = |x: f64| {
+            for bins in [usize::MAX, 61] {
+                let want = (x.round() as usize).min(bins - 1);
+                assert_eq!(buffer_bin(x, 1.0, bins), want, "x={x:e} bins={bins}");
+            }
+        };
+        check(0.49999999999999994);
+        for k in 0..=130u32 {
+            let half = (f64::from(k) + 0.5).to_bits();
+            for bits in half - 2000..=half + 2000 {
+                check(f64::from_bits(bits));
+            }
         }
     }
 

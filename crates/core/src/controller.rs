@@ -8,18 +8,30 @@
 //!
 //! where the transmission-time distribution comes from the TTP.  "To make the
 //! DP computationally feasible, it discretizes Bᵢ into bins" — we evaluate
-//! the recursion backward over (buffer bin × previous rung) exactly as the
-//! deterministic MPC in `puffer-abr` does; the only difference is the
-//! expectation over the 21 time bins.  With `point_estimate = true` the
-//! distribution is collapsed to its maximum-likelihood bin, which is the
-//! "Point Estimate" ablation deployed in August 2019 (§4.6) whose rebuffering
-//! was 3–9× worse.
+//! the recursion backward over (previous rung × buffer bin) exactly as the
+//! deterministic MPC in `puffer-abr` does, with the same buffer rule
+//! ([`buffer_after`], [`buffer_bin`]); the only difference is the
+//! expectation over the 21 time bins.  Like the deployed controller's
+//! forward recursion with memoization, it visits only the states the root
+//! can reach: a forward pass from the real buffer bounds, per step, the span
+//! of buffer bins reachable through any (rung, time bin) the backward pass
+//! reads, and only those bins are computed.  With `point_estimate = true`
+//! the distribution is collapsed to its maximum-likelihood bin, which is the
+//! "Point Estimate" ablation deployed in August 2019 (§4.6) whose
+//! rebuffering was 3–9× worse.
 
 use crate::bins::{bin_midpoint, N_BINS};
 use crate::ttp::{Ttp, TtpBatchQuery, TtpScratch};
+use puffer_abr::mpc::{buffer_after, buffer_bin};
 use puffer_abr::AbrContext;
-use puffer_media::{QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+use puffer_media::{QoeParams, MAX_BUFFER_SECONDS};
 use puffer_nn::loss::argmax;
+use std::ops::Range;
+
+/// Time-bin probabilities below this are skipped, by the backward pass, the
+/// root and the reachable-span pass alike: the TTP's distributions
+/// concentrate in a handful of bins.
+const PROB_EPSILON: f64 = 1e-4;
 
 /// Controller tuning.
 #[derive(Debug, Clone, Copy)]
@@ -41,24 +53,28 @@ impl Default for ControllerConfig {
 /// Reusable flat tables for [`StochasticMpc::plan_with`].
 ///
 /// Every per-decision quantity of the value iteration lives here as a flat
-/// `Vec` indexed arithmetically — `dists[(step·R + a)·T + b]`,
-/// `value[bin·R + prev]`, `w[a·B + bin]`, `m[a·R + prev]` — so steady-state
-/// planning (one call per chunk, ~every 2 s per stream, thousands of streams)
-/// allocates nothing and reuses cache-friendly contiguous storage.  The
-/// `stall`/`next_bin` tables depend only on the buffer discretization and are
-/// computed once per configuration.
+/// `Vec` indexed arithmetically, rung-major with the buffer bin innermost —
+/// `dists[(step·R + a)·T + b]`, `value[prev·B + bin]`, `w[a·B + bin]`,
+/// `m[prev·R + a]` — so steady-state planning (one call per chunk, ~every
+/// 2 s per stream, thousands of streams) allocates nothing and the
+/// maximization runs over contiguous bins.  `reach[step]` holds the bins a
+/// forward pass from the real buffer can reach at each step; only those are
+/// ever computed or read.  The `stall`/`next_bin` tables depend only on the
+/// buffer discretization and are computed once per configuration.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Time distributions, `(step * n_rungs + a) * N_BINS + b`.
     dists: Vec<f64>,
-    /// Value table for the step below, `bin * n_rungs + prev`.
+    /// Value table for the step below, `prev * bins + bin`.
     value: Vec<f64>,
     /// Value table being built for this step.
     next_value: Vec<f64>,
     /// Stall-plus-value-to-go term, `a * bins + bin`.
     w: Vec<f64>,
-    /// Quality-minus-variation term, `a * n_rungs + prev`.
+    /// Quality-minus-variation term, `prev * n_rungs + a`.
     m: Vec<f64>,
+    /// Buffer bins reachable from the root at each step.
+    reach: Vec<Range<usize>>,
     /// `(t − buffer).max(0)` per `(time bin b) * bins + (buffer bin)`.
     stall: Vec<f64>,
     /// Post-transfer buffer bin per `(time bin b) * bins + (buffer bin)`.
@@ -78,9 +94,8 @@ impl PlanScratch {
 
     /// (Re)build the discretization-dependent tables if `bins` changed.
     /// `bin_w` is a function of `bins`, so keying on `bins` alone suffices.
-    /// The entries use the exact expressions the planner previously evaluated
-    /// inline, keeping decisions bit-identical.
-    // lint: panic-free — table indices come from the same 0..N_BINS*bins loops that size the tables
+    /// The entries use the buffer rule the root evaluates inline, so a
+    /// table lookup and the root's direct evaluation agree bit for bit.
     // lint: alloc-free — tables are rebuilt only when the bin count changes; warm plans reuse them (tests/alloc_gate.rs)
     fn ensure_tables(&mut self, bins: usize, bin_w: f64) {
         if self.table_bins == bins {
@@ -95,8 +110,7 @@ impl PlanScratch {
             for bin in 0..bins {
                 let buffer = bin as f64 * bin_w;
                 self.stall.push((t - buffer).max(0.0));
-                let next_buf = ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                self.next_bin.push(((next_buf / bin_w).round() as usize).min(bins - 1));
+                self.next_bin.push(buffer_bin(buffer_after(buffer, t), bin_w, bins));
             }
         }
         self.table_bins = bins;
@@ -131,12 +145,14 @@ impl StochasticMpc {
     /// [`PlanScratch`], so warm calls make zero heap allocations.
     ///
     /// The expected QoE of an action separates into a quality/variation term
-    /// `M[a][prev]` (independent of the transmission time) and a
+    /// `M[prev][a]` (independent of the transmission time) and a
     /// stall-plus-value-to-go term `W[a][buffer bin]` (independent of the
     /// previous rung), so one backward step costs
-    /// O(rungs·bins·(time bins + rungs)) rather than the naive
-    /// O(bins·rungs²·time bins).  Probability mass below `PROB_EPSILON` is
-    /// skipped; the TTP's distributions concentrate in a handful of bins.
+    /// O(rungs·span·(time bins + rungs)) rather than the naive
+    /// O(bins·rungs²·time bins), where the span is the step's reachable
+    /// buffer bins (see [`StochasticMpc::plan_from_dists`]).  Probability
+    /// mass below `PROB_EPSILON` is skipped; the TTP's distributions
+    /// concentrate in a handful of bins.
     // lint-root: panic-free, alloc-free
     pub fn plan_with(&self, ctx: &AbrContext, ttp: &Ttp, scratch: &mut PlanScratch) -> usize {
         self.fill_dists(ctx, ttp, scratch);
@@ -177,20 +193,29 @@ impl StochasticMpc {
     /// split.  The point-estimate collapse (§4.6) happens here, per
     /// (step, rung) — order-independent, so collapsing after the fill is
     /// bit-identical to collapsing inside the fill loop.
-    // lint: panic-free — value/choice tables are sized by ensure_tables for exactly the indices the DP visits
-    // lint: alloc-free — value tables grow once per bin-count change; warm plans are allocation-free per tests/alloc_gate.rs
+    ///
+    /// A forward pass first bounds the bins each step's value is read at:
+    /// the root reads step 1 at the images of the real buffer under every
+    /// (rung, time bin) it does not skip (`p < PROB_EPSILON`), and a step
+    /// reads the next at the images of its span under its own unskipped
+    /// entries.  The post-transfer bin is monotone non-decreasing in the
+    /// pre-transfer one, so the images of a span's two ends bound the images
+    /// of all of it.  The backward pass computes `W` and the max-plus only
+    /// over those spans; every value it stores is bit-identical to the full
+    /// table's, because each is the same sum of the same terms in the same
+    /// order and the same strict-`>` first-max over rungs in ascending order.
+    // lint: panic-free — every index is a bin of a reachable span (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables at the top of the fn
+    // lint: alloc-free — value tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
     pub fn plan_from_dists(
         &self,
         ctx: &AbrContext,
         ttp_horizon: usize,
         scratch: &mut PlanScratch,
     ) -> usize {
-        const PROB_EPSILON: f64 = 1e-4;
         let horizon = ttp_horizon.min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
         let bins = self.config.buffer_bins;
         let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| ((buffer / bin_w).round() as usize).min(bins - 1);
         let mu = self.config.qoe.mu;
         let lambda = self.config.qoe.lambda;
         let stride = n_rungs * N_BINS;
@@ -213,57 +238,101 @@ impl StochasticMpc {
             }
         }
 
-        // Backward value iteration over (buffer bin, previous rung).
-        scratch.value.clear();
-        scratch.value.resize(bins * n_rungs, 0.0);
-        scratch.next_value.resize(bins * n_rungs, 0.0);
+        // The root's stall and post-transfer bin per time bin, from the real
+        // buffer.
+        let mut root_stall = [0.0; N_BINS];
+        let mut root_bin = [0; N_BINS];
+        for (b, (stall, bin)) in root_stall.iter_mut().zip(&mut root_bin).enumerate() {
+            let t = bin_midpoint(b);
+            *stall = (t - ctx.buffer).max(0.0);
+            *bin = buffer_bin(buffer_after(ctx.buffer, t), bin_w, bins);
+        }
+
+        // Forward pass: the span of bins each step's value is read at.  The
+        // root reads step 1 at `root_bin`, and a step reads the next at the
+        // images of its span's two ends, through every entry the backward
+        // pass does not skip.  A span is empty only when the step above
+        // skips every entry; then nothing reads it or the steps below.
+        scratch.reach.resize(horizon, 0..0);
+        for step in 1..horizon {
+            let from = scratch.reach[step - 1].clone();
+            let (mut lo, mut hi) = (usize::MAX, 0);
+            if step == 1 || !from.is_empty() {
+                let above = &scratch.dists[(step - 1) * stride..step * stride];
+                for da in above.chunks_exact(N_BINS) {
+                    for (b, &p) in da.iter().enumerate() {
+                        if p < PROB_EPSILON {
+                            continue;
+                        }
+                        let (to_lo, to_hi) = if step == 1 {
+                            (root_bin[b], root_bin[b])
+                        } else {
+                            let nb_row = &scratch.next_bin[b * bins..(b + 1) * bins];
+                            (nb_row[from.start], nb_row[from.end - 1])
+                        };
+                        lo = lo.min(to_lo);
+                        hi = hi.max(to_hi);
+                    }
+                }
+            }
+            scratch.reach[step] = if lo <= hi { lo..hi + 1 } else { 0..0 };
+        }
+
+        // Backward value iteration over (previous rung, reachable bin).
+        scratch.value.resize(n_rungs * bins, 0.0);
+        scratch.next_value.resize(n_rungs * bins, 0.0);
         scratch.w.resize(n_rungs * bins, 0.0);
         scratch.m.resize(n_rungs * n_rungs, 0.0);
         for step in (1..horizon).rev() {
             let menu = &ctx.lookahead[step];
             let prev_menu = &ctx.lookahead[step - 1];
             let dists_step = &scratch.dists[step * stride..(step + 1) * stride];
+            let span = scratch.reach[step].clone();
+            let last_step = step + 1 >= horizon;
 
             // W[a][bin]: expected (−µ·stall + value-to-go).
-            scratch.w.fill(0.0);
-            for a in 0..n_rungs {
-                let wa = &mut scratch.w[a * bins..(a + 1) * bins];
-                let da = &dists_step[a * N_BINS..(a + 1) * N_BINS];
+            for (a, da) in dists_step.chunks_exact(N_BINS).enumerate() {
+                let row = a * bins..(a + 1) * bins;
+                let wa = &mut scratch.w[row.clone()][span.clone()];
+                let value_a = &scratch.value[row];
+                wa.fill(0.0);
                 for (b, &p) in da.iter().enumerate() {
                     if p < PROB_EPSILON {
                         continue;
                     }
-                    let stall_row = &scratch.stall[b * bins..(b + 1) * bins];
-                    if step + 1 < horizon {
-                        let nb_row = &scratch.next_bin[b * bins..(b + 1) * bins];
-                        for (bin, wab) in wa.iter_mut().enumerate() {
-                            let to_go = scratch.value[nb_row[bin] * n_rungs + a];
-                            *wab += p * (to_go - mu * stall_row[bin]);
+                    let tables = b * bins..(b + 1) * bins;
+                    let stall_row = &scratch.stall[tables.clone()][span.clone()];
+                    if last_step {
+                        for (wab, &stall) in wa.iter_mut().zip(stall_row) {
+                            *wab += p * (0.0 - mu * stall);
                         }
                     } else {
-                        for (bin, wab) in wa.iter_mut().enumerate() {
-                            *wab += p * (0.0 - mu * stall_row[bin]);
+                        let nb_row = &scratch.next_bin[tables][span.clone()];
+                        for ((wab, &stall), &nb) in wa.iter_mut().zip(stall_row).zip(nb_row) {
+                            *wab += p * (value_a[nb] - mu * stall);
                         }
                     }
                 }
             }
-            // M[a][prev]: quality minus variation penalty.
-            for (a, opt) in menu.options.iter().enumerate() {
-                let ma = &mut scratch.m[a * n_rungs..(a + 1) * n_rungs];
-                for (prev, popt) in prev_menu.options.iter().enumerate() {
-                    ma[prev] = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
+            // M[prev][a]: quality minus variation penalty.
+            for (prev, popt) in prev_menu.options.iter().enumerate() {
+                let m_row = &mut scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
+                for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
+                    *ma = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
-            for bin in 0..bins {
-                for prev in 0..n_rungs {
-                    let mut best = f64::NEG_INFINITY;
-                    for a in 0..n_rungs {
-                        let score = scratch.m[a * n_rungs + prev] + scratch.w[a * bins + bin];
-                        if score > best {
-                            best = score;
+            // The maximization: rungs in ascending order, bins innermost.
+            for prev in 0..n_rungs {
+                let nv = &mut scratch.next_value[prev * bins..(prev + 1) * bins][span.clone()];
+                nv.fill(f64::NEG_INFINITY);
+                for (a, &ma) in scratch.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
+                    let wa = &scratch.w[a * bins..(a + 1) * bins][span.clone()];
+                    for (best, &w) in nv.iter_mut().zip(wa) {
+                        let score = ma + w;
+                        if score > *best {
+                            *best = score;
                         }
                     }
-                    scratch.next_value[bin * n_rungs + prev] = best;
                 }
             }
             std::mem::swap(&mut scratch.value, &mut scratch.next_value);
@@ -280,12 +349,8 @@ impl StochasticMpc {
                 if p < PROB_EPSILON {
                     continue;
                 }
-                let t = bin_midpoint(b);
-                let stall = (t - ctx.buffer).max(0.0);
-                let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
-                let to_go =
-                    if horizon > 1 { scratch.value[to_bin(next_buf) * n_rungs + a] } else { 0.0 };
-                expect += p * (quality - mu * stall + to_go);
+                let to_go = if horizon > 1 { scratch.value[a * bins + root_bin[b]] } else { 0.0 };
+                expect += p * (quality - mu * root_stall[b] + to_go);
             }
             if expect > best_score {
                 best_score = expect;
@@ -303,7 +368,7 @@ mod tests {
     use crate::training::{train, TrainConfig};
     use crate::ttp::{Ttp, TtpConfig};
     use puffer_abr::ChunkRecord;
-    use puffer_media::{ChunkMenu, ChunkOption};
+    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS};
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -478,8 +543,10 @@ mod tests {
     }
 
     /// A deliberately-naive reference implementation of the §4.4 recursion
-    /// (no M/W decomposition, no probability pruning) used to validate the
-    /// optimized planner.
+    /// (no M/W decomposition, no probability pruning, no reachable spans,
+    /// every buffer bin of every step) used to validate the optimized
+    /// planner.  The point-estimate ablation collapses each distribution to
+    /// a one-hot at its MLE bin.
     fn naive_plan(cfg: &ControllerConfig, ctx: &AbrContext, ttp: &Ttp) -> usize {
         let horizon = ttp.horizon().min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
@@ -490,12 +557,14 @@ mod tests {
         for step in 0..horizon {
             let mut per_rung = Vec::new();
             for opt in &ctx.lookahead[step].options {
-                per_rung.push(ttp.predict_time_distribution(
-                    step,
-                    ctx.history,
-                    &ctx.tcp_info,
-                    opt.size,
-                ));
+                let mut d =
+                    ttp.predict_time_distribution(step, ctx.history, &ctx.tcp_info, opt.size);
+                if cfg.point_estimate {
+                    let mle = argmax(&d);
+                    d = vec![0.0; d.len()];
+                    d[mle] = 1.0;
+                }
+                per_rung.push(d);
             }
             dists.push(per_rung);
         }
@@ -554,33 +623,46 @@ mod tests {
     fn optimized_planner_matches_naive_reference() {
         let ttp = trained_ttp();
         let m = menus(5);
-        let planner = StochasticMpc::default();
-        // One scratch reused across every context: stale tables from earlier
-        // decisions must never influence later ones.
+        // One scratch reused across every context and discretization: stale
+        // tables and spans from earlier decisions must never influence later
+        // ones.
         let mut scratch = PlanScratch::new();
         let mut checked = 0;
-        for bi in 0..5 {
-            for ri in 0..6 {
-                let buffer = 0.5 + 2.8 * bi as f64;
-                let rate = 80_000.0 + 220_000.0 * ri as f64;
-                let h = history(rate);
-                let ctx = AbrContext {
-                    buffer,
-                    prev_ssim_db: Some(13.0),
-                    prev_rung: Some(2),
-                    lookahead: &m,
-                    history: &h,
-                    tcp_info: tcp(rate),
-                };
-                let fast = plan(&planner, &ctx, ttp);
-                let slow = naive_plan(&planner.config, &ctx, ttp);
-                assert_eq!(fast, slow, "buffer={buffer} rate={rate}");
-                let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
-                assert_eq!(scratched, fast, "scratch reuse, buffer={buffer} rate={rate}");
-                checked += 1;
+        for bins in [2, 3, 5, 31, 61, 121] {
+            for point_estimate in [false, true] {
+                let planner = StochasticMpc::new(ControllerConfig {
+                    buffer_bins: bins,
+                    point_estimate,
+                    ..ControllerConfig::default()
+                });
+                // Empty and full buffers sit on the grid's end bins.
+                let buffers = (0..5).map(|bi| 0.5 + 2.8 * bi as f64).chain([0.0, 15.0]);
+                for buffer in buffers {
+                    for ri in 0..6 {
+                        let rate = 80_000.0 + 220_000.0 * ri as f64;
+                        let h = history(rate);
+                        let ctx = AbrContext {
+                            buffer,
+                            prev_ssim_db: Some(13.0),
+                            prev_rung: Some(2),
+                            lookahead: &m,
+                            history: &h,
+                            tcp_info: tcp(rate),
+                        };
+                        let at = format!(
+                            "bins={bins} point={point_estimate} buffer={buffer} rate={rate}"
+                        );
+                        let fast = plan(&planner, &ctx, ttp);
+                        let slow = naive_plan(&planner.config, &ctx, ttp);
+                        assert_eq!(fast, slow, "{at}");
+                        let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
+                        assert_eq!(scratched, fast, "scratch reuse, {at}");
+                        checked += 1;
+                    }
+                }
             }
         }
-        assert_eq!(checked, 30);
+        assert_eq!(checked, 6 * 2 * 7 * 6);
     }
 
     #[test]

@@ -3,20 +3,30 @@
 # perf-sensitive PRs (see README "Performance snapshot").
 #
 # Usage:
-#   scripts/bench_hotpath.sh [baseline.json]
+#   scripts/bench_hotpath.sh [baseline.jsonl]   # merge into BENCH_hotpath.json
+#   scripts/bench_hotpath.sh --record           # only write the raw record
 #
-# Runs every Criterion microbench with the BENCH_JSON shim enabled, then
-# merges the fresh medians into BENCH_hotpath.json:
+# Runs every Criterion microbench with the BENCH_JSON shim enabled and
+# writes the raw record of the run — a machine line, then one line per
+# bench — to target/bench_hotpath.jsonl.  `--record` stops there (run it on
+# the reference tree to get a baseline); otherwise the fresh medians are
+# merged into BENCH_hotpath.json:
 #
+#   * `machine`     — what the medians depend on besides the code: `nproc`,
+#     the `puffer-nn` kernel tier the CPU dispatches to, `rustc -V` and the
+#     CPU model.
 #   * `current_ns`  — this run's median.
 #   * `baseline_ns` — pinned reference point.  Taken from the optional
-#     baseline argument (a BENCH_JSON-format .jsonl from a reference run,
-#     e.g. one recorded on the pre-change tree on the same machine), else
-#     carried forward unchanged from the existing snapshot, else seeded
-#     from the first recording.  It does NOT drift to last run's current.
-#   * `history_ns`  — trailing medians (oldest first, capped), so a slow
-#     regression across several regenerations stays visible even though
-#     the baseline is pinned.
+#     baseline argument (the raw record of a `--record` run, e.g. on the
+#     pre-change tree), else carried forward unchanged from the existing
+#     snapshot, else seeded from the first recording.  It does NOT drift to
+#     last run's current.  A baseline recorded under a different machine
+#     fingerprint is refused before any bench runs: the script exits 3
+#     instead of reporting a speedup between machines.  To start over on a
+#     new machine, pass a baseline recorded on it.
+#   * `history_ns`  — trailing medians on this machine (oldest first,
+#     capped), so a slow regression across several regenerations stays
+#     visible even though the baseline is pinned.
 #   * `min_ns` / `iqr_ns` — this run's dispersion (fastest sample and
 #     interquartile range).  When the IQR exceeds 10% of the median the
 #     entry is marked `"noisy": true` and a warning is printed: a median
@@ -27,51 +37,79 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+baseline=${1:-}
+record_only=false
+if [[ $baseline == --record ]]; then
+  record_only=true
+  baseline=
+fi
+
 fresh=$(mktemp)
-trap 'rm -f "$fresh"' EXIT
+merge=$(mktemp)
+trap 'rm -f "$fresh" "$merge"' EXIT
 
-# Every [[bench]] target in crates/bench/Cargo.toml must be listed here,
-# or its results silently never reach the snapshot (network_sim was
-# missing for several PRs and recorded an empty trajectory).
-BENCH_JSON="$fresh" cargo bench -p puffer-bench \
-  --bench controller --bench ttp_inference --bench ttp_batch --bench ttp_training \
-  --bench network_sim --bench stream_sim --bench rct_day --bench archive_io \
-  --bench nn_kernels
+tier=$(cargo run -q --release -p puffer-bench --bin nn_tier)
+cpu=$(grep -m1 '^model name' /proc/cpuinfo | sed 's/^[^:]*: *//' || true)
+machine=$(python3 -c 'import json, sys
+print(json.dumps({"nproc": int(sys.argv[1]), "tier": sys.argv[2], "rustc": sys.argv[3],
+                  "cpu": sys.argv[4] or "unknown"}))' "$(nproc)" "$tier" "$(rustc -V)" "$cpu")
+echo "machine: $machine"
 
-python3 - "$fresh" "${1:-}" <<'EOF'
+# `check MACHINE BASELINE` exits 3 when the baseline (or, without one, the
+# committed snapshot) was recorded on another machine; `merge MACHINE
+# BASELINE FRESH` writes BENCH_hotpath.json.
+cat > "$merge" <<'EOF'
 import json, sys
 
 HISTORY_CAP = 8
 
 NOISE_FRACTION = 0.10  # IQR above this fraction of the median => flagged
 
-fresh_path, baseline_path = sys.argv[1], sys.argv[2] or None
-fresh = {}
-with open(fresh_path) as f:
-    for line in f:
-        line = line.strip()
-        if line:
-            row = json.loads(line)
-            fresh[row["name"]] = row
+def read_record(path):
+    """A raw run record: its machine line and its rows by bench name."""
+    machine, rows = None, {}
+    with open(path) as f:
+        for line in f:
+            if line.strip():
+                row = json.loads(line)
+                if "machine" in row:
+                    machine = row["machine"]
+                else:
+                    rows[row["name"]] = row
+    return machine, rows
 
+mode, machine, baseline_path = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3] or None
 try:
     with open("BENCH_hotpath.json") as f:
-        prev = json.load(f)["benches"]
+        snapshot = json.load(f)
 except FileNotFoundError:
-    prev = {}
+    snapshot = {"benches": {}}
+prev = snapshot["benches"]
+same_machine = snapshot.get("machine") == machine
 
+if mode == "check":
+    if baseline_path:
+        source, theirs = baseline_path, read_record(baseline_path)[0]
+    else:
+        source, theirs = "BENCH_hotpath.json", snapshot.get("machine")
+    if theirs != machine and (baseline_path or prev):
+        print(f"error: {source} was recorded on {json.dumps(theirs)},\n"
+              f"       this machine is {json.dumps(machine)}: refusing to compute\n"
+              "       speedups across machines.  Pass a baseline recorded here (the\n"
+              "       target/bench_hotpath.jsonl of a --record run on the reference tree).",
+              file=sys.stderr)
+        sys.exit(3)
+    sys.exit(0)
+
+_, fresh = read_record(sys.argv[4])
 explicit_baseline = {}
 if baseline_path:
-    with open(baseline_path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                row = json.loads(line)
-                explicit_baseline[row["name"]] = row["median_ns"]
+    explicit_baseline = {n: r["median_ns"] for n, r in read_record(baseline_path)[1].items()}
 
 out = {
     "generated_by": "scripts/bench_hotpath.sh",
     "units": "nanoseconds, median per iteration",
+    "machine": machine,
     "benches": {},
 }
 noisy = []
@@ -79,8 +117,12 @@ for name in sorted(fresh):
     row = fresh[name]
     median = row["median_ns"]
     entry = {"current_ns": median}
-    old = prev.get(name, {})
-    baseline = explicit_baseline.get(name, old.get("baseline_ns", old.get("current_ns")))
+    # Nothing carries over from a snapshot recorded on another machine.
+    old = prev.get(name, {}) if same_machine else {}
+    if baseline_path:
+        baseline = explicit_baseline.get(name)
+    else:
+        baseline = old.get("baseline_ns", old.get("current_ns"))
     if baseline is not None:
         entry["baseline_ns"] = baseline
         entry["speedup"] = round(baseline / median, 3)
@@ -111,3 +153,22 @@ with open("BENCH_hotpath.json", "w") as f:
     f.write("\n")
 print("wrote BENCH_hotpath.json")
 EOF
+
+if ! $record_only; then
+  python3 "$merge" check "$machine" "$baseline"
+fi
+
+# Every [[bench]] target in crates/bench/Cargo.toml must be listed here,
+# or its results silently never reach the snapshot (network_sim was
+# missing for several PRs and recorded an empty trajectory).
+BENCH_JSON="$fresh" cargo bench -p puffer-bench \
+  --bench controller --bench ttp_inference --bench ttp_batch --bench ttp_training \
+  --bench network_sim --bench stream_sim --bench rct_day --bench archive_io \
+  --bench nn_kernels
+
+mkdir -p target
+{ echo "{\"machine\": $machine}"; cat "$fresh"; } > target/bench_hotpath.jsonl
+echo "wrote target/bench_hotpath.jsonl"
+if ! $record_only; then
+  python3 "$merge" merge "$machine" "$baseline" target/bench_hotpath.jsonl
+fi
