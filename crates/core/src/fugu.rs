@@ -3,18 +3,20 @@
 use crate::controller::{ControllerConfig, PlanScratch, StochasticMpc};
 use crate::ttp::Ttp;
 use puffer_abr::{Abr, AbrContext};
+use std::sync::Arc;
 
 /// The deployed Fugu algorithm (Fig. 6): a server-side controller that, per
 /// chunk, queries the Transmission Time Predictor for every candidate
 /// (step, rung) and maximizes expected QoE by value iteration, then replans
 /// after each chunk (receding horizon).
 ///
-/// The TTP inside is replaceable at runtime — the daily in-situ retraining
-/// loop swaps in a freshly trained model via [`Fugu::replace_ttp`]
-/// ("update model", Fig. 6).
+/// The TTP is shared read-only behind an `Arc`, so instances serving the
+/// same model cost one controller and one set of planner tables each.  The
+/// daily in-situ retraining loop serves a freshly trained model by building
+/// new instances around the new `Arc` ("update model", Fig. 6).
 #[derive(Debug, Clone)]
 pub struct Fugu {
-    ttp: Ttp,
+    ttp: Arc<Ttp>,
     controller: StochasticMpc,
     /// Planner tables reused across decisions (planning is allocation-free
     /// after the first chunk).
@@ -24,9 +26,9 @@ pub struct Fugu {
 
 impl Fugu {
     /// Standard Fugu with the given (typically trained) TTP.
-    pub fn new(ttp: Ttp) -> Self {
+    pub fn new(ttp: impl Into<Arc<Ttp>>) -> Self {
         Fugu {
-            ttp,
+            ttp: ttp.into(),
             controller: StochasticMpc::default(),
             scratch: PlanScratch::new(),
             name: "Fugu",
@@ -35,27 +37,21 @@ impl Fugu {
 
     /// Fugu with a custom controller configuration (used by ablations — e.g.
     /// the point-estimate controller) and display name.
-    pub fn with_controller(ttp: Ttp, config: ControllerConfig, name: &'static str) -> Self {
-        Fugu { ttp, controller: StochasticMpc::new(config), scratch: PlanScratch::new(), name }
+    pub fn with_controller(
+        ttp: impl Into<Arc<Ttp>>,
+        config: ControllerConfig,
+        name: &'static str,
+    ) -> Self {
+        Fugu {
+            ttp: ttp.into(),
+            controller: StochasticMpc::new(config),
+            scratch: PlanScratch::new(),
+            name,
+        }
     }
 
     pub fn ttp(&self) -> &Ttp {
         &self.ttp
-    }
-
-    /// Swap in a retrained TTP (the "update model" arrow of Fig. 6).
-    pub fn replace_ttp(&mut self, ttp: Ttp) {
-        assert_eq!(
-            ttp.config(),
-            self.ttp.config(),
-            "replacement TTP must have the same architecture"
-        );
-        self.ttp = ttp;
-    }
-
-    /// Mutable TTP access for in-place retraining.
-    pub fn ttp_mut(&mut self) -> &mut Ttp {
-        &mut self.ttp
     }
 }
 
@@ -116,20 +112,5 @@ mod tests {
         let rung = fugu.choose(&ctx);
         assert!(rung < 10);
         assert_eq!(fugu.name(), "Fugu");
-    }
-
-    #[test]
-    fn replace_ttp_swaps_model() {
-        let mut fugu = Fugu::new(Ttp::new(TtpConfig::default(), 2));
-        let other = Ttp::new(TtpConfig::default(), 3);
-        fugu.replace_ttp(other);
-    }
-
-    #[test]
-    #[should_panic(expected = "same architecture")]
-    fn replace_ttp_rejects_architecture_mismatch() {
-        let mut fugu = Fugu::new(Ttp::new(TtpConfig::default(), 4));
-        let other = Ttp::new(TtpConfig { hidden: vec![32], ..TtpConfig::default() }, 5);
-        fugu.replace_ttp(other);
     }
 }

@@ -1,14 +1,18 @@
-//! Cross-stream batched TTP inference for the RCT day loop.
+//! The worker's session scheduler, with cross-stream batched TTP inference.
+//!
+//! Every session a worker claims is admitted to its [`BatchRunner`] and runs
+//! through one contained function, [`step`].  Sessions of Fugu-family arms
+//! stop at each chunk decision and wait in the worker's *wave* (the
+//! [`SessionRun`] state machine holds them there); every other session runs
+//! to its end in the step that admits it.
 //!
 //! One Fugu chunk decision queries the TTP `horizon × rungs` times; a stream
 //! planning alone cycles all five step-nets' weights through cache per
-//! decision.  A [`BatchRunner`] instead holds a *wave* of concurrent
-//! Fugu-family sessions suspended at their chunk decisions (the
-//! [`SessionRun`] state machine) and answers all of them per round: for
-//! every lookahead step, the staged decisions of every session in the wave
-//! become one `(streams · rungs) × features` forward pass through that
-//! step's network ([`Ttp::predict_time_distributions_batched_into`]), so
-//! each weight matrix is streamed through cache once per round instead of
+//! decision.  The wave instead answers all of its waiting decisions per
+//! round: for every lookahead step, the staged decisions of every session in
+//! the wave become one `(streams · rungs) × features` forward pass through
+//! that step's network ([`Ttp::predict_time_distributions_batched_into`]),
+//! so each weight matrix is streamed through cache once per round instead of
 //! once per stream.
 //!
 //! Arms that share the same TTP snapshot (`Arc` identity — e.g. ablation
@@ -26,22 +30,22 @@
 //! `tests/invariants.rs` and, end to end, by the golden fingerprints in
 //! `tests/golden.rs`.
 //!
-//! Admission contract under fault injection: sessions carrying an injected
-//! panic (`FaultPlan::session_panic_after`) are *never* admitted to a wave —
-//! the worker runs them inline under `catch_unwind` so an unwinding session
-//! can only take itself down, not the co-batched wave.  An inline Fugu
-//! decision is a one-query batch through the same entry point, so routing a
-//! session inline never changes its outcome.
+//! Containment: a panic inside [`step`], injected by the fault plan or real,
+//! unwinds only its session, which retires with the number of chunk
+//! decisions it made.  The shared batched forward pass runs outside every
+//! session's step, so a panic there still unwinds the worker.
 
-use crate::experiment::{ArmAbrs, ExperimentConfig};
+use crate::experiment::ExperimentConfig;
+use crate::faults::InjectedPanic;
 use crate::scheme::SchemeSpec;
 use crate::session::{SessionOutcome, SessionRun};
 use crate::stream::StreamConfig;
 use crate::user::UserModel;
 use fugu::{PlanScratch, StochasticMpc, Ttp, TtpBatchQuery, TtpScratch, N_BINS};
-use puffer_abr::ChunkRecord;
+use puffer_abr::{Abr, ChunkRecord};
 use puffer_net::TcpInfo;
 use puffer_trace::TraceBank;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Wave size: sessions a worker keeps in flight at once.  Large enough that
@@ -50,15 +54,66 @@ use std::sync::Arc;
 /// scratch) stays cache-resident.
 pub(crate) const MAX_ACTIVE: usize = 64;
 
-/// One suspended session in the wave.
+/// A retired session: `(spec index, arm, outcome)`, where the outcome is
+/// `Err(decisions)` when the session unwound after making that many chunk
+/// decisions.
+pub(crate) type Retired = (usize, usize, Result<SessionOutcome, u32>);
+
+/// One admitted session.
 struct ActiveSession {
     /// Position in the day's spec list (aggregation order).
     index: usize,
     arm: usize,
     run: SessionRun,
+    /// This session's own instance of its arm's ABR.
+    abr: Box<dyn Abr>,
     /// Planner tables for this session's staged decision; reused across
     /// sessions via the spare list.
     scratch: PlanScratch,
+    /// Chunk decisions committed so far.
+    decisions: u32,
+    /// The fault plan's injected panic fires as the decision after this
+    /// many is staged.
+    panic_after: Option<u32>,
+    /// A staged decision waits on the round's batched TTP pass.
+    waiting: bool,
+}
+
+/// Run one session, under `catch_unwind`, until it stages a decision that
+/// waits for the next batched TTP pass (`Ok(true)`) or ends (`Ok(false)`).
+///
+/// Sessions of a TTP arm (`planner` is `Some`) wait at every decision; the
+/// next step answers it with `plan_from_dists` over the distributions the
+/// batched pass filled in.  Any other session's own ABR answers every
+/// decision, so one step runs it to its end.  An unwind, injected or real,
+/// returns `Err` with the number of decisions the session made.
+fn step(
+    a: &mut ActiveSession,
+    planner: Option<&ArmPlanner>,
+    user: &UserModel,
+) -> Result<bool, u32> {
+    catch_unwind(AssertUnwindSafe(|| {
+        if std::mem::take(&mut a.waiting) {
+            let p = planner.expect("only sessions of TTP arms wait");
+            let rung = p.planner.plan_from_dists(&a.run.context(), p.ttp.horizon(), &mut a.scratch);
+            a.run.advance(rung, a.abr.as_mut(), user);
+            a.decisions += 1;
+        }
+        while a.run.poll_decision(a.abr.as_mut(), user) {
+            if a.panic_after == Some(a.decisions) {
+                std::panic::panic_any(InjectedPanic);
+            }
+            if planner.is_some() {
+                a.waiting = true;
+                return true;
+            }
+            let rung = a.abr.choose(&a.run.context());
+            a.run.advance(rung, a.abr.as_mut(), user);
+            a.decisions += 1;
+        }
+        false
+    }))
+    .map_err(|_| a.decisions)
 }
 
 /// The planner half of a Fugu arm, shared read-only across the wave (the
@@ -110,21 +165,28 @@ fn ttp_groups_for(planners: &[Option<ArmPlanner>]) -> (Vec<Vec<usize>>, Vec<Opti
 }
 
 /// Per-worker scheduler: admits sessions, runs decision rounds, retires
-/// finished sessions.  No synchronization — each worker owns one.
+/// ended sessions.  No synchronization — each worker owns one.
 pub(crate) struct BatchRunner<'a> {
+    schemes: &'a [SchemeSpec],
     bank: &'a TraceBank,
     cfg: &'a ExperimentConfig,
-    /// Per arm: `Some` iff the arm is Fugu-family (batchable).
+    day: u32,
+    /// Per arm: `Some` iff the arm is Fugu-family (its sessions wait on
+    /// batched inference).
     planners: Vec<Option<ArmPlanner>>,
     /// Arms whose staged decisions merge into one batched pass: each inner
     /// vec holds the arm indices of one TTP-sharing group (`Arc::ptr_eq` on
     /// the arms' TTPs).
     ttp_groups: Vec<Vec<usize>>,
-    /// Arm index → its TTP group (`None` for non-batchable arms).
+    /// Arm index → its TTP group (`None` for non-TTP arms).
     group_of: Vec<Option<usize>>,
+    /// The wave: sessions waiting on the next batched TTP pass.
     active: Vec<ActiveSession>,
+    /// Per arm: ABR instances of retired sessions, reused by later
+    /// admissions (`reset_stream` readies one for each stream).
+    spare_abrs: Vec<Vec<Box<dyn Abr>>>,
     /// Retired sessions' planner scratch, reused by later admissions.
-    spare: Vec<PlanScratch>,
+    spare_scratch: Vec<PlanScratch>,
     ttp_scratch: TtpScratch,
     // Round staging buffers, reused across rounds (warm rounds allocate
     // only the short-lived borrow-carrying query vector).
@@ -138,9 +200,10 @@ pub(crate) struct BatchRunner<'a> {
 
 impl<'a> BatchRunner<'a> {
     pub(crate) fn new(
-        schemes: &[SchemeSpec],
+        schemes: &'a [SchemeSpec],
         bank: &'a TraceBank,
         cfg: &'a ExperimentConfig,
+        day: u32,
     ) -> Self {
         let planners: Vec<Option<ArmPlanner>> = schemes
             .iter()
@@ -151,13 +214,16 @@ impl<'a> BatchRunner<'a> {
             .collect();
         let (ttp_groups, group_of) = ttp_groups_for(&planners);
         BatchRunner {
+            schemes,
             bank,
             cfg,
+            day,
             planners,
             ttp_groups,
             group_of,
             active: Vec::new(),
-            spare: Vec::new(),
+            spare_abrs: schemes.iter().map(|_| Vec::new()).collect(),
+            spare_scratch: Vec::new(),
             ttp_scratch: TtpScratch::default(),
             hist_flat: Vec::new(),
             infos: Vec::new(),
@@ -168,11 +234,6 @@ impl<'a> BatchRunner<'a> {
         }
     }
 
-    /// Whether this arm's decisions can be answered by the batched planner.
-    pub(crate) fn is_batchable(&self, arm: usize) -> bool {
-        self.planners[arm].is_some()
-    }
-
     pub(crate) fn has_room(&self) -> bool {
         self.active.len() < MAX_ACTIVE
     }
@@ -181,48 +242,70 @@ impl<'a> BatchRunner<'a> {
         self.active.is_empty()
     }
 
-    /// Add a session to the wave (it first runs at the next round).
-    pub(crate) fn admit(&mut self, index: usize, arm: usize, session_id: u64, seed: u64) {
-        debug_assert!(self.is_batchable(arm) && self.has_room());
+    /// Begin session `index` and step it once: it joins the wave if it now
+    /// waits on batched inference, and retires into `retired` otherwise.
+    pub(crate) fn admit(
+        &mut self,
+        index: usize,
+        arm: usize,
+        session_id: u64,
+        seed: u64,
+        retired: &mut Vec<Retired>,
+    ) {
+        debug_assert!(self.has_room());
+        let cfg = self.cfg;
         let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-        let run =
-            SessionRun::begin(self.bank, &self.cfg.user, self.cfg.cc, stream_cfg, session_id, seed);
-        let scratch = self.spare.pop().unwrap_or_default();
-        self.active.push(ActiveSession { index, arm, run, scratch });
+        // Beginning a session samples its path; contain that like a step.
+        let begun = catch_unwind(AssertUnwindSafe(|| {
+            SessionRun::begin(self.bank, &cfg.user, cfg.cc, stream_cfg, session_id, seed)
+        }));
+        let Ok(run) = begun else {
+            retired.push((index, arm, Err(0)));
+            return;
+        };
+        let abr = self.spare_abrs[arm].pop().unwrap_or_else(|| self.schemes[arm].instantiate());
+        self.active.push(ActiveSession {
+            index,
+            arm,
+            run,
+            abr,
+            scratch: self.spare_scratch.pop().unwrap_or_default(),
+            decisions: 0,
+            panic_after: cfg.faults.session_panic_after(self.day, index as u64),
+            waiting: false,
+        });
+        self.step_at(self.active.len() - 1, retired);
     }
 
-    /// One decision round: poll every session to its next staged decision
-    /// (retiring finished sessions into `finished` as
-    /// `(spec index, arm, outcome)`), answer all staged decisions with one
-    /// batched TTP pass per (arm, lookahead step), then commit every
-    /// session's chosen rung.
-    pub(crate) fn round(
-        &mut self,
-        pool: &mut ArmAbrs<'_>,
-        user: &UserModel,
-        finished: &mut Vec<(usize, usize, SessionOutcome)>,
-    ) {
-        // --- poll / retire ---
-        let mut i = 0;
-        while i < self.active.len() {
-            let a = &mut self.active[i];
-            if a.run.poll_decision(pool.get(a.arm), user) {
-                i += 1;
-            } else {
-                let a = self.active.swap_remove(i);
-                self.spare.push(a.scratch);
-                finished.push((a.index, a.arm, a.run.finish()));
-            }
+    /// Step `active[i]`.  Returns whether it stays in the wave; otherwise
+    /// it is swap-removed and retired into `retired`, handing its ABR and
+    /// planner scratch back unless it unwound.
+    fn step_at(&mut self, i: usize, retired: &mut Vec<Retired>) -> bool {
+        let a = &mut self.active[i];
+        let stepped = step(a, self.planners[a.arm].as_ref(), &self.cfg.user);
+        if stepped == Ok(true) {
+            return true;
         }
+        let a = self.active.swap_remove(i);
+        let outcome = stepped.map(|_| {
+            self.spare_abrs[a.arm].push(a.abr);
+            self.spare_scratch.push(a.scratch);
+            a.run.finish()
+        });
+        retired.push((a.index, a.arm, outcome));
+        false
+    }
 
-        // --- batched TTP fill + plan + advance, TTP group by TTP group ---
+    /// One decision round: answer every waiting session's staged decision
+    /// with one batched TTP pass per (TTP group, lookahead step), then step
+    /// every session to its next waiting decision, retiring the ones that
+    /// end or unwind into `retired`.
+    pub(crate) fn round(&mut self, retired: &mut Vec<Retired>) {
         // Sessions of every arm in a group stage into the same flat buffers
-        // and are answered by one batched pass per step-net.  Within each
-        // arm the sessions keep their `active`-order relative order (the
-        // same order the old per-arm loop used), and different arms touch
-        // disjoint pooled ABRs, per-session scratch, and a read-only shared
-        // TTP — so the merge only changes how many rows each forward pass
-        // carries, never what any row computes.
+        // and are answered by one batched pass per step-net.  Each query's
+        // rows land in its own session's scratch, and the shared TTP is
+        // read-only — so the merge only changes how many rows each forward
+        // pass carries, never what any row computes.
         for g in 0..self.ttp_groups.len() {
             self.group.clear();
             for s in 0..self.active.len() {
@@ -307,21 +390,13 @@ impl<'a> BatchRunner<'a> {
                     row0 += n;
                 }
             }
+        }
 
-            // Every session's distributions are in place: run the value
-            // iteration per session — with the session's *own* arm's
-            // controller configuration (the ablation arms in a group differ
-            // exactly here) — and commit the chosen rung.
-            for gi in 0..self.group.len() {
-                let (s, _, _) = self.group[gi];
-                let arm = self.active[s].arm;
-                let planner = self.planners[arm].as_ref().expect("grouped arms are batchable");
-                let a = &mut self.active[s];
-                let rung = {
-                    let ctx = a.run.context();
-                    planner.planner.plan_from_dists(&ctx, planner.ttp.horizon(), &mut a.scratch)
-                };
-                a.run.advance(rung, pool.get(arm), user);
+        // Every staged decision's distributions are in place.
+        let mut i = 0;
+        while i < self.active.len() {
+            if self.step_at(i, retired) {
+                i += 1;
             }
         }
     }

@@ -9,25 +9,23 @@
 //! CONSORT style of Fig. A1.
 
 use crate::archive::TelemetrySpool;
-use crate::batch::BatchRunner;
+use crate::batch::{BatchRunner, Retired};
 use crate::faults::{
     observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
 };
 use crate::scheme::SchemeSpec;
-use crate::session::{SessionOutcome, SessionRun};
-use crate::stream::{QuitReason, StreamConfig};
+use crate::session::SessionOutcome;
+use crate::stream::QuitReason;
 use crate::user::UserModel;
 use crate::MIN_CONSIDERED_WATCH;
 use fugu::{
     train, validate_retrained, Dataset, GateVerdict, RetrainGate, TrainConfig, Ttp, TtpVariant,
 };
-use puffer_abr::Abr;
 use puffer_net::CongestionControl;
 use puffer_stats::StreamSummary;
 use puffer_trace::TraceBank;
 use rand::Rng;
 use rand::SeedableRng;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -162,28 +160,10 @@ struct SessionResult {
     session_duration: f64,
     consort: ConsortCounts,
     observations: Vec<Vec<fugu::ChunkObservation>>,
-    /// The session panicked mid-run and was caught: exclude it from every
-    /// statistic and record a quarantine incident at aggregation.
-    quarantined: bool,
-}
-
-/// Per-arm ABR instances one worker reuses across its share of a day's
-/// sessions.  Instances are built lazily (a worker may never draw some arm)
-/// and rebuilt each day, so a nightly TTP swap (§4.3) reaches every worker.
-pub(crate) struct ArmAbrs<'a> {
-    schemes: &'a [SchemeSpec],
-    abrs: Vec<Option<Box<dyn Abr>>>,
-}
-
-impl<'a> ArmAbrs<'a> {
-    fn new(schemes: &'a [SchemeSpec]) -> Self {
-        ArmAbrs { schemes, abrs: schemes.iter().map(|_| None).collect() }
-    }
-
-    pub(crate) fn get(&mut self, arm: usize) -> &mut dyn Abr {
-        let schemes = self.schemes;
-        self.abrs[arm].get_or_insert_with(|| schemes[arm].instantiate()).as_mut()
-    }
+    /// `Some(decisions)`: the session panicked after making that many chunk
+    /// decisions and was caught.  Exclude it from every statistic and record
+    /// a quarantine incident at aggregation.
+    quarantined: Option<u32>,
 }
 
 /// Collision-free session id: day in the high 32 bits, session index in the
@@ -222,20 +202,20 @@ fn account_session(arm: usize, out: SessionOutcome) -> SessionResult {
             observations.push(s.observations);
         }
     }
-    SessionResult { arm, summaries, session_duration, consort, observations, quarantined: false }
+    SessionResult { arm, summaries, session_duration, consort, observations, quarantined: None }
 }
 
-/// The placeholder result of a panicked, caught session: counted only under
-/// [`ConsortCounts::quarantined`], contributing no streams, duration,
-/// telemetry, or training observations.
-fn quarantined_session(arm: usize) -> SessionResult {
+/// The placeholder result of a session caught panicking after `decisions`
+/// chunk decisions: counted only under [`ConsortCounts::quarantined`],
+/// contributing no streams, duration, telemetry, or training observations.
+fn quarantined_session(arm: usize, decisions: u32) -> SessionResult {
     SessionResult {
         arm,
         summaries: Vec::new(),
         session_duration: 0.0,
         consort: ConsortCounts::default(),
         observations: Vec::new(),
-        quarantined: true,
+        quarantined: Some(decisions),
     }
 }
 
@@ -296,10 +276,18 @@ impl<'c> WorkerDay<'c> {
     }
 
     /// Spill a finished session's telemetry to the spool, tagged with its
-    /// spec index, then fold it into the CONSORT accounting.  A spill error
-    /// abandons the spool: telemetry keeps flowing to the in-memory
-    /// statistics, only the on-disk archive degrades.
-    fn retire(&mut self, i: usize, arm: usize, outcome: SessionOutcome) {
+    /// spec index, then fold it into the CONSORT accounting; a session that
+    /// unwound is only quarantined.  A spill error abandons the spool:
+    /// telemetry keeps flowing to the in-memory statistics, only the on-disk
+    /// archive degrades.
+    fn retire(&mut self, (i, arm, outcome): Retired) {
+        let outcome = match outcome {
+            Ok(outcome) => outcome,
+            Err(decisions) => {
+                self.results.push((i, quarantined_session(arm, decisions)));
+                return;
+            }
+        };
         if self.spill(i, &outcome).is_err() {
             self.archive_fault(Some((arm, i)));
             self.abandoned_spool = self.spool.take().map(|s| s.path().to_owned());
@@ -337,15 +325,12 @@ impl<'c> WorkerDay<'c> {
     }
 }
 
-/// One worker's day: claim sessions off the shared counter until it runs
-/// dry.  Fugu-family sessions join the worker's [`BatchRunner`] wave (their
-/// chunk decisions are answered by batched TTP passes).  Every other
-/// session runs inline on its arm's pooled ABR: non-batchable arms, and
-/// sessions carrying an injected panic fault, so the unwind is confined to
-/// one session and cannot take the wave down with it.
+/// One worker's day: claim sessions off the shared counter and admit each
+/// to the worker's [`BatchRunner`] until its wave is full or the day's
+/// sessions run out, then run a decision round while the wave is not empty.
 ///
-/// Every inline session runs under [`catch_unwind`]: a panic (injected or
-/// real) quarantines that session instead of killing the worker and the
+/// Every session runs contained inside the wave's `step`: a panic (injected
+/// or real) quarantines that session instead of killing the worker and the
 /// day.  Archive-sink errors abandon the spool and mark the day
 /// `archive_failed` instead of aborting.
 fn run_day_worker<'c>(
@@ -358,46 +343,24 @@ fn run_day_worker<'c>(
     worker: usize,
 ) -> WorkerDay<'c> {
     let mut account = WorkerDay::open(cfg, day, worker);
-    let mut pool = ArmAbrs::new(schemes);
-    let mut wave = BatchRunner::new(schemes, bank, cfg);
-    let mut finished: Vec<(usize, usize, SessionOutcome)> = Vec::new();
+    let mut wave = BatchRunner::new(schemes, bank, cfg, day);
+    let mut retired: Vec<Retired> = Vec::new();
     let mut exhausted = false;
-    while !exhausted || !wave.is_empty() {
-        // Claim work: batchable sessions fill the wave, others run inline.
-        while !exhausted && wave.has_room() {
+    loop {
+        if !exhausted && wave.has_room() {
             // lint: atomic-ordering — RMW is already serialized; index alone claims the slot
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(arm, id, seed)) = specs.get(i) else {
-                exhausted = true;
-                break;
-            };
-            let panic_after = cfg.faults.session_panic_after(day, i as u64);
-            if wave.is_batchable(arm) && panic_after.is_none() {
-                wave.admit(i, arm, id, seed);
-                continue;
+            match specs.get(i) {
+                Some(&(arm, id, seed)) => wave.admit(i, arm, id, seed, &mut retired),
+                None => exhausted = true,
             }
-            let stream_cfg = StreamConfig { expt_id: arm as u32, ..StreamConfig::default() };
-            let abr = pool.get(arm);
-            // The pooled ABR is safe to keep using after an unwind:
-            // `reset_stream` runs before every stream, clearing any state the
-            // panic left half-updated.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                SessionRun::begin(bank, &cfg.user, cfg.cc, stream_cfg, id, seed).run_to_end(
-                    abr,
-                    &cfg.user,
-                    panic_after,
-                )
-            }));
-            match outcome {
-                Ok(outcome) => account.retire(i, arm, outcome),
-                Err(_) => account.results.push((i, quarantined_session(arm))),
-            }
+        } else if !wave.is_empty() {
+            wave.round(&mut retired);
+        } else {
+            break;
         }
-        if !wave.is_empty() {
-            wave.round(&mut pool, &cfg.user, &mut finished);
-            for (i, arm, outcome) in finished.drain(..) {
-                account.retire(i, arm, outcome);
-            }
+        for r in retired.drain(..) {
+            account.retire(r);
         }
     }
     account.close()
@@ -513,7 +476,7 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
         // `cfg.threads` is an upper bound, not a demand: oversubscribing the
         // machine's cores costs real time on this pure-CPU workload (context
         // switches, and each extra worker splits the batch wave and carries
-        // its own ABR pool) while results are thread-count-independent, so
+        // its own spare ABRs) while results are thread-count-independent, so
         // capping at the available parallelism is observationally free.
         let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
         let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
@@ -607,7 +570,7 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
         // scaler and every gradient after it.
         for (i, r) in indexed {
             let arm = &mut arms[r.arm];
-            if r.quarantined {
+            if let Some(decisions) = r.quarantined {
                 arm.consort.quarantined += 1;
                 incidents.push(Incident::on_session(
                     day,
@@ -615,7 +578,7 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
                     i,
                     IncidentKind::SessionPanic,
                     DegradeAction::Quarantined,
-                    u64::from(cfg.faults.session_panic_after(day, i as u64).unwrap_or(0)),
+                    u64::from(decisions),
                 ));
                 continue;
             }
@@ -800,6 +763,7 @@ pub fn train_ttp_on(
 mod tests {
     use super::*;
     use crate::session::run_session;
+    use crate::stream::StreamConfig;
     use fugu::TtpConfig;
 
     fn tiny_cfg(threads: usize) -> ExperimentConfig {

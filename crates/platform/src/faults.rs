@@ -184,8 +184,8 @@ impl DegradeAction {
 /// losslessly into the columnar `.puf` incident block; `incidents.csv`
 /// renders the same record with stable kind/action names.
 ///
-/// `value` is kind-specific detail: the decision count for an injected
-/// session panic, the observation count for dropped telemetry, the gate
+/// `value` is kind-specific detail: the chunk decisions a panicked session
+/// made before it unwound, the observation count for dropped telemetry, the gate
 /// verdict code for a retrain rejection (1 = non-finite weights, 2 = holdout
 /// regression — the action tells the attempt: [`DegradeAction::RetriedTraining`]
 /// for the first, [`DegradeAction::RolledBack`] for the retry), the

@@ -1,11 +1,12 @@
 //! The scheme registry: experiment arms → algorithm instances (Fig. 5).
 //!
 //! Each session is assigned to one arm; the arm's [`SchemeSpec`] instantiates
-//! the algorithm.  The day loop keeps one instance per (worker, arm) and
-//! resets its per-stream state (such as predictor history) before every
-//! stream.  Learned models (Pensieve's policy, Fugu's TTP) are shared
-//! read-only behind `Arc`, and instances are rebuilt every day, which is
-//! what lets the day loop swap in a freshly retrained TTP between days
+//! the algorithm.  Every session in the day loop holds an instance of its
+//! own, taken from a per-worker spare list and handed back when the session
+//! ends, and its per-stream state (such as predictor history) is reset
+//! before every stream.  Learned models (Pensieve's policy, Fugu's TTP) are
+//! shared read-only behind `Arc`, and instances are rebuilt every day, which
+//! is what lets the day loop swap in a freshly retrained TTP between days
 //! (§4.3) without touching sessions already in flight.
 
 use fugu::{Fugu, Ttp, TtpVariant};
@@ -95,7 +96,7 @@ impl SchemeSpec {
             }
             SchemeSpec::Fugu { label, .. } => {
                 let (ttp, config) = self.fugu_planner().expect("Fugu arm has a planner");
-                Box::new(Fugu::with_controller((*ttp).clone(), config, label))
+                Box::new(Fugu::with_controller(ttp, config, label))
             }
         }
     }

@@ -164,36 +164,6 @@ impl SessionRun {
         stream.advance(rung, &mut self.conn, source, abr, user, &mut self.rng);
     }
 
-    /// Drive the session to its end with `abr` answering every decision —
-    /// the loop behind [`run_session`] and every session the RCT day loop
-    /// runs inline.  With `panic_after = Some(n)` the session raises an
-    /// injected panic (a [`crate::faults::InjectedPanic`] payload) once `n`
-    /// chunk decisions have been made, as the next one is staged — the fault
-    /// harness's "session crashed mid-run"; a session that ends first
-    /// completes normally.
-    pub(crate) fn run_to_end(
-        mut self,
-        abr: &mut dyn Abr,
-        user: &UserModel,
-        panic_after: Option<u32>,
-    ) -> SessionOutcome {
-        let mut decisions = 0u32;
-        while self.poll_decision(abr, user) {
-            if panic_after == Some(decisions) {
-                std::panic::panic_any(crate::faults::InjectedPanic);
-            }
-            decisions += 1;
-            let rung = abr.choose(&self.context());
-            self.advance(rung, abr, user);
-        }
-        self.finish()
-    }
-
-    /// Whether the session has ended.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Consume the machine into a [`SessionOutcome`].  Call only after
     /// [`SessionRun::poll_decision`] has returned `false`.
     pub fn finish(self) -> SessionOutcome {
@@ -223,7 +193,12 @@ pub fn run_session(
     session_id: u64,
     seed: u64,
 ) -> SessionOutcome {
-    SessionRun::begin(bank, user, cc, base_stream_cfg, session_id, seed).run_to_end(abr, user, None)
+    let mut run = SessionRun::begin(bank, user, cc, base_stream_cfg, session_id, seed);
+    while run.poll_decision(abr, user) {
+        let rung = abr.choose(&run.context());
+        run.advance(rung, abr, user);
+    }
+    run.finish()
 }
 
 #[cfg(test)]

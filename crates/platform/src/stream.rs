@@ -369,11 +369,6 @@ impl StreamRun {
         true
     }
 
-    /// Whether the stream has ended (no further decisions will be staged).
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// Consume the machine into a [`StreamOutcome`] — the old loop's
     /// epilogue, verbatim.
     pub fn finish(self) -> StreamOutcome {

@@ -9,7 +9,7 @@
 //! The CI fault matrix re-runs this file with `FAULT_MATRIX_THREADS` set to
 //! 1, 2, and 8; without the variable each test sweeps all three locally.
 
-use puffer_repro::fugu::{TrainConfig, Ttp, TtpConfig};
+use puffer_repro::fugu::{TrainConfig, Ttp, TtpConfig, TtpVariant};
 use puffer_repro::platform::experiment::run_rct;
 use puffer_repro::platform::{
     DegradeAction, ExperimentConfig, FaultPlan, Incident, IncidentKind, ModelOutage, RetrainFault,
@@ -285,4 +285,55 @@ fn quarantine_accounting_is_exact() {
         result.incidents.iter().filter(|i| i.kind == IncidentKind::SessionPanic).collect();
     assert_eq!(panics.len(), 2);
     assert!(panics.iter().all(|i| i.action == DegradeAction::Quarantined));
+}
+
+#[test]
+fn in_wave_panic_quarantines_only_its_session() {
+    // Two Fugu arms around one `Arc` co-batch their decisions in the wave;
+    // paired mode puts spec index `session · 3 + arm` on `arm`, so the
+    // panic lands on the Full arm's session 2, inside the wave.
+    let shared = Arc::new(TtpVariant::Full.build_ttp(5));
+    let schemes = || {
+        vec![
+            SchemeSpec::fugu_frozen_shared(&shared, TtpVariant::Full, "Fugu"),
+            SchemeSpec::fugu_frozen_shared(&shared, TtpVariant::PointEstimate, "Point Estimate"),
+            SchemeSpec::Bba,
+        ]
+    };
+    let cfg = |threads, faults| ExperimentConfig {
+        sessions_per_day: 6,
+        days: 1,
+        paired: true,
+        faults,
+        ..base_cfg(26, threads)
+    };
+    let (session, after_decisions) = (2usize, 3u32);
+    let clean = run_rct(schemes(), &cfg(1, FaultPlan::none()));
+    for threads in thread_counts() {
+        let plan = FaultPlan::none().with_session_panic(0, session as u64 * 3, after_decisions);
+        let faulted = run_rct(schemes(), &cfg(threads, plan));
+
+        let panics: Vec<&Incident> =
+            faulted.incidents.iter().filter(|i| i.kind == IncidentKind::SessionPanic).collect();
+        assert_eq!(panics.len(), 1, "threads {threads}: {:?}", faulted.incidents);
+        assert_eq!(panics[0].value, u64::from(after_decisions), "decisions made before the panic");
+
+        for (arm, (c, f)) in clean.arms.iter().zip(&faulted.arms).enumerate() {
+            if arm != 0 {
+                assert_eq!(c.consort, f.consort, "{} at {threads} threads", c.name);
+                assert_eq!(c.streams, f.streams, "{} at {threads} threads", c.name);
+                assert_eq!(c.session_durations, f.session_durations, "{}", c.name);
+                continue;
+            }
+            assert_eq!(f.consort.quarantined, 1);
+            let mut durations = c.session_durations.clone();
+            durations.remove(session);
+            assert_eq!(f.session_durations, durations, "threads {threads}");
+            // The quarantined session's considered streams are one
+            // contiguous block of the clean run's.
+            let block = c.streams.len() - f.streams.len();
+            let start = c.streams.iter().zip(&f.streams).take_while(|(x, y)| x == y).count();
+            assert_eq!(f.streams[start..], c.streams[start + block..], "threads {threads}");
+        }
+    }
 }

@@ -1,8 +1,9 @@
 //! Golden fingerprints of fixed-seed RCT runs.
 //!
 //! Each scenario runs `run_rct` at a fixed seed, at a size the tier-1 suite
-//! can afford, on 1 and 2 worker threads, and hashes everything the run
-//! returns or writes with 64-bit FNV-1a:
+//! can afford, on 1 and 2 worker threads (1 and `FAULT_MATRIX_THREADS` when
+//! that is set, as the CI fault matrix does at 2 and 8), and hashes
+//! everything the run returns or writes with 64-bit FNV-1a:
 //!
 //! * total sessions and every arm's CONSORT counts;
 //! * every field of every considered stream's `StreamSummary`, bit-exact via
@@ -136,7 +137,14 @@ fn temp_dir(tag: &str, threads: usize) -> PathBuf {
     dir
 }
 
-/// Run one scenario at 1 and 2 worker threads and compare each run's
+/// Worker counts each scenario runs at: 1 and `FAULT_MATRIX_THREADS`,
+/// defaulting to 2.
+fn thread_counts() -> [usize; 2] {
+    let n = std::env::var("FAULT_MATRIX_THREADS").ok().and_then(|v| v.parse().ok());
+    [1, n.unwrap_or(2)]
+}
+
+/// Run one scenario at each of [`thread_counts`] and compare each run's
 /// fingerprint with the recorded one.  `build` gets a fresh archive
 /// directory when `with_sink` is set.
 fn check(
@@ -145,7 +153,7 @@ fn check(
     with_sink: bool,
     build: impl Fn(usize, Option<PathBuf>) -> (Vec<SchemeSpec>, ExperimentConfig),
 ) {
-    for threads in [1usize, 2] {
+    for threads in thread_counts() {
         let sink = with_sink.then(|| temp_dir(tag, threads));
         let (schemes, cfg) = build(threads, sink.clone());
         let result = run_rct(schemes, &cfg);
@@ -166,7 +174,7 @@ const GOLDEN_RETRAIN_AND_ARCHIVE: u64 = 0x32d4_4250_f146_ad36;
 const GOLDEN_EVERY_FAULT_CLASS: u64 = 0x6eea_268b_5dc3_f518;
 
 /// Every stateful scheme on a blinded arm over two days: any per-stream
-/// state a pooled ABR fails to clear between sessions moves this hash.
+/// state a reused ABR fails to clear between sessions moves this hash.
 #[test]
 fn blinded_stateful_arms_match_golden() {
     check("blinded", GOLDEN_BLINDED_STATEFUL_ARMS, false, |threads, _| {
@@ -258,7 +266,7 @@ fn retraining_and_archive_match_golden() {
 ///
 /// * panics: Fugu A at its first decision, BBA after two decisions, Fugu A
 ///   on day 1, and a Fugu B session whose panic point lies past its end (it
-///   completes inline and its results count);
+///   runs to its end and its results count);
 /// * NaN telemetry on a Fugu A session;
 /// * an archive-sink error on day 1, which degrades that day to CSV-only;
 /// * day 0: Fugu A diverges once and recovers on retry, Fugu B diverges on
