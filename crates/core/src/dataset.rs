@@ -183,22 +183,24 @@ impl Dataset {
     ) -> Vec<Sample> {
         let from_day = current_day.saturating_sub(window_days.saturating_sub(1));
         let mut out = Vec::new();
+        let mut records = Vec::new();
         for (&day, streams) in self.days.range(from_day..=current_day) {
             let age = f64::from(current_day - day);
             let weight = 0.5f64.powf(age / recency_half_life) as f32;
             for stream in streams {
+                records.clear();
+                records.extend(
+                    stream.iter().map(|o| ChunkRecord {
+                        size: o.size,
+                        transmission_time: o.transmission_time,
+                    }),
+                );
                 // For decision point n (deciding chunk n), the history is
                 // chunks [0, n) and the label comes from chunk n + step.
                 for n in 0..stream.len() {
                     let Some(labelled) = stream.get(n + step) else { break };
-                    let history: Vec<ChunkRecord> = stream[..n]
-                        .iter()
-                        .map(|o| ChunkRecord {
-                            size: o.size,
-                            transmission_time: o.transmission_time,
-                        })
-                        .collect();
-                    let features = ttp.raw_features(&history, &stream[n].tcp_info, labelled.size);
+                    let features =
+                        ttp.raw_features(&records[..n], &stream[n].tcp_info, labelled.size);
                     let target = ttp.target_bin(labelled.size, labelled.transmission_time);
                     out.push(Sample { features, target, weight });
                 }

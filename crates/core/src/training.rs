@@ -32,7 +32,7 @@
 
 use crate::dataset::{Dataset, Sample};
 use crate::ttp::Ttp;
-use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, Scaler, TrainCache};
+use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, MlpScratch, Scaler, TrainCache};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -341,15 +341,14 @@ pub fn evaluate(ttp: &Ttp, data: &Dataset, current_day: u32, window_days: u32) -
     let mut ce = 0.0f64;
     let mut expected = 0.0f64;
     let mut correct = 0usize;
-    for s in &samples {
-        let probs = ttp.predict_probs(0, &s.features);
+    score_step0(ttp, &samples, |s, probs| {
         let p_true = f64::from(probs[s.target]).max(1e-12);
         ce += -p_true.ln();
         expected += p_true;
-        if loss::argmax(&probs) == s.target {
+        if loss::argmax(probs) == s.target {
             correct += 1;
         }
-    }
+    });
     let n = samples.len();
     EvalReport {
         cross_entropy: (ce / n as f64) as f32,
@@ -411,16 +410,37 @@ impl GateVerdict {
     }
 }
 
-/// Mean step-0 cross-entropy of `ttp` over pre-built samples.  NaN model
-/// outputs map to the 1e-12 probability floor, so a numerically broken model
-/// scores a huge *finite* CE rather than poisoning the comparison.
-fn holdout_ce(ttp: &Ttp, samples: &[crate::dataset::Sample]) -> f32 {
-    let mut ce = 0.0f64;
-    for s in samples {
-        let probs = ttp.predict_probs(0, &s.features);
-        let p_true = f64::from(probs[s.target]).max(1e-12);
-        ce += -p_true.ln();
+/// Rows per forward pass of [`score_step0`].
+const SCORE_BLOCK: usize = 256;
+
+/// Call `f(sample, probs)` with each sample's step-0 output distribution,
+/// in sample order.  Samples are scored in blocks of [`SCORE_BLOCK`] rows,
+/// one forward pass and softmax per block; both are row-wise, so every
+/// row's probabilities equal [`Ttp::predict_probs`] on that sample alone.
+fn score_step0(ttp: &Ttp, samples: &[Sample], mut f: impl FnMut(&Sample, &[f32])) {
+    let net = &ttp.nets()[0];
+    let mut x = Matrix::default();
+    let mut scratch = MlpScratch::new();
+    for block in samples.chunks(SCORE_BLOCK) {
+        x.resize(block.len(), net.input_dim());
+        for (i, s) in block.iter().enumerate() {
+            ttp.scaler().transform_into(&s.features, x.row_mut(i));
+        }
+        let probs = net.forward_into(&x, &mut scratch);
+        loss::softmax_rows_inplace(probs);
+        for (i, s) in block.iter().enumerate() {
+            f(s, probs.row(i));
+        }
     }
+}
+
+/// Mean step-0 cross-entropy of `ttp` over pre-built samples, one `f64`
+/// sum in sample order.  NaN model outputs map to the 1e-12 probability
+/// floor, so a numerically broken model scores a huge *finite* CE rather
+/// than poisoning the comparison.
+fn holdout_ce(ttp: &Ttp, samples: &[Sample]) -> f32 {
+    let mut ce = 0.0f64;
+    score_step0(ttp, samples, |s, probs| ce += -f64::from(probs[s.target]).max(1e-12).ln());
     (ce / samples.len() as f64) as f32
 }
 
@@ -447,8 +467,12 @@ pub fn validate_retrained(
     if samples.is_empty() {
         return GateVerdict::Pass;
     }
-    let candidate_ce = holdout_ce(candidate, &samples);
-    let incumbent_ce = holdout_ce(incumbent, &samples);
+    // The two scores are independent: the incumbent's on a second thread.
+    let (candidate_ce, incumbent_ce) = std::thread::scope(|scope| {
+        let incumbent_ce = scope.spawn(|| holdout_ce(incumbent, &samples));
+        let candidate_ce = holdout_ce(candidate, &samples);
+        (candidate_ce, incumbent_ce.join().expect("holdout scoring panicked"))
+    });
     let bound = incumbent_ce * gate.max_ce_ratio + gate.ce_slack;
     if candidate_ce.is_finite() && (!incumbent_ce.is_finite() || candidate_ce <= bound) {
         GateVerdict::Pass
@@ -835,6 +859,25 @@ mod tests {
         let verdict =
             validate_retrained(&candidate, &incumbent, &data, 2, 14, &RetrainGate::default());
         assert!(verdict.passed(), "clean retrain rejected: {verdict:?}");
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "trains a TTP; minutes-long under Miri")]
+    fn blocked_scoring_matches_the_per_sample_loop() {
+        // 300 samples: one full block and a ragged one.
+        let data = synthetic_dataset(1..=1, 10);
+        let mut ttp = Ttp::new(TtpConfig::default(), 17);
+        train(&mut ttp, &data, 1, &quick_cfg(), &mut rng(17)).unwrap();
+        let samples = data.build_samples(&ttp, 0, 1, 14, f64::INFINITY);
+        assert!(samples.len() > SCORE_BLOCK);
+        let mut ce = 0.0f64;
+        for s in &samples {
+            let probs = ttp.predict_probs(0, &s.features);
+            ce += -f64::from(probs[s.target]).max(1e-12).ln();
+        }
+        let per_sample = (ce / samples.len() as f64) as f32;
+        assert_eq!(holdout_ce(&ttp, &samples).to_bits(), per_sample.to_bits());
+        assert_eq!(evaluate(&ttp, &data, 1, 14).cross_entropy.to_bits(), per_sample.to_bits());
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //!
 //! The networks involved are tiny (the TTP is 2 hidden layers of 64 units,
 //! §4.5), but the batched RCT day loop feeds them `(streams · rungs)`-row
-//! batches, so the matmul family dispatches at runtime over a small fused
-//! kernel hierarchy — a 4×16 register-blocked AVX2+FMA microkernel, a
-//! row-at-a-time AVX+FMA kernel, and portable `f32::mul_add` loops — that is
-//! **bit-identical across tiers** (see [`matrix::Tier`] and the module docs
-//! of [`matrix`]): every element sees the same sequence of correctly-rounded
-//! fused multiply-adds no matter which kernel ran.  Matrices are row-major
+//! batches, so every product runs on one fused row kernel dispatched at
+//! runtime over a small tier hierarchy — AVX2+FMA and AVX+FMA, which pack a
+//! row's nonzeros instead of branching on the ReLU zeros, and portable
+//! `f32::mul_add` loops — that is **bit-identical across tiers** (see
+//! [`matrix::Tier`] and the module docs of [`matrix`]): every element sees
+//! the same sequence of correctly-rounded fused multiply-adds no matter
+//! which tier ran.  Matrices are row-major
 //! `Vec<f32>` and all randomness comes from caller-provided seeded RNGs, so
 //! results stay exactly reproducible across machines and thread counts.
 //!

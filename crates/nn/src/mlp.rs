@@ -113,10 +113,12 @@ impl Linear {
     }
 
     /// Backward pass: given the layer input `x` and upstream gradient `dy`,
-    /// accumulate `gw`/`gb` and return the gradient w.r.t. `x`.
+    /// accumulate `gw`/`gb` and return the gradient w.r.t. `x`.  The same
+    /// kernels as [`Mlp::backward_into`], on local transposes; `xᵀ·dy` is
+    /// summed from zero and then added to `gw`.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
         // gw += xᵀ·dy
-        let gw = x.t_matmul(dy);
+        let gw = x.transpose().matmul(dy);
         for (g, n) in self.gw.data_mut().iter_mut().zip(gw.data()) {
             *g += n;
         }
@@ -124,16 +126,9 @@ impl Linear {
             *g += n;
         }
         // dx = dy·Wᵀ
-        dy.matmul_t(&self.w)
-    }
-
-    /// The gradient-accumulation half of [`Linear::backward`], writing into
-    /// the layer's own `gw`/`gb` with no intermediate allocations.  With
-    /// gradients pre-zeroed (the universal `zero_grad` → backward → `step`
-    /// cycle), the accumulated values equal [`Linear::backward`]'s.
-    pub fn accumulate_grads(&mut self, x: &Matrix, dy: &Matrix) {
-        x.t_matmul_acc(dy, &mut self.gw);
-        dy.col_sums_acc(&mut self.gb);
+        let mut dx = Matrix::default();
+        dy.matmul_dense_into_with(Tier::detect(), &self.w.transpose(), &mut dx);
+        dx
     }
 
     pub fn zero_grad(&mut self) {
@@ -206,13 +201,18 @@ impl TrainCache {
     }
 }
 
-/// Caller-owned gradient ping/pong buffers for [`Mlp::backward_into`].
+/// Caller-owned buffers for [`Mlp::backward_into`]: gradient ping/pong and
+/// the transposed operands of the two backward products.
 #[derive(Debug, Clone, Default)]
 pub struct BackwardScratch {
     /// Gradient w.r.t. the current layer's output.
     grad: Matrix,
     /// Scratch for the gradient w.r.t. the layer below's output.
     tmp: Matrix,
+    /// The current layer's input, transposed.
+    xt: Matrix,
+    /// The current layer's weights, transposed.
+    wt: Matrix,
 }
 
 impl BackwardScratch {
@@ -449,6 +449,12 @@ impl Mlp {
     /// [`Mlp::forward_train`], accumulating parameter gradients into each
     /// layer's `gw`/`gb` with zero heap allocations in steady state.
     ///
+    /// Both products run as row kernels over transposed operands held in
+    /// `scratch`: `gw += xᵀ·dy` over `xᵀ` ([`Matrix::matmul_acc_with`], so
+    /// each weight's chain skips the samples where its input unit is zero)
+    /// and `dx = dy·Wᵀ` over `Wᵀ` ([`Matrix::matmul_dense_into_with`], no
+    /// skip).
+    ///
     /// Equivalent to [`Mlp::backward`] (with gradients pre-zeroed, the
     /// universal cycle), except the gradient w.r.t. the *input batch* is not
     /// computed — supervised training never consumes it, and skipping it
@@ -463,6 +469,7 @@ impl Mlp {
     ) {
         assert_eq!(cache.acts.len(), self.layers.len() + 1, "cache/net mismatch");
         let n_layers = self.layers.len();
+        let tier = Tier::detect();
         scratch.grad.resize(dlogits.rows(), dlogits.cols());
         scratch.grad.data_mut().copy_from_slice(dlogits.data());
         for i in (0..n_layers).rev() {
@@ -475,9 +482,12 @@ impl Mlp {
                 }
             }
             let layer = &mut self.layers[i];
-            layer.accumulate_grads(&cache.acts[i], &scratch.grad);
+            cache.acts[i].transpose_into(&mut scratch.xt);
+            scratch.xt.matmul_acc_with(tier, &scratch.grad, &mut layer.gw);
+            scratch.grad.col_sums_acc(&mut layer.gb);
             if i > 0 {
-                scratch.grad.matmul_t_into(&layer.w, &mut scratch.tmp);
+                layer.w.transpose_into(&mut scratch.wt);
+                scratch.grad.matmul_dense_into_with(tier, &scratch.wt, &mut scratch.tmp);
                 std::mem::swap(&mut scratch.grad, &mut scratch.tmp);
             }
         }

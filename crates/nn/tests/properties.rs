@@ -22,30 +22,56 @@ fn supported_tiers() -> Vec<Tier> {
     Tier::ALL.into_iter().filter(|t| t.supported()).collect()
 }
 
-/// Arbitrary `(A: m×k, B: k×n)` pair over shapes that sweep every microkernel
-/// path: rows not a multiple of the 4-row block (including the 0-row empty
-/// and 1-row cases), columns crossing the 64/16/8-wide tiles and the masked
-/// 1–7-column tail (including tail-only and empty widths), and a zero mask on
-/// `A` so the per-`(row, k)` sparsity skip fires on every path.
+/// Bit patterns, so that −0.0 differs from +0.0.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.data().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Element `v` under selector `sel`: zeros of both signs, then — only when
+/// `special` — NaN, ±∞ and subnormals, else `v` itself.
+fn element(v: f32, sel: u8, special: bool) -> f32 {
+    match sel {
+        0..=9 => 0.0,
+        10..=13 => -0.0,
+        14 => f32::from_bits(1 + v.to_bits() % 0x007f_ffff), // subnormal
+        15 if special => f32::NAN,
+        16 if special => f32::INFINITY,
+        17 if special => f32::NEG_INFINITY,
+        _ => v,
+    }
+}
+
+/// Arbitrary `(A: m×k, B: k×n)` pair over shapes that sweep every kernel
+/// path: rows of every count including the 0-row empty and 1-row cases;
+/// columns crossing the 64-column tile and every 1–8-vector remainder with
+/// its masked last vector (including tail-only and empty widths); `k` from
+/// empty up to past the kernels' 256-pair packing buffer; and about 44%
+/// zeros of both signs in both operands, so most rows take the packing
+/// path and some short ones the plain loop.  Subnormals appear in every
+/// case, and NaN and ±∞ in half of them.
 fn arb_matmul_operands() -> impl Strategy<Value = (Matrix, Matrix)> {
     // Element vectors are drawn at the maximum size and truncated to the
     // sampled shape (the vendored proptest shim has no `prop_flat_map`).
-    const MAX_M: usize = 13;
+    const MAX_M: usize = 9;
     const MAX_K: usize = 18;
-    const MAX_N: usize = 40;
+    const LONG_K: usize = 260;
+    const MAX_N: usize = 80;
+    const A_LEN: usize = MAX_M * (LONG_K + MAX_K);
+    const B_LEN: usize = (LONG_K + MAX_K) * MAX_N;
     (
-        0usize..MAX_M,
-        0usize..MAX_K,
-        0usize..MAX_N,
-        prop::collection::vec(-10.0f32..10.0, MAX_M * MAX_K),
-        prop::collection::vec(any::<bool>(), MAX_M * MAX_K),
-        prop::collection::vec(-10.0f32..10.0, MAX_K * MAX_N),
+        (0usize..MAX_M, 0usize..MAX_K, any::<bool>(), 0usize..MAX_N, any::<bool>()),
+        (prop::collection::vec(-10.0f32..10.0, A_LEN), prop::collection::vec(0u8..32, A_LEN)),
+        (prop::collection::vec(-10.0f32..10.0, B_LEN), prop::collection::vec(0u8..32, B_LEN)),
     )
-        .prop_map(|(m, k, n, a, mask, b)| {
-            let a: Vec<f32> =
-                a.iter().zip(&mask).take(m * k).map(|(&v, &z)| if z { 0.0 } else { v }).collect();
-            let b: Vec<f32> = b[..k * n].to_vec();
-            (Matrix::from_vec(m, k, a), Matrix::from_vec(k, n, b))
+        .prop_map(|((m, k, long, n, special), (a, a_sel), (b, b_sel))| {
+            let k = if long { LONG_K + k } else { k };
+            let pick = |v: &[f32], sel: &[u8], len: usize| -> Vec<f32> {
+                v.iter().zip(sel).take(len).map(|(&v, &s)| element(v, s, special)).collect()
+            };
+            (
+                Matrix::from_vec(m, k, pick(&a, &a_sel, m * k)),
+                Matrix::from_vec(k, n, pick(&b, &b_sel, k * n)),
+            )
         })
 }
 
@@ -58,22 +84,24 @@ proptest! {
     }
 
     #[test]
-    fn fused_matmuls_match_explicit(
+    fn products_match_naive_sums(
         a in arb_matrix(3, 5),
-        b in arb_matrix(3, 4),
-        c in arb_matrix(6, 5),
+        b in arb_matrix(5, 4),
+        c in arb_matrix(3, 4),
     ) {
-        // t_matmul: aᵀ·b == transpose(a)·b
-        let fused = a.t_matmul(&b);
-        let explicit = a.transpose().matmul(&b);
-        for (x, y) in fused.data().iter().zip(explicit.data()) {
-            prop_assert!((x - y).abs() < 1e-3, "{x} vs {y}");
-        }
-        // matmul_t: a·cᵀ == a·transpose(c)
-        let fused2 = a.matmul_t(&c);
-        let explicit2 = a.matmul(&c.transpose());
-        for (x, y) in fused2.data().iter().zip(explicit2.data()) {
-            prop_assert!((x - y).abs() < 1e-3);
+        let naive = |i: usize, j: usize| (0..5).map(|k| a.get(i, k) * b.get(k, j)).sum::<f32>();
+        let tier = Tier::detect();
+        let (mut skip, mut dense, mut acc) = (Matrix::default(), Matrix::default(), c.clone());
+        a.matmul_into_with(tier, &b, &mut skip);
+        a.matmul_dense_into_with(tier, &b, &mut dense);
+        a.matmul_acc_with(tier, &b, &mut acc);
+        for i in 0..3 {
+            for j in 0..4 {
+                let want = naive(i, j);
+                prop_assert!((skip.get(i, j) - want).abs() < 1e-3, "{} vs {want}", skip.get(i, j));
+                prop_assert!((dense.get(i, j) - want).abs() < 1e-3);
+                prop_assert!((acc.get(i, j) - c.get(i, j) - want).abs() < 1e-3);
+            }
         }
     }
 
@@ -148,48 +176,48 @@ proptest! {
     #[test]
     fn matmul_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
         let (a, b) = ab;
-        // The cross-tier contract of the kernel family: the scalar-mul_add,
-        // AVX+FMA, and register-blocked AVX2+FMA tiers must agree to the
-        // last bit on every shape — non-tile-multiple rows and columns,
-        // single-row, empty, and tail-only matrices included.
+        // The cross-tier contract of the kernel family: the scalar-mul_add
+        // and both AVX+FMA tiers must agree to the last bit on every shape —
+        // non-tile-multiple rows and columns, single-row, empty, tail-only
+        // and longer-than-a-packing-buffer matrices included.
         let mut reference = Matrix::zeros(0, 0);
         a.matmul_into_with(Tier::Scalar, &b, &mut reference);
         for tier in supported_tiers() {
             let mut out = Matrix::zeros(0, 0);
             a.matmul_into_with(tier, &b, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            prop_assert_eq!(bits(&out), bits(&reference), "tier {:?}", tier);
         }
     }
 
     #[test]
-    fn matmul_t_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
+    fn matmul_dense_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
         let (a, b) = ab;
-        // dy·Wᵀ (the backprop kernel): reuse the operand generator with `b`
-        // transposed so the column counts agree.
-        let bt = b.transpose();
+        // dy·Wᵀ (the input-gradient product, run over Wᵀ): no zero skip.
         let mut reference = Matrix::zeros(0, 0);
-        a.matmul_t_into_with(Tier::Scalar, &bt, &mut reference);
+        a.matmul_dense_into_with(Tier::Scalar, &b, &mut reference);
         for tier in supported_tiers() {
             let mut out = Matrix::zeros(0, 0);
-            a.matmul_t_into_with(tier, &bt, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            a.matmul_dense_into_with(tier, &b, &mut out);
+            prop_assert_eq!(bits(&out), bits(&reference), "tier {:?}", tier);
         }
     }
 
     #[test]
-    fn t_matmul_acc_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
+    fn matmul_acc_tiers_bit_identical_over_odd_shapes(ab in arb_matmul_operands()) {
         let (a, b) = ab;
-        // xᵀ·dy (the weight-gradient kernel): `a` is m×k, so pair it with an
-        // m-row right-hand side built from `b`'s data when shapes permit.
-        let m = a.rows();
-        let n = b.cols();
-        let rhs = Matrix::from_vec(m, n, (0..m * n).map(|i| ((i as f32) * 0.29).sin()).collect());
-        let mut reference = Matrix::zeros(a.cols(), n);
-        a.t_matmul_acc_with(Tier::Scalar, &rhs, &mut reference);
+        // xᵀ·dy accumulated onto gw (the weight-gradient product, run over
+        // xᵀ): `a` plays xᵀ, and the output starts from nonzero values.
+        let init = Matrix::from_vec(
+            a.rows(),
+            b.cols(),
+            (0..a.rows() * b.cols()).map(|i| ((i as f32) * 0.29).sin()).collect(),
+        );
+        let mut reference = init.clone();
+        a.matmul_acc_with(Tier::Scalar, &b, &mut reference);
         for tier in supported_tiers() {
-            let mut out = Matrix::zeros(a.cols(), n);
-            a.t_matmul_acc_with(tier, &rhs, &mut out);
-            prop_assert_eq!(out.data(), reference.data(), "tier {:?}", tier);
+            let mut out = init.clone();
+            a.matmul_acc_with(tier, &b, &mut out);
+            prop_assert_eq!(bits(&out), bits(&reference), "tier {:?}", tier);
         }
     }
 

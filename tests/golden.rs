@@ -13,6 +13,10 @@
 //! * the bytes of every `.puf` day archive and of `incidents.csv`;
 //! * the incident log.
 //!
+//! One more scenario hashes a trained Pensieve policy's checkpoint text:
+//! its actor-critic update is the only training that runs the allocating
+//! `Mlp::backward`, over batches longer than the TTP's.
+//!
 //! The constants pin the day loop's output *across commits*, not one code
 //! path against another inside one commit.  They were recorded once; a
 //! change that moves one of them changes the experiment's results, and on a
@@ -22,7 +26,8 @@ use puffer_repro::abr::PensievePolicy;
 use puffer_repro::fugu::{checkpoint, TrainConfig, Ttp, TtpConfig, TtpVariant};
 use puffer_repro::platform::experiment::run_rct;
 use puffer_repro::platform::{
-    DivergenceMode, ExperimentConfig, FaultPlan, ModelOutage, RctResult, RetrainFault, SchemeSpec,
+    train_pensieve, DivergenceMode, ExperimentConfig, FaultPlan, ModelOutage, PensieveTrainConfig,
+    RctResult, RetrainFault, SchemeSpec,
 };
 use puffer_repro::stats::StreamSummary;
 use std::path::{Path, PathBuf};
@@ -172,6 +177,7 @@ const GOLDEN_BLINDED_STATEFUL_ARMS: u64 = 0x7e07_9e7d_2475_c997;
 const GOLDEN_SHARED_TTP_PAIRED: u64 = 0x0779_912b_1caa_9a8e;
 const GOLDEN_RETRAIN_AND_ARCHIVE: u64 = 0x32d4_4250_f146_ad36;
 const GOLDEN_EVERY_FAULT_CLASS: u64 = 0x6eea_268b_5dc3_f518;
+const GOLDEN_PENSIEVE_TRAINING: u64 = 0xc81a_ac8a_b86b_4b76;
 
 /// Every stateful scheme on a blinded arm over two days: any per-stream
 /// state a reused ABR fails to clear between sessions moves this hash.
@@ -314,4 +320,21 @@ fn every_fault_class_matches_golden() {
         };
         (schemes, cfg)
     });
+}
+
+/// Three actor-critic updates of Pensieve, each on four four-minute
+/// emulation episodes, so each update's batch is longer than the nn
+/// kernels' 256-pair packing buffer.
+#[test]
+fn pensieve_training_matches_golden() {
+    let cfg = PensieveTrainConfig {
+        iterations: 3,
+        episodes_per_iter: 4,
+        episode_seconds: 240.0,
+        ..PensieveTrainConfig::default()
+    };
+    let mut h = Fnv::new();
+    h.text(train_pensieve(&cfg, 5).save_to_string().as_bytes());
+    let (got, golden) = (h.0, GOLDEN_PENSIEVE_TRAINING);
+    assert_eq!(got, golden, "pensieve: fingerprint {got:#018x}, recorded {golden:#018x}");
 }
