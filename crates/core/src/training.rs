@@ -467,12 +467,8 @@ pub fn validate_retrained(
     if samples.is_empty() {
         return GateVerdict::Pass;
     }
-    // The two scores are independent: the incumbent's on a second thread.
-    let (candidate_ce, incumbent_ce) = std::thread::scope(|scope| {
-        let incumbent_ce = scope.spawn(|| holdout_ce(incumbent, &samples));
-        let candidate_ce = holdout_ce(candidate, &samples);
-        (candidate_ce, incumbent_ce.join().expect("holdout scoring panicked"))
-    });
+    let candidate_ce = holdout_ce(candidate, &samples);
+    let incumbent_ce = holdout_ce(incumbent, &samples);
     let bound = incumbent_ce * gate.max_ce_ratio + gate.ce_slack;
     if candidate_ce.is_finite() && (!incumbent_ce.is_finite() || candidate_ce <= bound) {
         GateVerdict::Pass

@@ -772,9 +772,13 @@ mod tests {
         Tier::ALL.into_iter().filter(|t| t.supported()).collect()
     }
 
-    /// Element bits, so that −0.0 differs from +0.0.
+    /// Element bits, so that −0.0 differs from +0.0, with every NaN mapped
+    /// to one pattern: which elements are NaN is pinned, but not the NaN's
+    /// sign or payload, which Rust leaves unspecified for arithmetic (which
+    /// operand's NaN an FMA propagates depends on the instruction form, and
+    /// Miri picks them at random).
     fn bits(m: &Matrix) -> Vec<u32> {
-        m.data().iter().map(|x| x.to_bits()).collect()
+        m.data().iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
     }
 
     /// A `rows × cols` matrix of seeded values: half exact zeros (±0) in no

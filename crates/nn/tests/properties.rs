@@ -22,9 +22,11 @@ fn supported_tiers() -> Vec<Tier> {
     Tier::ALL.into_iter().filter(|t| t.supported()).collect()
 }
 
-/// Bit patterns, so that −0.0 differs from +0.0.
+/// Bit patterns, so that −0.0 differs from +0.0, with every NaN mapped to
+/// one pattern: which elements are NaN is pinned, but not the NaN's sign or
+/// payload, which Rust leaves unspecified for arithmetic.
 fn bits(m: &Matrix) -> Vec<u32> {
-    m.data().iter().map(|x| x.to_bits()).collect()
+    m.data().iter().map(|x| if x.is_nan() { 0x7fc0_0000 } else { x.to_bits() }).collect()
 }
 
 /// Element `v` under selector `sel`: zeros of both signs, then — only when
