@@ -17,7 +17,8 @@
 
 use crate::{Abr, AbrContext, ChunkRecord, HISTORY_LEN};
 use puffer_media::MAX_BUFFER_SECONDS;
-use puffer_nn::{loss, optim::Adam, Activation, Matrix, Mlp};
+use puffer_nn::serialize::{self as nn_ser, LoadError};
+use puffer_nn::{loss, optim::Adam, Activation, BackwardScratch, Matrix, Mlp, TrainCache};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,6 +34,10 @@ const BITRATE_NORM: f64 = 5.5e6; // top-rung nominal bitrate, bits/s
 const THROUGHPUT_NORM: f64 = 1.5e6; // bytes/s
 const TIME_NORM: f64 = 10.0; // seconds
 const SIZE_NORM: f64 = 4.0e6; // bytes
+
+/// Layer widths of the actor (one logit per rung) and the critic.
+const ACTOR_DIMS: [usize; 4] = [N_FEATURES, 64, 64, N_RUNGS];
+const CRITIC_DIMS: [usize; 4] = [N_FEATURES, 64, 64, 1];
 
 /// The learned ABR policy (actor) and its critic.
 #[derive(Debug, Clone)]
@@ -56,9 +61,16 @@ impl PensievePolicy {
     /// sampling, so training runs are reproducible.
     pub fn new(seed: u64) -> Self {
         let mut init_rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let policy = Mlp::new(&ACTOR_DIMS, Activation::Relu, &mut init_rng);
+        let value = Mlp::new(&CRITIC_DIMS, Activation::Relu, &mut init_rng);
+        Self::from_nets(policy, value, seed)
+    }
+
+    /// A greedy policy over given networks; `seed` drives action sampling.
+    fn from_nets(policy: Mlp, value: Mlp, seed: u64) -> Self {
         PensievePolicy {
-            policy: Mlp::new(&[N_FEATURES, 64, 64, N_RUNGS], Activation::Relu, &mut init_rng),
-            value: Mlp::new(&[N_FEATURES, 64, 64, 1], Activation::Relu, &mut init_rng),
+            policy,
+            value,
             stochastic: false,
             epsilon: 0.0,
             burst: None,
@@ -187,7 +199,6 @@ impl PensievePolicy {
     /// Serialize the actor and critic networks to text (the artifact the
     /// experiment caches between figure runs).
     pub fn save_to_string(&self) -> String {
-        use puffer_nn::serialize as nn_ser;
         let mut out = String::from("pensieve-policy v1\n");
         for net in [&self.policy, &self.value] {
             let ckpt = nn_ser::Checkpoint {
@@ -200,41 +211,20 @@ impl PensievePolicy {
     }
 
     /// Parse a policy checkpoint; `seed` re-seeds the action sampler only
-    /// (weights come from the checkpoint).
-    pub fn load_from_str(s: &str, seed: u64) -> Result<Self, puffer_nn::serialize::LoadError> {
-        use puffer_nn::serialize as nn_ser;
-        use puffer_nn::serialize::LoadError;
+    /// (weights come from the checkpoint).  Both networks must have the
+    /// architecture [`PensievePolicy::new`] builds.
+    pub fn load_from_str(s: &str, seed: u64) -> Result<Self, LoadError> {
         let mut lines = s.lines();
         if lines.next() != Some("pensieve-policy v1") {
             return Err(LoadError::Format("missing pensieve-policy magic".into()));
         }
-        let mut segments: Vec<String> = Vec::new();
-        let mut current = String::new();
-        for line in lines {
-            current.push_str(line);
-            current.push('\n');
-            if line == "end" {
-                segments.push(std::mem::take(&mut current));
-            }
-        }
-        if segments.len() != 2 {
-            return Err(LoadError::Format(format!(
-                "expected actor + critic, found {} networks",
-                segments.len()
-            )));
-        }
-        let actor = nn_ser::load_from_str(&segments[0])?.net;
-        let critic = nn_ser::load_from_str(&segments[1])?.net;
-        if actor.input_dim() != N_FEATURES || actor.output_dim() != N_RUNGS {
-            return Err(LoadError::Format("actor has the wrong shape".into()));
-        }
-        if critic.input_dim() != N_FEATURES || critic.output_dim() != 1 {
-            return Err(LoadError::Format("critic has the wrong shape".into()));
-        }
-        let mut p = PensievePolicy::new(seed);
-        p.policy.copy_params_from(&actor);
-        p.value.copy_params_from(&critic);
-        Ok(p)
+        let nets = nn_ser::load_concatenated(lines)?;
+        let [actor, critic] = <[nn_ser::Checkpoint; 2]>::try_from(nets).map_err(|v| {
+            LoadError::Format(format!("expected actor + critic, found {} networks", v.len()))
+        })?;
+        actor.check_architecture("actor", &ACTOR_DIMS, Activation::Relu)?;
+        critic.check_architecture("critic", &CRITIC_DIMS, Activation::Relu)?;
+        Ok(Self::from_nets(actor.net, critic.net, seed))
     }
 }
 
@@ -302,6 +292,10 @@ pub struct PensieveTrainer {
     pub entropy_weight: f32,
     policy_opt: Adam,
     value_opt: Adam,
+    /// The update batch and every layer's activations, for the critic's
+    /// pass and then the actor's.
+    cache: TrainCache,
+    scratch: BackwardScratch,
 }
 
 impl PensieveTrainer {
@@ -311,6 +305,8 @@ impl PensieveTrainer {
             entropy_weight: 0.1,
             policy_opt: Adam::new(lr),
             value_opt: Adam::new(lr),
+            cache: TrainCache::new(),
+            scratch: BackwardScratch::new(),
         }
     }
 
@@ -331,8 +327,9 @@ impl PensieveTrainer {
         let n: usize = trajectories.iter().map(Trajectory::len).sum();
         assert!(n > 0, "cannot update from empty trajectories");
 
-        // Flatten states and compute discounted returns per episode.
-        let mut rows = Vec::with_capacity(n);
+        // Write the states into the batch and compute discounted returns
+        // per episode.
+        let x = self.cache.input_mut(n, N_FEATURES);
         let mut actions = Vec::with_capacity(n);
         let mut returns = Vec::with_capacity(n);
         for traj in trajectories {
@@ -345,27 +342,22 @@ impl PensieveTrainer {
                 ep_returns[i] = g;
             }
             for i in 0..traj.len() {
-                rows.push(traj.states[i].clone());
+                x.row_mut(returns.len()).copy_from_slice(&traj.states[i]);
                 actions.push(traj.actions[i]);
                 returns.push(ep_returns[i]);
             }
         }
-        let x = Matrix::from_rows(&rows);
 
         // Critic update: fit V(s) to returns.
-        let vcache = agent.value.forward_cache(&x);
-        let (value_loss, dv) = loss::mse(vcache.logits(), &returns);
-        agent.value.zero_grad();
-        agent.value.backward(&vcache, &dv);
-        agent.value.clip_grad_norm(5.0);
-        agent.value.step(&mut self.value_opt);
+        agent.value.forward_train(&mut self.cache);
+        let (value_loss, dv) = loss::mse(self.cache.logits(), &returns);
 
         // Advantages from the pre-update critic, normalized across the batch
         // — without this, the raw return scale (tens to hundreds of QoE
         // units across a 300-chunk episode) makes the policy step size
         // depend on the reward units and training diverges.
-        let baselines: Vec<f32> = (0..n).map(|i| vcache.logits().get(i, 0)).collect();
-        let mut advantages: Vec<f32> = returns.iter().zip(&baselines).map(|(r, b)| r - b).collect();
+        let baselines = self.cache.logits().data();
+        let mut advantages: Vec<f32> = returns.iter().zip(baselines).map(|(r, b)| r - b).collect();
         let mean_adv = advantages.iter().sum::<f32>() / n as f32;
         let std_adv = (advantages.iter().map(|a| (a - mean_adv).powi(2)).sum::<f32>() / n as f32)
             .sqrt()
@@ -373,10 +365,14 @@ impl PensieveTrainer {
         for a in &mut advantages {
             *a = (*a - mean_adv) / std_adv;
         }
+        agent.value.zero_grad();
+        agent.value.backward_into(&self.cache, &dv, &mut self.scratch);
+        agent.value.clip_grad_norm(5.0);
+        agent.value.step(&mut self.value_opt);
 
-        // Actor update: ∇(−logπ(a|s)·A − β·H(π)).
-        let pcache = agent.policy.forward_cache(&x);
-        let probs = loss::softmax_rows(pcache.logits());
+        // Actor update: ∇(−logπ(a|s)·A − β·H(π)), over the same batch.
+        agent.policy.forward_train(&mut self.cache);
+        let probs = loss::softmax_rows(self.cache.logits());
         let entropies = loss::entropy_rows(&probs);
         let mut dlogits = Matrix::zeros(n, N_RUNGS);
         let beta = self.entropy_weight;
@@ -393,7 +389,7 @@ impl PensieveTrainer {
             }
         }
         agent.policy.zero_grad();
-        agent.policy.backward(&pcache, &dlogits);
+        agent.policy.backward_into(&self.cache, &dlogits, &mut self.scratch);
         agent.policy.clip_grad_norm(5.0);
         agent.policy.step(&mut self.policy_opt);
 

@@ -8,11 +8,14 @@
 //!
 //! Format: a small header describing the [`TtpConfig`], followed by one
 //! `puffer-nn` checkpoint per lookahead step (each carrying the shared input
-//! scaler — redundantly, but the nn format is self-contained).
+//! scaler — redundantly, but the nn format is self-contained).  The header
+//! fixes every step-net's architecture, and the loader rejects a network
+//! that does not match it.
 
 use crate::ttp::{PredictionTarget, Ttp, TtpConfig};
 use puffer_nn::serialize as nn_ser;
 use puffer_nn::serialize::LoadError;
+use puffer_nn::Activation;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -78,43 +81,27 @@ pub fn load_from_str(s: &str) -> Result<Ttp, LoadError> {
     };
     let config = TtpConfig { horizon, history_len, hidden, use_tcp_info, target };
 
-    // The remainder is `horizon` concatenated nn checkpoints, each ending
-    // with a line "end".
-    let rest: Vec<&str> = lines.collect();
-    let mut segments: Vec<String> = Vec::new();
-    let mut current = String::new();
-    for line in rest {
-        current.push_str(line);
-        current.push('\n');
-        if line == "end" {
-            segments.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.trim().is_empty() {
-        return Err(LoadError::Format("trailing garbage after last network".into()));
-    }
-    if segments.len() != horizon {
+    // The remainder is `horizon` concatenated nn checkpoints.
+    let ckpts = nn_ser::load_concatenated(lines)?;
+    if ckpts.len() != horizon {
         return Err(LoadError::Format(format!(
             "expected {horizon} networks, found {}",
-            segments.len()
+            ckpts.len()
         )));
     }
-    let mut ttp = Ttp::new(config.clone(), 0);
-    let mut scaler = None;
-    for (i, seg) in segments.iter().enumerate() {
-        let ckpt = nn_ser::load_from_str(seg)?;
-        if ckpt.net.input_dim() != config.n_features() {
-            return Err(LoadError::Format(format!(
-                "network {i} input dim {} != config {}",
-                ckpt.net.input_dim(),
-                config.n_features()
-            )));
-        }
-        ttp.nets_mut()[i].copy_params_from(&ckpt.net);
-        scaler = Some(ckpt.scaler);
+    let Some(scaler) = ckpts.last().map(|c| c.scaler.clone()) else {
+        return Err(LoadError::Format("a TTP needs at least one step-net".into()));
+    };
+    // `n_features` doubles `history_len`: bound it by the width the
+    // networks take before asking.
+    if history_len == 0 || history_len > scaler.dim() / 2 {
+        return Err(LoadError::Format(format!("bad history_len {history_len}")));
     }
-    ttp.set_scaler(scaler.expect("horizon >= 1 guarantees a scaler"));
-    Ok(ttp)
+    let dims = config.net_dims();
+    for (i, ckpt) in ckpts.iter().enumerate() {
+        ckpt.check_architecture(&format!("network {i}"), &dims, Activation::Relu)?;
+    }
+    Ok(Ttp::from_parts(config, ckpts.into_iter().map(|c| c.net).collect(), scaler))
 }
 
 /// Write a TTP checkpoint to disk, crash-safely.

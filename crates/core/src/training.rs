@@ -522,10 +522,9 @@ mod tests {
     }
 
     /// The naive allocating sequential trainer, pinned as the equivalence
-    /// reference for [`train`]: per-batch row clones, an allocating forward
-    /// cache, and a freshly-allocated gradient set per step — exactly the
-    /// pre-scratch implementation, with the same per-step RNG streams as
-    /// [`train`] so the two produce bit-identical models.
+    /// reference for [`train`]: per-batch row clones and fresh training
+    /// buffers per batch, with the same per-step RNG streams as [`train`] so
+    /// the two produce bit-identical models.
     fn train_reference<R: Rng + ?Sized>(
         ttp: &mut Ttp,
         data: &Dataset,
@@ -588,12 +587,14 @@ mod tests {
                     let targets: Vec<usize> = batch.iter().map(|&i| samples[i].target).collect();
                     let weights: Vec<f32> = batch.iter().map(|&i| samples[i].weight).collect();
                     let x = Matrix::from_rows(&rows);
+                    let mut cache = TrainCache::new();
+                    cache.input_mut(x.rows(), x.cols()).data_mut().copy_from_slice(x.data());
                     let net = &mut ttp.nets_mut()[step];
-                    let cache = net.forward_cache(&x);
+                    net.forward_train(&mut cache);
                     let (ce, dlogits) =
                         loss::softmax_cross_entropy(cache.logits(), &targets, Some(&weights));
                     net.zero_grad();
-                    net.backward(&cache, &dlogits);
+                    net.backward_into(&cache, &dlogits, &mut BackwardScratch::new());
                     net.clip_grad_norm(5.0);
                     net.step(&mut opt);
                     epoch_ce += f64::from(ce);
@@ -713,8 +714,7 @@ mod tests {
             ..TrainConfig::default()
         };
         let mut scratch_ttp = Ttp::new(TtpConfig::default(), 11);
-        let mut reference_ttp = Ttp::new(TtpConfig::default(), 12);
-        reference_ttp.copy_params_from(&scratch_ttp);
+        let mut reference_ttp = scratch_ttp.clone();
         let a = train(&mut scratch_ttp, &data, 2, &cfg, &mut rng(13)).unwrap();
         let b = train_reference(&mut reference_ttp, &data, 2, &cfg, &mut rng(13)).unwrap();
         assert_eq!(a.samples_per_step, b.samples_per_step);

@@ -103,6 +103,15 @@ impl TtpConfig {
         }
         n
     }
+
+    /// Layer widths of every step-net, input first: the features, the
+    /// hidden layers, the time bins.
+    pub(crate) fn net_dims(&self) -> Vec<usize> {
+        let mut dims = vec![self.n_features()];
+        dims.extend_from_slice(&self.hidden);
+        dims.push(N_BINS);
+        dims
+    }
 }
 
 /// Reusable buffers for [`Ttp::predict_time_distributions_batched_into`], so
@@ -192,12 +201,16 @@ impl Ttp {
         assert!(config.history_len >= 1);
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut dims = vec![config.n_features()];
-        dims.extend_from_slice(&config.hidden);
-        dims.push(N_BINS);
+        let dims = config.net_dims();
         let nets =
             (0..config.horizon).map(|_| Mlp::new(&dims, Activation::Relu, &mut rng)).collect();
         let scaler = Scaler::identity(config.n_features());
+        Ttp { config, nets, scaler }
+    }
+
+    /// A TTP from trained step-nets and their input scaler, which the
+    /// checkpoint loader has checked against `config`.
+    pub(crate) fn from_parts(config: TtpConfig, nets: Vec<Mlp>, scaler: Scaler) -> Self {
         Ttp { config, nets, scaler }
     }
 
@@ -243,16 +256,6 @@ impl Ttp {
                 l.w.data().iter().all(|w| w.is_finite()) && l.b.iter().all(|b| b.is_finite())
             })
         })
-    }
-
-    /// Copy weights from another TTP of identical configuration (warm-start
-    /// retraining, §4.3).
-    pub fn copy_params_from(&mut self, other: &Ttp) {
-        assert_eq!(self.config, other.config, "TTP configurations must match");
-        for (a, b) in self.nets.iter_mut().zip(&other.nets) {
-            a.copy_params_from(b);
-        }
-        self.scaler = other.scaler.clone();
     }
 
     /// Raw (unscaled) feature vector for a prediction.
@@ -714,16 +717,6 @@ mod tests {
         let tput_ttp =
             Ttp::new(TtpConfig { target: PredictionTarget::Throughput, ..TtpConfig::default() }, 7);
         assert_eq!(tput_ttp.target_bin(1_000_000.0, 1.0), throughput_bin_index(1_000_000.0));
-    }
-
-    #[test]
-    fn warm_start_copies_everything() {
-        let a = Ttp::new(TtpConfig::default(), 8);
-        let mut b = Ttp::new(TtpConfig::default(), 9);
-        b.copy_params_from(&a);
-        let d1 = a.predict_time_distribution(0, &history(8), &tcp(), 600_000.0);
-        let d2 = b.predict_time_distribution(0, &history(8), &tcp(), 600_000.0);
-        assert_eq!(d1, d2);
     }
 
     #[test]

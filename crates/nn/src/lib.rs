@@ -14,7 +14,8 @@
 //!   training ([`TrainCache`] + [`BackwardScratch`], driven by
 //!   [`Mlp::forward_train`] / [`Mlp::backward_into`]),
 //! * plain-text checkpoints so models can be saved/loaded deterministically
-//!   without a serialization framework ([`serialize`]).
+//!   without a serialization framework ([`serialize`]), with one reader for
+//!   model files that concatenate several networks.
 //!
 //! The networks involved are tiny (the TTP is 2 hidden layers of 64 units,
 //! §4.5), but the batched RCT day loop feeds them `(streams · rungs)`-row
@@ -31,22 +32,23 @@
 //! ## Example
 //!
 //! ```
-//! use puffer_nn::{Mlp, Activation, optim::{Sgd, Optimizer}, loss};
+//! use puffer_nn::{loss, optim::Sgd, Activation, BackwardScratch, Mlp, TrainCache};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! // A 4 -> 16 -> 3 classifier.
 //! let mut net = Mlp::new(&[4, 16, 3], Activation::Relu, &mut rng);
 //! let mut opt = Sgd::new(0.05, 0.9);
-//! let x = puffer_nn::Matrix::from_rows(&[vec![0.1, -0.2, 0.3, 0.4]]);
+//! let (mut cache, mut scratch) = (TrainCache::new(), BackwardScratch::new());
+//! cache.input_mut(1, 4).data_mut().copy_from_slice(&[0.1, -0.2, 0.3, 0.4]);
 //! for _ in 0..50 {
-//!     let cache = net.forward_cache(&x);
-//!     let (l, dlogits) = loss::softmax_cross_entropy(cache.logits(), &[2], None);
+//!     net.forward_train(&mut cache);
+//!     let (_loss, dlogits) = loss::softmax_cross_entropy(cache.logits(), &[2], None);
 //!     net.zero_grad();
-//!     net.backward(&cache, &dlogits);
+//!     net.backward_into(&cache, &dlogits, &mut scratch);
 //!     net.step(&mut opt);
-//!     let _ = l;
 //! }
+//! let x = puffer_nn::Matrix::row_vector(&[0.1, -0.2, 0.3, 0.4]);
 //! let probs = loss::softmax_rows(&net.forward(&x));
 //! assert!(probs.get(0, 2) > 0.9);
 //! ```
@@ -59,7 +61,7 @@ pub mod scaler;
 pub mod serialize;
 
 pub use matrix::{cpu_features, CpuFeatures, Matrix, Tier};
-pub use mlp::{Activation, BackwardScratch, ForwardCache, Linear, Mlp, MlpScratch, TrainCache};
+pub use mlp::{Activation, BackwardScratch, Linear, Mlp, MlpScratch, TrainCache};
 pub use scaler::Scaler;
 
 /// Draw a standard normal sample with the Box–Muller transform.

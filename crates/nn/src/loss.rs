@@ -36,7 +36,8 @@ pub fn softmax_rows_inplace(logits: &mut Matrix) {
 /// Mean cross-entropy over the batch with optional per-sample weights.
 ///
 /// Returns `(loss, dlogits)` where `dlogits` is the gradient of the (weighted)
-/// mean loss with respect to the logits — ready to feed to `Mlp::backward`.
+/// mean loss with respect to the logits — ready to feed to
+/// [`Mlp::backward_into`](crate::Mlp::backward_into).
 ///
 /// Weights implement the paper's recency weighting: "Within the 14-day window,
 /// we weight more recent days more heavily" (§4.3).

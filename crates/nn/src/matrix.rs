@@ -755,11 +755,6 @@ impl Matrix {
             }
         }
     }
-
-    /// Frobenius norm, useful for gradient-clipping and tests.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
 }
 
 #[cfg(test)]

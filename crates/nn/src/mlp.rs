@@ -13,7 +13,7 @@ use crate::optim::Optimizer;
 pub enum Activation {
     /// max(0, x) — used by the TTP.
     Relu,
-    /// tanh(x) — used by the Pensieve-style policy network.
+    /// tanh(x).
     Tanh,
     /// No nonlinearity; `Mlp::new(&[i, o], Identity, ..)` is linear regression.
     Identity,
@@ -68,7 +68,7 @@ pub struct Linear {
     pub w: Matrix,
     /// Bias, length `out_dim`.
     pub b: Vec<f32>,
-    /// Gradient of the loss w.r.t. `w`, accumulated by [`Linear::backward`].
+    /// Gradient of the loss w.r.t. `w`, accumulated by [`Mlp::backward_into`].
     pub gw: Matrix,
     /// Gradient of the loss w.r.t. `b`.
     pub gb: Vec<f32>,
@@ -98,37 +98,12 @@ impl Linear {
         self.w.cols()
     }
 
-    /// Forward pass for a batch (`x`: batch × in_dim).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul(&self.w);
-        y.add_row_broadcast(&self.b);
-        y
-    }
-
-    /// [`Linear::forward`] into a caller-owned output matrix (no allocation
-    /// once `out` has grown to the steady-state batch size).
+    /// Forward pass `out = x·W + b` for a batch (`x`: batch × in_dim) into a
+    /// caller-owned output matrix (no allocation once `out` has grown to the
+    /// steady-state batch size).
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_into(&self.w, out);
         out.add_row_broadcast(&self.b);
-    }
-
-    /// Backward pass: given the layer input `x` and upstream gradient `dy`,
-    /// accumulate `gw`/`gb` and return the gradient w.r.t. `x`.  The same
-    /// kernels as [`Mlp::backward_into`], on local transposes; `xᵀ·dy` is
-    /// summed from zero and then added to `gw`.
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix) -> Matrix {
-        // gw += xᵀ·dy
-        let gw = x.transpose().matmul(dy);
-        for (g, n) in self.gw.data_mut().iter_mut().zip(gw.data()) {
-            *g += n;
-        }
-        for (g, n) in self.gb.iter_mut().zip(dy.col_sums()) {
-            *g += n;
-        }
-        // dx = dy·Wᵀ
-        let mut dx = Matrix::default();
-        dy.matmul_dense_into_with(Tier::detect(), &self.w.transpose(), &mut dx);
-        dx
     }
 
     pub fn zero_grad(&mut self) {
@@ -137,26 +112,7 @@ impl Linear {
     }
 }
 
-/// Intermediate activations retained for backprop.
-///
-/// `acts[0]` is the input batch; `acts[i]` for `0 < i < L` are post-activation
-/// hidden outputs; `acts[L]` is the raw output (logits — the final layer has
-/// no nonlinearity).
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    acts: Vec<Matrix>,
-}
-
-impl ForwardCache {
-    /// Raw network output (pre-softmax logits / regression output).
-    // lint: panic-free — acts is filled by the forward pass that returns this cache; last() is always Some
-    pub fn logits(&self) -> &Matrix {
-        self.acts.last().expect("cache always holds input + output")
-    }
-}
-
-/// Caller-owned per-layer activation storage for training forward passes —
-/// the allocation-free counterpart of [`ForwardCache`].
+/// Caller-owned per-layer activation storage for training forward passes.
 ///
 /// Unlike inference (which only needs the final output and can ping/pong two
 /// buffers), backprop needs every layer's activation, so the cache keeps one
@@ -170,8 +126,8 @@ impl ForwardCache {
 #[derive(Debug, Clone, Default)]
 pub struct TrainCache {
     /// `acts[0]` is the input batch; `acts[i]` for `0 < i < L` are
-    /// post-activation hidden outputs; `acts[L]` is the raw logits — the same
-    /// layout as [`ForwardCache`].
+    /// post-activation hidden outputs; `acts[L]` is the raw logits (the final
+    /// layer has no nonlinearity).
     acts: Vec<Matrix>,
 }
 
@@ -310,22 +266,15 @@ impl Mlp {
         self.layers.iter().map(|l| l.w.data().len() + l.b.len()).sum()
     }
 
-    /// Forward pass returning only the output.
+    /// Forward pass returning only the output: [`Mlp::forward_into`] on a
+    /// fresh scratch.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        let mut h = x.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
-            if i != last {
-                h.map_inplace(|v| self.activation.apply(v));
-            }
-        }
-        h
+        std::mem::take(self.forward_into(x, &mut MlpScratch::new()))
     }
 
-    /// [`Mlp::forward`] through caller-owned scratch buffers: bit-identical
-    /// output, no allocations once the scratch has reached steady-state size.
-    /// Returns a reference to the scratch matrix holding the output.
+    /// Forward pass through caller-owned scratch buffers: no allocations once
+    /// the scratch has reached steady-state size.  Returns a reference to the
+    /// scratch matrix holding the output.
     // lint: panic-free — layer indexing is over self.layers; input dims are asserted at entry
     pub fn forward_into<'a>(&self, x: &Matrix, scratch: &'a mut MlpScratch) -> &'a mut Matrix {
         self.layers[0].forward_into(x, &mut scratch.ping);
@@ -425,10 +374,9 @@ impl Mlp {
     /// buffer (see [`TrainCache::input_mut`]), retaining every layer's
     /// activation for [`Mlp::backward_into`].
     ///
-    /// Bit-identical to [`Mlp::forward_cache`] on the same batch — same
-    /// matmul kernel, bias add, and activation, in the same order — but all
-    /// intermediate storage is caller-owned, so steady-state training
-    /// minibatches allocate nothing.
+    /// The same matmul kernel, bias add, and activation, in the same order,
+    /// as [`Mlp::forward`], but every layer's output is kept, in caller-owned
+    /// storage, so steady-state training minibatches allocate nothing.
     // lint: panic-free — entry asserts pin the batch dims; per-layer indexing is over self.layers
     // lint: alloc-free — cache matrices grow once to the minibatch shape; warm epochs are allocation-free per tests/alloc_gate.rs
     pub fn forward_train(&self, cache: &mut TrainCache) {
@@ -455,10 +403,9 @@ impl Mlp {
     /// and `dx = dy·Wᵀ` over `Wᵀ` ([`Matrix::matmul_dense_into_with`], no
     /// skip).
     ///
-    /// Equivalent to [`Mlp::backward`] (with gradients pre-zeroed, the
-    /// universal cycle), except the gradient w.r.t. the *input batch* is not
-    /// computed — supervised training never consumes it, and skipping it
-    /// saves one matmul per step without affecting any parameter gradient.
+    /// The gradient w.r.t. the *input batch* is not computed: training never
+    /// consumes it, and skipping it saves one matmul per step without
+    /// affecting any parameter gradient.
     // lint: panic-free — entry asserts pin dlogits dims; layer indexing mirrors the forward pass
     // lint: alloc-free — gradient ping/pong buffers grow once; warm epochs are allocation-free per tests/alloc_gate.rs
     pub fn backward_into(
@@ -491,41 +438,6 @@ impl Mlp {
                 std::mem::swap(&mut scratch.grad, &mut scratch.tmp);
             }
         }
-    }
-
-    /// Forward pass retaining activations for [`Mlp::backward`].
-    pub fn forward_cache(&self, x: &Matrix) -> ForwardCache {
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x.clone());
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut h = layer.forward(acts.last().unwrap());
-            if i != last {
-                h.map_inplace(|v| self.activation.apply(v));
-            }
-            acts.push(h);
-        }
-        ForwardCache { acts }
-    }
-
-    /// Backpropagate `dlogits` (gradient w.r.t. the raw output), accumulating
-    /// parameter gradients; returns the gradient w.r.t. the input batch.
-    pub fn backward(&mut self, cache: &ForwardCache, dlogits: &Matrix) -> Matrix {
-        assert_eq!(cache.acts.len(), self.layers.len() + 1, "cache/net mismatch");
-        let n_layers = self.layers.len();
-        let mut grad = dlogits.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
-            if i != n_layers - 1 {
-                // Multiply by activation derivative at this layer's output.
-                let y = &cache.acts[i + 1];
-                let act = self.activation;
-                for (g, &out) in grad.data_mut().iter_mut().zip(y.data()) {
-                    *g *= act.derivative_from_output(out);
-                }
-            }
-            grad = layer.backward(&cache.acts[i], &grad);
-        }
-        grad
     }
 
     pub fn zero_grad(&mut self) {
@@ -567,18 +479,6 @@ impl Mlp {
             slot += 1;
         }
     }
-
-    /// Copy parameters from another network of identical architecture
-    /// (used to warm-start daily retraining, §4.3).
-    pub fn copy_params_from(&mut self, other: &Mlp) {
-        assert_eq!(self.layers.len(), other.layers.len(), "architecture mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            assert_eq!(a.w.rows(), b.w.rows());
-            assert_eq!(a.w.cols(), b.w.cols());
-            a.w = b.w.clone();
-            a.b = b.b.clone();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -589,6 +489,59 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(42)
+    }
+
+    /// Zero the gradients and backpropagate the cross-entropy of `x` against
+    /// `targets` through the scratch path.
+    fn backprop(net: &mut Mlp, x: &Matrix, targets: &[usize]) {
+        let mut cache = TrainCache::new();
+        cache.input_mut(x.rows(), x.cols()).data_mut().copy_from_slice(x.data());
+        net.forward_train(&mut cache);
+        let (_, dlogits) = loss::softmax_cross_entropy(cache.logits(), targets, None);
+        net.zero_grad();
+        net.backward_into(&cache, &dlogits, &mut BackwardScratch::new());
+    }
+
+    /// An allocating backprop, the reference [`Mlp::backward_into`] must match
+    /// bit for bit: every activation kept in a fresh matrix, then per layer
+    /// from the top `gw += xᵀ·dy` summed from zero and then added,
+    /// `gb += col_sums(dy)`, and `dx = dy·Wᵀ`.  Zeroes the gradients first;
+    /// returns the loss and the logits.
+    fn reference_backprop(net: &mut Mlp, x: &Matrix, targets: &[usize]) -> (f32, Matrix) {
+        let (act, last) = (net.activation, net.layers.len() - 1);
+        let mut acts = vec![x.clone()];
+        for (i, layer) in net.layers.iter().enumerate() {
+            let mut h = acts[i].matmul(&layer.w);
+            h.add_row_broadcast(&layer.b);
+            if i != last {
+                h.map_inplace(|v| act.apply(v));
+            }
+            acts.push(h);
+        }
+        let (ce, mut grad) = loss::softmax_cross_entropy(&acts[last + 1], targets, None);
+        net.zero_grad();
+        for (i, layer) in net.layers.iter_mut().enumerate().rev() {
+            if i != last {
+                for (g, &y) in grad.data_mut().iter_mut().zip(acts[i + 1].data()) {
+                    *g *= act.derivative_from_output(y);
+                }
+            }
+            let gw = acts[i].transpose().matmul(&grad);
+            for (g, n) in layer.gw.data_mut().iter_mut().zip(gw.data()) {
+                *g += n;
+            }
+            for (g, n) in layer.gb.iter_mut().zip(grad.col_sums()) {
+                *g += n;
+            }
+            let mut dx = Matrix::default();
+            grad.matmul_dense_into_with(Tier::detect(), &layer.w.transpose(), &mut dx);
+            grad = dx;
+        }
+        (ce, acts.pop().unwrap())
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -628,11 +581,7 @@ mod tests {
         let mut net = Mlp::new(&[4, 6, 3], Activation::Tanh, &mut r);
         let x = Matrix::from_rows(&[vec![0.5, -1.0, 0.25, 2.0], vec![-0.5, 0.3, 1.5, -0.7]]);
         let targets = [0usize, 2];
-
-        let cache = net.forward_cache(&x);
-        let (_, dlogits) = loss::softmax_cross_entropy(cache.logits(), &targets, None);
-        net.zero_grad();
-        net.backward(&cache, &dlogits);
+        backprop(&mut net, &x, &targets);
 
         // Analytic grads snapshot.
         let analytic: Vec<f32> = net
@@ -690,10 +639,7 @@ mod tests {
         let mut r = rng();
         let mut net = Mlp::new(&[4, 8, 3], Activation::Relu, &mut r);
         let x = Matrix::from_rows(&[vec![10.0, -10.0, 5.0, 3.0]]);
-        let cache = net.forward_cache(&x);
-        let (_, d) = loss::softmax_cross_entropy(cache.logits(), &[1], None);
-        net.zero_grad();
-        net.backward(&cache, &d);
+        backprop(&mut net, &x, &[1]);
         net.clip_grad_norm(0.01);
         let mut sq = 0.0f32;
         for l in net.layers() {
@@ -806,12 +752,7 @@ mod tests {
                 }
                 let targets: Vec<usize> = (0..batch).map(|i| i % dims.last().unwrap()).collect();
 
-                // Allocating reference path.
-                let ref_cache = reference.forward_cache(&x);
-                let (ref_ce, ref_dlogits) =
-                    loss::softmax_cross_entropy(ref_cache.logits(), &targets, None);
-                reference.zero_grad();
-                reference.backward(&ref_cache, &ref_dlogits);
+                let (ref_ce, ref_logits) = reference_backprop(&mut reference, &x, &targets);
 
                 // Scratch path.
                 cache.input_mut(batch, dims[0]).data_mut().copy_from_slice(x.data());
@@ -825,23 +766,13 @@ mod tests {
                 net.zero_grad();
                 net.backward_into(&cache, &dlogits_buf, &mut scratch);
 
-                assert_eq!(ce, ref_ce);
-                assert_eq!(cache.logits().data(), ref_cache.logits().data());
+                assert_eq!(ce.to_bits(), ref_ce.to_bits());
+                assert_eq!(bits(cache.logits().data()), bits(ref_logits.data()));
                 for (a, b) in net.layers().iter().zip(reference.layers()) {
-                    assert_eq!(a.gw.data(), b.gw.data());
-                    assert_eq!(a.gb, b.gb);
+                    assert_eq!(bits(a.gw.data()), bits(b.gw.data()));
+                    assert_eq!(bits(&a.gb), bits(&b.gb));
                 }
             }
         }
-    }
-
-    #[test]
-    fn warm_start_copies_parameters() {
-        let mut r = rng();
-        let a = Mlp::new(&[3, 5, 2], Activation::Relu, &mut r);
-        let mut b = Mlp::new(&[3, 5, 2], Activation::Relu, &mut r);
-        b.copy_params_from(&a);
-        let x = Matrix::row_vector(&[0.4, -0.2, 0.9]);
-        assert_eq!(a.forward(&x).data(), b.forward(&x).data());
     }
 }

@@ -24,12 +24,6 @@ pub trait Optimizer {
     /// Update `params` in place given `grads`.  `slot` identifies the tensor
     /// (stable across calls) so implementations can keep per-tensor state.
     fn step(&mut self, params: &mut [f32], grads: &[f32], slot: usize);
-
-    /// Current learning rate (for logging / schedules).
-    fn learning_rate(&self) -> f32;
-
-    /// Replace the learning rate (schedules are driven externally).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with classical momentum and optional L2
@@ -108,14 +102,6 @@ impl Optimizer for Sgd {
             return;
         }
         sgd_update(params, grads, vel, lr, momentum, wd);
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -241,14 +227,6 @@ impl Optimizer for Adam {
         }
         adam_update(params, grads, m, v, lr, b1, b2, eps, wd, bc1, bc2);
     }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 #[cfg(test)]
@@ -307,13 +285,5 @@ mod tests {
         }
         assert!((a[0] - 1.0).abs() < 0.05);
         assert!((b[0] + 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
     }
 }

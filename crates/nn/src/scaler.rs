@@ -118,12 +118,6 @@ impl Scaler {
             *o = (x - m) / s;
         }
     }
-
-    /// Invert the transform (diagnostics only).
-    pub fn inverse_transform(&self, row: &[f32]) -> Vec<f32> {
-        assert_eq!(row.len(), self.mean.len());
-        row.iter().zip(&self.mean).zip(&self.std).map(|((&x, &m), &s)| x * s + m).collect()
-    }
 }
 
 #[cfg(test)]
@@ -151,17 +145,6 @@ mod tests {
         let t = s.transform(&[5.0, 2.0]);
         assert!(t[0].abs() < 1e-6);
         assert!(t.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let rows = vec![vec![1.0, -3.0], vec![2.0, 4.0], vec![0.5, 10.0]];
-        let s = Scaler::fit(&rows);
-        let x = vec![1.7f32, 6.2];
-        let back = s.inverse_transform(&s.transform(&x));
-        for (a, b) in x.iter().zip(&back) {
-            assert!((a - b).abs() < 1e-4);
-        }
     }
 
     #[test]

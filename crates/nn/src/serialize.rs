@@ -21,12 +21,17 @@
 //!
 //! Floats are written with `{:e}` (scientific, full precision round-trip for
 //! f32) separated by single spaces.
+//!
+//! A model file is its own header followed by one or more of these sections
+//! back to back (a TTP's step-nets, Pensieve's actor and critic);
+//! [`load_concatenated`] reads them all, and each model's loader checks
+//! every network against the architecture its header or type fixes
+//! ([`Checkpoint::check_architecture`]).
 
 use crate::matrix::Matrix;
 use crate::mlp::{Activation, Linear, Mlp};
 use crate::scaler::Scaler;
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// A checkpoint couples a network with the input scaler it was trained with.
 #[derive(Debug, Clone)]
@@ -107,9 +112,29 @@ pub fn save_to_string(ckpt: &Checkpoint) -> String {
     out
 }
 
-/// Parse a checkpoint from a string.
+/// Parse a checkpoint holding exactly one network.
 pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
-    let mut lines = s.lines();
+    let [ckpt] = <[Checkpoint; 1]>::try_from(load_concatenated(s.lines())?)
+        .map_err(|v| LoadError::Format(format!("expected one network, found {}", v.len())))?;
+    Ok(ckpt)
+}
+
+/// Parse every checkpoint in `lines`, back to back, up to the end of input:
+/// the body of a model file after its own header.  A line after the last
+/// `end` that does not open another checkpoint is an error.
+pub fn load_concatenated<'a>(
+    lines: impl Iterator<Item = &'a str>,
+) -> Result<Vec<Checkpoint>, LoadError> {
+    let mut lines = lines.peekable();
+    let mut ckpts = Vec::new();
+    while lines.peek().is_some() {
+        ckpts.push(parse_one(&mut lines)?);
+    }
+    Ok(ckpts)
+}
+
+/// Parse one checkpoint section, through its `end` line.
+fn parse_one<'a>(lines: &mut impl Iterator<Item = &'a str>) -> Result<Checkpoint, LoadError> {
     let mut next = |what: &str| {
         lines.next().ok_or_else(|| LoadError::Format(format!("unexpected EOF, wanted {what}")))
     };
@@ -145,8 +170,11 @@ pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
         return Err(LoadError::Format("network must have at least one layer".into()));
     }
 
-    let mut layers = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
+    // No capacity from the untrusted count: a huge one must fail on the
+    // missing lines, not in the allocator.
+    let mut layers = Vec::new();
+    let mut width = dim;
+    for i in 0..n_layers {
         let hdr = next("layer")?;
         let mut it = hdr.split_whitespace();
         if it.next() != Some("layer") {
@@ -160,7 +188,15 @@ pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
             .next()
             .and_then(|d| d.parse().ok())
             .ok_or_else(|| LoadError::Format("bad layer out_dim".into()))?;
-        let w = parse_floats(next("w")?, "w", in_dim * out_dim)?;
+        if in_dim != width {
+            return Err(LoadError::Format(format!(
+                "layer {i} takes {in_dim} inputs, but {width} reach it"
+            )));
+        }
+        let n_weights = in_dim
+            .checked_mul(out_dim)
+            .ok_or_else(|| LoadError::Format("layer size overflows".into()))?;
+        let w = parse_floats(next("w")?, "w", n_weights)?;
         let b = parse_floats(next("b")?, "b", out_dim)?;
         layers.push(Linear {
             w: Matrix::from_vec(in_dim, out_dim, w),
@@ -168,6 +204,7 @@ pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
             gw: Matrix::zeros(in_dim, out_dim),
             gb: vec![0.0; out_dim],
         });
+        width = out_dim;
     }
     if next("end")? != "end" {
         return Err(LoadError::Format("missing end marker".into()));
@@ -175,15 +212,29 @@ pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
     Ok(Checkpoint { net: Mlp::from_layers(layers, activation), scaler })
 }
 
-/// Write a checkpoint to a file.
-pub fn save_to_file(ckpt: &Checkpoint, path: &Path) -> Result<(), LoadError> {
-    std::fs::write(path, save_to_string(ckpt))?;
-    Ok(())
-}
-
-/// Read a checkpoint from a file.
-pub fn load_from_file(path: &Path) -> Result<Checkpoint, LoadError> {
-    load_from_str(&std::fs::read_to_string(path)?)
+impl Checkpoint {
+    /// `Ok` when the network's widths, input first, are `dims` and its
+    /// hidden activation is `activation`: the check a model loader makes
+    /// against the architecture its header or its type fixes.  `what` names
+    /// the network in the error.
+    pub fn check_architecture(
+        &self,
+        what: &str,
+        dims: &[usize],
+        activation: Activation,
+    ) -> Result<(), LoadError> {
+        let got: Vec<usize> = std::iter::once(self.net.input_dim())
+            .chain(self.net.layers().iter().map(Linear::out_dim))
+            .collect();
+        if got != dims || self.net.activation() != activation {
+            return Err(LoadError::Format(format!(
+                "{what} is {got:?} {}, expected {dims:?} {}",
+                self.net.activation().name(),
+                activation.name()
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -255,14 +306,53 @@ mod tests {
     }
 
     #[test]
-    fn file_roundtrip() {
+    fn rejects_layers_that_do_not_chain() {
+        // The 4 → 8 → 3 sample with its second layer swapped for the only
+        // layer of a 7 → 3 network.
+        let a = save_to_string(&sample_checkpoint());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let net = Mlp::new(&[7, 3], Activation::Relu, &mut rng);
+        let b = save_to_string(&Checkpoint { net, scaler: Scaler::identity(7) });
+        let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+        let spliced = [&a[..9], &b[6..9], &a[12..]].concat().join("\n");
+        assert!(spliced.contains("layer 4 8\n") && spliced.contains("layer 7 3\n"));
+        let err = load_from_str(&spliced).unwrap_err();
+        assert!(err.to_string().contains("layer 1 takes 7 inputs, but 8 reach it"), "{err}");
+    }
+
+    #[test]
+    fn rejects_scaler_narrower_than_the_input() {
+        let mut ckpt = sample_checkpoint();
+        ckpt.scaler = Scaler::identity(3);
+        let err = load_from_str(&save_to_string(&ckpt)).unwrap_err();
+        assert!(err.to_string().contains("layer 0 takes 4 inputs, but 3 reach it"), "{err}");
+    }
+
+    #[test]
+    fn concatenated_sections_load_in_order_and_reject_trailing_bytes() {
+        let a = sample_checkpoint();
+        let b = Checkpoint {
+            net: Mlp::new(&[4, 2], Activation::Identity, &mut rand::rngs::StdRng::seed_from_u64(3)),
+            scaler: Scaler::identity(4),
+        };
+        let text = save_to_string(&a) + &save_to_string(&b);
+        let loaded = load_concatenated(text.lines()).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(save_to_string(&loaded[0]), save_to_string(&a));
+        assert_eq!(save_to_string(&loaded[1]), save_to_string(&b));
+        assert!(load_from_str(&text).is_err(), "one network expected");
+        for tail in ["x\n", "\n", "end\n"] {
+            assert!(load_concatenated((text.clone() + tail).lines()).is_err(), "{tail:?}");
+        }
+    }
+
+    #[test]
+    fn architecture_check_names_the_network() {
         let ckpt = sample_checkpoint();
-        let dir = std::env::temp_dir().join("puffer_nn_test_ckpt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.txt");
-        save_to_file(&ckpt, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap();
-        assert_eq!(ckpt.net.parameter_count(), loaded.net.parameter_count());
-        std::fs::remove_file(&path).ok();
+        assert!(ckpt.check_architecture("net", &[4, 8, 3], Activation::Relu).is_ok());
+        let err = ckpt.check_architecture("actor", &[4, 9, 3], Activation::Relu).unwrap_err();
+        assert!(err.to_string().contains("actor is [4, 8, 3] relu"), "{err}");
+        assert!(ckpt.check_architecture("net", &[4, 8, 3], Activation::Tanh).is_err());
+        assert!(ckpt.check_architecture("net", &[4, 8], Activation::Relu).is_err());
     }
 }

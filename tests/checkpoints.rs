@@ -1,14 +1,19 @@
 //! Integration: trained models survive the checkpoint round trip with
 //! *behaviorally identical* deployment decisions — the property the paper's
-//! PyTorch→C++ hand-off depends on (§4.5).
+//! PyTorch→C++ hand-off depends on (§4.5) — and a damaged or mismatched
+//! model file is rejected with an error, never a panic.
 
+use puffer_repro::abr::pensieve::{N_FEATURES, N_RUNGS};
 use puffer_repro::abr::{Abr, AbrContext, ChunkRecord, PensievePolicy};
 use puffer_repro::fugu::{checkpoint, train, Dataset, Fugu, TrainConfig, Ttp, TtpConfig};
 use puffer_repro::media::VideoSource;
 use puffer_repro::net::TcpInfo;
+use puffer_repro::nn::serialize::{self as nn_ser, LoadError};
+use puffer_repro::nn::{Activation, Mlp, Scaler};
 use puffer_repro::platform::experiment::collect_training_data;
 use puffer_repro::platform::{ExperimentConfig, SchemeSpec};
 use rand::SeedableRng;
+use std::process::Command;
 
 fn trained_ttp() -> Ttp {
     let cfg = ExperimentConfig {
@@ -134,25 +139,67 @@ fn tiny_ttp() -> Ttp {
     Ttp::new(cfg, 77)
 }
 
+/// A model file format the corruption sweeps run over: a saved model's
+/// text, and a loader that saves again whatever it loads, so that a load
+/// that succeeds can be compared with the original.
+struct Format {
+    name: &'static str,
+    text: String,
+    reload: fn(&str) -> Result<String, LoadError>,
+    /// Truncation cuts every byte within two of a line break, and every
+    /// `stride`-th byte in between.  Pensieve's architecture is fixed, so
+    /// its file cannot be shrunk the way the TTP's is.
+    stride: usize,
+}
+
+impl Format {
+    fn cuts(&self) -> impl Iterator<Item = usize> + '_ {
+        let bytes = self.text.as_bytes();
+        (0..bytes.len()).filter(move |&cut| {
+            cut % self.stride == 0
+                || bytes[cut.saturating_sub(2)..(cut + 2).min(bytes.len())].contains(&b'\n')
+        })
+    }
+}
+
+fn formats() -> [Format; 2] {
+    [
+        Format {
+            name: "ttp",
+            text: checkpoint::save_to_string(&tiny_ttp()),
+            reload: |s| checkpoint::load_from_str(s).map(|t| checkpoint::save_to_string(&t)),
+            stride: 1,
+        },
+        Format {
+            name: "pensieve",
+            text: PensievePolicy::new(31).save_to_string(),
+            reload: |s| PensievePolicy::load_from_str(s, 0).map(|p| p.save_to_string()),
+            stride: 499,
+        },
+    ]
+}
+
 #[test]
 fn truncated_checkpoint_never_loads_and_never_panics() {
-    // Crash-during-write leaves a prefix of the file; `load_from_str` must
+    // Crash-during-write leaves a prefix of the file; the loader must
     // reject every such prefix with an error — or, when the truncation only
     // sheds trailing whitespace, load a model byte-identical to the
     // original.  It must never panic and never return a silently damaged
     // model.
-    let ttp = tiny_ttp();
-    let text = checkpoint::save_to_string(&ttp);
-    assert!(checkpoint::load_from_str(&text).is_ok(), "full checkpoint must load");
-    for cut in 0..text.len() {
-        match checkpoint::load_from_str(&text[..cut]) {
-            Err(_) => {}
-            Ok(loaded) => assert_eq!(
-                checkpoint::save_to_string(&loaded),
-                text,
-                "prefix of {cut}/{} bytes loaded a *different* model",
-                text.len()
-            ),
+    for f in formats() {
+        let text = &f.text;
+        assert_eq!((f.reload)(text).unwrap(), *text, "{}: full checkpoint must load", f.name);
+        for cut in f.cuts() {
+            match (f.reload)(&text[..cut]) {
+                Err(_) => {}
+                Ok(loaded) => assert_eq!(
+                    loaded,
+                    *text,
+                    "{}: prefix of {cut}/{} bytes loaded a *different* model",
+                    f.name,
+                    text.len()
+                ),
+            }
         }
     }
 }
@@ -161,36 +208,95 @@ fn truncated_checkpoint_never_loads_and_never_panics() {
 fn garbled_checkpoint_lines_are_rejected() {
     // Every line of the format is load-bearing: corrupting any one of them
     // must surface as a LoadError, never a panic or a silently wrong model.
-    let text = checkpoint::save_to_string(&tiny_ttp());
-    let lines: Vec<&str> = text.lines().collect();
-    for i in 0..lines.len() {
-        let mut garbled: Vec<&str> = lines.clone();
-        garbled[i] = "@@corrupted@@";
-        assert!(
-            checkpoint::load_from_str(&garbled.join("\n")).is_err(),
-            "garbling line {i} ({:?}) must fail the load",
-            lines[i]
-        );
+    for f in formats() {
+        let lines: Vec<&str> = f.text.lines().collect();
+        for i in 0..lines.len() {
+            let mut garbled: Vec<&str> = lines.clone();
+            garbled[i] = "@@corrupted@@";
+            assert!(
+                (f.reload)(&garbled.join("\n")).is_err(),
+                "{}: garbling line {i} ({:.40?}) must fail the load",
+                f.name,
+                lines[i]
+            );
+        }
     }
 }
 
 #[test]
 fn deleted_checkpoint_lines_are_rejected() {
-    let text = checkpoint::save_to_string(&tiny_ttp());
-    let lines: Vec<&str> = text.lines().collect();
-    for i in 0..lines.len() {
-        let mut pruned: Vec<&str> = lines.clone();
-        pruned.remove(i);
-        match checkpoint::load_from_str(&pruned.join("\n")) {
-            Err(_) => {}
-            Ok(loaded) => assert_eq!(
-                checkpoint::save_to_string(&loaded),
-                text,
-                "dropping line {i} ({:?}) loaded a *different* model",
-                lines[i]
-            ),
+    for f in formats() {
+        let lines: Vec<&str> = f.text.lines().collect();
+        for i in 0..lines.len() {
+            let mut pruned: Vec<&str> = lines.clone();
+            pruned.remove(i);
+            match (f.reload)(&pruned.join("\n")) {
+                Err(_) => {}
+                Ok(loaded) => assert_eq!(
+                    loaded, f.text,
+                    "{}: dropping line {i} ({:.40?}) loaded a *different* model",
+                    f.name, lines[i]
+                ),
+            }
         }
     }
+}
+
+/// The text of a paper-sized TTP checkpoint (`hidden 64 64`).
+fn paper_ttp_text() -> String {
+    checkpoint::save_to_string(&Ttp::new(TtpConfig::default(), 5))
+}
+
+#[test]
+fn model_files_that_disagree_with_their_architecture_are_rejected() {
+    // A TTP's header fixes its step-nets, all ReLU: a header that disagrees
+    // with the networks, or that no TTP can have, is an error.
+    let text = paper_ttp_text();
+    assert!(checkpoint::load_from_str(&text).is_ok());
+    for (from, to) in [
+        ("hidden 64 64", "hidden 64 32"),
+        ("hidden 64 64", "hidden 64"),
+        ("activation relu", "activation tanh"),
+        ("history_len 8", "history_len 0"),
+        ("history_len 8", "history_len 9223372036854775807"),
+    ] {
+        assert!(checkpoint::load_from_str(&text.replacen(from, to, 1)).is_err(), "{to}");
+    }
+    let header_only: String = text.lines().take(6).map(|l| format!("{l}\n")).collect();
+    assert!(checkpoint::load_from_str(&header_only.replacen("horizon 5", "horizon 0", 1)).is_err());
+
+    // Pensieve's type fixes its actor and critic.
+    let save = |actor_dims: &[usize]| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut text = String::from("pensieve-policy v1\n");
+        for dims in [actor_dims, &[N_FEATURES, 64, 64, 1]] {
+            let net = Mlp::new(dims, Activation::Relu, &mut rng);
+            let scaler = Scaler::identity(N_FEATURES);
+            text += &nn_ser::save_to_string(&nn_ser::Checkpoint { net, scaler });
+        }
+        text
+    };
+    let text = save(&[N_FEATURES, 64, 64, N_RUNGS]);
+    assert!(PensievePolicy::load_from_str(&text, 0).is_ok());
+    let err = PensievePolicy::load_from_str(&save(&[N_FEATURES, 32, 64, N_RUNGS]), 0).unwrap_err();
+    assert!(err.to_string().contains("actor is [29, 32, 64, 10]"), "{err}");
+    assert!(PensievePolicy::load_from_str(&(text + "junk\n"), 0).is_err(), "trailing bytes");
+}
+
+#[test]
+fn cli_exits_1_on_a_checkpoint_whose_header_disagrees_with_its_networks() {
+    let dir = std::env::temp_dir().join(format!("puffer_cli_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ttp.txt");
+    std::fs::write(&path, paper_ttp_text().replacen("hidden 64 64", "hidden 64 32", 1)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_puffer"))
+        .args(["run-rct", "--fugu", path.to_str().unwrap(), "--sessions", "1", "--days", "1"])
+        .output()
+        .expect("run puffer");
+    let _ = std::fs::remove_dir_all(&dir);
+    let printed = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{printed}");
+    assert!(printed.contains("cannot load TTP checkpoint"), "{printed}");
 }
 
 #[test]
