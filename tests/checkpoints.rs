@@ -279,7 +279,8 @@ fn model_files_that_disagree_with_their_architecture_are_rejected() {
     let text = save(&[N_FEATURES, 64, 64, N_RUNGS]);
     assert!(PensievePolicy::load_from_str(&text, 0).is_ok());
     let err = PensievePolicy::load_from_str(&save(&[N_FEATURES, 32, 64, N_RUNGS]), 0).unwrap_err();
-    assert!(err.to_string().contains("actor is [29, 32, 64, 10]"), "{err}");
+    let wanted = format!("actor is {:?}", [N_FEATURES, 32, 64, N_RUNGS]);
+    assert!(err.to_string().contains(&wanted), "{err}");
     assert!(PensievePolicy::load_from_str(&(text + "junk\n"), 0).is_err(), "trailing bytes");
 }
 
