@@ -30,7 +30,7 @@ pub mod predictor;
 pub use bba::Bba;
 pub use bola::Bola;
 pub use cs2p::Cs2pModel;
-pub use mpc::{Mpc, MpcConfig, MpcScratch};
+pub use mpc::{Mpc, MpcScratch};
 pub use pensieve::{PensievePolicy, PensieveTrainer};
 pub use predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
 

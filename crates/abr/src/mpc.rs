@@ -7,8 +7,9 @@
 //! prediction error (RobustMPC-HM).  After sending one chunk it replans
 //! (receding horizon).
 //!
-//! The plan is computed by value iteration over a discretized buffer, the
-//! same structure Fugu's stochastic controller uses (§4.4) — the only
+//! The plan is computed by value iteration over a discretized buffer
+//! ([`BUFFER_BINS`] levels [`BIN_W`] apart), the same grid and structure
+//! Fugu's stochastic controller uses (§4.4) — the only
 //! difference is that here the transmission time is a point estimate, so the
 //! expectation collapses to a single term.  Using the identical machinery for
 //! MPC, RobustMPC, and Fugu mirrors the paper's claim that "MPC and Fugu even
@@ -16,51 +17,36 @@
 
 use crate::predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
 use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
-use puffer_media::{ChunkMenu, QoeParams, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+use puffer_media::qoe::{chunk_qoe, LAMBDA, MU};
+use puffer_media::{ChunkMenu, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
 use std::ops::Range;
+use std::sync::Arc;
 
-/// Tuning knobs for the MPC family.
-#[derive(Debug, Clone, Copy)]
-pub struct MpcConfig {
-    /// Planning horizon in chunks (paper: 5).
-    pub horizon: usize,
-    /// QoE weights (paper: λ = 1, µ = 100).
-    pub qoe: QoeParams,
-    /// Apply RobustMPC's error discount to the predictor.
-    pub robust: bool,
-    /// Number of buffer discretization bins over [0, 15 s].
-    pub buffer_bins: usize,
-    /// Throughput assumed before any samples exist (bytes/s).  Conservative,
-    /// which is why every MPC variant starts at low quality on a cold start
-    /// (Fig. 9).
-    pub cold_start_throughput: f64,
-}
+/// Buffer levels both planners discretize `[0, MAX_BUFFER_SECONDS]` into
+/// (§4.4: "it discretizes Bᵢ into bins").
+pub const BUFFER_BINS: usize = 61;
 
-impl Default for MpcConfig {
-    fn default() -> Self {
-        MpcConfig {
-            horizon: HORIZON,
-            qoe: QoeParams::default(),
-            robust: false,
-            buffer_bins: 61,
-            cold_start_throughput: 50_000.0, // 0.4 Mbit/s
-        }
-    }
-}
+/// Width of one buffer bin: 0.25 s.  A power of two, so `bin as f64 *
+/// BIN_W` and its division back by `BIN_W` are exact.
+pub const BIN_W: f64 = MAX_BUFFER_SECONDS / (BUFFER_BINS - 1) as f64;
 
-/// Nearest buffer bin to `buffer` on the grid `0, bin_w, 2·bin_w, …` of
-/// `bins` levels: exactly `((buffer / bin_w).round() as usize).min(bins - 1)`,
-/// the discretization both MPC and Fugu's planner (§4.4) use, without the
-/// `round` libm call.  With `x = buffer / bin_w` and `i = ⌊x⌋`, `x − i` is
-/// exact for 0 ≤ x < 2⁵³, so rounding half away from zero is `i + 1`
-/// exactly when `x − i ≥ 0.5`; negative `x` gives 0 like the saturating
-/// cast of a rounded negative.
+/// Throughput assumed before any samples exist, bytes/s (0.4 Mbit/s).
+/// Conservative, which is why every MPC variant starts at low quality on a
+/// cold start (Fig. 9).
+const COLD_START_THROUGHPUT: f64 = 50_000.0;
+
+/// Nearest buffer bin to `buffer`: exactly `((buffer / BIN_W).round() as
+/// usize).min(BUFFER_BINS - 1)`, the discretization both MPC and Fugu's
+/// planner (§4.4) use, without the `round` libm call.  With `x = buffer /
+/// BIN_W` and `i = ⌊x⌋`, `x − i` is exact for 0 ≤ x < 2⁵³, so rounding half
+/// away from zero is `i + 1` exactly when `x − i ≥ 0.5`; negative `x` gives
+/// 0 like the saturating cast of a rounded negative.
 #[inline]
-pub fn buffer_bin(buffer: f64, bin_w: f64, bins: usize) -> usize {
-    let x: f64 = buffer / bin_w;
+pub fn buffer_bin(buffer: f64) -> usize {
+    let x: f64 = buffer / BIN_W;
     let i = x as usize;
-    if i >= bins - 1 {
-        bins - 1
+    if i >= BUFFER_BINS - 1 {
+        BUFFER_BINS - 1
     } else if x - i as f64 >= 0.5 {
         i + 1
     } else {
@@ -121,9 +107,10 @@ impl MpcScratch {
 /// the same control strategy (MPC)" (§2).
 #[derive(Clone)]
 pub struct Mpc {
-    config: MpcConfig,
+    /// Apply RobustMPC's error discount to the predictor.
+    robust: bool,
     predictor: RobustDiscount<HarmonicMean>,
-    custom: Option<std::sync::Arc<dyn ThroughputPredictor + Send + Sync>>,
+    custom: Option<Arc<dyn ThroughputPredictor + Send + Sync>>,
     /// Planner tables reused across decisions (planning is allocation-free
     /// after the first chunk).  Not per-stream state: every entry is fully
     /// rewritten by each plan, so `reset_stream` leaves it alone.
@@ -134,7 +121,7 @@ pub struct Mpc {
 impl std::fmt::Debug for Mpc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mpc")
-            .field("config", &self.config)
+            .field("robust", &self.robust)
             .field("name", &self.name)
             .field("custom_predictor", &self.custom.is_some())
             .finish()
@@ -142,14 +129,15 @@ impl std::fmt::Debug for Mpc {
 }
 
 impl Mpc {
-    pub fn new(config: MpcConfig) -> Self {
-        assert!(config.horizon >= 1, "horizon must be at least 1");
-        assert!(config.buffer_bins >= 2, "need at least 2 buffer bins");
-        let name = if config.robust { "RobustMPC-HM" } else { "MPC-HM" };
+    fn build(
+        robust: bool,
+        custom: Option<Arc<dyn ThroughputPredictor + Send + Sync>>,
+        name: &'static str,
+    ) -> Self {
         Mpc {
-            config,
+            robust,
             predictor: RobustDiscount::new(HarmonicMean),
-            custom: None,
+            custom,
             scratch: MpcScratch::new(),
             name,
         }
@@ -158,42 +146,36 @@ impl Mpc {
     /// MPC with a custom throughput predictor (e.g. [`crate::Cs2pModel`]) in
     /// place of the harmonic mean.
     pub fn with_custom_predictor(
-        predictor: std::sync::Arc<dyn ThroughputPredictor + Send + Sync>,
+        predictor: Arc<dyn ThroughputPredictor + Send + Sync>,
         name: &'static str,
     ) -> Self {
-        Mpc {
-            config: MpcConfig::default(),
-            predictor: RobustDiscount::new(HarmonicMean),
-            custom: Some(predictor),
-            scratch: MpcScratch::new(),
-            name,
-        }
+        Mpc::build(false, Some(predictor), name)
     }
 
-    /// The paper's MPC-HM configuration.
+    /// The paper's MPC-HM.
     pub fn mpc_hm() -> Self {
-        Mpc::new(MpcConfig::default())
+        Mpc::build(false, None, "MPC-HM")
     }
 
-    /// The paper's RobustMPC-HM configuration.
+    /// The paper's RobustMPC-HM.
     pub fn robust_mpc_hm() -> Self {
-        Mpc::new(MpcConfig { robust: true, ..MpcConfig::default() })
+        Mpc::build(true, None, "RobustMPC-HM")
     }
 
     fn predict(&self, ctx: &AbrContext) -> f64 {
         let p = if let Some(custom) = &self.custom {
             custom.predict(ctx.history)
-        } else if self.config.robust {
+        } else if self.robust {
             self.predictor.predict(ctx.history)
         } else {
             HarmonicMean.predict(ctx.history)
         };
-        p.unwrap_or(self.config.cold_start_throughput).max(1.0)
+        p.unwrap_or(COLD_START_THROUGHPUT).max(1.0)
     }
 
     /// Receding-horizon plan through caller-owned [`MpcScratch`] tables;
     /// returns the rung for the immediate chunk, with zero heap allocations
-    /// once the scratch has warmed up to the (rungs, bins) shape.
+    /// once the scratch has warmed up to the menu's rung count.
     ///
     /// Total: an empty `ctx.lookahead` (no upcoming chunk known — e.g. the
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
@@ -233,14 +215,10 @@ impl Mpc {
         if ctx.lookahead.is_empty() {
             return 0;
         }
-        let horizon = self.config.horizon.min(ctx.lookahead.len());
+        let horizon = HORIZON.min(ctx.lookahead.len());
         let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
         let n_rungs = menus[0].n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| buffer_bin(buffer, bin_w, bins);
-        let mu = self.config.qoe.mu;
-        let lambda = self.config.qoe.lambda;
+        let bins = BUFFER_BINS;
 
         // (Re)shape the tables.  Each entry is written before it is read,
         // so stale contents from an earlier decision never leak in.
@@ -267,12 +245,12 @@ impl Mpc {
         for step in 1..horizon {
             let (mut lo, mut hi) = (usize::MAX, 0);
             for &t in &scratch.times[(step - 1) * n_rungs..step * n_rungs] {
-                lo = lo.min(to_bin(buffer_after(lo_buf, t)));
-                hi = hi.max(to_bin(buffer_after(hi_buf, t)));
+                lo = lo.min(buffer_bin(buffer_after(lo_buf, t)));
+                hi = hi.max(buffer_bin(buffer_after(hi_buf, t)));
             }
             // Empty only without rungs, when nothing below is read either.
             scratch.reach[step] = if lo <= hi { lo..hi + 1 } else { 0..0 };
-            (lo_buf, hi_buf) = (lo as f64 * bin_w, hi as f64 * bin_w);
+            (lo_buf, hi_buf) = (lo as f64 * BIN_W, hi as f64 * BIN_W);
         }
 
         for step in (1..horizon).rev() {
@@ -290,9 +268,10 @@ impl Mpc {
                 let tg_row = &mut scratch.to_go[row.clone()][span.clone()];
                 let value_a = &scratch.value[row];
                 for ((ms, tg), bin) in ms_row.iter_mut().zip(tg_row).zip(span.clone()) {
-                    let buffer = bin as f64 * bin_w;
-                    *ms = mu * (t - buffer).max(0.0);
-                    *tg = if last_step { 0.0 } else { value_a[to_bin(buffer_after(buffer, t))] };
+                    let buffer = bin as f64 * BIN_W;
+                    *ms = MU * (t - buffer).max(0.0);
+                    *tg =
+                        if last_step { 0.0 } else { value_a[buffer_bin(buffer_after(buffer, t))] };
                 }
             }
             // Per (previous rung, rung): quality minus the λ·|Δssim|
@@ -300,7 +279,7 @@ impl Mpc {
             for (prev, popt) in prev_menu.options.iter().enumerate() {
                 let m_row = &mut scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
                 for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
-                    *ma = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
+                    *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
             // The maximization: rungs in ascending order, bins innermost.
@@ -325,9 +304,9 @@ impl Mpc {
         let mut best_score = f64::NEG_INFINITY;
         for (a, (opt, &t)) in menu.options.iter().zip(&scratch.times[..n_rungs]).enumerate() {
             let stall = (t - ctx.buffer).max(0.0);
-            let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
+            let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
             let to_go = if horizon > 1 {
-                scratch.value[a * bins + to_bin(buffer_after(ctx.buffer, t))]
+                scratch.value[a * bins + buffer_bin(buffer_after(ctx.buffer, t))]
             } else {
                 0.0
             };
@@ -348,7 +327,7 @@ impl Abr for Mpc {
 
     fn choose(&mut self, ctx: &AbrContext) -> usize {
         let throughput = self.predict(ctx);
-        if self.config.robust {
+        if self.robust {
             self.predictor.note_prediction(throughput);
         }
         // Detach the scratch so `plan_with` can borrow `self` immutably;
@@ -404,13 +383,12 @@ mod tests {
             if ctx.lookahead.is_empty() {
                 return 0;
             }
-            let horizon = self.config.horizon.min(ctx.lookahead.len());
+            let horizon = HORIZON.min(ctx.lookahead.len());
             let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
             let n_rungs = menus[0].n_rungs();
-            let bins = self.config.buffer_bins;
-            let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
+            let bins = BUFFER_BINS;
             let to_bin =
-                |buffer: f64| -> usize { ((buffer / bin_w).round() as usize).min(bins - 1) };
+                |buffer: f64| -> usize { ((buffer / BIN_W).round() as usize).min(bins - 1) };
 
             // value[bin][prev_rung] = best QoE-to-go from `step`, where prev_rung
             // indexes the previous step's menu.
@@ -420,14 +398,14 @@ mod tests {
                 let menu = &menus[step];
                 let prev_menu = &menus[step - 1];
                 for bin in 0..bins {
-                    let buffer = bin as f64 * bin_w;
+                    let buffer = bin as f64 * BIN_W;
                     for prev in 0..n_rungs {
                         let prev_ssim = prev_menu.options[prev].ssim_db;
                         let mut best = f64::NEG_INFINITY;
                         for (a, opt) in menu.options.iter().enumerate() {
                             let t = opt.size / throughput;
                             let stall = (t - buffer).max(0.0);
-                            let q = self.config.qoe.chunk_qoe(opt.ssim_db, Some(prev_ssim), stall);
+                            let q = chunk_qoe(opt.ssim_db, Some(prev_ssim), stall);
                             let next_buf =
                                 ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
                             let to_go =
@@ -447,7 +425,7 @@ mod tests {
             for (a, opt) in menu.options.iter().enumerate() {
                 let t = opt.size / throughput;
                 let stall = (t - ctx.buffer).max(0.0);
-                let q = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
+                let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
                 let next_buf = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
                 let to_go = if horizon > 1 { value[to_bin(next_buf)][a] } else { 0.0 };
                 let score = q + to_go;
@@ -534,8 +512,9 @@ mod tests {
     fn horizon_one_still_works() {
         let m = menus(1);
         let h = history_at(10e6 / 8.0);
-        let mut mpc = Mpc::new(MpcConfig { horizon: 1, ..MpcConfig::default() });
-        // No previous chunk → no variation penalty → pure quality max.
+        let mut mpc = Mpc::mpc_hm();
+        // A one-menu lookahead plans one step.  No previous chunk → no
+        // variation penalty → pure quality max.
         let c = AbrContext { prev_ssim_db: None, prev_rung: None, ..ctx(10.0, &m, &h) };
         assert_eq!(mpc.choose(&c), 3);
     }
@@ -578,18 +557,18 @@ mod tests {
 
     #[test]
     fn scratch_survives_changing_shapes() {
-        // Alternate lookahead lengths, rung counts, and discretizations with
-        // one scratch; stale table contents must never leak into a decision.
+        // Alternate lookahead lengths with one scratch; stale table contents
+        // must never leak into a decision.
         let h = history_at(3.0e6 / 8.0);
         let mut scratch = MpcScratch::new();
-        for (len, bins) in [(5usize, 61usize), (1, 61), (5, 31), (3, 121), (5, 61)] {
+        let mpc = Mpc::mpc_hm();
+        for len in [5, 1, 3, 2, 5] {
             let m = menus(len);
             let c = ctx(5.0, &m, &h);
-            let mpc = Mpc::new(MpcConfig { buffer_bins: bins, ..MpcConfig::default() });
             assert_eq!(
                 mpc.plan_with(&c, 400_000.0, &mut scratch),
                 mpc.plan_reference(&c, 400_000.0),
-                "lookahead={len} bins={bins}"
+                "lookahead={len}"
             );
         }
     }
@@ -636,15 +615,14 @@ mod tests {
         })]
 
         /// The scratch planner must choose the reference's rung on random
-        /// menus (varying rung counts and horizons), buffer discretizations,
-        /// buffers (exactly empty and full among them), and throughputs —
+        /// menus (varying rung counts and horizons), buffers (exactly empty
+        /// and full among them), and throughputs —
         /// including menus with exactly-duplicated rungs, where the scores
         /// tie bit-for-bit and first-max tie-breaking decides.
         #[test]
         fn scratch_planner_matches_reference(
             h in 1usize..7,
             n_rungs in 1usize..12,
-            bins in 2usize..130,
             buffer in 0.0f64..15.0,
             edge in 0u8..8,
             throughput in 10_000.0f64..3_000_000.0,
@@ -663,14 +641,14 @@ mod tests {
             let hist = history_at(throughput);
             let prev = if buffer > 7.5 { Some(11.0) } else { None };
             let c = AbrContext { prev_ssim_db: prev, ..ctx(buffer, &m, &hist) };
-            let mpc = Mpc::new(MpcConfig { robust, buffer_bins: bins, ..MpcConfig::default() });
+            let mpc = if robust { Mpc::robust_mpc_hm() } else { Mpc::mpc_hm() };
             let mut scratch = MpcScratch::new();
             let fast = mpc.plan_with(&c, throughput, &mut scratch);
             let slow = mpc.plan_reference(&c, throughput);
             proptest::prop_assert_eq!(
                 fast, slow,
-                "h={} rungs={} bins={} buffer={} throughput={} dup={}",
-                h, n_rungs, bins, buffer, throughput, dup
+                "h={} rungs={} buffer={} throughput={} dup={}",
+                h, n_rungs, buffer, throughput, dup
             );
             // Reusing the warmed scratch must not change the answer.
             let again = mpc.plan_with(&c, throughput, &mut scratch);
@@ -699,19 +677,17 @@ mod tests {
 
     #[test]
     fn buffer_bin_matches_round() {
-        // Rounding is decided near half-integers: check every f64 within
-        // ±2000 ulps of each one up to 130.5 (past the largest grid the
-        // planners are tested at), plus the largest f64 below 0.5, whose
-        // `x + 0.5` rounds up to 1.0 in naive implementations.  Both with
-        // the clamp out of reach and at a 61-bin grid's last bin.
+        // Rounding is decided near half-integers of the grid: check every
+        // f64 within ±2000 ulps of each one up to three bins past the last,
+        // where the clamp takes over, plus the largest f64 below 0.5, whose
+        // `x + 0.5` rounds up to 1.0 in naive implementations.  `BIN_W` is
+        // a power of two, so `x · BIN_W / BIN_W == x` exactly.
         let check = |x: f64| {
-            for bins in [usize::MAX, 61] {
-                let want = (x.round() as usize).min(bins - 1);
-                assert_eq!(buffer_bin(x, 1.0, bins), want, "x={x:e} bins={bins}");
-            }
+            let want = (x.round() as usize).min(BUFFER_BINS - 1);
+            assert_eq!(buffer_bin(x * BIN_W), want, "x={x:e}");
         };
         check(0.49999999999999994);
-        for k in 0..=130u32 {
+        for k in 0..BUFFER_BINS as u32 + 3 {
             let half = (f64::from(k) + 0.5).to_bits();
             for bits in half - 2000..=half + 2000 {
                 check(f64::from_bits(bits));

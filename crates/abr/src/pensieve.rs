@@ -102,10 +102,6 @@ impl PensievePolicy {
         }
     }
 
-    pub fn policy_net(&self) -> &Mlp {
-        &self.policy
-    }
-
     // The zero-padding pushes are intentional (fixed-layout feature
     // vector) — resize() would hide the block structure.
     #[allow(clippy::same_item_push)]

@@ -40,10 +40,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(stochastic.plan_with(black_box(&ctx), &ttp, &mut scratch)))
     });
 
-    let point = StochasticMpc::new(ControllerConfig {
-        point_estimate: true,
-        ..ControllerConfig::default()
-    });
+    let point = StochasticMpc::new(ControllerConfig { point_estimate: true });
     let mut scratch = PlanScratch::new();
     c.bench_function("fugu_point_estimate_plan", |b| {
         b.iter(|| black_box(point.plan_with(black_box(&ctx), &ttp, &mut scratch)))

@@ -5,8 +5,6 @@
 //! below is a full Fugu configuration: the same controller machinery with one
 //! ingredient removed, trainable and deployable exactly like the real thing.
 
-use crate::controller::ControllerConfig;
-use crate::fugu::Fugu;
 use crate::ttp::{PredictionTarget, Ttp, TtpConfig};
 
 /// Which ingredient is removed.
@@ -72,31 +70,11 @@ impl TtpVariant {
     pub fn build_ttp(self, seed: u64) -> Ttp {
         Ttp::new(self.ttp_config(), seed)
     }
-
-    /// Assemble the full Fugu scheme around a (typically trained) TTP.
-    pub fn build_fugu(self, ttp: Ttp) -> Fugu {
-        assert_eq!(ttp.config(), &self.ttp_config(), "TTP was built for a different variant");
-        let config = ControllerConfig {
-            point_estimate: self.point_estimate_controller(),
-            ..ControllerConfig::default()
-        };
-        Fugu::with_controller(ttp, config, self.name())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puffer_abr::Abr as _;
-
-    #[test]
-    fn all_variants_build() {
-        for v in TtpVariant::ALL {
-            let ttp = v.build_ttp(1);
-            let fugu = v.build_fugu(ttp);
-            assert_eq!(fugu.name(), v.name());
-        }
-    }
 
     #[test]
     fn variant_configs_differ_where_expected() {
@@ -118,13 +96,6 @@ mod tests {
         for v in TtpVariant::ALL {
             assert_eq!(v.point_estimate_controller(), v == TtpVariant::PointEstimate);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different variant")]
-    fn mismatched_ttp_rejected() {
-        let ttp = TtpVariant::Linear.build_ttp(2);
-        let _ = TtpVariant::Full.build_fugu(ttp);
     }
 
     #[test]

@@ -54,16 +54,6 @@ pub fn bin_midpoint(bin: usize) -> f64 {
     }
 }
 
-/// Lower edge of a bin in seconds.
-pub fn bin_lower_edge(bin: usize) -> f64 {
-    assert!(bin < N_BINS);
-    if bin == 0 {
-        0.0
-    } else {
-        bin as f64 * BIN_WIDTH - 0.25
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,13 +115,6 @@ mod tests {
         for b in 1..N_BINS {
             assert!(bin_midpoint(b) > bin_midpoint(b - 1));
         }
-    }
-
-    #[test]
-    fn lower_edges() {
-        assert_eq!(bin_lower_edge(0), 0.0);
-        assert!((bin_lower_edge(1) - 0.25).abs() < 1e-12);
-        assert!((bin_lower_edge(20) - 9.75).abs() < 1e-12);
     }
 
     #[test]

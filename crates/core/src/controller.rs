@@ -9,46 +9,59 @@
 //! where the transmission-time distribution comes from the TTP.  "To make the
 //! DP computationally feasible, it discretizes Bᵢ into bins" — we evaluate
 //! the recursion backward over (previous rung × buffer bin) exactly as the
-//! deterministic MPC in `puffer-abr` does, with the same buffer rule
-//! ([`buffer_after`], [`buffer_bin`]); the only difference is the
-//! expectation over the 21 time bins.  Like the deployed controller's
-//! forward recursion with memoization, it visits only the states the root
-//! can reach: a forward pass from the real buffer bounds, per step, the span
-//! of buffer bins reachable through any (rung, time bin) the backward pass
-//! reads, and only those bins are computed.  With `point_estimate = true`
-//! the distribution is collapsed to its maximum-likelihood bin, which is the
-//! "Point Estimate" ablation deployed in August 2019 (§4.6) whose
-//! rebuffering was 3–9× worse.
+//! deterministic MPC in `puffer-abr` does, on the same grid ([`BUFFER_BINS`]
+//! bins [`BIN_W`] apart) with the same buffer rule ([`buffer_after`],
+//! [`buffer_bin`]) and the same objective ([`chunk_qoe`]); the only
+//! difference is the expectation over the 21 time bins.  Like the deployed
+//! controller's forward recursion with memoization, it visits only the
+//! states the root can reach: a forward pass from the real buffer bounds,
+//! per step, the span of buffer bins reachable through any (rung, time bin)
+//! the backward pass reads, and only those bins are computed.  With
+//! `point_estimate = true` the distribution is collapsed to its
+//! maximum-likelihood bin, which is the "Point Estimate" ablation deployed
+//! in August 2019 (§4.6) whose rebuffering was 3–9× worse.
 
 use crate::bins::{bin_midpoint, N_BINS};
 use crate::ttp::{Ttp, TtpBatchQuery, TtpScratch};
-use puffer_abr::mpc::{buffer_after, buffer_bin};
+use puffer_abr::mpc::{buffer_after, buffer_bin, BIN_W, BUFFER_BINS};
 use puffer_abr::AbrContext;
-use puffer_media::{QoeParams, MAX_BUFFER_SECONDS};
+use puffer_media::qoe::{chunk_qoe, LAMBDA, MU};
 use puffer_nn::loss::argmax;
 use std::ops::Range;
+use std::sync::LazyLock;
 
 /// Time-bin probabilities below this are skipped, by the backward pass, the
 /// root and the reachable-span pass alike: the TTP's distributions
 /// concentrate in a handful of bins.
 const PROB_EPSILON: f64 = 1e-4;
 
-/// Controller tuning.
-#[derive(Debug, Clone, Copy)]
+/// The controller option the ablations vary; the grid, horizon and QoE
+/// weights are the constants both planners share.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ControllerConfig {
-    /// QoE weights (λ = 1, µ = 100 in deployment, §4.5).
-    pub qoe: QoeParams,
-    /// Buffer discretization bins over [0, 15 s].
-    pub buffer_bins: usize,
     /// Collapse the TTP's distribution to its MLE bin (ablation, §4.6).
     pub point_estimate: bool,
 }
 
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig { qoe: QoeParams::default(), buffer_bins: 61, point_estimate: false }
-    }
+/// The buffer transition at every (time bin, buffer bin) pair, one table
+/// per process: `t = bin_midpoint(b)` seconds of transfer from `buffer =
+/// bin · BIN_W`.  The entries use the buffer rule the root evaluates inline,
+/// so a table lookup and the root's direct evaluation agree bit for bit.
+struct Transfers {
+    /// `(t − buffer).max(0)`: the stall, `[b][bin]`.
+    stall: [[f64; BUFFER_BINS]; N_BINS],
+    /// The post-transfer buffer bin, `[b][bin]`.
+    next_bin: [[usize; BUFFER_BINS]; N_BINS],
 }
+
+static TRANSFERS: LazyLock<Transfers> = LazyLock::new(|| Transfers {
+    stall: std::array::from_fn(|b| {
+        std::array::from_fn(|bin| (bin_midpoint(b) - bin as f64 * BIN_W).max(0.0))
+    }),
+    next_bin: std::array::from_fn(|b| {
+        std::array::from_fn(|bin| buffer_bin(buffer_after(bin as f64 * BIN_W, bin_midpoint(b))))
+    }),
+});
 
 /// Reusable flat tables for [`StochasticMpc::plan_with`].
 ///
@@ -59,8 +72,9 @@ impl Default for ControllerConfig {
 /// 2 s per stream, thousands of streams) allocates nothing and the
 /// maximization runs over contiguous bins.  `reach[step]` holds the bins a
 /// forward pass from the real buffer can reach at each step; only those are
-/// ever computed or read.  The `stall`/`next_bin` tables depend only on the
-/// buffer discretization and are computed once per configuration.
+/// ever computed or read.  The stall and post-transfer bin of every (time
+/// bin, buffer bin) pair are the same for every decision, so they live in
+/// one table per process, built on first use.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Time distributions, `(step * n_rungs + a) * N_BINS + b`.
@@ -75,12 +89,6 @@ pub struct PlanScratch {
     m: Vec<f64>,
     /// Buffer bins reachable from the root at each step.
     reach: Vec<Range<usize>>,
-    /// `(t − buffer).max(0)` per `(time bin b) * bins + (buffer bin)`.
-    stall: Vec<f64>,
-    /// Post-transfer buffer bin per `(time bin b) * bins + (buffer bin)`.
-    next_bin: Vec<usize>,
-    /// Buffer-bin count the `stall`/`next_bin` tables were built for.
-    table_bins: usize,
     /// Candidate sizes for the batched TTP query.
     sizes: Vec<f64>,
     /// TTP inference buffers.
@@ -90,30 +98,6 @@ pub struct PlanScratch {
 impl PlanScratch {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// (Re)build the discretization-dependent tables if `bins` changed.
-    /// `bin_w` is a function of `bins`, so keying on `bins` alone suffices.
-    /// The entries use the buffer rule the root evaluates inline, so a
-    /// table lookup and the root's direct evaluation agree bit for bit.
-    // lint: alloc-free — tables are rebuilt only when the bin count changes; warm plans reuse them (tests/alloc_gate.rs)
-    fn ensure_tables(&mut self, bins: usize, bin_w: f64) {
-        if self.table_bins == bins {
-            return;
-        }
-        self.stall.clear();
-        self.next_bin.clear();
-        self.stall.reserve(N_BINS * bins);
-        self.next_bin.reserve(N_BINS * bins);
-        for b in 0..N_BINS {
-            let t = bin_midpoint(b);
-            for bin in 0..bins {
-                let buffer = bin as f64 * bin_w;
-                self.stall.push((t - buffer).max(0.0));
-                self.next_bin.push(buffer_bin(buffer_after(buffer, t), bin_w, bins));
-            }
-        }
-        self.table_bins = bins;
     }
 
     /// Size the per-(step, rung) time-distribution table for a `horizon ×
@@ -136,7 +120,6 @@ pub struct StochasticMpc {
 
 impl StochasticMpc {
     pub fn new(config: ControllerConfig) -> Self {
-        assert!(config.buffer_bins >= 2);
         StochasticMpc { config }
     }
 
@@ -214,14 +197,10 @@ impl StochasticMpc {
     ) -> usize {
         let horizon = ttp_horizon.min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
-        let bins = self.config.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let mu = self.config.qoe.mu;
-        let lambda = self.config.qoe.lambda;
+        let bins = BUFFER_BINS;
         let stride = n_rungs * N_BINS;
         assert!(scratch.dists.len() >= horizon * stride, "fill dists before planning");
-
-        scratch.ensure_tables(bins, bin_w);
+        let transfers = &*TRANSFERS;
 
         if self.config.point_estimate {
             for step in 0..horizon {
@@ -245,7 +224,7 @@ impl StochasticMpc {
         for (b, (stall, bin)) in root_stall.iter_mut().zip(&mut root_bin).enumerate() {
             let t = bin_midpoint(b);
             *stall = (t - ctx.buffer).max(0.0);
-            *bin = buffer_bin(buffer_after(ctx.buffer, t), bin_w, bins);
+            *bin = buffer_bin(buffer_after(ctx.buffer, t));
         }
 
         // Forward pass: the span of bins each step's value is read at.  The
@@ -267,7 +246,7 @@ impl StochasticMpc {
                         let (to_lo, to_hi) = if step == 1 {
                             (root_bin[b], root_bin[b])
                         } else {
-                            let nb_row = &scratch.next_bin[b * bins..(b + 1) * bins];
+                            let nb_row = &transfers.next_bin[b];
                             (nb_row[from.start], nb_row[from.end - 1])
                         };
                         lo = lo.min(to_lo);
@@ -300,16 +279,15 @@ impl StochasticMpc {
                     if p < PROB_EPSILON {
                         continue;
                     }
-                    let tables = b * bins..(b + 1) * bins;
-                    let stall_row = &scratch.stall[tables.clone()][span.clone()];
+                    let stall_row = &transfers.stall[b][span.clone()];
                     if last_step {
                         for (wab, &stall) in wa.iter_mut().zip(stall_row) {
-                            *wab += p * (0.0 - mu * stall);
+                            *wab += p * (0.0 - MU * stall);
                         }
                     } else {
-                        let nb_row = &scratch.next_bin[tables][span.clone()];
+                        let nb_row = &transfers.next_bin[b][span.clone()];
                         for ((wab, &stall), &nb) in wa.iter_mut().zip(stall_row).zip(nb_row) {
-                            *wab += p * (value_a[nb] - mu * stall);
+                            *wab += p * (value_a[nb] - MU * stall);
                         }
                     }
                 }
@@ -318,7 +296,7 @@ impl StochasticMpc {
             for (prev, popt) in prev_menu.options.iter().enumerate() {
                 let m_row = &mut scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
                 for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
-                    *ma = opt.ssim_db - lambda * (opt.ssim_db - popt.ssim_db).abs();
+                    *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
             // The maximization: rungs in ascending order, bins innermost.
@@ -343,14 +321,14 @@ impl StochasticMpc {
         let mut best_rung = 0;
         let mut best_score = f64::NEG_INFINITY;
         for (a, opt) in menu.options.iter().enumerate() {
-            let quality = self.config.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, 0.0);
+            let quality = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, 0.0);
             let mut expect = 0.0;
             for (b, &p) in scratch.dists[a * N_BINS..(a + 1) * N_BINS].iter().enumerate() {
                 if p < PROB_EPSILON {
                     continue;
                 }
                 let to_go = if horizon > 1 { scratch.value[a * bins + root_bin[b]] } else { 0.0 };
-                expect += p * (quality - mu * root_stall[b] + to_go);
+                expect += p * (quality - MU * root_stall[b] + to_go);
             }
             if expect > best_score {
                 best_score = expect;
@@ -368,7 +346,7 @@ mod tests {
     use crate::training::{train, TrainConfig};
     use crate::ttp::{Ttp, TtpConfig};
     use puffer_abr::ChunkRecord;
-    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS};
+    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -506,10 +484,7 @@ mod tests {
         let ttp = trained_ttp();
         let m = menus(5);
         let prob = StochasticMpc::default();
-        let point = StochasticMpc::new(ControllerConfig {
-            point_estimate: true,
-            ..ControllerConfig::default()
-        });
+        let point = StochasticMpc::new(ControllerConfig { point_estimate: true });
         let mut differs = 0usize;
         let mut prob_sum = 0usize;
         let mut point_sum = 0usize;
@@ -550,9 +525,8 @@ mod tests {
     fn naive_plan(cfg: &ControllerConfig, ctx: &AbrContext, ttp: &Ttp) -> usize {
         let horizon = ttp.horizon().min(ctx.lookahead.len());
         let n_rungs = ctx.n_rungs();
-        let bins = cfg.buffer_bins;
-        let bin_w = MAX_BUFFER_SECONDS / (bins - 1) as f64;
-        let to_bin = |buffer: f64| ((buffer / bin_w).round() as usize).min(bins - 1);
+        let bins = BUFFER_BINS;
+        let to_bin = |buffer: f64| ((buffer / BIN_W).round() as usize).min(bins - 1);
         let mut dists: Vec<Vec<Vec<f64>>> = Vec::new();
         for step in 0..horizon {
             let mut per_rung = Vec::new();
@@ -574,14 +548,14 @@ mod tests {
             let prev_menu = &ctx.lookahead[step - 1];
             let mut next = vec![vec![f64::NEG_INFINITY; n_rungs]; bins];
             for (bin, next_row) in next.iter_mut().enumerate() {
-                let buffer = bin as f64 * bin_w;
+                let buffer = bin as f64 * BIN_W;
                 for (prev, best) in next_row.iter_mut().enumerate() {
                     for (a, opt) in menu.options.iter().enumerate() {
                         let mut e = 0.0;
                         for (b, &p) in dists[step][a].iter().enumerate() {
                             let t = bin_midpoint(b);
                             let stall = (t - buffer).max(0.0);
-                            let q = cfg.qoe.chunk_qoe(
+                            let q = chunk_qoe(
                                 opt.ssim_db,
                                 Some(prev_menu.options[prev].ssim_db),
                                 stall,
@@ -606,7 +580,7 @@ mod tests {
             for (b, &p) in dists[0][a].iter().enumerate() {
                 let t = bin_midpoint(b);
                 let stall = (t - ctx.buffer).max(0.0);
-                let q = cfg.qoe.chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
+                let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
                 let nb = ((ctx.buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS);
                 let to_go = if horizon > 1 { value[to_bin(nb)][a] } else { 0.0 };
                 e += p * (q + to_go);
@@ -623,57 +597,49 @@ mod tests {
     fn optimized_planner_matches_naive_reference() {
         let ttp = trained_ttp();
         let m = menus(5);
-        // One scratch reused across every context and discretization: stale
-        // tables and spans from earlier decisions must never influence later
-        // ones.
+        // One scratch reused across every context: stale tables and spans
+        // from earlier decisions must never influence later ones.
         let mut scratch = PlanScratch::new();
         let mut checked = 0;
-        for bins in [2, 3, 5, 31, 61, 121] {
-            for point_estimate in [false, true] {
-                let planner = StochasticMpc::new(ControllerConfig {
-                    buffer_bins: bins,
-                    point_estimate,
-                    ..ControllerConfig::default()
-                });
-                // Empty and full buffers sit on the grid's end bins.
-                let buffers = (0..5).map(|bi| 0.5 + 2.8 * bi as f64).chain([0.0, 15.0]);
-                for buffer in buffers {
-                    for ri in 0..6 {
-                        let rate = 80_000.0 + 220_000.0 * ri as f64;
-                        let h = history(rate);
-                        let ctx = AbrContext {
-                            buffer,
-                            prev_ssim_db: Some(13.0),
-                            prev_rung: Some(2),
-                            lookahead: &m,
-                            history: &h,
-                            tcp_info: tcp(rate),
-                        };
-                        let at = format!(
-                            "bins={bins} point={point_estimate} buffer={buffer} rate={rate}"
-                        );
-                        let fast = plan(&planner, &ctx, ttp);
-                        let slow = naive_plan(&planner.config, &ctx, ttp);
-                        assert_eq!(fast, slow, "{at}");
-                        let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
-                        assert_eq!(scratched, fast, "scratch reuse, {at}");
-                        checked += 1;
-                    }
+        for point_estimate in [false, true] {
+            let planner = StochasticMpc::new(ControllerConfig { point_estimate });
+            // Empty and full buffers sit on the grid's end bins.
+            let buffers = (0..5).map(|bi| 0.5 + 2.8 * bi as f64).chain([0.0, 15.0]);
+            for buffer in buffers {
+                for ri in 0..6 {
+                    let rate = 80_000.0 + 220_000.0 * ri as f64;
+                    let h = history(rate);
+                    let ctx = AbrContext {
+                        buffer,
+                        prev_ssim_db: Some(13.0),
+                        prev_rung: Some(2),
+                        lookahead: &m,
+                        history: &h,
+                        tcp_info: tcp(rate),
+                    };
+                    let at = format!("point={point_estimate} buffer={buffer} rate={rate}");
+                    let fast = plan(&planner, &ctx, ttp);
+                    let slow = naive_plan(&planner.config, &ctx, ttp);
+                    assert_eq!(fast, slow, "{at}");
+                    let scratched = planner.plan_with(&ctx, ttp, &mut scratch);
+                    assert_eq!(scratched, fast, "scratch reuse, {at}");
+                    checked += 1;
                 }
             }
         }
-        assert_eq!(checked, 6 * 2 * 7 * 6);
+        assert_eq!(checked, 2 * 7 * 6);
     }
 
     #[test]
     #[cfg_attr(miri, ignore = "trains a TTP on the fly; minutes-long under Miri")]
     fn scratch_survives_changing_shapes() {
-        // Alternate between lookahead lengths and buffer discretizations with
-        // one scratch; every answer must match a fresh allocation's.
+        // Alternate between lookahead lengths with one scratch; every answer
+        // must match a fresh allocation's.
         let ttp = trained_ttp();
         let mut scratch = PlanScratch::new();
         let h = history(500_000.0);
-        for (len, bins) in [(5usize, 61usize), (2, 61), (5, 31), (3, 121), (5, 61)] {
+        let planner = StochasticMpc::default();
+        for len in [5, 2, 3, 1, 5] {
             let m = menus(len);
             let ctx = AbrContext {
                 buffer: 4.0,
@@ -683,14 +649,10 @@ mod tests {
                 history: &h,
                 tcp_info: tcp(500_000.0),
             };
-            let planner = StochasticMpc::new(ControllerConfig {
-                buffer_bins: bins,
-                ..ControllerConfig::default()
-            });
             assert_eq!(
                 planner.plan_with(&ctx, ttp, &mut scratch),
                 plan(&planner, &ctx, ttp),
-                "lookahead={len} bins={bins}"
+                "lookahead={len}"
             );
         }
     }

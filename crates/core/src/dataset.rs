@@ -57,13 +57,6 @@ impl Dataset {
         }
     }
 
-    /// Merge another dataset into this one.
-    pub fn merge(&mut self, other: Dataset) {
-        for (day, streams) in other.days {
-            self.days.entry(day).or_default().extend(streams);
-        }
-    }
-
     /// Days present, ascending.
     pub fn days(&self) -> Vec<u32> {
         self.days.keys().copied().collect()
@@ -317,18 +310,6 @@ mod tests {
         d.add_stream(9, stream(2));
         d.prune_before(5);
         assert_eq!(d.days(), vec![5, 9]);
-    }
-
-    #[test]
-    fn merge_combines_days() {
-        let mut a = Dataset::new();
-        a.add_stream(1, stream(2));
-        let mut b = Dataset::new();
-        b.add_stream(1, stream(3));
-        b.add_stream(2, stream(4));
-        a.merge(b);
-        assert_eq!(a.n_streams(), 3);
-        assert_eq!(a.n_observations(), 9);
     }
 
     #[test]

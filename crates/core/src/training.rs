@@ -37,24 +37,27 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-/// Hyper-parameters of one retraining pass.
+/// SGD learning rate.
+const LR: f32 = 0.01;
+
+/// SGD momentum.
+const MOMENTUM: f32 = 0.9;
+
+/// Minibatch size.
+const BATCH_SIZE: usize = 64;
+
+/// Recency half-life in days for sample weights: "we weight more recent
+/// days more heavily" (§4.3).
+const RECENCY_HALF_LIFE: f64 = 4.0;
+
+/// The size of one retraining pass.  Every pass refits the input scaler on
+/// its window's step-0 features.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Passes over the window's samples.
     pub epochs: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// SGD momentum.
-    pub momentum: f32,
-    /// Minibatch size.
-    pub batch_size: usize,
     /// Sliding window length in days (paper: 14).
     pub window_days: u32,
-    /// Recency half-life in days for sample weights.
-    pub recency_half_life: f64,
-    /// Refit the input scaler on this window (first training should; later
-    /// retrains may keep the old statistics to stay warm-start compatible).
-    pub refit_scaler: bool,
     /// Cap on samples per step (subsampled uniformly) to bound retrain cost.
     pub max_samples_per_step: usize,
     /// Worker threads for the per-step fan-out (0 = all available cores).
@@ -64,17 +67,7 @@ pub struct TrainConfig {
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        TrainConfig {
-            epochs: 3,
-            lr: 0.01,
-            momentum: 0.9,
-            batch_size: 64,
-            window_days: 14,
-            recency_half_life: 4.0,
-            refit_scaler: true,
-            max_samples_per_step: 200_000,
-            threads: 0,
-        }
+        TrainConfig { epochs: 3, window_days: 14, max_samples_per_step: 200_000, threads: 0 }
     }
 }
 
@@ -176,7 +169,7 @@ pub fn train_one_net(
     }
     scratch.order.clear();
     scratch.order.extend(0..n);
-    let mut opt = Sgd::new(cfg.lr, cfg.momentum);
+    let mut opt = Sgd::new(LR, MOMENTUM);
     let mut last_epoch_ce = 0.0f64;
     for epoch in 0..cfg.epochs {
         // "we shuffle the sampled data to remove correlation in the
@@ -184,7 +177,7 @@ pub fn train_one_net(
         scratch.order.shuffle(rng);
         let mut epoch_ce = 0.0f64;
         let mut batches = 0usize;
-        for batch in scratch.order.chunks(cfg.batch_size) {
+        for batch in scratch.order.chunks(BATCH_SIZE) {
             let x = scratch.cache.input_mut(batch.len(), f);
             for (r, &i) in batch.iter().enumerate() {
                 x.row_mut(r).copy_from_slice(scratch.scaled.row(i));
@@ -243,7 +236,7 @@ pub fn train<R: Rng + ?Sized>(
     let build_step = |step: usize| -> (Vec<Sample>, StdRng) {
         let mut srng = StdRng::seed_from_u64(seeds[step]);
         let mut s =
-            data.build_samples(ttp_ref, step, current_day, cfg.window_days, cfg.recency_half_life);
+            data.build_samples(ttp_ref, step, current_day, cfg.window_days, RECENCY_HALF_LIFE);
         if s.len() > cfg.max_samples_per_step {
             s.shuffle(&mut srng);
             s.truncate(cfg.max_samples_per_step);
@@ -270,10 +263,8 @@ pub fn train<R: Rng + ?Sized>(
         return None;
     }
 
-    if cfg.refit_scaler {
-        // Fit on step-0 features (all steps share the feature layout).
-        ttp.set_scaler(Scaler::fit_from(per_step[0].0.iter().map(|s| s.features.as_slice())));
-    }
+    // Fit on step-0 features (all steps share the feature layout).
+    ttp.set_scaler(Scaler::fit_from(per_step[0].0.iter().map(|s| s.features.as_slice())));
 
     // Phase 2: train each step-net from its own stream; workers take
     // contiguous chunks of steps and results are concatenated in step order.
@@ -537,13 +528,8 @@ mod tests {
         // Materialize per-step samples.
         let mut per_step: Vec<Vec<Sample>> = (0..ttp.horizon())
             .map(|step| {
-                let mut s = data.build_samples(
-                    ttp,
-                    step,
-                    current_day,
-                    cfg.window_days,
-                    cfg.recency_half_life,
-                );
+                let mut s =
+                    data.build_samples(ttp, step, current_day, cfg.window_days, RECENCY_HALF_LIFE);
                 if s.len() > cfg.max_samples_per_step {
                     s.shuffle(&mut step_rngs[step]);
                     s.truncate(cfg.max_samples_per_step);
@@ -555,11 +541,9 @@ mod tests {
             return None;
         }
 
-        if cfg.refit_scaler {
-            // Fit on step-0 features (all steps share the feature layout).
-            let rows: Vec<Vec<f32>> = per_step[0].iter().map(|s| s.features.clone()).collect();
-            ttp.set_scaler(Scaler::fit(&rows));
-        }
+        // Fit on step-0 features (all steps share the feature layout).
+        let rows: Vec<Vec<f32>> = per_step[0].iter().map(|s| s.features.clone()).collect();
+        ttp.set_scaler(Scaler::fit(&rows));
         let scaler = ttp.scaler().clone();
 
         let mut samples_per_step = Vec::with_capacity(ttp.horizon());
@@ -574,7 +558,7 @@ mod tests {
             let scaled: Vec<Vec<f32>> =
                 samples.iter().map(|s| scaler.transform(&s.features)).collect();
             let mut order: Vec<usize> = (0..samples.len()).collect();
-            let mut opt = Sgd::new(cfg.lr, cfg.momentum);
+            let mut opt = Sgd::new(LR, MOMENTUM);
             let mut last_epoch_ce = 0.0f64;
             for epoch in 0..cfg.epochs {
                 // "we shuffle the sampled data to remove correlation in the
@@ -582,7 +566,7 @@ mod tests {
                 order.shuffle(&mut step_rngs[step]);
                 let mut epoch_ce = 0.0f64;
                 let mut batches = 0usize;
-                for batch in order.chunks(cfg.batch_size) {
+                for batch in order.chunks(BATCH_SIZE) {
                     let rows: Vec<Vec<f32>> = batch.iter().map(|&i| scaled[i].clone()).collect();
                     let targets: Vec<usize> = batch.iter().map(|&i| samples[i].target).collect();
                     let weights: Vec<f32> = batch.iter().map(|&i| samples[i].weight).collect();
@@ -659,11 +643,11 @@ mod tests {
         // Pre-train one TTP.
         let mut warm = Ttp::new(TtpConfig::default(), 4);
         let _ = train(&mut warm, &data, 3, &quick_cfg(), &mut rng(4)).unwrap();
-        // One more *single-epoch* pass from warm vs from scratch.
-        let one_epoch = TrainConfig { epochs: 1, refit_scaler: false, ..quick_cfg() };
+        // One more *single-epoch* pass from warm vs from scratch.  Both refit
+        // the scaler on the same window, so both train on the statistics the
+        // warm model was fit with, and the comparison is fair.
+        let one_epoch = TrainConfig { epochs: 1, ..quick_cfg() };
         let mut cold = Ttp::new(TtpConfig::default(), 5);
-        // Give the cold model the same scaler so the comparison is fair.
-        cold.set_scaler(warm.scaler().clone());
         let _ = train(&mut warm, &data, 3, &one_epoch, &mut rng(6)).unwrap();
         let _ = train(&mut cold, &data, 3, &one_epoch, &mut rng(6)).unwrap();
         let warm_eval = evaluate(&warm, &data, 3, 14);

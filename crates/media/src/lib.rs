@@ -14,8 +14,9 @@
 //!   fixed rung; SSIM moving with content);
 //! * [`ssim`] — SSIM index ↔ decibel conversions (the paper reports SSIM in
 //!   dB throughout);
-//! * [`qoe`] — the linear QoE objective of Eq. 1 (λ = 1, µ = 100, §4.5) used
-//!   identically by BBA's tie-break, MPC, RobustMPC, and Fugu, plus the
+//! * [`qoe`] — the linear QoE objective of Eq. 1, [`qoe::chunk_qoe`], with
+//!   its fixed weights [`qoe::LAMBDA`] = 1 and [`qoe::MU`] = 100 (§4.5): the
+//!   one objective MPC, RobustMPC, and Fugu plan with, plus the
 //!   bitrate-flavoured objective Pensieve optimizes (Fig. 5).
 //!
 //! ABR algorithms never see "video"; they see exactly what this crate
@@ -28,7 +29,7 @@ pub mod source;
 pub mod ssim;
 
 pub use ladder::{EncoderLadder, Rung};
-pub use qoe::{pensieve_reward, QoeParams};
+pub use qoe::pensieve_reward;
 pub use source::{ChunkMenu, ChunkOption, VideoSource};
 
 /// Video chunk duration in seconds: 2.002 s, "reflecting the 1/1001 factor

@@ -14,39 +14,21 @@
 //! Pensieve optimizes a different objective — "+bitrate, –stalls, –∆bitrate"
 //! (Fig. 5) — implemented as [`pensieve_reward`].
 
-/// Weights of the linear QoE objective (Eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QoeParams {
-    /// Weight on quality variation |Q(Kᵢ) − Q(Kᵢ₋₁)|.
-    pub lambda: f64,
-    /// Weight on stall time, per second.
-    pub mu: f64,
-}
+/// Weight λ on quality variation |Q(Kᵢ) − Q(Kᵢ₋₁)| (§4.5).
+pub const LAMBDA: f64 = 1.0;
 
-impl Default for QoeParams {
-    /// The deployed values: λ = 1, µ = 100 (§4.5).
-    fn default() -> Self {
-        QoeParams { lambda: 1.0, mu: 100.0 }
-    }
-}
+/// Weight µ on stall time, per second (§4.5).
+pub const MU: f64 = 100.0;
 
-impl QoeParams {
-    /// QoE of sending a chunk of quality `ssim_db` after a chunk of quality
-    /// `prev_ssim_db`, incurring `stall_seconds` of rebuffering.
-    ///
-    /// `prev_ssim_db` is `None` for the first chunk of a stream, in which
-    /// case the variation term is zero.
-    pub fn chunk_qoe(&self, ssim_db: f64, prev_ssim_db: Option<f64>, stall_seconds: f64) -> f64 {
-        debug_assert!(stall_seconds >= 0.0);
-        let variation = prev_ssim_db.map_or(0.0, |p| (ssim_db - p).abs());
-        ssim_db - self.lambda * variation - self.mu * stall_seconds
-    }
-
-    /// The stall term alone: `max{T − B, 0}` given transmission time and
-    /// buffer level (both seconds).
-    pub fn stall_seconds(transmission_time: f64, buffer: f64) -> f64 {
-        (transmission_time - buffer).max(0.0)
-    }
+/// QoE of sending a chunk of quality `ssim_db` after a chunk of quality
+/// `prev_ssim_db`, incurring `stall_seconds` of rebuffering.
+///
+/// `prev_ssim_db` is `None` for the first chunk of a stream, in which case
+/// the variation term is zero.
+pub fn chunk_qoe(ssim_db: f64, prev_ssim_db: Option<f64>, stall_seconds: f64) -> f64 {
+    debug_assert!(stall_seconds >= 0.0);
+    let variation = prev_ssim_db.map_or(0.0, |p| (ssim_db - p).abs());
+    ssim_db - LAMBDA * variation - MU * stall_seconds
 }
 
 /// Pensieve's per-chunk reward: `bitrate(Mbit/s) − µ_reb·rebuffer(s) −
@@ -67,36 +49,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_weights_match_paper() {
-        let p = QoeParams::default();
-        assert_eq!(p.lambda, 1.0);
-        assert_eq!(p.mu, 100.0);
-    }
-
-    #[test]
     fn qoe_decomposition() {
-        let p = QoeParams::default();
         // Quality 15 dB after 13 dB with 0.1 s stall: 15 - 2 - 10 = 3.
-        let q = p.chunk_qoe(15.0, Some(13.0), 0.1);
+        let q = chunk_qoe(15.0, Some(13.0), 0.1);
         assert!((q - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn first_chunk_has_no_variation_penalty() {
-        let p = QoeParams::default();
-        assert_eq!(p.chunk_qoe(15.0, None, 0.0), 15.0);
+        assert_eq!(chunk_qoe(15.0, None, 0.0), 15.0);
     }
 
     #[test]
     fn variation_is_symmetric() {
-        let p = QoeParams::default();
-        assert_eq!(p.chunk_qoe(10.0, Some(14.0), 0.0), p.chunk_qoe(10.0, Some(6.0), 0.0));
-    }
-
-    #[test]
-    fn stall_term() {
-        assert_eq!(QoeParams::stall_seconds(3.0, 5.0), 0.0);
-        assert_eq!(QoeParams::stall_seconds(5.0, 3.0), 2.0);
+        assert_eq!(chunk_qoe(10.0, Some(14.0), 0.0), chunk_qoe(10.0, Some(6.0), 0.0));
     }
 
     #[test]
@@ -104,9 +70,8 @@ mod tests {
         // µ = 100: a 200 ms stall costs 20 dB — more than the entire ladder
         // quality span plus the worst possible variation penalty.  This is
         // what makes MPC conservative.
-        let p = QoeParams::default();
-        let with_stall = p.chunk_qoe(17.0, Some(17.0), 0.2);
-        let low_quality = p.chunk_qoe(8.6, Some(17.0), 0.0);
+        let with_stall = chunk_qoe(17.0, Some(17.0), 0.2);
+        let low_quality = chunk_qoe(8.6, Some(17.0), 0.0);
         assert!(low_quality > with_stall);
     }
 

@@ -126,10 +126,6 @@ impl Connection {
         }
     }
 
-    pub fn congestion_control(&self) -> CongestionControl {
-        self.cc
-    }
-
     pub fn bytes_sent(&self) -> f64 {
         self.bytes_sent
     }
@@ -138,12 +134,6 @@ impl Connection {
     /// if nothing has been sent yet).  The next send must not start earlier.
     pub fn last_completion(&self) -> f64 {
         self.last_completion
-    }
-
-    /// Instantaneous bottleneck rate at time `t` (bytes/s) — visible to the
-    /// simulator, *not* to ABR algorithms (they see only [`TcpInfo`]).
-    pub fn link_rate_at(&self, t: f64) -> f64 {
-        self.trace.rate_at(t)
     }
 
     /// Retransmission-timeout-scale idle threshold after which the kernel

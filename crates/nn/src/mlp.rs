@@ -257,15 +257,6 @@ impl Mlp {
         self.layers[0].in_dim()
     }
 
-    pub fn output_dim(&self) -> usize {
-        self.layers.last().unwrap().out_dim()
-    }
-
-    /// Total number of trainable scalars.
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.data().len() + l.b.len()).sum()
-    }
-
     /// Forward pass returning only the output: [`Mlp::forward_into`] on a
     /// fresh scratch.
     pub fn forward(&self, x: &Matrix) -> Matrix {
@@ -550,7 +541,6 @@ mod tests {
         let x = Matrix::zeros(4, 5);
         let y = net.forward(&x);
         assert_eq!((y.rows(), y.cols()), (4, 3));
-        assert_eq!(net.parameter_count(), 5 * 8 + 8 + 8 * 3 + 3);
     }
 
     #[test]

@@ -656,11 +656,6 @@ impl<R: Read> ArchiveReader<R> {
         }
         Ok(())
     }
-
-    /// Consume the reader, returning the inner reader.
-    pub fn into_inner(self) -> R {
-        self.input
-    }
 }
 
 /// Narrow a decoded word to the struct's `u32` field, rejecting corrupt

@@ -117,10 +117,8 @@ impl SchemeSpec {
     pub fn fugu_planner(&self) -> Option<(Arc<Ttp>, fugu::ControllerConfig)> {
         match self {
             SchemeSpec::Fugu { ttp, variant, .. } => {
-                let config = fugu::ControllerConfig {
-                    point_estimate: variant.point_estimate_controller(),
-                    ..fugu::ControllerConfig::default()
-                };
+                let config =
+                    fugu::ControllerConfig { point_estimate: variant.point_estimate_controller() };
                 Some((Arc::clone(ttp), config))
             }
             _ => None,

@@ -49,22 +49,16 @@ pub struct ChunkLog {
     pub send_time: f64,
 }
 
-/// Static parameters of a stream run.
-#[derive(Debug, Clone, Copy)]
+/// Fixed player/startup overhead added to the startup delay metric
+/// (WebSocket setup, MediaSource init, first decode), seconds.
+const STARTUP_OVERHEAD: f64 = 0.4;
+
+/// The telemetry identity of a stream run.  Every stream shows the ABR the
+/// next [`HORIZON`] chunk menus, the horizon the planners plan over.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamConfig {
     pub stream_id: u64,
     pub expt_id: u32,
-    /// Menus visible to MPC-family schemes (paper: 5).
-    pub lookahead: usize,
-    /// Fixed player/startup overhead added to the startup delay metric
-    /// (WebSocket setup, MediaSource init, first decode), seconds.
-    pub startup_overhead: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig { stream_id: 0, expt_id: 0, lookahead: HORIZON, startup_overhead: 0.4 }
-    }
 }
 
 /// Everything a stream run produces.
@@ -173,8 +167,7 @@ impl StreamRun {
             StreamIntent::Zap(d) | StreamIntent::Watch(d) => d,
         };
         let deadline = start_time + intent_secs.max(0.05);
-        let upcoming: Vec<ChunkMenu> =
-            (0..cfg.lookahead.max(1)).map(|_| source.next_chunk(rng)).collect();
+        let upcoming: Vec<ChunkMenu> = (0..HORIZON).map(|_| source.next_chunk(rng)).collect();
         StreamRun {
             cfg: *cfg,
             deadline,
@@ -373,7 +366,6 @@ impl StreamRun {
     /// epilogue, verbatim.
     pub fn finish(self) -> StreamOutcome {
         let StreamRun {
-            cfg,
             start_time,
             client,
             telemetry,
@@ -409,7 +401,7 @@ impl StreamRun {
             0.0
         };
         let summary = StreamSummary {
-            startup_delay: (play_start - start_time) + cfg.startup_overhead,
+            startup_delay: (play_start - start_time) + STARTUP_OVERHEAD,
             watch_time,
             stall_time,
             mean_ssim_db: mean_ssim,

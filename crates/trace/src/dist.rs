@@ -2,8 +2,8 @@
 //!
 //! The sanctioned dependency set includes `rand` but not `rand_distr`, so the
 //! handful of continuous distributions used by the throughput and user models
-//! are implemented here: normal (Box–Muller), log-normal, exponential, Pareto,
-//! and a weighted categorical.  Each is a tiny, well-tested function rather
+//! are implemented here: normal (Box–Muller), log-normal, Pareto, and a
+//! weighted categorical.  Each is a tiny, well-tested function rather
 //! than a framework.
 
 use rand::Rng;
@@ -30,13 +30,6 @@ pub fn log_normal_median<R: Rng + ?Sized>(rng: &mut R, median: f64, sigma: f64) 
     log_normal(rng, median.ln(), sigma)
 }
 
-/// Exponential with the given mean (inverse-CDF method).
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
-    debug_assert!(mean > 0.0);
-    let u: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
-    -mean * u.ln()
-}
-
 /// Pareto (Type I) with scale `x_min` and shape `alpha`.
 ///
 /// Heavy-tailed for small `alpha`; the mean is finite only for `alpha > 1`.
@@ -46,17 +39,6 @@ pub fn pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64) -> f64 {
     debug_assert!(x_min > 0.0 && alpha > 0.0);
     let u: f64 = 1.0 - rng.random::<f64>(); // (0, 1]
     x_min / u.powf(1.0 / alpha)
-}
-
-/// Pareto truncated to `[x_min, cap]` by resampling via the inverse CDF of
-/// the truncated distribution (no rejection loop, so cost is constant).
-pub fn bounded_pareto<R: Rng + ?Sized>(rng: &mut R, x_min: f64, alpha: f64, cap: f64) -> f64 {
-    debug_assert!(cap > x_min);
-    let u: f64 = rng.random::<f64>();
-    // CDF of truncated Pareto: F(x) = (1 - (xm/x)^a) / (1 - (xm/cap)^a)
-    let tail = 1.0 - (x_min / cap).powf(alpha);
-    let x = x_min / (1.0 - u * tail).powf(1.0 / alpha);
-    x.min(cap)
 }
 
 /// Sample an index from unnormalized non-negative weights.
@@ -113,14 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let n = 30_000;
-        let mean = (0..n).map(|_| exponential(&mut r, 4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
     fn pareto_respects_scale_and_is_heavy_tailed() {
         let mut r = rng();
         let n = 50_000;
@@ -138,15 +112,6 @@ mod tests {
         let n = 60_000;
         let mean = (0..n).map(|_| pareto(&mut r, 2.0, 3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
-    fn bounded_pareto_respects_bounds() {
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = bounded_pareto(&mut r, 0.5, 1.1, 20.0);
-            assert!((0.5..=20.0).contains(&x), "x {x}");
-        }
     }
 
     #[test]

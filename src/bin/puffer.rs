@@ -93,12 +93,61 @@ fn flag<T: std::str::FromStr>(
     }
 }
 
-/// [`flag`] for the subcommands: a bad value prints the error and exits 2.
-fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
-    flag(flags, key, default).unwrap_or_else(|e| {
+/// [`flag`] for a value that must also pass `ok`: a value outside that
+/// range is an error naming the flag and what it `must` be.  The
+/// subcommands check every range right after parsing, so `--sessions 0`
+/// exits 2 before any work instead of panicking in a library assert.
+fn flag_in<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+    ok: impl FnOnce(&T) -> bool,
+    must: &str,
+) -> Result<T, String> {
+    let v = flag(flags, key, default)?;
+    if ok(&v) {
+        return Ok(v);
+    }
+    let raw = flags.get(key).map_or("", String::as_str);
+    Err(format!("invalid value '{raw}' for --{key}: must be {must}"))
+}
+
+/// [`flag_in`] for the subcommands: a bad value prints the error and exits 2.
+fn get_in<T: std::str::FromStr>(
+    flags: &BTreeMap<String, String>,
+    key: &str,
+    default: T,
+    ok: impl FnOnce(&T) -> bool,
+    must: &str,
+) -> T {
+    flag_in(flags, key, default, ok, must).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2)
     })
+}
+
+/// [`get_in`] for a flag whose every parsed value is in range.
+fn get<T: std::str::FromStr>(flags: &BTreeMap<String, String>, key: &str, default: T) -> T {
+    get_in(flags, key, default, |_| true, "")
+}
+
+/// `--sessions` and `--days`: the RCT needs at least one of each.
+fn sessions_and_days(flags: &BTreeMap<String, String>, sessions: usize, days: u32) -> (usize, u32) {
+    (
+        get_in(flags, "sessions", sessions, |&n| n > 0, "at least 1"),
+        get_in(flags, "days", days, |&n| n > 0, "at least 1"),
+    )
+}
+
+/// `--cuts`: comma-separated per-arm stream-hours.
+struct Cuts(Vec<f64>);
+
+impl std::str::FromStr for Cuts {
+    type Err = std::num::ParseFloatError;
+
+    fn from_str(s: &str) -> Result<Cuts, Self::Err> {
+        s.split(',').map(|c| c.trim().parse()).collect::<Result<_, _>>().map(Cuts)
+    }
 }
 
 fn scheme_by_name(name: &str) -> Option<SchemeSpec> {
@@ -178,10 +227,11 @@ fn cmd_collect(flags: BTreeMap<String, String>) -> ExitCode {
         eprintln!("collect needs --out <file>");
         return ExitCode::from(2);
     };
+    let (sessions_per_day, days) = sessions_and_days(&flags, 100, 2);
     let cfg = ExperimentConfig {
         seed: get(&flags, "seed", 1),
-        sessions_per_day: get(&flags, "sessions", 100),
-        days: get(&flags, "days", 2),
+        sessions_per_day,
+        days,
         emulation_world: flags.contains_key("emulation"),
         retrain: None,
         ..ExperimentConfig::default()
@@ -240,6 +290,10 @@ fn cmd_train_ttp(flags: BTreeMap<String, String>) -> ExitCode {
 }
 
 fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
+    let seed = get(&flags, "seed", 1);
+    let (sessions_per_day, days) = sessions_and_days(&flags, 100, 2);
+    let fault_rate: f64 =
+        get_in(&flags, "fault-rate", 0.0, |r| (0.0..=1.0).contains(r), "in [0, 1]");
     let mut schemes: Vec<SchemeSpec> = Vec::new();
     for name in flags.get("schemes").map(String::as_str).unwrap_or("bba,mpc,robustmpc").split(',') {
         match scheme_by_name(name.trim()) {
@@ -263,15 +317,14 @@ fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
         }
     }
     let mut cfg = ExperimentConfig {
-        seed: get(&flags, "seed", 1),
-        sessions_per_day: get(&flags, "sessions", 100),
-        days: get(&flags, "days", 2),
+        seed,
+        sessions_per_day,
+        days,
         emulation_world: flags.contains_key("emulation"),
         paired: flags.contains_key("paired"),
         archive_sink: flags.get("archive").map(PathBuf::from),
         ..ExperimentConfig::default()
     };
-    let fault_rate: f64 = get(&flags, "fault-rate", 0.0);
     if fault_rate > 0.0 {
         cfg.faults = FaultPlan::seeded(
             cfg.seed,
@@ -595,23 +648,26 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
         return ExitCode::from(2);
     };
     let seed: u64 = get(&flags, "seed", 1);
-    let improvement: f64 = get(&flags, "improvement", 0.15);
-    let n_boot: usize = get(&flags, "boot", 200);
+    let improvement: f64 =
+        get_in(&flags, "improvement", 0.15, |i| (0.0..1.0).contains(i), "in [0, 1)");
+    let n_boot: usize = get_in(&flags, "boot", 200, |&n| n >= 10, "at least 10");
     let confidence = 0.95;
-    let cuts_flag = flags.get("cuts").map(String::as_str).unwrap_or("5000,50000,500000");
-    let Ok(cuts) = cuts_flag.split(',').map(|c| c.trim().parse()).collect::<Result<Vec<f64>, _>>()
-    else {
-        eprintln!("invalid value '{cuts_flag}' for --cuts");
-        return ExitCode::from(2);
-    };
-    let max_cut = cuts.last().copied().expect("need at least one cut");
+    let Cuts(cuts) = get_in(
+        &flags,
+        "cuts",
+        Cuts(vec![5000.0, 50000.0, 500000.0]),
+        |Cuts(c)| c[0] > 0.0 && c.windows(2).all(|w| w[0] < w[1]) && c[c.len() - 1].is_finite(),
+        "finite positive stream-hours in ascending order",
+    );
+    let (sessions_per_day, days) = sessions_and_days(&flags, 150, 2);
+    let max_cut = cuts[cuts.len() - 1];
     let dir = Path::new(out_dir);
 
     // Phase 1: a small real RCT, telemetry spilled straight to `.puf`.
     let cfg = ExperimentConfig {
         seed,
-        sessions_per_day: get(&flags, "sessions", 150),
-        days: get(&flags, "days", 2),
+        sessions_per_day,
+        days,
         retrain: None,
         archive_sink: Some(dir.to_path_buf()),
         ..ExperimentConfig::default()
