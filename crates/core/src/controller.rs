@@ -20,13 +20,29 @@
 //! `point_estimate = true` the distribution is collapsed to its
 //! maximum-likelihood bin, which is the "Point Estimate" ablation deployed
 //! in August 2019 (§4.6) whose rebuffering was 3–9× worse.
+//!
+//! The value iteration is written to vectorize.  Under one time bin, the
+//! buffer bins a span lands on fall into at most three pieces (see
+//! `Transfers`): a drained piece and a full piece that each read one
+//! value-to-go, and a rising piece that reads a contiguous slice of it, so
+//! the expectation runs over contiguous bins with no per-bin gather.  The
+//! maximization over rungs is a select (`score > best ? score : best`),
+//! which is exactly what a packed `max` computes.  The one planner body is
+//! compiled twice, once for the baseline target and once with AVX enabled,
+//! and [`Tier::detect`] picks the copy at run time: a forced
+//! `Tier::Scalar` runs the baseline copy, either vector tier the AVX one.
+//! The copies are bit-identical: each performs the same IEEE operations on
+//! the same operands in the same order (Rust never fuses a multiply and an
+//! add into an FMA), whatever vector width the compiler chooses.
 
 use crate::bins::{bin_midpoint, N_BINS};
 use crate::ttp::{Ttp, TtpBatchQuery, TtpScratch};
 use puffer_abr::mpc::{buffer_after, buffer_bin, BIN_W, BUFFER_BINS};
 use puffer_abr::AbrContext;
 use puffer_media::qoe::{chunk_qoe, LAMBDA, MU};
+use puffer_media::CHUNK_SECONDS;
 use puffer_nn::loss::argmax;
+use puffer_nn::Tier;
 use std::ops::Range;
 use std::sync::LazyLock;
 
@@ -47,20 +63,77 @@ pub struct ControllerConfig {
 /// per process: `t = bin_midpoint(b)` seconds of transfer from `buffer =
 /// bin · BIN_W`.  The entries use the buffer rule the root evaluates inline,
 /// so a table lookup and the root's direct evaluation agree bit for bit.
+///
+/// The post-transfer bin is stored as three pieces per time bin
+/// ([`Landing`]), not one entry per pair.  Every `bin_midpoint(b)` is a
+/// multiple of `BIN_W` for `b ≥ 1` and half a bin for `b = 0`, so row `b`
+/// is flat at the drained bin `buffer_bin(CHUNK_SECONDS)` (bin 8) up to bin
+/// `2b` (bin 0 for `b = 0`, bin 48 for `b = 20`), then rises one bin per
+/// bin, then is flat at the full bin 60 where it gets there (row 20 never
+/// does).  The pieces are derived from the rule and checked against it at
+/// every pair when the table is built.  The backward pass splits each span
+/// at the pieces' break points: the two flat pieces read one value-to-go
+/// each, the rising piece a contiguous slice of it.  Each bin still reads
+/// the same value it would read through a per-bin index, so every term of
+/// `W` is unchanged.
 struct Transfers {
     /// `(t − buffer).max(0)`: the stall, `[b][bin]`.
     stall: [[f64; BUFFER_BINS]; N_BINS],
-    /// The post-transfer buffer bin, `[b][bin]`.
-    next_bin: [[usize; BUFFER_BINS]; N_BINS],
+    /// The post-transfer bin, `[b]`, as its three pieces.
+    landing: [Landing; N_BINS],
+}
+
+/// Where one time bin's transfer leaves each buffer bin: bins `..rise` land
+/// on `drained`, bin `rise + i` lands on `first + i` below `full`, and bins
+/// `full..` land on the last bin.  Any piece may be empty.
+#[derive(Clone, Copy)]
+struct Landing {
+    /// The drained buffer's bin, `buffer_bin(CHUNK_SECONDS)`.
+    drained: usize,
+    /// First bin of the rising piece.
+    rise: usize,
+    /// First bin of the full piece.
+    full: usize,
+    /// Where bin `rise` lands.
+    first: usize,
+}
+
+impl Landing {
+    /// Derive row `b`'s pieces from the buffer rule, asserting that they
+    /// reproduce it at every buffer bin.
+    fn derive(b: usize) -> Landing {
+        let rule = |bin: usize| buffer_bin(buffer_after(bin as f64 * BIN_W, bin_midpoint(b)));
+        let drained = buffer_bin(CHUNK_SECONDS);
+        let rise = (0..BUFFER_BINS).find(|&bin| rule(bin) != drained).unwrap_or(BUFFER_BINS);
+        let full = (rise..BUFFER_BINS)
+            .rev()
+            .find(|&bin| rule(bin) != BUFFER_BINS - 1)
+            .map_or(rise, |bin| bin + 1);
+        let first = if rise < BUFFER_BINS { rule(rise) } else { drained };
+        let landing = Landing { drained, rise, full, first };
+        for bin in 0..BUFFER_BINS {
+            assert_eq!(landing.at(bin), rule(bin), "time bin {b}, buffer bin {bin}");
+        }
+        landing
+    }
+
+    /// The bin `bin` lands on.
+    fn at(self, bin: usize) -> usize {
+        if bin < self.rise {
+            self.drained
+        } else if bin < self.full {
+            self.first + (bin - self.rise)
+        } else {
+            BUFFER_BINS - 1
+        }
+    }
 }
 
 static TRANSFERS: LazyLock<Transfers> = LazyLock::new(|| Transfers {
     stall: std::array::from_fn(|b| {
         std::array::from_fn(|bin| (bin_midpoint(b) - bin as f64 * BIN_W).max(0.0))
     }),
-    next_bin: std::array::from_fn(|b| {
-        std::array::from_fn(|bin| buffer_bin(buffer_after(bin as f64 * BIN_W, bin_midpoint(b))))
-    }),
+    landing: std::array::from_fn(Landing::derive),
 });
 
 /// Reusable flat tables for [`StochasticMpc::plan_with`].
@@ -74,7 +147,7 @@ static TRANSFERS: LazyLock<Transfers> = LazyLock::new(|| Transfers {
 /// forward pass from the real buffer can reach at each step; only those are
 /// ever computed or read.  The stall and post-transfer bin of every (time
 /// bin, buffer bin) pair are the same for every decision, so they live in
-/// one table per process, built on first use.
+/// one table per process (`Transfers`), built on first use.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Time distributions, `(step * n_rungs + a) * N_BINS + b`.
@@ -187,9 +260,53 @@ impl StochasticMpc {
     /// over those spans; every value it stores is bit-identical to the full
     /// table's, because each is the same sum of the same terms in the same
     /// order and the same strict-`>` first-max over rungs in ascending order.
-    // lint: panic-free — every index is a bin of a reachable span (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables at the top of the fn
-    // lint: alloc-free — value tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
+    ///
+    /// Runs the AVX-compiled copy of the planner when [`Tier::detect`]
+    /// returns a vector tier, the baseline copy otherwise (module docs).
     pub fn plan_from_dists(
+        &self,
+        ctx: &AbrContext,
+        ttp_horizon: usize,
+        scratch: &mut PlanScratch,
+    ) -> usize {
+        self.plan_from_dists_with(Tier::detect(), ctx, ttp_horizon, scratch)
+    }
+
+    /// [`StochasticMpc::plan_from_dists`] on the compiled copy `tier`
+    /// selects: the AVX copy for a vector tier this CPU supports, the
+    /// baseline copy otherwise.  Both return the same rung and leave the
+    /// same tables.
+    pub(crate) fn plan_from_dists_with(
+        &self,
+        tier: Tier,
+        ctx: &AbrContext,
+        ttp_horizon: usize,
+        scratch: &mut PlanScratch,
+    ) -> usize {
+        #[cfg(target_arch = "x86_64")]
+        if tier != Tier::Scalar && tier.supported() {
+            // SAFETY: a vector tier is supported only when runtime detection
+            // found AVX (`Tier::supported`; both vector tiers require it), the
+            // one feature `plan_avx` is compiled for.
+            return unsafe { self.plan_avx(ctx, ttp_horizon, scratch) };
+        }
+        let _ = tier;
+        self.value_iteration(ctx, ttp_horizon, scratch)
+    }
+
+    /// The planner body compiled with AVX enabled.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn plan_avx(&self, ctx: &AbrContext, ttp_horizon: usize, scratch: &mut PlanScratch) -> usize {
+        self.value_iteration(ctx, ttp_horizon, scratch)
+    }
+
+    /// The one planner body behind both compiled copies (see
+    /// [`StochasticMpc::plan_from_dists`]).
+    // lint: panic-free — every index is a bin of a reachable span or a landing bin (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables at the top of the fn
+    // lint: alloc-free — value tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
+    #[inline(always)]
+    fn value_iteration(
         &self,
         ctx: &AbrContext,
         ttp_horizon: usize,
@@ -246,8 +363,8 @@ impl StochasticMpc {
                         let (to_lo, to_hi) = if step == 1 {
                             (root_bin[b], root_bin[b])
                         } else {
-                            let nb_row = &transfers.next_bin[b];
-                            (nb_row[from.start], nb_row[from.end - 1])
+                            let landing = transfers.landing[b];
+                            (landing.at(from.start), landing.at(from.end - 1))
                         };
                         lo = lo.min(to_lo);
                         hi = hi.max(to_hi);
@@ -284,11 +401,34 @@ impl StochasticMpc {
                         for (wab, &stall) in wa.iter_mut().zip(stall_row) {
                             *wab += p * (0.0 - MU * stall);
                         }
-                    } else {
-                        let nb_row = &transfers.next_bin[b][span.clone()];
-                        for ((wab, &stall), &nb) in wa.iter_mut().zip(stall_row).zip(nb_row) {
-                            *wab += p * (value_a[nb] - MU * stall);
+                        continue;
+                    }
+                    // Split the span at row `b`'s break points: its drained
+                    // and full parts read one value-to-go each, its rising
+                    // part a contiguous slice starting where its first bin
+                    // lands.  `rise` and `full` count from the span's start.
+                    let landing = transfers.landing[b];
+                    let rise = landing.rise.clamp(span.start, span.end) - span.start;
+                    let full = landing.full.clamp(span.start, span.end) - span.start;
+                    let (w_drained, w_rest) = wa.split_at_mut(rise);
+                    let (w_rising, w_full) = w_rest.split_at_mut(full - rise);
+                    let (stall_drained, stall_rest) = stall_row.split_at(rise);
+                    let (stall_rising, stall_full) = stall_rest.split_at(full - rise);
+                    let v = value_a[landing.drained];
+                    for (wab, &stall) in w_drained.iter_mut().zip(stall_drained) {
+                        *wab += p * (v - MU * stall);
+                    }
+                    if !w_rising.is_empty() {
+                        let at = landing.at(span.start + rise);
+                        let to_go = &value_a[at..at + w_rising.len()];
+                        for ((wab, &stall), &v) in w_rising.iter_mut().zip(stall_rising).zip(to_go)
+                        {
+                            *wab += p * (v - MU * stall);
                         }
+                    }
+                    let v = value_a[bins - 1];
+                    for (wab, &stall) in w_full.iter_mut().zip(stall_full) {
+                        *wab += p * (v - MU * stall);
                     }
                 }
             }
@@ -300,6 +440,7 @@ impl StochasticMpc {
                 }
             }
             // The maximization: rungs in ascending order, bins innermost.
+            // The select is a packed `max` of (score, best).
             for prev in 0..n_rungs {
                 let nv = &mut scratch.next_value[prev * bins..(prev + 1) * bins][span.clone()];
                 nv.fill(f64::NEG_INFINITY);
@@ -307,9 +448,7 @@ impl StochasticMpc {
                     let wa = &scratch.w[a * bins..(a + 1) * bins][span.clone()];
                     for (best, &w) in nv.iter_mut().zip(wa) {
                         let score = ma + w;
-                        if score > *best {
-                            *best = score;
-                        }
+                        *best = if score > *best { score } else { *best };
                     }
                 }
             }
@@ -345,8 +484,8 @@ mod tests {
     use crate::dataset::{ChunkObservation, Dataset};
     use crate::training::{train, TrainConfig};
     use crate::ttp::{Ttp, TtpConfig};
-    use puffer_abr::ChunkRecord;
-    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
+    use puffer_abr::{ChunkRecord, HORIZON};
+    use puffer_media::{ChunkMenu, ChunkOption, MAX_BUFFER_SECONDS};
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -518,30 +657,38 @@ mod tests {
     }
 
     /// A deliberately-naive reference implementation of the §4.4 recursion
-    /// (no M/W decomposition, no probability pruning, no reachable spans,
-    /// every buffer bin of every step) used to validate the optimized
-    /// planner.  The point-estimate ablation collapses each distribution to
-    /// a one-hot at its MLE bin.
-    fn naive_plan(cfg: &ControllerConfig, ctx: &AbrContext, ttp: &Ttp) -> usize {
-        let horizon = ttp.horizon().min(ctx.lookahead.len());
+    /// (no M/W decomposition, no reachable spans, no transfer tables, every
+    /// buffer bin of every step) used to validate the optimized planner, fed
+    /// its distribution table (`(step · R + a) · N_BINS + b`, `horizon`
+    /// steps).  It skips the entries below `PROB_EPSILON`, as the planner's
+    /// definition does.  The point-estimate ablation collapses each
+    /// distribution to a one-hot at its MLE bin.  Returns the rung and step
+    /// 1's value table, `[bin][prev]`.
+    fn naive_plan_from_dists(
+        cfg: &ControllerConfig,
+        ctx: &AbrContext,
+        horizon: usize,
+        table: &[f64],
+    ) -> (usize, Vec<Vec<f64>>) {
         let n_rungs = ctx.n_rungs();
         let bins = BUFFER_BINS;
         let to_bin = |buffer: f64| ((buffer / BIN_W).round() as usize).min(bins - 1);
-        let mut dists: Vec<Vec<Vec<f64>>> = Vec::new();
-        for step in 0..horizon {
-            let mut per_rung = Vec::new();
-            for opt in &ctx.lookahead[step].options {
-                let mut d =
-                    ttp.predict_time_distribution(step, ctx.history, &ctx.tcp_info, opt.size);
-                if cfg.point_estimate {
-                    let mle = argmax(&d);
-                    d = vec![0.0; d.len()];
-                    d[mle] = 1.0;
-                }
-                per_rung.push(d);
-            }
-            dists.push(per_rung);
-        }
+        let dists: Vec<Vec<Vec<f64>>> = table[..horizon * n_rungs * N_BINS]
+            .chunks_exact(n_rungs * N_BINS)
+            .map(|step| {
+                step.chunks_exact(N_BINS)
+                    .map(|d| {
+                        let mut d = d.to_vec();
+                        if cfg.point_estimate {
+                            let mle = argmax(&d);
+                            d = vec![0.0; d.len()];
+                            d[mle] = 1.0;
+                        }
+                        d
+                    })
+                    .collect()
+            })
+            .collect();
         let mut value = vec![vec![0.0f64; n_rungs]; bins];
         for step in (1..horizon).rev() {
             let menu = &ctx.lookahead[step];
@@ -553,6 +700,9 @@ mod tests {
                     for (a, opt) in menu.options.iter().enumerate() {
                         let mut e = 0.0;
                         for (b, &p) in dists[step][a].iter().enumerate() {
+                            if p < PROB_EPSILON {
+                                continue;
+                            }
                             let t = bin_midpoint(b);
                             let stall = (t - buffer).max(0.0);
                             let q = chunk_qoe(
@@ -578,6 +728,9 @@ mod tests {
         for (a, opt) in menu.options.iter().enumerate() {
             let mut e = 0.0;
             for (b, &p) in dists[0][a].iter().enumerate() {
+                if p < PROB_EPSILON {
+                    continue;
+                }
                 let t = bin_midpoint(b);
                 let stall = (t - ctx.buffer).max(0.0);
                 let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
@@ -589,7 +742,21 @@ mod tests {
                 best = (a, e);
             }
         }
-        best.0
+        (best.0, value)
+    }
+
+    /// [`naive_plan_from_dists`] over the distributions `ttp` predicts, one
+    /// query per (step, rung).
+    fn naive_plan(cfg: &ControllerConfig, ctx: &AbrContext, ttp: &Ttp) -> usize {
+        let horizon = ttp.horizon().min(ctx.lookahead.len());
+        let table: Vec<f64> = (0..horizon)
+            .flat_map(|step| {
+                ctx.lookahead[step].options.iter().flat_map(move |opt| {
+                    ttp.predict_time_distribution(step, ctx.history, &ctx.tcp_info, opt.size)
+                })
+            })
+            .collect();
+        naive_plan_from_dists(cfg, ctx, horizon, &table).0
     }
 
     #[test]
@@ -628,6 +795,157 @@ mod tests {
             }
         }
         assert_eq!(checked, 2 * 7 * 6);
+    }
+
+    /// One random time distribution, of a kind the planner treats
+    /// differently: all mass in the fastest or the slowest time bin (the two
+    /// edge rows of the transfer table), or a few bins of random weight
+    /// beside entries exactly at `PROB_EPSILON` (kept) and just below it
+    /// (skipped).  The kept entries sum to 1, as a probability distribution
+    /// does, so the reference's Σ p·(QoE + v) and the planner's
+    /// M + Σ p·(v − µ·stall) differ only by rounding.
+    fn random_dist(rng: &mut proptest::TestRng) -> [f64; N_BINS] {
+        let mut d = [0.0; N_BINS];
+        match rng.below(4) {
+            0 => d[0] = 1.0,
+            1 => d[N_BINS - 1] = 1.0,
+            _ => {
+                let below = f64::from_bits(PROB_EPSILON.to_bits() - 1);
+                for p in &mut d {
+                    *p = match rng.below(6) {
+                        0 => PROB_EPSILON,
+                        1 => below,
+                        2 => 0.05 + rng.unit_f64(),
+                        _ => 0.0,
+                    };
+                }
+                d[rng.below(N_BINS as u64) as usize] = 0.05 + rng.unit_f64();
+                let at_epsilon = d.iter().filter(|&&p| p == PROB_EPSILON).count() as f64;
+                let weight: f64 = d.iter().filter(|&&p| p > PROB_EPSILON).sum();
+                let scale = (1.0 - at_epsilon * PROB_EPSILON) / weight;
+                for p in d.iter_mut().filter(|p| **p > PROB_EPSILON) {
+                    *p *= scale;
+                }
+            }
+        }
+        d
+    }
+
+    // A reduced case count under Miri, which then interprets the AVX copy
+    // too when the vector features are enabled at compile time.
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: if cfg!(miri) { 4 } else { 256 },
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// Every compiled copy of the planner chooses the reference's rung
+        /// on random distributions written through `dists_for`: buffers
+        /// empty, full and off the grid, one-hot mass at either edge time
+        /// bin, entries at and just below `PROB_EPSILON`, duplicated rungs
+        /// (exact ties, decided by the first max), lookaheads of 1 to 5
+        /// chunks, with and without the point estimate.  Step 1's values
+        /// agree with the reference's up to rounding over the whole
+        /// reachable span, and the copies leave bit-identical tables.
+        #[test]
+        fn compiled_copies_match_reference_on_random_distributions(
+            h in 1usize..6,
+            n_rungs in 1usize..7,
+            buffer in 0.0f64..15.0,
+            edge in 0u8..4,
+            seed in proptest::any::<u64>(),
+            dup in proptest::any::<bool>(),
+            point_estimate in proptest::any::<bool>(),
+        ) {
+            let buffer = match edge {
+                0 => 0.0,
+                1 => MAX_BUFFER_SECONDS,
+                _ => buffer,
+            };
+            let mut rng = proptest::TestRng::new(seed);
+            let mut m: Vec<ChunkMenu> = (0..h)
+                .map(|i| ChunkMenu {
+                    index: i as u64,
+                    options: (0..n_rungs)
+                        .map(|_| ChunkOption { size: 1e5, ssim_db: 4.0 + 16.0 * rng.unit_f64() })
+                        .collect(),
+                })
+                .collect();
+            let mut table: Vec<f64> =
+                (0..h * n_rungs).flat_map(|_| random_dist(&mut rng)).collect();
+            if dup {
+                // Every other rung repeats its predecessor, distribution too.
+                for (step, menu) in m.iter_mut().enumerate() {
+                    for r in (1..n_rungs).step_by(2) {
+                        menu.options[r] = menu.options[r - 1];
+                        let from = (step * n_rungs + r - 1) * N_BINS;
+                        table.copy_within(from..from + N_BINS, from + N_BINS);
+                    }
+                }
+            }
+            let ctx = AbrContext {
+                buffer,
+                prev_ssim_db: (seed % 2 == 0).then_some(12.0),
+                prev_rung: None,
+                lookahead: &m,
+                history: &[],
+                tcp_info: tcp(1e6),
+            };
+            let planner = StochasticMpc::new(ControllerConfig { point_estimate });
+            let (expected, value) = naive_plan_from_dists(&planner.config, &ctx, h, &table);
+            let bits = |s: &PlanScratch| {
+                [&s.value, &s.next_value, &s.w, &s.m]
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            let mut baseline: Option<PlanScratch> = None;
+            for tier in Tier::ALL.into_iter().filter(|t| t.supported()) {
+                let mut scratch = PlanScratch::new();
+                scratch.dists_for(h, n_rungs).copy_from_slice(&table);
+                let rung = planner.plan_from_dists_with(tier, &ctx, HORIZON, &mut scratch);
+                proptest::prop_assert_eq!(
+                    rung, expected,
+                    "tier {:?} h={} rungs={} buffer={} dup={} point={}",
+                    tier, h, n_rungs, buffer, dup, point_estimate
+                );
+                let reach = if h > 1 { scratch.reach[1].clone() } else { 0..0 };
+                for (bin, prev) in reach.flat_map(|bin| (0..n_rungs).map(move |prev| (bin, prev))) {
+                    let (fast, slow) = (scratch.value[prev * BUFFER_BINS + bin], value[bin][prev]);
+                    proptest::prop_assert!(
+                        (fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()),
+                        "value {} vs {} at bin {} prev {}, tier {:?}", fast, slow, bin, prev, tier
+                    );
+                }
+                if let Some(base) = &baseline {
+                    proptest::prop_assert!(bits(base) == bits(&scratch), "tables, tier {:?}", tier);
+                    proptest::prop_assert_eq!(&base.reach, &scratch.reach);
+                } else {
+                    baseline = Some(scratch);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn landing_pieces_reproduce_the_buffer_rule() {
+        let transfers = &*TRANSFERS;
+        for (b, &landing) in transfers.landing.iter().enumerate() {
+            for bin in 0..BUFFER_BINS {
+                let rule = buffer_bin(buffer_after(bin as f64 * BIN_W, bin_midpoint(b)));
+                assert_eq!(landing.at(bin), rule, "time bin {b}, buffer bin {bin}");
+            }
+        }
+        // The fastest time bin drains the empty buffer to bin 8 and moves
+        // every other bin up by 8, to the full bin at most.
+        let fastest = transfers.landing[0];
+        assert_eq!(buffer_bin(CHUNK_SECONDS), 8);
+        assert_eq!(fastest.at(0), 8);
+        for bin in 1..BUFFER_BINS {
+            assert_eq!(fastest.at(bin), (bin + 8).min(BUFFER_BINS - 1), "buffer bin {bin}");
+        }
+        // The slowest drains everything up to bin 48 and never fills.
+        let slowest = transfers.landing[N_BINS - 1];
+        assert!((0..=48).all(|bin| slowest.at(bin) == 8));
+        assert!((0..BUFFER_BINS).all(|bin| slowest.at(bin) < BUFFER_BINS - 1));
     }
 
     #[test]

@@ -16,15 +16,20 @@
 # this tree's BENCHMARK.json.  For each it prints both sides' median and
 # quartiles, the median change/parent ratio over the pairs, how many pairs
 # the change won (a tie counts for neither side), and whether the change's
-# median is within the bound of the parent's.
+# median is within the bound of the parent's.  Below the table, one verdict
+# line per metric applies the gain rule: the change wins at least 9 of
+# every 10 pairs run, and its median beats the parent's by more than the
+# parent's q3 - q1.
 #
-# Exits 1 when any run reads "correct": false or has a nonzero "failed"
-# count, and 3 when a pair's two result records carry different machine
-# fingerprints (`rctbench compare` refuses them), after printing the table
-# of whatever ran.  No source under examples/rctbench is changed: each run
-# writes its record to rctbench's git-ignored out/ directory as usual, and
-# the record is copied to a temporary directory ($TMPDIR), kept and named
-# at the end.
+# A run that exits without writing its result record (a panic, say) is
+# reported as a FAILED RUN with its exit code; the batch goes on, and the
+# table covers the complete pairs.  Exits 1 when any run failed that way,
+# read "correct": false or has a nonzero "failed" count, and 3 when a
+# pair's two result records carry different machine fingerprints
+# (`rctbench compare` refuses them), after printing the table of whatever
+# ran.  No source under examples/rctbench is changed: each run writes its
+# record to rctbench's git-ignored out/ directory as usual, and the record
+# is copied to a temporary directory ($TMPDIR), kept and named at the end.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 5 ]]; then
@@ -46,26 +51,36 @@ done
 work=$(mktemp -d)
 status=0
 
-# run SIDE TREE SEED: one benchmark run; its result record lands in $work.
+# run SIDE TREE SEED: one benchmark run; its result record lands in $work,
+# or a FAILED RUN line in $work/failed_runs when it wrote none.
 run() {
-  local side=$1 tree=$2 seed=$3
+  local side=$1 tree=$2 seed=$3 code=0
   local bin="$tree/examples/rctbench/target/release/rctbench"
   local record="$tree/examples/rctbench/out/result_${workload}_seed${seed}_trace0.json"
   echo "pair seed $seed: $side" >&2
   rm -f "$record"
   "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
-    > "$work/${side}_${seed}.log" || true
-  cp "$record" "$work/${side}_${seed}.json"
+    > "$work/${side}_${seed}.log" || code=$?
+  if [[ -f $record ]]; then
+    cp "$record" "$work/${side}_${seed}.json"
+  else
+    echo "FAILED RUN: $side seed $seed: exit $code, no record" | tee -a "$work/failed_runs" >&2
+  fi
 }
 
+ran=0
 for ((i = 0; i < pairs; i++)); do
   seed=$((first_seed + i))
+  ran=$((ran + 1))
   if ((i % 2 == 0)); then
     run parent "$parent" "$seed"
     run change "$change" "$seed"
   else
     run change "$change" "$seed"
     run parent "$parent" "$seed"
+  fi
+  if [[ ! -f $work/parent_${seed}.json || ! -f $work/change_${seed}.json ]]; then
+    continue
   fi
   if ! "$change/examples/rctbench/target/release/rctbench" compare \
     "$work/parent_${seed}.json" "$work/change_${seed}.json" > /dev/null 2> "$work/compare_${seed}.err"; then
@@ -76,10 +91,11 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 summary=0
-python3 - "$change/BENCHMARK.json" "$work" "$workload" <<'EOF' || summary=$?
+python3 - "$change/BENCHMARK.json" "$work" "$workload" "$ran" <<'EOF' || summary=$?
 import glob, json, os, statistics, sys
 
-bench_path, work, workload = sys.argv[1:]
+bench_path, work, workload, ran = sys.argv[1:]
+ran = int(ran)
 metrics = json.load(open(bench_path))["end_to_end"]
 
 def load(side):
@@ -94,6 +110,9 @@ seeds = sorted(set(parent) & set(change))
 bad = [f"{side} seed {s}: correct={r['correct']} failed={r['failed']}"
        for side, recs in (("parent", parent), ("change", change))
        for s, r in sorted(recs.items()) if not r["correct"] or r["failed"]]
+failed_runs = os.path.join(work, "failed_runs")
+if os.path.exists(failed_runs):
+    bad += [line.removeprefix("FAILED RUN: ").strip() for line in open(failed_runs)]
 
 def quartiles(xs):
     if len(xs) < 2:
@@ -101,10 +120,11 @@ def quartiles(xs):
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
-print(f"workload {workload}: {len(seeds)} pairs, seeds {seeds[0]}..{seeds[-1]}" if seeds
-      else f"workload {workload}: no complete pairs")
+print(f"workload {workload}: {len(seeds)} complete pairs of {ran} run, seeds {seeds[0]}..{seeds[-1]}"
+      if seeds else f"workload {workload}: no complete pairs of {ran} run")
 print(f"{'metric':<24} {'parent median [q1, q3]':>30} {'change median [q1, q3]':>30}"
       f" {'ratio':>7} {'wins':>7}  within bound")
+verdicts = []
 for m in metrics:
     name, better, bound = m["name"], m["better"], m["bound"]
     if not seeds:
@@ -120,6 +140,16 @@ for m in metrics:
     fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     print(f"{name:<24} {fmt(pq):>30} {fmt(cq):>30} {ratio:>7.3f} {wins:>3}/{len(seeds):<3}"
           f"  {'yes' if within else 'NO'} ({better} is better, bound {bound})")
+    # The gain rule: at least 9 wins in every 10 pairs run (a pair that did
+    # not complete is not a win), and the medians further apart, in the
+    # change's favour, than the parent's quartiles.
+    gain, iqr = sign * (cq[1] - pq[1]), pq[2] - pq[0]
+    holds = 10 * wins >= 9 * ran and gain > iqr
+    verdicts.append(f"gain rule {name}: {'holds' if holds else 'does not hold'}"
+                    f" (wins {wins}/{ran}, 9/10 needed; median gain {gain:.4g}"
+                    f" vs parent q3 - q1 {iqr:.4g})")
+for v in verdicts:
+    print(v)
 for b in bad:
     print(f"FAILED RUN: {b}")
 sys.exit(1 if bad else 0)
