@@ -1,16 +1,13 @@
 //! Controller planning cost: the stochastic value iteration of §4.4 vs the
 //! deterministic MPC it extends, per chunk decision.  `fugu_stochastic_plan`
 //! includes the TTP inference that fills the distributions;
-//! `fugu_plan_from_dists/{scalar,avx}` times the value iteration alone, on
-//! each compiled copy of the planner.
+//! `fugu_plan_from_dists` times the value iteration alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fugu::{ControllerConfig, PlanScratch, StochasticMpc, Ttp, TtpConfig};
 use puffer_abr::{Abr, AbrContext, ChunkRecord, Mpc};
 use puffer_media::{ChunkMenu, VideoSource};
 use puffer_net::TcpInfo;
-use puffer_nn::matrix::force_tier;
-use puffer_nn::Tier;
 use rand::SeedableRng;
 use std::hint::black_box;
 
@@ -46,24 +43,15 @@ fn bench(c: &mut Criterion) {
     });
 
     // The value iteration alone: fill the distributions once, then plan
-    // from them on the baseline copy and on the detected tier's AVX copy.
-    // Planning without the point estimate leaves the distributions as
-    // they are.
+    // from them.  Planning without the point estimate leaves the
+    // distributions as they are.
     let mut scratch = PlanScratch::new();
     stochastic.fill_dists(&ctx, &ttp, &mut scratch);
-    let detected = Tier::detect();
-    for (copy, tier) in [("scalar", Tier::Scalar), ("avx", detected)] {
-        if copy == "avx" && tier == Tier::Scalar {
-            continue; // no AVX on this CPU
-        }
-        force_tier(Some(tier));
-        c.bench_function(&format!("fugu_plan_from_dists/{copy}"), |b| {
-            b.iter(|| {
-                black_box(stochastic.plan_from_dists(black_box(&ctx), ttp.horizon(), &mut scratch))
-            })
-        });
-    }
-    force_tier(None);
+    c.bench_function("fugu_plan_from_dists", |b| {
+        b.iter(|| {
+            black_box(stochastic.plan_from_dists(black_box(&ctx), ttp.horizon(), &mut scratch))
+        })
+    });
 
     let point = StochasticMpc::new(ControllerConfig { point_estimate: true });
     let mut scratch = PlanScratch::new();

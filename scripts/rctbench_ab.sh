@@ -17,9 +17,9 @@
 # quartiles, the median change/parent ratio over the pairs, how many pairs
 # the change won (a tie counts for neither side), and whether the change's
 # median is within the bound of the parent's.  Below the table, one verdict
-# line per metric applies the gain rule: the change wins at least 9 of
-# every 10 pairs run, and its median beats the parent's by more than the
-# parent's q3 - q1.
+# line per metric applies the gain rule: no run failed (see below), the
+# change wins at least 9 of every 10 pairs run, and its median beats the
+# parent's by more than the parent's q3 - q1.
 #
 # A run that exits without writing its result record (a panic, say) is
 # reported as a FAILED RUN with its exit code; the batch goes on, and the
@@ -140,14 +140,15 @@ for m in metrics:
     fmt = lambda q: f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
     print(f"{name:<24} {fmt(pq):>30} {fmt(cq):>30} {ratio:>7.3f} {wins:>3}/{len(seeds):<3}"
           f"  {'yes' if within else 'NO'} ({better} is better, bound {bound})")
-    # The gain rule: at least 9 wins in every 10 pairs run (a pair that did
-    # not complete is not a win), and the medians further apart, in the
-    # change's favour, than the parent's quartiles.
+    # The gain rule: no failed run on either side, at least 9 wins in every
+    # 10 pairs run (a pair that did not complete is not a win), and the
+    # medians further apart, in the change's favour, than the parent's
+    # quartiles.
     gain, iqr = sign * (cq[1] - pq[1]), pq[2] - pq[0]
-    holds = 10 * wins >= 9 * ran and gain > iqr
+    holds = not bad and 10 * wins >= 9 * ran and gain > iqr
     verdicts.append(f"gain rule {name}: {'holds' if holds else 'does not hold'}"
                     f" (wins {wins}/{ran}, 9/10 needed; median gain {gain:.4g}"
-                    f" vs parent q3 - q1 {iqr:.4g})")
+                    f" vs parent q3 - q1 {iqr:.4g}; failed runs {len(bad)})")
 for v in verdicts:
     print(v)
 for b in bad:
