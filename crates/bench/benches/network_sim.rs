@@ -17,10 +17,22 @@ fn bench(c: &mut Criterion) {
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let trace = PufferLikeProcess::new(4.0 * MBPS, 0.5).sample_trace(3600.0, &mut rng);
+    // Steps of 1.7 s, one or two epochs of about a second: each lookup finds
+    // its epoch at or just past the one the previous query found.
     c.bench_function("trace_advance_query", |b| {
         let mut t = 0.0;
         b.iter(|| {
             t = (t + 1.7) % 3000.0;
+            black_box(trace.advance(black_box(t), 500_000.0))
+        })
+    });
+
+    // The same query jumping about a thousand epochs each time, forward or
+    // back: every lookup misses the remembered epoch and binary-searches.
+    c.bench_function("trace_advance_cold", |b| {
+        let mut t = 0.0;
+        b.iter(|| {
+            t = (t + 997.3) % 3000.0;
             black_box(trace.advance(black_box(t), 500_000.0))
         })
     });

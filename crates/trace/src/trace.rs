@@ -9,10 +9,17 @@
 //! * "starting at t₀, when have `n` bytes been carried?"
 //!   ([`RateTrace::advance`]),
 //!
-//! both answered in O(log n) via prefix sums.  Like mahimahi, traces loop:
-//! queries past the end wrap around to the beginning, so a 15-minute trace
-//! can carry an hours-long session (§5.2 runs a 10-minute clip repeatedly
-//! over looping FCC traces).
+//! both answered from prefix sums once the epoch holding t₀ is found.  The
+//! trace remembers the epoch its last lookup found and tries it, then the
+//! next few, before binary-searching, so a walk forward in time — the TCP
+//! model's rounds — costs O(1) amortized per query, and a jump back or
+//! across many epochs O(log n).  The remembered epoch only decides where the
+//! search starts: every answer is the same whatever the trace was asked
+//! before.  Like mahimahi, traces loop: queries past the end wrap around to
+//! the beginning, so a 15-minute trace can carry an hours-long session
+//! (§5.2 runs a 10-minute clip repeatedly over looping FCC traces).
+
+use std::cell::Cell;
 
 /// One constant-rate segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,7 +43,13 @@ pub struct RateTrace {
     total_duration: f64,
     /// Total bytes carried in one loop iteration.
     total_bytes: f64,
+    /// Index the last epoch lookup returned, where the next one starts.
+    cursor: Cell<usize>,
 }
+
+/// Epochs past the remembered one a lookup steps through before it falls
+/// back to the binary search.
+const CURSOR_STEPS: usize = 4;
 
 impl RateTrace {
     /// Build from epochs.
@@ -62,7 +75,14 @@ impl RateTrace {
             b += e.rate * e.duration;
         }
         assert!(b > 0.0, "trace must carry at least some bytes per loop");
-        RateTrace { starts, rates, cum_bytes, total_duration: t, total_bytes: b }
+        RateTrace {
+            starts,
+            rates,
+            cum_bytes,
+            total_duration: t,
+            total_bytes: b,
+            cursor: Cell::new(0),
+        }
     }
 
     /// A trivial constant-rate trace.
@@ -96,27 +116,41 @@ impl RateTrace {
         self.starts.iter().copied().zip(self.rates.iter().copied())
     }
 
-    /// Index of the epoch containing wrapped time `t` (`0 <= t < total`).
+    /// Index of the epoch containing wrapped time `t` (`0 <= t < total`;
+    /// −0.0 lies in epoch 0): the one `i` with `starts[i] <= t <
+    /// starts[i + 1]`.  Tries the epoch the previous lookup returned and the
+    /// `CURSOR_STEPS` after it, then binary-searches.
     fn epoch_index(&self, t: f64) -> usize {
         debug_assert!((0.0..self.total_duration).contains(&t) || t == 0.0);
-        match self.starts.binary_search_by(|s| s.total_cmp(&t)) {
-            Ok(i) => i,
-            Err(i) => i - 1,
+        let last = self.starts.len() - 1;
+        let mut i = self.cursor.get();
+        if self.starts[i] <= t {
+            for _ in 0..=CURSOR_STEPS {
+                if i == last || t < self.starts[i + 1] {
+                    self.cursor.set(i);
+                    return i;
+                }
+                i += 1;
+            }
         }
+        let i = self.starts.partition_point(|&s| s <= t) - 1;
+        self.cursor.set(i);
+        i
     }
 
     /// Instantaneous rate at absolute time `t` (bytes/s); `t` may exceed the
     /// loop duration and wraps around.
     pub fn rate_at(&self, t: f64) -> f64 {
         assert!(t >= 0.0 && t.is_finite());
-        let t = t % self.total_duration;
+        // `t % d == t` for `0 <= t < d`; on the baseline target `%` is a
+        // software routine, so it runs only past the first loop.
+        let t = if t < self.total_duration { t } else { t % self.total_duration };
         self.rates[self.epoch_index(t)]
     }
 
     /// Bytes carried within one loop between wrapped times `a <= b`.
     fn bytes_within_loop(&self, a: f64, b: f64) -> f64 {
         debug_assert!(a <= b && b <= self.total_duration + 1e-9);
-        let ia = self.epoch_index(a.min(self.total_duration - f64::EPSILON).max(0.0));
         // cumulative bytes at absolute in-loop time t
         let cum_at = |t: f64| -> f64 {
             if t >= self.total_duration {
@@ -125,7 +159,6 @@ impl RateTrace {
             let i = self.epoch_index(t);
             self.cum_bytes[i] + self.rates[i] * (t - self.starts[i])
         };
-        let _ = ia;
         cum_at(b) - cum_at(a)
     }
 
@@ -320,6 +353,55 @@ mod tests {
     #[should_panic(expected = "some bytes")]
     fn all_zero_trace_panics() {
         let _ = RateTrace::new(&[Epoch { duration: 1.0, rate: 0.0 }]);
+    }
+
+    /// Epochs from a nanosecond to 0.4 s: a lookup a millisecond after the
+    /// last one may land past several epochs.  The loop lasts under 2 s, so
+    /// `loop_duration() - f64::EPSILON` is still inside it.
+    fn uneven() -> RateTrace {
+        let durations = [0.4, 1e-6, 0.2, 1e-9, 1e-3, 0.3, 0.05, 1e-6, 0.01, 0.2, 2e-3, 0.25];
+        let epochs: Vec<Epoch> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, &duration)| Epoch { duration, rate: 100.0 * (i + 1) as f64 })
+            .collect();
+        RateTrace::new(&epochs)
+    }
+
+    #[test]
+    fn cursor_never_changes_the_epoch_found() {
+        let trace = uneven();
+        let n = trace.len();
+        let end = trace.loop_duration() - f64::EPSILON;
+        assert!(end < trace.loop_duration());
+        let mut queries = vec![-0.0, end];
+        for i in 0..n {
+            let start = trace.starts[i];
+            let next = trace.starts.get(i + 1).copied().unwrap_or(trace.loop_duration());
+            queries.extend([start, 0.5 * (start + next)]);
+            if i > 0 {
+                queries.push(start.next_down());
+            }
+        }
+        for cursor in 0..n {
+            for &t in &queries {
+                let want = trace.starts.partition_point(|&s| s <= t) - 1;
+                trace.cursor.set(cursor);
+                assert_eq!(trace.epoch_index(t), want, "t = {t:e}, cursor at epoch {cursor}");
+                trace.cursor.set(cursor);
+                assert_eq!(trace.rate_at(t), trace.rates[want], "t = {t:e}, cursor {cursor}");
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_is_in_the_first_epoch() {
+        let t = two_epoch();
+        assert_eq!(t.rate_at(-0.0), 100.0);
+        assert_eq!(t.rate_at(3.0), 1000.0);
+        assert_eq!(t.rate_at(-0.0), 100.0);
+        assert_eq!(t.advance(-0.0, 10.0), 0.1);
+        assert_eq!(t.bytes_between(-0.0, 1.0), 100.0);
     }
 
     #[test]

@@ -11,16 +11,42 @@ use puffer_trace::trace::{Epoch, RateTrace};
 use puffer_trace::{mahimahi, Cs2pLikeProcess, FccLikeProcess, PufferLikeProcess, RateProcess};
 use rand::SeedableRng;
 
-fn arb_trace() -> impl Strategy<Value = RateTrace> {
+fn arb_epochs() -> impl Strategy<Value = Vec<Epoch>> {
     // 1..12 epochs, durations 0.05..5 s, rates 0..2e6 B/s, at least one
     // epoch carrying bytes.
     prop::collection::vec((0.05f64..5.0, 0.0f64..2e6), 1..12)
         .prop_filter("must carry bytes", |v| v.iter().any(|&(d, r)| d * r > 0.0))
-        .prop_map(|v| {
-            RateTrace::new(
-                &v.into_iter().map(|(duration, rate)| Epoch { duration, rate }).collect::<Vec<_>>(),
-            )
-        })
+        .prop_map(|v| v.into_iter().map(|(duration, rate)| Epoch { duration, rate }).collect())
+}
+
+fn arb_trace() -> impl Strategy<Value = RateTrace> {
+    arb_epochs().prop_map(|epochs| RateTrace::new(&epochs))
+}
+
+/// The epochs of a 600 s Puffer-like trace: about 600 epochs of about a
+/// second each, so a jump of a few seconds passes more epochs than a lookup
+/// steps through before it binary-searches.
+fn puffer_like_epochs(seed: u64) -> Vec<Epoch> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut process = PufferLikeProcess::new(5e5, 0.5);
+    let mut epochs = Vec::new();
+    let mut t = 0.0;
+    while t < 600.0 {
+        let e = process.next_epoch(&mut rng);
+        t += e.duration;
+        epochs.push(e);
+    }
+    epochs
+}
+
+/// Query `kind` (rate, advance, bytes) at absolute time `t`, sized by `x`
+/// in [0, 1).
+fn query(trace: &RateTrace, kind: u8, t: f64, x: f64) -> f64 {
+    match kind {
+        0 => trace.rate_at(t),
+        1 => trace.advance(t, x * 2e6),
+        _ => trace.bytes_between(t, t + 5.0 * x),
+    }
 }
 
 proptest! {
@@ -73,6 +99,45 @@ proptest! {
     ) {
         let (lo, hi) = if b1 <= b2 { (b1, b2) } else { (b2, b1) };
         prop_assert!(trace.advance(t0, lo) <= trace.advance(t0, hi) + 1e-12);
+    }
+
+    /// A trace remembers the epoch its last lookup found; its answers must
+    /// not depend on that.  One long-lived trace answers a walk of queries
+    /// — mostly forward like the TCP model's rounds, with steps back of up
+    /// to 1e-9 s, jumps past the loop's end and back, −0.0 and exact epoch
+    /// starts — and each answer must equal, bit for bit, a fresh trace's.
+    #[test]
+    fn answers_do_not_depend_on_earlier_queries(
+        arb in arb_epochs(),
+        puffer_like in any::<bool>(),
+        seed in 0u64..1_000,
+        walk in prop::collection::vec((0u8..10, 0.0f64..1.0, 0u8..3, 0.0f64..1.0), 1..300),
+    ) {
+        let epochs = if puffer_like { puffer_like_epochs(seed) } else { arb };
+        let trace = RateTrace::new(&epochs);
+        let starts: Vec<f64> = trace.epochs().map(|(s, _)| s).collect();
+        let loop_s = trace.loop_duration();
+        let mut t = 0.0f64;
+        let mut reached = 0.0f64;
+        for &(step, x, kind, size) in &walk {
+            t = match step {
+                0..=2 => t + 0.5 * x,
+                3 => (t - 1e-9 * x).max(0.0),
+                4 => reached,
+                5 => t + 20.0 * x,
+                6 => t + loop_s * (1.0 + 3.0 * x),
+                7 => loop_s * x,
+                8 => -0.0,
+                _ => starts[(x * starts.len() as f64) as usize],
+            };
+            let got = query(&trace, kind, t, size);
+            let want = query(&RateTrace::new(&epochs), kind, t, size);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "query {} at t = {:e}: {} vs {}",
+                kind, t, got, want);
+            if kind == 1 {
+                reached = got;
+            }
+        }
     }
 
     #[test]
