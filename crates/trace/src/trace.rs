@@ -148,6 +148,15 @@ impl RateTrace {
         self.rates[self.epoch_index(t)]
     }
 
+    /// `t`'s position within its loop, `t − loops · d` for `loops = ⌊t /
+    /// d⌋`, clamped to `[0, d]`.  A `t` a few ulps from a multiple of `d`
+    /// can round the quotient across the loop boundary and the difference a
+    /// few ulps outside the loop.  Within `[0, d]` the clamp changes nothing,
+    /// and past `d` every query answers as at `d` already.
+    fn wrap(&self, t: f64, loops: f64) -> f64 {
+        (t - loops * self.total_duration).clamp(0.0, self.total_duration)
+    }
+
     /// Bytes carried within one loop between wrapped times `a <= b`.
     fn bytes_within_loop(&self, a: f64, b: f64) -> f64 {
         debug_assert!(a <= b && b <= self.total_duration + 1e-9);
@@ -168,8 +177,8 @@ impl RateTrace {
         assert!(t1 >= t0 && t0 >= 0.0, "invalid interval [{t0}, {t1}]");
         let loops0 = (t0 / self.total_duration).floor();
         let loops1 = (t1 / self.total_duration).floor();
-        let a = t0 - loops0 * self.total_duration;
-        let b = t1 - loops1 * self.total_duration;
+        let a = self.wrap(t0, loops0);
+        let b = self.wrap(t1, loops1);
         let full_loops = loops1 - loops0;
         if full_loops == 0.0 {
             self.bytes_within_loop(a, b)
@@ -190,7 +199,7 @@ impl RateTrace {
         let mut remaining = bytes;
         // Skip whole loops first.
         let loops0 = (t0 / self.total_duration).floor();
-        let mut t = t0 - loops0 * self.total_duration; // wrapped position
+        let mut t = self.wrap(t0, loops0); // wrapped position
         let mut base = loops0 * self.total_duration; // absolute time of loop start
 
         // Bytes remaining in the current partial loop.
@@ -393,6 +402,36 @@ mod tests {
                 assert_eq!(trace.rate_at(t), trace.rates[want], "t = {t:e}, cursor {cursor}");
             }
         }
+    }
+
+    #[test]
+    fn queries_next_to_a_loop_boundary_answer() {
+        // `t0 / d` rounds up to 8645 here and the wrapped time comes out
+        // 1.86e-9 s below the loop's start; the epoch search used to find no
+        // epoch, index out of bounds, and leave the cursor out of range.
+        let trace = RateTrace::constant(1000.0, 1479.119942748379);
+        let t0 = 12786991.905059734;
+        assert!(t0 - (t0 / trace.loop_duration()).floor() * trace.loop_duration() < 0.0);
+        assert!((trace.advance(t0, 1.0) - t0 - 1e-3).abs() < 1e-8);
+        assert!((trace.bytes_between(t0, t0 + 1.0) - 1000.0).abs() < 1e-5);
+        assert_eq!(trace.rate_at(t0), 1000.0);
+        // Here `t0 / d` rounds down to 27097 and the wrapped time lands
+        // 4.8e-10 s past the loop's end.
+        let trace = two_epoch_scaled(1467.8007271061533);
+        let d = trace.loop_duration();
+        let t0 = 39774464.10312254;
+        assert!(t0 - (t0 / d).floor() * d > d);
+        assert_eq!(trace.advance(t0, 50.0), trace.advance(27098.0 * d, 50.0));
+        assert!((trace.bytes_between(t0, t0 + 1.0) - 100.0).abs() < 1e-5);
+        assert_eq!(trace.rate_at(t0 + 1.0), 100.0);
+    }
+
+    /// One `d`-second loop: `0.4 d` at 100 B/s, then `0.6 d` at 1000 B/s.
+    fn two_epoch_scaled(d: f64) -> RateTrace {
+        RateTrace::new(&[
+            Epoch { duration: 0.4 * d, rate: 100.0 },
+            Epoch { duration: d - 0.4 * d, rate: 1000.0 },
+        ])
     }
 
     #[test]

@@ -140,6 +140,38 @@ proptest! {
         }
     }
 
+    /// A time a few ulps from a multiple of the loop duration `d` can wrap a
+    /// few ulps below the loop's start or past its end, when `t0 / d`
+    /// rounds across the boundary.  Queries there answer like any others:
+    /// `advance` and `bytes_between` invert each other, and a later
+    /// `rate_at` answers like a fresh trace's.
+    #[test]
+    fn queries_a_few_ulps_from_a_loop_boundary(
+        arb in arb_epochs(),
+        constant in any::<bool>(),
+        d in 0.5f64..5000.0,
+        k in 1u64..100_000,
+        bytes in 0.0f64..1e6,
+    ) {
+        let epochs = if constant { vec![Epoch { duration: d, rate: 1000.0 }] } else { arb };
+        let trace = RateTrace::new(&epochs);
+        let d = trace.loop_duration();
+        let max_rate = trace.epochs().map(|(_, r)| r).fold(0.0, f64::max);
+        for ulps in -8i64..=8 {
+            let t0 = f64::from_bits(((k as f64 * d).to_bits() as i64 + ulps) as u64);
+            let t1 = trace.advance(t0, bytes);
+            prop_assert!(t1 >= t0, "advance({:e}) went back to {:e}", t0, t1);
+            let carried = trace.bytes_between(t0, t1);
+            // Absolute times near 1e7 s carry ~1e-9 s of rounding each.
+            let tolerance = 1e-6 * bytes.max(1.0) + max_rate * 64.0 * f64::EPSILON * t1;
+            prop_assert!((carried - bytes).abs() <= tolerance,
+                "t0 = {:e}: carried {} vs requested {}", t0, carried, bytes);
+            prop_assert!(trace.bytes_between(t0, t0) == 0.0);
+            let fresh = RateTrace::new(&epochs);
+            prop_assert_eq!(trace.rate_at(t0).to_bits(), fresh.rate_at(t0).to_bits());
+        }
+    }
+
     #[test]
     fn processes_produce_valid_traces(seed in 0u64..5_000, base in 5e4f64..2e6) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
