@@ -1,4 +1,5 @@
-//! Model-predictive control (MPC-HM / RobustMPC-HM), Yin et al. \[43\].
+//! Model-predictive control (MPC-HM / RobustMPC-HM), Yin et al. \[43\], and
+//! the value-iteration core it shares with Fugu's stochastic controller.
 //!
 //! MPC plans the rung sequence for the next [`crate::HORIZON`] chunks that
 //! maximizes the total QoE of Eq. 1, given (a) the known sizes and SSIMs of
@@ -7,13 +8,56 @@
 //! prediction error (RobustMPC-HM).  After sending one chunk it replans
 //! (receding horizon).
 //!
-//! The plan is computed by value iteration over a discretized buffer
-//! ([`BUFFER_BINS`] levels [`BIN_W`] apart), the same grid and structure
-//! Fugu's stochastic controller uses (§4.4) — the only
-//! difference is that here the transmission time is a point estimate, so the
-//! expectation collapses to a single term.  Using the identical machinery for
-//! MPC, RobustMPC, and Fugu mirrors the paper's claim that "MPC and Fugu even
-//! share most of their codebase" (§5.1).
+//! # One planner core
+//!
+//! "MPC and Fugu even share most of their codebase" (§5.1): Fugu is this
+//! MPC with a probabilistic transmission-time predictor (§4.4).  Both plan
+//! by value iteration over a discretized buffer ([`BUFFER_BINS`] levels
+//! [`BIN_W`] apart) through one core, [`ValueTables::solve`]; each brings
+//! only its transfer, its stall/value-to-go rows `W`, its combine and its
+//! root.
+//!
+//! - **Per-rung reachable spans.**  Like the deployed controller's forward
+//!   recursion with memoization, the core visits only the states the root
+//!   can reach.  The root reads each rung's step-1 value at that rung's own
+//!   post-transfer bins (one for MPC), and step s reads rung `prev`'s value
+//!   at step s + 1 only at the images of step s's bins under `prev`'s own
+//!   transfer: one point time for MPC, the kept time bins for Fugu.  The
+//!   post-transfer bin is monotone non-decreasing in the pre-transfer
+//!   buffer, so the images of a span's two ends bound them.  A forward pass
+//!   records these per-rung spans; `W` is computed over their hull and each
+//!   rung's value over its own span only.
+//! - **Value-to-go in three pieces** ([`Landing`]).  Under one transfer
+//!   time a span's bins drain to one bin, rise one bin per bin, or fill to
+//!   the last bin, so the value-to-go is one value, a contiguous slice and
+//!   one value, with no per-bin gather.
+//! - **A select max-plus.**  Each value folds the rungs in ascending order
+//!   through `score > best ? score : best`, which is what a packed `max`
+//!   computes.  The combine is the planner's: MPC-HM's reference groups
+//!   `(m − µ·stall) + to_go`, Fugu `m + Σ p·(v − µ·stall)`, and regrouping
+//!   either sum changes results.
+//!
+//! None of this moves a decision by a bit.  The spans skip only entries
+//! nothing reads; each piece reads, bin for bin, the value the per-bin
+//! index reads; and on finite scores the select equals `f64::max` up to the
+//! sign of an exact zero, which no comparison sees.  Rust never fuses a
+//! multiply and an add, so every lane performs the one-bin-at-a-time
+//! loop's IEEE operations in its order.
+//!
+//! # MPC's landing
+//!
+//! For a point time `t ≤ MAX_BUFFER_SECONDS`, let `c = (CHUNK_SECONDS − t)
+//! / BIN_W` (`CHUNK_SECONDS` is 2.002 s, not 2).  The buffer rule
+//! `buffer_bin(buffer_after(bin · BIN_W, t))` rounds `4 · ((bin · BIN_W −
+//! t) + CHUNK_SECONDS)` (the drain clamped at 0, the result at the last
+//! bin), and in floating point that differs from `bin + c` by less than
+//! 1.5e-14: two roundings of values below 16 and one below 32, times 4.  So
+//! away from ties the rule is `clamp(bin + ⌊c + ½⌋, buffer_bin(CHUNK_SECONDS),
+//! BUFFER_BINS − 1)` at every bin: a drained piece, a rising shift, a full
+//! piece.  Where `c + ½` lies within 1e-9 of an integer, bins may round
+//! apart and the rising piece need not be a shift, so [`Landing::of`]
+//! declines and MPC evaluates the rule bin by bin.  A time above
+//! `MAX_BUFFER_SECONDS` drains every bin.
 
 use crate::predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
 use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
@@ -29,6 +73,18 @@ pub const BUFFER_BINS: usize = 61;
 /// Width of one buffer bin: 0.25 s.  A power of two, so `bin as f64 *
 /// BIN_W` and its division back by `BIN_W` are exact.
 pub const BIN_W: f64 = MAX_BUFFER_SECONDS / (BUFFER_BINS - 1) as f64;
+
+/// The grid's buffers, `bin · BIN_W`: a table, because a `usize → f64`
+/// conversion per bin does not vectorize on the baseline target.
+const GRID: [f64; BUFFER_BINS] = {
+    let mut grid = [0.0; BUFFER_BINS];
+    let mut bin = 0;
+    while bin < BUFFER_BINS {
+        grid[bin] = bin as f64 * BIN_W;
+        bin += 1;
+    }
+    grid
+};
 
 /// Throughput assumed before any samples exist, bytes/s (0.4 Mbit/s).
 /// Conservative, which is why every MPC variant starts at low quality on a
@@ -64,40 +120,167 @@ pub fn buffer_after(buffer: f64, t: f64) -> f64 {
     ((buffer - t).max(0.0) + CHUNK_SECONDS).min(MAX_BUFFER_SECONDS)
 }
 
-/// Reusable flat tables for [`Mpc::plan_with`].
-///
-/// The MPC family plans once per chunk on every stream of every MPC arm, so
-/// the planner is a simulation hot path (§5.1: "MPC and Fugu even share most
-/// of their codebase" — Fugu's `PlanScratch` got this treatment first).
-/// Every per-decision table lives here as a flat `Vec`, rung-major with the
-/// buffer bin innermost — `value[prev·B + bin]`, `mu_stall`/`to_go[a·B +
-/// bin]`, `m[prev·R + a]` — so steady-state planning allocates nothing and
-/// the maximization runs over contiguous bins.  `reach[step]` holds the
-/// bins a forward pass from the real buffer can reach at each step; only
-/// those are ever computed or read.
-#[derive(Debug, Clone, Default)]
-pub struct MpcScratch {
-    /// Value table for the step below, `prev * bins + bin`.
-    value: Vec<f64>,
-    /// Value table being built for this step (ping/pong partner of `value`).
-    next_value: Vec<f64>,
-    /// `µ · stall` per `a * bins + bin` — `prev`-independent.
-    mu_stall: Vec<f64>,
-    /// Value-to-go after action `a` from `bin`, `a * bins + bin`.
-    to_go: Vec<f64>,
-    /// Quality-minus-smoothness term per `prev * n_rungs + a`.
-    m: Vec<f64>,
-    /// Transmission time per `step * n_rungs + a`.
-    times: Vec<f64>,
-    /// Buffer bins reachable from the root at each step.
-    reach: Vec<Range<usize>>,
+/// Where one transfer time leaves each buffer bin: bin `bin` lands on
+/// `clamp(bin + shift, drained, BUFFER_BINS − 1)`, with `drained =
+/// buffer_bin(CHUNK_SECONDS)`.  So a span's bins fall into three pieces, any
+/// of them empty: a drained piece, a rising piece that lands one bin further
+/// per bin, and a full piece.
+#[derive(Debug, Clone, Copy)]
+pub struct Landing {
+    shift: isize,
 }
 
-impl MpcScratch {
+impl Landing {
+    /// The buffer rule under transfer time `t`, or `None` within 1e-9 of a
+    /// rounding tie, where the rule must be evaluated bin by bin (see the
+    /// module docs for the derivation and its bound).
+    pub fn of(t: f64) -> Option<Landing> {
+        // `⌊c + ½⌋` by truncation (no libm `floor` on the baseline target):
+        // `c + ½ + 64` is positive for every `t ≤ MAX_BUFFER_SECONDS`.
+        let y = (CHUNK_SECONDS - t) / BIN_W + 64.5;
+        let shift = if t > MAX_BUFFER_SECONDS {
+            -(BUFFER_BINS as isize)
+        } else if (y - (y as isize) as f64 - 0.5).abs() < 0.5 - 1e-9 {
+            y as isize - 64
+        } else {
+            return None;
+        };
+        let landing = Landing { shift };
+        debug_assert!(
+            (0..BUFFER_BINS).all(|bin| landing.at(bin) == buffer_bin(buffer_after(GRID[bin], t)))
+        );
+        Some(landing)
+    }
+
+    /// The bin `bin` lands on.
+    pub fn at(self, bin: usize) -> usize {
+        let drained = buffer_bin(CHUNK_SECONDS) as isize;
+        (bin as isize + self.shift).clamp(drained, BUFFER_BINS as isize - 1) as usize
+    }
+
+    /// Split `span` at the break points: how many of its first bins drain
+    /// (they land where `span.start` does), and the contiguous bins the
+    /// rising ones after them land on.  The rest land on the last bin.
+    pub fn pieces(self, span: Range<usize>) -> (usize, Range<usize>) {
+        let (lo, hi) = (span.start as isize, span.end as isize);
+        let rise = (buffer_bin(CHUNK_SECONDS) as isize + 1 - self.shift).clamp(lo, hi);
+        let full = (BUFFER_BINS as isize - 1 - self.shift).clamp(rise, hi);
+        let first = self.at(rise as usize);
+        ((rise - lo) as usize, first..first + (full - rise) as usize)
+    }
+}
+
+/// The smallest range holding every non-empty span (empty if none is).
+fn hull(spans: &[Range<usize>]) -> Range<usize> {
+    let mut spans = spans.iter().filter(|span| !span.is_empty());
+    let first = spans.next().cloned().unwrap_or(0..0);
+    spans.fold(first, |hull, span| hull.start.min(span.start)..hull.end.max(span.end))
+}
+
+/// The value iteration both planners run, in flat tables reused across
+/// decisions: rung-major with the buffer bin innermost — `value[prev·B +
+/// bin]`, `rows[k][a·B + bin]`, `m[prev·R + a]`, `reach[step·R + prev]` —
+/// so steady-state planning allocates nothing and the maximization runs
+/// over contiguous bins.  Every entry a plan reads is written by that plan.
+#[derive(Debug, Clone, Default)]
+pub struct ValueTables {
+    /// Value of each previous rung at each bin, for the step below.
+    pub value: Vec<f64>,
+    /// The table being built for this step (ping/pong partner of `value`).
+    pub next_value: Vec<f64>,
+    /// The value past the horizon: zero.
+    zeros: Vec<f64>,
+    /// The planner's two `W` rows per rung, which its combine reads.
+    pub rows: [Vec<f64>; 2],
+    /// Quality minus the λ·|Δssim| variation penalty per (prev, rung).
+    m: Vec<f64>,
+    /// Bins each step reads each previous rung's value at; step 0's are
+    /// empty.
+    pub reach: Vec<Range<usize>>,
+}
+
+impl ValueTables {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Run the value iteration over `menus` (the plan's horizon) and return
+    /// step 1's value table for the planner's root.
+    ///
+    /// - `image(step, a, span)` is the lowest and highest bin rung `a`'s
+    ///   transfer at `step` takes the bins `span` to (the root's buffer when
+    ///   `step` is 0); `lo > hi` when it takes them nowhere.
+    /// - `fill_w(step, span, value, rows)` writes the rows over `span` for
+    ///   every rung, from the value table of the step below.
+    /// - `combine(m, x, y)` scores rung `a` from `m[prev][a]` and its rows.
+    // lint: panic-free — every index is a rung/step below the dims that size the tables here, or a bin of a reachable span (< BUFFER_BINS)
+    // lint: alloc-free — the tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
+    pub fn solve(
+        &mut self,
+        menus: &[ChunkMenu],
+        n_rungs: usize,
+        mut image: impl FnMut(usize, usize, Range<usize>) -> (usize, usize),
+        mut fill_w: impl FnMut(usize, Range<usize>, &[f64], &mut [Vec<f64>; 2]),
+        combine: impl Fn(f64, f64, f64) -> f64,
+    ) -> &[f64] {
+        let (bins, horizon) = (BUFFER_BINS, menus.len());
+        for table in [&mut self.value, &mut self.next_value, &mut self.zeros] {
+            table.resize(n_rungs * bins, 0.0);
+        }
+        self.rows.iter_mut().for_each(|row| row.resize(n_rungs * bins, 0.0));
+        self.m.resize(n_rungs * n_rungs, 0.0);
+        self.reach.clear();
+        self.reach.resize(horizon * n_rungs, 0..0);
+
+        // Forward pass.  Spans stay empty below a step nothing reads.
+        for step in 1..horizon {
+            let from = hull(&self.reach[(step - 1) * n_rungs..step * n_rungs]);
+            if step > 1 && from.is_empty() {
+                break;
+            }
+            for a in 0..n_rungs {
+                let (lo, hi) = image(step - 1, a, from.clone());
+                self.reach[step * n_rungs + a] = if lo <= hi { lo..hi + 1 } else { 0..0 };
+            }
+        }
+
+        for step in (1..horizon).rev() {
+            let spans = &self.reach[step * n_rungs..(step + 1) * n_rungs];
+            let value = if step + 1 < horizon { &self.value } else { &self.zeros };
+            fill_w(step, hull(spans), value, &mut self.rows);
+            for (prev, popt) in menus[step - 1].options.iter().enumerate() {
+                let m_row = &mut self.m[prev * n_rungs..(prev + 1) * n_rungs];
+                for (ma, opt) in m_row.iter_mut().zip(&menus[step].options) {
+                    *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
+                }
+            }
+            // The max-plus: each rung's value over its own span, rungs in
+            // ascending order, bins innermost.
+            for (prev, span) in spans.iter().enumerate() {
+                let nv = &mut self.next_value[prev * bins..(prev + 1) * bins][span.clone()];
+                nv.fill(f64::NEG_INFINITY);
+                for (a, &ma) in self.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
+                    let x = &self.rows[0][a * bins..(a + 1) * bins][span.clone()];
+                    let y = &self.rows[1][a * bins..(a + 1) * bins][span.clone()];
+                    for ((best, &x), &y) in nv.iter_mut().zip(x).zip(y) {
+                        let score = combine(ma, x, y);
+                        *best = if score > *best { score } else { *best };
+                    }
+                }
+            }
+            std::mem::swap(&mut self.value, &mut self.next_value);
+        }
+        if horizon > 1 {
+            &self.value
+        } else {
+            &self.zeros
+        }
+    }
 }
+
+/// Reusable tables for [`Mpc::plan_with`]: the shared core's, with `µ ·
+/// stall` and the value-to-go after the transfer as its two rows.
+pub type MpcScratch = ValueTables;
 
 /// MPC-HM (and RobustMPC-HM with `robust = true`).
 ///
@@ -181,136 +364,74 @@ impl Mpc {
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
     /// of panicking on `menus[0]`.
     ///
-    /// Like the deployed controller's forward recursion with memoization,
-    /// the value iteration only visits the states the root can reach: a
-    /// forward pass from `ctx.buffer` bounds, per step, the span of buffer
-    /// bins reachable through any rung's transmission time.  The
-    /// post-transfer bin is monotone non-decreasing in the pre-transfer
-    /// buffer, so the bins reached from a span lie between the images of its
-    /// two ends, and every value the backward pass reads lies inside the next
-    /// step's span.
-    ///
-    /// Everything that does not depend on the previous rung is hoisted out of
-    /// the inner `(prev, rung, bin)` loop: the transmission time `t = size /
-    /// throughput` (per step × rung), the stall term `µ·(t − buffer)⁺` and the
-    /// value-to-go after the transfer (per rung × bin), and the quality part
-    /// of `chunk_qoe` (folded into the per-`(prev, rung)` smoothness table
-    /// `m`).  The surviving inner-loop work is one subtraction, one addition,
-    /// and a max, over contiguous bins.
+    /// Runs [`ValueTables::solve`] with the transmission time `t = size /
+    /// throughput` of each (step, rung), one [`Landing`] per (step, rung)
+    /// for the value-to-go, and the rows `µ·(t − buffer)⁺` and value-to-go
+    /// combined as `(m − µ·stall) + to_go`: the reference's `((ssim −
+    /// λ·|Δ|) − µ·stall) + to_go` with the quality folded into `m`.
     ///
     /// Decision equivalence with the naive reference value iteration (kept
     /// beside the tests) is exact, not approximate: every floating-point
-    /// expression keeps the reference's operand association —
-    /// `(m − µ·stall) + to_go` reassociates `((ssim − λ·|Δ|) − µ·stall) +
-    /// to_go` only at the subtraction the reference also performs — and
-    /// each value folds its rungs through `f64::max` in the same ascending
-    /// order, so the DP values are bit-identical; the step-0 argmax scans
-    /// rungs in the same order with the same strict `>` (first max wins), so
-    /// the chosen rung matches the reference on ties too.  Pinned by the
-    /// property tests below.
+    /// expression keeps the reference's operand association, and the DP
+    /// values are bit-identical (see the module docs); the step-0 argmax
+    /// scans rungs in the same order with the same strict `>` (first max
+    /// wins), so the chosen rung matches the reference on ties too.  Pinned
+    /// by the property tests below.
     // lint-root: panic-free, alloc-free
-    // lint: panic-free — every index is a bin of a reachable span (< bins) or a rung/step below the dims that size the tables at the top of the fn
-    // lint: alloc-free — scratch tables grow once to horizon*bins; warm calls are allocation-free per tests/alloc_gate.rs
+    // lint: panic-free — every index is a step/rung of the horizon's menus or a bin below BUFFER_BINS
     pub fn plan_with(&self, ctx: &AbrContext, throughput: f64, scratch: &mut MpcScratch) -> usize {
         if ctx.lookahead.is_empty() {
             return 0;
         }
-        let horizon = HORIZON.min(ctx.lookahead.len());
-        let menus: &[ChunkMenu] = &ctx.lookahead[..horizon];
-        let n_rungs = menus[0].n_rungs();
+        let menus = &ctx.lookahead[..HORIZON.min(ctx.lookahead.len())];
         let bins = BUFFER_BINS;
-
-        // (Re)shape the tables.  Each entry is written before it is read,
-        // so stale contents from an earlier decision never leak in.
-        scratch.value.resize(n_rungs * bins, 0.0);
-        scratch.next_value.resize(n_rungs * bins, 0.0);
-        scratch.mu_stall.resize(n_rungs * bins, 0.0);
-        scratch.to_go.resize(n_rungs * bins, 0.0);
-        scratch.m.resize(n_rungs * n_rungs, 0.0);
-        scratch.times.resize(horizon * n_rungs, 0.0);
-        scratch.reach.resize(horizon, 0..0);
-
-        // Per step and rung: the deterministic transmission time.
-        for (step, menu) in menus.iter().enumerate() {
-            let row = &mut scratch.times[step * n_rungs..(step + 1) * n_rungs];
-            for (t, opt) in row.iter_mut().zip(&menu.options) {
-                *t = opt.size / throughput;
-            }
-        }
-
-        // Forward pass: the span of bins each step's value is read at.  The
-        // root's span is the real buffer's image; a step's span is the
-        // images of the previous span's two ends.
-        let (mut lo_buf, mut hi_buf) = (ctx.buffer, ctx.buffer);
-        for step in 1..horizon {
-            let (mut lo, mut hi) = (usize::MAX, 0);
-            for &t in &scratch.times[(step - 1) * n_rungs..step * n_rungs] {
-                lo = lo.min(buffer_bin(buffer_after(lo_buf, t)));
-                hi = hi.max(buffer_bin(buffer_after(hi_buf, t)));
-            }
-            // Empty only without rungs, when nothing below is read either.
-            scratch.reach[step] = if lo <= hi { lo..hi + 1 } else { 0..0 };
-            (lo_buf, hi_buf) = (lo as f64 * BIN_W, hi as f64 * BIN_W);
-        }
-
-        for step in (1..horizon).rev() {
-            let menu = &menus[step];
-            let prev_menu = &menus[step - 1];
-            let span = scratch.reach[step].clone();
-            let times = &scratch.times[step * n_rungs..(step + 1) * n_rungs];
-
-            // Per (rung, reachable bin): µ·stall and the value-to-go after
-            // the transfer — both independent of the previous rung.
-            let last_step = step + 1 >= horizon;
-            for (a, &t) in times.iter().enumerate() {
-                let row = a * bins..(a + 1) * bins;
-                let ms_row = &mut scratch.mu_stall[row.clone()][span.clone()];
-                let tg_row = &mut scratch.to_go[row.clone()][span.clone()];
-                let value_a = &scratch.value[row];
-                for ((ms, tg), bin) in ms_row.iter_mut().zip(tg_row).zip(span.clone()) {
-                    let buffer = bin as f64 * BIN_W;
-                    *ms = MU * (t - buffer).max(0.0);
-                    *tg =
-                        if last_step { 0.0 } else { value_a[buffer_bin(buffer_after(buffer, t))] };
-                }
-            }
-            // Per (previous rung, rung): quality minus the λ·|Δssim|
-            // smoothness penalty.
-            for (prev, popt) in prev_menu.options.iter().enumerate() {
-                let m_row = &mut scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
-                for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
-                    *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
-                }
-            }
-            // The maximization: rungs in ascending order, bins innermost.
-            for prev in 0..n_rungs {
-                let nv = &mut scratch.next_value[prev * bins..(prev + 1) * bins][span.clone()];
-                nv.fill(f64::NEG_INFINITY);
-                for (a, &ma) in scratch.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
-                    let ms_row = &scratch.mu_stall[a * bins..(a + 1) * bins][span.clone()];
-                    let tg_row = &scratch.to_go[a * bins..(a + 1) * bins][span.clone()];
-                    for ((v, &ms), &tg) in nv.iter_mut().zip(ms_row).zip(tg_row) {
-                        *v = v.max((ma - ms) + tg);
+        let value = scratch.solve(
+            menus,
+            menus[0].n_rungs(),
+            |step, a, from| {
+                let t = menus[step].options[a].size / throughput;
+                let (lo, hi) = if step == 0 {
+                    (ctx.buffer, ctx.buffer)
+                } else {
+                    (GRID[from.start], GRID[from.end - 1])
+                };
+                (buffer_bin(buffer_after(lo, t)), buffer_bin(buffer_after(hi, t)))
+            },
+            |step, span, value, [mu_stall, to_go]| {
+                for (a, opt) in menus[step].options.iter().enumerate() {
+                    let t = opt.size / throughput;
+                    let row = a * bins..(a + 1) * bins;
+                    let ms = mu_stall[row.clone()][span.clone()].iter_mut();
+                    for (ms, &buffer) in ms.zip(&GRID[span.clone()]) {
+                        *ms = MU * (t - buffer).max(0.0);
+                    }
+                    let (tg, value) = (&mut to_go[row.clone()][span.clone()], &value[row]);
+                    if let Some(landing) = Landing::of(t) {
+                        let (drained, rising) = landing.pieces(span.clone());
+                        let (tg_drained, rest) = tg.split_at_mut(drained);
+                        let (tg_rising, tg_full) = rest.split_at_mut(rising.len());
+                        tg_drained.fill(value[landing.at(span.start)]);
+                        tg_rising.copy_from_slice(&value[rising]);
+                        tg_full.fill(value[bins - 1]);
+                    } else {
+                        for (tg, &buffer) in tg.iter_mut().zip(&GRID[span.clone()]) {
+                            *tg = value[buffer_bin(buffer_after(buffer, t))];
+                        }
                     }
                 }
-            }
-            std::mem::swap(&mut scratch.value, &mut scratch.next_value);
-        }
+            },
+            |ma, mu_stall, to_go| (ma - mu_stall) + to_go,
+        );
 
         // Step 0: the real buffer and the real previous chunk — O(rungs),
         // evaluated exactly as the reference does.
-        let menu = &menus[0];
         let mut best_rung = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for (a, (opt, &t)) in menu.options.iter().zip(&scratch.times[..n_rungs]).enumerate() {
+        for (a, opt) in menus[0].options.iter().enumerate() {
+            let t = opt.size / throughput;
             let stall = (t - ctx.buffer).max(0.0);
             let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
-            let to_go = if horizon > 1 {
-                scratch.value[a * bins + buffer_bin(buffer_after(ctx.buffer, t))]
-            } else {
-                0.0
-            };
-            let score = q + to_go;
+            let score = q + value[a * bins + buffer_bin(buffer_after(ctx.buffer, t))];
             if score > best_score {
                 best_score = score;
                 best_rung = a;
@@ -573,6 +694,67 @@ mod tests {
         }
     }
 
+    /// Fill every value and `W` entry with a huge finite value, so a read
+    /// outside the spans a plan computes wins the max and flips the
+    /// decision.
+    fn poison(scratch: &mut MpcScratch, n_rungs: usize) {
+        let poison = vec![f64::MAX / 4.0; n_rungs * BUFFER_BINS];
+        scratch.value = poison.clone();
+        scratch.next_value = poison.clone();
+        scratch.rows = [poison.clone(), poison];
+    }
+
+    /// `Landing::of(t)` either lands every bin where the buffer rule does,
+    /// also when read as the pieces of `span`, or declines within 1e-9 of a
+    /// rounding tie `CHUNK_SECONDS − (m + ½)·BIN_W` (rule-sized bins apart
+    /// from the shift).
+    fn check_landing(t: f64, span: Range<usize>) {
+        let rule = |bin: usize| buffer_bin(buffer_after(bin as f64 * BIN_W, t));
+        let Some(landing) = Landing::of(t) else {
+            let tie = ((CHUNK_SECONDS - t) / BIN_W - 0.5).round();
+            let off = t - (CHUNK_SECONDS - (tie + 0.5) * BIN_W);
+            assert!(
+                t <= MAX_BUFFER_SECONDS && off.abs() < 1e-9,
+                "t={t:e} declined {off:e} off a tie"
+            );
+            return;
+        };
+        for bin in 0..BUFFER_BINS {
+            assert_eq!(landing.at(bin), rule(bin), "t={t:e} bin={bin}");
+        }
+        let (drained, rising) = landing.pieces(span.clone());
+        assert!(drained + rising.len() <= span.len(), "t={t:e} span={span:?}");
+        for (i, bin) in span.clone().enumerate() {
+            let got = if i < drained {
+                landing.at(span.start)
+            } else if i < drained + rising.len() {
+                rising.start + (i - drained)
+            } else {
+                BUFFER_BINS - 1
+            };
+            assert_eq!(got, rule(bin), "t={t:e} span={span:?} bin={bin}");
+        }
+    }
+
+    #[test]
+    fn landing_matches_the_buffer_rule_near_ties() {
+        // Every tie inside [0, MAX_BUFFER_SECONDS] and ±1000 ulps around it,
+        // each over the whole grid; plus the edges of the time range.
+        let mut declined = 0;
+        for m in -52..=7 {
+            let tie = CHUNK_SECONDS - (f64::from(m) + 0.5) * BIN_W;
+            for ulps in -1000i64..=1000 {
+                let t = f64::from_bits((tie.to_bits() as i64 + ulps) as u64);
+                check_landing(t, 0..BUFFER_BINS);
+                declined += usize::from(Landing::of(t).is_none());
+            }
+        }
+        assert!(declined > 0, "no time near a tie was declined");
+        for t in [0.0, MAX_BUFFER_SECONDS, MAX_BUFFER_SECONDS.next_up(), f64::INFINITY] {
+            check_landing(t, 0..BUFFER_BINS);
+        }
+    }
+
     /// Random menus for the equivalence sweep: `h` steps × `n_rungs` rungs
     /// with sizes/SSIMs drawn from the given unit samples.  When `dup` is
     /// set, every other rung duplicates its predecessor exactly (size and
@@ -643,6 +825,7 @@ mod tests {
             let c = AbrContext { prev_ssim_db: prev, ..ctx(buffer, &m, &hist) };
             let mpc = if robust { Mpc::robust_mpc_hm() } else { Mpc::mpc_hm() };
             let mut scratch = MpcScratch::new();
+            poison(&mut scratch, n_rungs);
             let fast = mpc.plan_with(&c, throughput, &mut scratch);
             let slow = mpc.plan_reference(&c, throughput);
             proptest::prop_assert_eq!(
@@ -651,8 +834,24 @@ mod tests {
                 h, n_rungs, buffer, throughput, dup
             );
             // Reusing the warmed scratch must not change the answer.
+            poison(&mut scratch, n_rungs);
             let again = mpc.plan_with(&c, throughput, &mut scratch);
             proptest::prop_assert_eq!(again, fast);
+        }
+
+        /// [`Landing::of`] reproduces the buffer rule at all 61 bins, through
+        /// `at` and through `pieces` over a random span, for random transfer
+        /// times and times past `MAX_BUFFER_SECONDS`.
+        #[test]
+        fn landing_matches_the_buffer_rule(
+            t in 0.0f64..MAX_BUFFER_SECONDS,
+            late in MAX_BUFFER_SECONDS..1e6,
+            lo in 0..BUFFER_BINS,
+            len in 0..BUFFER_BINS + 1,
+        ) {
+            let span = lo..(lo + len).min(BUFFER_BINS);
+            check_landing(t, span.clone());
+            check_landing(late, span);
         }
 
         /// `choose` (predictor + scratch planner) agrees with the reference

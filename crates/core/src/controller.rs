@@ -7,39 +7,31 @@
 //! ```
 //!
 //! where the transmission-time distribution comes from the TTP.  "To make the
-//! DP computationally feasible, it discretizes Bᵢ into bins" — we evaluate
-//! the recursion backward over (previous rung × buffer bin) exactly as the
-//! deterministic MPC in `puffer-abr` does, on the same grid ([`BUFFER_BINS`]
-//! bins [`BIN_W`] apart) with the same buffer rule ([`buffer_after`],
-//! [`buffer_bin`]) and the same objective ([`chunk_qoe`]); the only
-//! difference is the expectation over the 21 time bins.  Like the deployed
-//! controller's forward recursion with memoization, it visits only the
-//! states the root can reach: a forward pass from the real buffer bounds,
-//! per step, the span of buffer bins reachable through any (rung, time bin)
-//! the backward pass reads, and only those bins are computed.  With
-//! `point_estimate = true` the distribution is collapsed to its
-//! maximum-likelihood bin, which is the "Point Estimate" ablation deployed
-//! in August 2019 (§4.6) whose rebuffering was 3–9× worse.
+//! DP computationally feasible, it discretizes Bᵢ into bins" — the recursion
+//! runs backward over (previous rung × buffer bin) on the value-iteration
+//! core the deterministic MPC in `puffer-abr` runs on
+//! ([`ValueTables::solve`]): the same grid ([`BUFFER_BINS`] bins [`BIN_W`]
+//! apart), buffer rule ([`buffer_after`], [`buffer_bin`]), objective
+//! ([`chunk_qoe`]), per-rung reachable spans, three-piece value-to-go
+//! ([`Landing`]) and select max-plus.  The only difference is the
+//! expectation over the 21 time bins: a rung's transfer takes a span to the
+//! images of its ends under every time bin the planner keeps, and `W` sums
+//! over them.  With `point_estimate = true` the distribution is collapsed to
+//! its maximum-likelihood bin, which is the "Point Estimate" ablation
+//! deployed in August 2019 (§4.6) whose rebuffering was 3–9× worse.
 //!
-//! The value iteration is written to vectorize.  Under one time bin, the
-//! buffer bins a span lands on fall into at most three pieces (see
-//! `Transfers`): a drained piece and a full piece that each read one
-//! value-to-go, and a rising piece that reads a contiguous slice of it, so
-//! the expectation runs over contiguous bins with no per-bin gather.  The
-//! maximization over rungs is a select (`score > best ? score : best`),
-//! which is exactly what a packed `max` computes.  Neither changes a bit of
-//! any stored value: each lane performs the same IEEE operations on the same
-//! operands in the same order as the one-bin-at-a-time loop (Rust never
-//! fuses a multiply and an add into an FMA).
+//! Every `bin_midpoint(b)` is a multiple of `BIN_W` for `b ≥ 1` and half a
+//! bin for `b = 0`, so no time bin sits near a rounding tie of the buffer
+//! rule, and each has one [`Landing`] for the whole process (`Transfers`).
+//! Each lane of `W`'s expectation performs the same IEEE operations on the
+//! same operands in the same order as the one-bin-at-a-time loop.
 
 use crate::bins::{bin_midpoint, N_BINS};
 use crate::ttp::{Ttp, TtpBatchQuery, TtpScratch};
-use puffer_abr::mpc::{buffer_after, buffer_bin, BIN_W, BUFFER_BINS};
+use puffer_abr::mpc::{buffer_after, buffer_bin, Landing, ValueTables, BIN_W, BUFFER_BINS};
 use puffer_abr::AbrContext;
-use puffer_media::qoe::{chunk_qoe, LAMBDA, MU};
-use puffer_media::CHUNK_SECONDS;
+use puffer_media::qoe::{chunk_qoe, MU};
 use puffer_nn::loss::argmax;
-use std::ops::Range;
 use std::sync::LazyLock;
 
 /// Time-bin probabilities below this are skipped, by the backward pass, the
@@ -57,21 +49,13 @@ pub struct ControllerConfig {
 
 /// The buffer transition at every (time bin, buffer bin) pair, one table
 /// per process: `t = bin_midpoint(b)` seconds of transfer from `buffer =
-/// bin · BIN_W`.  The entries use the buffer rule the root evaluates inline,
-/// so a table lookup and the root's direct evaluation agree bit for bit.
-///
-/// The post-transfer bin is stored as three pieces per time bin
-/// ([`Landing`]), not one entry per pair.  Every `bin_midpoint(b)` is a
-/// multiple of `BIN_W` for `b ≥ 1` and half a bin for `b = 0`, so row `b`
-/// is flat at the drained bin `buffer_bin(CHUNK_SECONDS)` (bin 8) up to bin
-/// `2b` (bin 0 for `b = 0`, bin 48 for `b = 20`), then rises one bin per
-/// bin, then is flat at the full bin 60 where it gets there (row 20 never
-/// does).  The pieces are derived from the rule and checked against it at
-/// every pair when the table is built.  The backward pass splits each span
-/// at the pieces' break points: the two flat pieces read one value-to-go
-/// each, the rising piece a contiguous slice of it.  Each bin still reads
-/// the same value it would read through a per-bin index, so every term of
-/// `W` is unchanged.
+/// bin · BIN_W`.  The post-transfer bin is stored as three pieces per time
+/// bin ([`Landing`]), checked against the buffer rule the root evaluates
+/// inline at every pair when the table is built, so a table lookup and the
+/// root's direct evaluation agree bit for bit.  Row `b` is flat at the
+/// drained bin 8 up to bin `2b` (bin 0 for `b = 0`, bin 48 for `b = 20`),
+/// then rises one bin per bin, then is flat at the full bin 60 where it gets
+/// there (row 20 never does).
 struct Transfers {
     /// `(t − buffer).max(0)`: the stall, `[b][bin]`.
     stall: [[f64; BUFFER_BINS]; N_BINS],
@@ -79,85 +63,36 @@ struct Transfers {
     landing: [Landing; N_BINS],
 }
 
-/// Where one time bin's transfer leaves each buffer bin: bins `..rise` land
-/// on `drained`, bin `rise + i` lands on `first + i` below `full`, and bins
-/// `full..` land on the last bin.  Any piece may be empty.
-#[derive(Clone, Copy)]
-struct Landing {
-    /// The drained buffer's bin, `buffer_bin(CHUNK_SECONDS)`.
-    drained: usize,
-    /// First bin of the rising piece.
-    rise: usize,
-    /// First bin of the full piece.
-    full: usize,
-    /// Where bin `rise` lands.
-    first: usize,
-}
-
-impl Landing {
-    /// Derive row `b`'s pieces from the buffer rule, asserting that they
-    /// reproduce it at every buffer bin.
-    fn derive(b: usize) -> Landing {
-        let rule = |bin: usize| buffer_bin(buffer_after(bin as f64 * BIN_W, bin_midpoint(b)));
-        let drained = buffer_bin(CHUNK_SECONDS);
-        let rise = (0..BUFFER_BINS).find(|&bin| rule(bin) != drained).unwrap_or(BUFFER_BINS);
-        let full = (rise..BUFFER_BINS)
-            .rev()
-            .find(|&bin| rule(bin) != BUFFER_BINS - 1)
-            .map_or(rise, |bin| bin + 1);
-        let first = if rise < BUFFER_BINS { rule(rise) } else { drained };
-        let landing = Landing { drained, rise, full, first };
-        for bin in 0..BUFFER_BINS {
-            assert_eq!(landing.at(bin), rule(bin), "time bin {b}, buffer bin {bin}");
-        }
-        landing
-    }
-
-    /// The bin `bin` lands on.
-    fn at(self, bin: usize) -> usize {
-        if bin < self.rise {
-            self.drained
-        } else if bin < self.full {
-            self.first + (bin - self.rise)
-        } else {
-            BUFFER_BINS - 1
-        }
-    }
-}
-
 static TRANSFERS: LazyLock<Transfers> = LazyLock::new(|| Transfers {
     stall: std::array::from_fn(|b| {
         std::array::from_fn(|bin| (bin_midpoint(b) - bin as f64 * BIN_W).max(0.0))
     }),
-    landing: std::array::from_fn(Landing::derive),
+    landing: std::array::from_fn(|b| {
+        let t = bin_midpoint(b);
+        let landing = Landing::of(t).expect("time bins sit off the buffer rule's rounding ties");
+        for bin in 0..BUFFER_BINS {
+            let rule = buffer_bin(buffer_after(bin as f64 * BIN_W, t));
+            assert_eq!(landing.at(bin), rule, "time bin {b}, buffer bin {bin}");
+        }
+        landing
+    }),
 });
 
 /// Reusable flat tables for [`StochasticMpc::plan_with`].
 ///
-/// Every per-decision quantity of the value iteration lives here as a flat
-/// `Vec` indexed arithmetically, rung-major with the buffer bin innermost —
-/// `dists[(step·R + a)·T + b]`, `value[prev·B + bin]`, `w[a·B + bin]`,
-/// `m[prev·R + a]` — so steady-state planning (one call per chunk, ~every
-/// 2 s per stream, thousands of streams) allocates nothing and the
-/// maximization runs over contiguous bins.  `reach[step]` holds the bins a
-/// forward pass from the real buffer can reach at each step; only those are
-/// ever computed or read.  The stall and post-transfer bin of every (time
-/// bin, buffer bin) pair are the same for every decision, so they live in
-/// one table per process (`Transfers`), built on first use.
+/// Every per-decision quantity lives here as a flat `Vec` indexed
+/// arithmetically — `dists[(step·R + a)·T + b]` beside the shared core's
+/// [`ValueTables`], whose first row holds `W[a·B + bin]` — so steady-state
+/// planning (one call per chunk, ~every 2 s per stream, thousands of
+/// streams) allocates nothing.  The stall and post-transfer bin of every
+/// (time bin, buffer bin) pair are the same for every decision, so they live
+/// in one table per process (`Transfers`), built on first use.
 #[derive(Debug, Clone, Default)]
 pub struct PlanScratch {
     /// Time distributions, `(step * n_rungs + a) * N_BINS + b`.
     dists: Vec<f64>,
-    /// Value table for the step below, `prev * bins + bin`.
-    value: Vec<f64>,
-    /// Value table being built for this step.
-    next_value: Vec<f64>,
-    /// Stall-plus-value-to-go term, `a * bins + bin`.
-    w: Vec<f64>,
-    /// Quality-minus-variation term, `prev * n_rungs + a`.
-    m: Vec<f64>,
-    /// Buffer bins reachable from the root at each step.
-    reach: Vec<Range<usize>>,
+    /// The value iteration's tables.
+    tables: ValueTables,
     /// Candidate sizes for the batched TTP query.
     sizes: Vec<f64>,
     /// TTP inference buffers.
@@ -246,18 +181,16 @@ impl StochasticMpc {
     /// (step, rung) — order-independent, so collapsing after the fill is
     /// bit-identical to collapsing inside the fill loop.
     ///
-    /// A forward pass first bounds the bins each step's value is read at:
-    /// the root reads step 1 at the images of the real buffer under every
-    /// (rung, time bin) it does not skip (`p < PROB_EPSILON`), and a step
-    /// reads the next at the images of its span under its own unskipped
-    /// entries.  The post-transfer bin is monotone non-decreasing in the
-    /// pre-transfer one, so the images of a span's two ends bound the images
-    /// of all of it.  The backward pass computes `W` and the max-plus only
-    /// over those spans; every value it stores is bit-identical to the full
+    /// The root reads rung `a`'s step-1 value at the real buffer's image
+    /// under each time bin of `a`'s distribution it does not skip (`p <
+    /// PROB_EPSILON`), and a rung's transfer takes a span to the images of
+    /// its ends under its own unskipped time bins: those are the per-rung
+    /// spans [`ValueTables::solve`] computes values over.  `W[a]` sums
+    /// `p·(v − µ·stall)` over the unskipped time bins, and the combine is
+    /// `M + W`.  Every value the core stores is bit-identical to the full
     /// table's, because each is the same sum of the same terms in the same
     /// order and the same strict-`>` first-max over rungs in ascending order.
-    // lint: panic-free — every index is a bin of a reachable span or a landing bin (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables at the top of the fn
-    // lint: alloc-free — value tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
+    // lint: panic-free — every index is a bin of a reachable span or a landing bin (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables
     pub fn plan_from_dists(
         &self,
         ctx: &AbrContext,
@@ -272,17 +205,13 @@ impl StochasticMpc {
         let transfers = &*TRANSFERS;
 
         if self.config.point_estimate {
-            for step in 0..horizon {
-                let out = &mut scratch.dists[step * stride..(step + 1) * stride];
-                for a in 0..n_rungs {
-                    let d = &mut out[a * N_BINS..(a + 1) * N_BINS];
-                    // Argmax the f64 table directly: round-tripping through
-                    // an intermediate Vec<f32> (as this used to) can flip
-                    // near-ties and costs an allocation per rung.
-                    let mle = argmax(d);
-                    d.fill(0.0);
-                    d[mle] = 1.0;
-                }
+            for d in scratch.dists[..horizon * stride].chunks_exact_mut(N_BINS) {
+                // Argmax the f64 table directly: round-tripping through an
+                // intermediate Vec<f32> (as this used to) can flip near-ties
+                // and costs an allocation per rung.
+                let mle = argmax(d);
+                d.fill(0.0);
+                d[mle] = 1.0;
             }
         }
 
@@ -296,130 +225,77 @@ impl StochasticMpc {
             *bin = buffer_bin(buffer_after(ctx.buffer, t));
         }
 
-        // Forward pass: the span of bins each step's value is read at.  The
-        // root reads step 1 at `root_bin`, and a step reads the next at the
-        // images of its span's two ends, through every entry the backward
-        // pass does not skip.  A span is empty only when the step above
-        // skips every entry; then nothing reads it or the steps below.
-        scratch.reach.resize(horizon, 0..0);
-        for step in 1..horizon {
-            let from = scratch.reach[step - 1].clone();
-            let (mut lo, mut hi) = (usize::MAX, 0);
-            if step == 1 || !from.is_empty() {
-                let above = &scratch.dists[(step - 1) * stride..step * stride];
-                for da in above.chunks_exact(N_BINS) {
+        let dists = &scratch.dists;
+        let value = scratch.tables.solve(
+            &ctx.lookahead[..horizon],
+            n_rungs,
+            |step, a, from| {
+                let (mut lo, mut hi) = (usize::MAX, 0);
+                for (b, &p) in dists[(step * n_rungs + a) * N_BINS..][..N_BINS].iter().enumerate() {
+                    if p < PROB_EPSILON {
+                        continue;
+                    }
+                    let landing = transfers.landing[b];
+                    let (to_lo, to_hi) = if step == 0 {
+                        (root_bin[b], root_bin[b])
+                    } else {
+                        (landing.at(from.start), landing.at(from.end - 1))
+                    };
+                    (lo, hi) = (lo.min(to_lo), hi.max(to_hi));
+                }
+                (lo, hi)
+            },
+            // W[a][bin]: expected (−µ·stall + value-to-go).
+            |step, span, value, [w, _]| {
+                let dists_step = &dists[step * stride..(step + 1) * stride];
+                for (a, da) in dists_step.chunks_exact(N_BINS).enumerate() {
+                    let row = a * bins..(a + 1) * bins;
+                    let wa = &mut w[row.clone()][span.clone()];
+                    let value_a = &value[row];
+                    wa.fill(0.0);
                     for (b, &p) in da.iter().enumerate() {
                         if p < PROB_EPSILON {
                             continue;
                         }
-                        let (to_lo, to_hi) = if step == 1 {
-                            (root_bin[b], root_bin[b])
-                        } else {
-                            let landing = transfers.landing[b];
-                            (landing.at(from.start), landing.at(from.end - 1))
-                        };
-                        lo = lo.min(to_lo);
-                        hi = hi.max(to_hi);
-                    }
-                }
-            }
-            scratch.reach[step] = if lo <= hi { lo..hi + 1 } else { 0..0 };
-        }
-
-        // Backward value iteration over (previous rung, reachable bin).
-        scratch.value.resize(n_rungs * bins, 0.0);
-        scratch.next_value.resize(n_rungs * bins, 0.0);
-        scratch.w.resize(n_rungs * bins, 0.0);
-        scratch.m.resize(n_rungs * n_rungs, 0.0);
-        for step in (1..horizon).rev() {
-            let menu = &ctx.lookahead[step];
-            let prev_menu = &ctx.lookahead[step - 1];
-            let dists_step = &scratch.dists[step * stride..(step + 1) * stride];
-            let span = scratch.reach[step].clone();
-            let last_step = step + 1 >= horizon;
-
-            // W[a][bin]: expected (−µ·stall + value-to-go).
-            for (a, da) in dists_step.chunks_exact(N_BINS).enumerate() {
-                let row = a * bins..(a + 1) * bins;
-                let wa = &mut scratch.w[row.clone()][span.clone()];
-                let value_a = &scratch.value[row];
-                wa.fill(0.0);
-                for (b, &p) in da.iter().enumerate() {
-                    if p < PROB_EPSILON {
-                        continue;
-                    }
-                    let stall_row = &transfers.stall[b][span.clone()];
-                    if last_step {
-                        for (wab, &stall) in wa.iter_mut().zip(stall_row) {
-                            *wab += p * (0.0 - MU * stall);
+                        // The drained and full pieces read one value-to-go
+                        // each, the rising piece a contiguous slice.
+                        let landing = transfers.landing[b];
+                        let (drained, rising) = landing.pieces(span.clone());
+                        let (w_drained, w_rest) = wa.split_at_mut(drained);
+                        let (w_rising, w_full) = w_rest.split_at_mut(rising.len());
+                        let stall_row = &transfers.stall[b][span.clone()];
+                        let (stall_drained, stall_rest) = stall_row.split_at(drained);
+                        let (stall_rising, stall_full) = stall_rest.split_at(rising.len());
+                        let v = value_a[landing.at(span.start)];
+                        for (wab, &stall) in w_drained.iter_mut().zip(stall_drained) {
+                            *wab += p * (v - MU * stall);
                         }
-                        continue;
-                    }
-                    // Split the span at row `b`'s break points: its drained
-                    // and full parts read one value-to-go each, its rising
-                    // part a contiguous slice starting where its first bin
-                    // lands.  `rise` and `full` count from the span's start.
-                    let landing = transfers.landing[b];
-                    let rise = landing.rise.clamp(span.start, span.end) - span.start;
-                    let full = landing.full.clamp(span.start, span.end) - span.start;
-                    let (w_drained, w_rest) = wa.split_at_mut(rise);
-                    let (w_rising, w_full) = w_rest.split_at_mut(full - rise);
-                    let (stall_drained, stall_rest) = stall_row.split_at(rise);
-                    let (stall_rising, stall_full) = stall_rest.split_at(full - rise);
-                    let v = value_a[landing.drained];
-                    for (wab, &stall) in w_drained.iter_mut().zip(stall_drained) {
-                        *wab += p * (v - MU * stall);
-                    }
-                    if !w_rising.is_empty() {
-                        let at = landing.at(span.start + rise);
-                        let to_go = &value_a[at..at + w_rising.len()];
+                        let to_go = &value_a[rising];
                         for ((wab, &stall), &v) in w_rising.iter_mut().zip(stall_rising).zip(to_go)
                         {
                             *wab += p * (v - MU * stall);
                         }
-                    }
-                    let v = value_a[bins - 1];
-                    for (wab, &stall) in w_full.iter_mut().zip(stall_full) {
-                        *wab += p * (v - MU * stall);
-                    }
-                }
-            }
-            // M[prev][a]: quality minus variation penalty.
-            for (prev, popt) in prev_menu.options.iter().enumerate() {
-                let m_row = &mut scratch.m[prev * n_rungs..(prev + 1) * n_rungs];
-                for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
-                    *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
-                }
-            }
-            // The maximization: rungs in ascending order, bins innermost.
-            // The select is a packed `max` of (score, best).
-            for prev in 0..n_rungs {
-                let nv = &mut scratch.next_value[prev * bins..(prev + 1) * bins][span.clone()];
-                nv.fill(f64::NEG_INFINITY);
-                for (a, &ma) in scratch.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
-                    let wa = &scratch.w[a * bins..(a + 1) * bins][span.clone()];
-                    for (best, &w) in nv.iter_mut().zip(wa) {
-                        let score = ma + w;
-                        *best = if score > *best { score } else { *best };
+                        let v = value_a[bins - 1];
+                        for (wab, &stall) in w_full.iter_mut().zip(stall_full) {
+                            *wab += p * (v - MU * stall);
+                        }
                     }
                 }
-            }
-            std::mem::swap(&mut scratch.value, &mut scratch.next_value);
-        }
+            },
+            |ma, w, _| ma + w,
+        );
 
         // Step 0 with the true buffer and previous-chunk quality.
-        let menu = &ctx.lookahead[0];
         let mut best_rung = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for (a, opt) in menu.options.iter().enumerate() {
+        for (a, opt) in ctx.lookahead[0].options.iter().enumerate() {
             let quality = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, 0.0);
             let mut expect = 0.0;
-            for (b, &p) in scratch.dists[a * N_BINS..(a + 1) * N_BINS].iter().enumerate() {
+            for (b, &p) in dists[a * N_BINS..(a + 1) * N_BINS].iter().enumerate() {
                 if p < PROB_EPSILON {
                     continue;
                 }
-                let to_go = if horizon > 1 { scratch.value[a * bins + root_bin[b]] } else { 0.0 };
-                expect += p * (quality - MU * root_stall[b] + to_go);
+                expect += p * (quality - MU * root_stall[b] + value[a * bins + root_bin[b]]);
             }
             if expect > best_score {
                 best_score = expect;
@@ -437,7 +313,7 @@ mod tests {
     use crate::training::{train, TrainConfig};
     use crate::ttp::{Ttp, TtpConfig};
     use puffer_abr::{ChunkRecord, HORIZON};
-    use puffer_media::{ChunkMenu, ChunkOption, MAX_BUFFER_SECONDS};
+    use puffer_media::{ChunkMenu, ChunkOption, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -791,8 +667,9 @@ mod tests {
         /// grid, one-hot mass at either edge time bin, entries at and just
         /// below `PROB_EPSILON`, duplicated rungs (exact ties, decided by the
         /// first max), lookaheads of 1 to 5 chunks, with and without the
-        /// point estimate.  Step 1's values agree with the reference's up to
-        /// rounding over the whole reachable span.  Rungs that tie in exact
+        /// point estimate, through tables poisoned with a huge finite value
+        /// before the plan.  Step 1's values agree with the reference's up to
+        /// rounding over each rung's reachable span.  Rungs that tie in exact
         /// arithmetic (a quality drop at every later step lets the
         /// value-to-go cancel the immediate quality) may round apart either
         /// way in the two evaluation orders, so a rung the reference scores
@@ -850,7 +727,13 @@ mod tests {
                 table.iter().map(|&p| if p < PROB_EPSILON { 0.0 } else { p }).collect();
             let (expected, scores, value) =
                 naive_plan_from_dists(&planner.config, &ctx, h, &pruned);
+            // Poisoned tables: a value or `W` entry read outside the spans
+            // the plan computes wins the max and flips the decision.
             let mut scratch = PlanScratch::new();
+            let poison = vec![f64::MAX / 4.0; n_rungs * BUFFER_BINS];
+            scratch.tables.value = poison.clone();
+            scratch.tables.next_value = poison.clone();
+            scratch.tables.rows = [poison.clone(), poison];
             scratch.dists_for(h, n_rungs).copy_from_slice(&table);
             let rung = planner.plan_from_dists(&ctx, HORIZON, &mut scratch);
             let (best, got) = (scores[expected], scores[rung]);
@@ -862,13 +745,17 @@ mod tests {
             // A duplicated rung ties its predecessor bit for bit, and the
             // first max keeps the predecessor.
             proptest::prop_assert!(!dup || rung.is_multiple_of(2), "duplicate rung {} chosen", rung);
-            let reach = if h > 1 { scratch.reach[1].clone() } else { 0..0 };
-            for (bin, prev) in reach.flat_map(|bin| (0..n_rungs).map(move |prev| (bin, prev))) {
-                let (fast, slow) = (scratch.value[prev * BUFFER_BINS + bin], value[bin][prev]);
+            // Step 1's values, each rung's over its own span: the rest of
+            // the table is not computed.
+            let spans = if h > 1 { &scratch.tables.reach[n_rungs..2 * n_rungs] } else { &[] };
+            for (prev, span) in spans.iter().enumerate() {
+                for bin in span.clone() {
+                let (fast, slow) = (scratch.tables.value[prev * BUFFER_BINS + bin], value[bin][prev]);
                 proptest::prop_assert!(
                     (fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()),
                     "value {} vs {} at bin {} prev {}", fast, slow, bin, prev
                 );
+                }
             }
         }
     }
