@@ -1,11 +1,12 @@
 //! Controller planning cost: the stochastic value iteration of §4.4 vs the
 //! deterministic MPC it extends, per chunk decision.  `fugu_stochastic_plan`
 //! includes the TTP inference that fills the distributions;
-//! `fugu_plan_from_dists` times the value iteration alone.
+//! `fugu_plan_from_dists` times the value iteration alone; `mpc_plan_grid`
+//! times the MPC planner over a grid of buffers and throughputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fugu::{ControllerConfig, PlanScratch, StochasticMpc, Ttp, TtpConfig};
-use puffer_abr::{Abr, AbrContext, ChunkRecord, Mpc};
+use puffer_abr::{Abr, AbrContext, ChunkRecord, Mpc, MpcScratch};
 use puffer_media::{ChunkMenu, VideoSource};
 use puffer_net::TcpInfo;
 use rand::SeedableRng;
@@ -64,9 +65,37 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(mpc.choose(black_box(&ctx))))
     });
 
+    // RobustMPC-HM divides the harmonic mean by one plus its largest recent
+    // prediction error.  With no delivered chunk it has no error and plans
+    // exactly what MPC-HM plans, so five chunks first arrive at 300 kB/s
+    // against a prediction of about 714 kB/s (discount ≈ 1 / 2.4).
     c.bench_function("robust_mpc_choose", |b| {
         let mut mpc = Mpc::robust_mpc_hm();
+        for _ in 0..5 {
+            mpc.choose(&ctx);
+            mpc.on_chunk_delivered(ChunkRecord { size: 3e5, transmission_time: 1.0 });
+        }
         b.iter(|| black_box(mpc.choose(black_box(&ctx))))
+    });
+
+    // One context hides how the planner's cost moves with its reachable
+    // spans: slow throughputs and deep buffers spread the rungs' landing
+    // bins apart.  Both MPC variants run this planner and differ only in the
+    // throughput they feed it, so one row sweeps it over 6 buffers × 5
+    // throughputs (0.8 to 16 Mbit/s), 30 plans per iteration.
+    let mpc = Mpc::mpc_hm();
+    let mut scratch = MpcScratch::new();
+    c.bench_function("mpc_plan_grid", |b| {
+        b.iter(|| {
+            let mut rungs = 0;
+            for buffer in [0.0, 2.0, 5.0, 8.0, 11.0, 14.0] {
+                let ctx = AbrContext { buffer, ..ctx.clone() };
+                for throughput in [1e5, 2.5e5, 5e5, 1e6, 2e6] {
+                    rungs += mpc.plan_with(black_box(&ctx), throughput, &mut scratch);
+                }
+            }
+            black_box(rungs)
+        })
     });
 }
 

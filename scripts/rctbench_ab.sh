@@ -16,10 +16,13 @@
 # this tree's BENCHMARK.json.  For each it prints both sides' median and
 # quartiles, the median change/parent ratio over the pairs, how many pairs
 # the change won (a tie counts for neither side), and whether the change's
-# median is within the bound of the parent's.  Below the table, one verdict
-# line per metric applies the gain rule: no run failed (see below), the
-# change wins at least 9 of every 10 pairs run, and its median beats the
-# parent's by more than the parent's q3 - q1.
+# median is within the bound of the parent's.  Below the table, each side's
+# median busy CPUs (per run, stream_hours_per_s / stream_hours_per_cpu_s)
+# shows work moving between the parallel phase and the serial or wave
+# phases; it is informational and gates nothing.  Then one verdict line per
+# metric applies the gain rule: no run failed (see below), the change wins
+# at least 9 of every 10 pairs run, and its median beats the parent's by
+# more than the parent's q3 - q1.
 #
 # A run that exits without writing its result record (a panic, say) is
 # reported as a FAILED RUN with its exit code; the batch goes on, and the
@@ -149,6 +152,13 @@ for m in metrics:
     verdicts.append(f"gain rule {name}: {'holds' if holds else 'does not hold'}"
                     f" (wins {wins}/{ran}, 9/10 needed; median gain {gain:.4g}"
                     f" vs parent q3 - q1 {iqr:.4g}; failed runs {len(bad)})")
+if seeds:
+    def busy(recs):
+        return statistics.median(recs[s]["metrics"]["stream_hours_per_s"]["value"]
+                                 / recs[s]["metrics"]["stream_hours_per_cpu_s"]["value"]
+                                 for s in seeds)
+    print(f"busy CPUs (stream_hours_per_s / stream_hours_per_cpu_s), median per run:"
+          f" parent {busy(parent):.3f}, change {busy(change):.3f}")
 for v in verdicts:
     print(v)
 for b in bad:
