@@ -18,15 +18,14 @@
 //! root.
 //!
 //! - **Per-rung reachable spans.**  Like the deployed controller's forward
-//!   recursion with memoization, the core visits only the states the root
-//!   can reach.  The root reads each rung's step-1 value at that rung's own
+//!   recursion with memoization, the core visits only states the root can
+//!   reach.  The root reads each rung's step-1 value at that rung's own
 //!   post-transfer bins (one for MPC), and step s reads rung `prev`'s value
 //!   at step s + 1 only at the images of step s's bins under `prev`'s own
-//!   transfer: one point time for MPC, the kept time bins for Fugu.  The
-//!   post-transfer bin is monotone non-decreasing in the pre-transfer
-//!   buffer, so the images of a span's two ends bound them.  A forward pass
-//!   records these per-rung spans; `W` is computed over their hull and each
-//!   rung's value over its own span only.
+//!   transfer (one point time for MPC, the kept time bins for Fugu), which
+//!   the images of the span's two ends bound: the post-transfer bin is
+//!   monotone.  `W` is computed over the hull of a step's per-rung spans,
+//!   each rung's value over its own span only.
 //! - **Value-to-go in three pieces** ([`Landing`]).  Under one transfer
 //!   time a span's bins drain to one bin, rise one bin per bin, or fill to
 //!   the last bin, so the value-to-go is one value, a contiguous slice and
@@ -40,9 +39,7 @@
 //! None of this moves a decision by a bit.  The spans skip only entries
 //! nothing reads; each piece reads, bin for bin, the value the per-bin
 //! index reads; and on finite scores the select equals `f64::max` up to the
-//! sign of an exact zero, which no comparison sees.  Rust never fuses a
-//! multiply and an add, so every lane performs the one-bin-at-a-time
-//! loop's IEEE operations in its order.
+//! sign of an exact zero, which no comparison sees.
 //!
 //! # MPC's landing
 //!
@@ -153,6 +150,7 @@ impl Landing {
     }
 
     /// The bin `bin` lands on.
+    #[inline]
     pub fn at(self, bin: usize) -> usize {
         let drained = buffer_bin(CHUNK_SECONDS) as isize;
         (bin as isize + self.shift).clamp(drained, BUFFER_BINS as isize - 1) as usize
@@ -161,6 +159,7 @@ impl Landing {
     /// Split `span` at the break points: how many of its first bins drain
     /// (they land where `span.start` does), and the contiguous bins the
     /// rising ones after them land on.  The rest land on the last bin.
+    #[inline]
     pub fn pieces(self, span: Range<usize>) -> (usize, Range<usize>) {
         let (lo, hi) = (span.start as isize, span.end as isize);
         let rise = (buffer_bin(CHUNK_SECONDS) as isize + 1 - self.shift).clamp(lo, hi);
@@ -171,6 +170,7 @@ impl Landing {
 }
 
 /// The smallest range holding every non-empty span (empty if none is).
+#[inline]
 fn hull(spans: &[Range<usize>]) -> Range<usize> {
     let mut spans = spans.iter().filter(|span| !span.is_empty());
     let first = spans.next().cloned().unwrap_or(0..0);
