@@ -401,22 +401,17 @@ impl Mpc {
                 for (a, opt) in menus[step].options.iter().enumerate() {
                     let t = opt.size / throughput;
                     let row = a * bins..(a + 1) * bins;
+                    let landing = Landing::of(t);
+                    let value = &value[row.clone()];
                     let ms = mu_stall[row.clone()][span.clone()].iter_mut();
-                    for (ms, &buffer) in ms.zip(&GRID[span.clone()]) {
+                    let tg = to_go[row][span.clone()].iter_mut();
+                    for ((ms, tg), bin) in ms.zip(tg).zip(span.clone()) {
+                        let buffer = GRID[bin];
                         *ms = MU * (t - buffer).max(0.0);
-                    }
-                    let (tg, value) = (&mut to_go[row.clone()][span.clone()], &value[row]);
-                    if let Some(landing) = Landing::of(t) {
-                        let (drained, rising) = landing.pieces(span.clone());
-                        let (tg_drained, rest) = tg.split_at_mut(drained);
-                        let (tg_rising, tg_full) = rest.split_at_mut(rising.len());
-                        tg_drained.fill(value[landing.at(span.start)]);
-                        tg_rising.copy_from_slice(&value[rising]);
-                        tg_full.fill(value[bins - 1]);
-                    } else {
-                        for (tg, &buffer) in tg.iter_mut().zip(&GRID[span.clone()]) {
-                            *tg = value[buffer_bin(buffer_after(buffer, t))];
-                        }
+                        *tg = value[match landing {
+                            Some(landing) => landing.at(bin),
+                            None => buffer_bin(buffer_after(buffer, t)),
+                        }];
                     }
                 }
             },
