@@ -26,10 +26,11 @@
 //!   the images of the span's two ends bound: the post-transfer bin is
 //!   monotone.  `W` is computed over the hull of a step's per-rung spans,
 //!   each rung's value over its own span only.
-//! - **Value-to-go in three pieces** ([`Landing`]).  Under one transfer
-//!   time a span's bins drain to one bin, rise one bin per bin, or fill to
-//!   the last bin, so the value-to-go is one value, a contiguous slice and
-//!   one value, with no per-bin gather.
+//! - **Value-to-go from a [`Landing`]**, one per transfer time instead of
+//!   the buffer rule per bin.  A span's bins drain to one bin, rise one bin
+//!   per bin, or fill to the last bin, so Fugu reads one value, a
+//!   contiguous slice and one value; MPC, whose spans are a few bins wide,
+//!   reads each bin's landing, a clamped shift.
 //! - **A select max-plus.**  Each value folds the rungs in ascending order
 //!   through `score > best ? score : best`, which is what a packed `max`
 //!   computes.  The combine is the planner's: MPC-HM's reference groups
