@@ -750,11 +750,12 @@ mod tests {
             let spans = if h > 1 { &scratch.tables.reach[n_rungs..2 * n_rungs] } else { &[] };
             for (prev, span) in spans.iter().enumerate() {
                 for bin in span.clone() {
-                let (fast, slow) = (scratch.tables.value[prev * BUFFER_BINS + bin], value[bin][prev]);
-                proptest::prop_assert!(
-                    (fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()),
-                    "value {} vs {} at bin {} prev {}", fast, slow, bin, prev
-                );
+                    let fast = scratch.tables.value[prev * BUFFER_BINS + bin];
+                    let slow = value[bin][prev];
+                    proptest::prop_assert!(
+                        (fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()),
+                        "value {} vs {} at bin {} prev {}", fast, slow, bin, prev
+                    );
                 }
             }
         }
