@@ -13,24 +13,29 @@
 //! "MPC and Fugu even share most of their codebase" (§5.1): Fugu is this
 //! MPC with a probabilistic transmission-time predictor (§4.4).  Both plan
 //! by value iteration over a discretized buffer ([`BUFFER_BINS`] levels
-//! [`BIN_W`] apart) through one core, [`ValueTables::solve`]; each brings
-//! only its transfer, its stall/value-to-go rows `W`, its combine and its
-//! root.
+//! [`BIN_W`] apart) on one set of tables, [`ValueTables`]: its forward pass
+//! records the reachable spans, and for each step from the last one back
+//! the planner fills its two `W` rows and the core runs the `M` fill and the
+//! max-plus.  Each planner brings only its transfer, its `W` rows, its
+//! combine and its root.
 //!
-//! - **Per-rung reachable spans.**  Like the deployed controller's forward
-//!   recursion with memoization, the core visits only states the root can
-//!   reach.  The root reads each rung's step-1 value at that rung's own
-//!   post-transfer bins (one for MPC), and step s reads rung `prev`'s value
-//!   at step s + 1 only at the images of step s's bins under `prev`'s own
-//!   transfer (one point time for MPC, the kept time bins for Fugu), which
-//!   the images of the span's two ends bound: the post-transfer bin is
-//!   monotone.  `W` is computed over the hull of a step's per-rung spans,
-//!   each rung's value over its own span only.
+//! - **Reachable spans.**  Like the deployed controller's forward recursion
+//!   with memoization, the core visits only states the root can reach.  The
+//!   root reads each rung's step-1 value at that rung's own post-transfer
+//!   bins, and step s reads rung `prev`'s value at step s + 1 only at the
+//!   images of step s's bins under `prev`'s own transfer, which the images of
+//!   the span's two ends bound: the post-transfer bin is monotone.  `W` is
+//!   computed over the hull of a step's spans, each rung's value over its
+//!   own span only.  MPC's spans are per rung (its one point time per rung
+//!   spreads them apart, so this nearly halves its max-plus cells); Fugu
+//!   gives every rung the union, since per-rung spans save it about 12% of
+//!   its cells and measured 2–3% slower.
 //! - **Value-to-go from a [`Landing`]**, one per transfer time instead of
 //!   the buffer rule per bin.  A span's bins drain to one bin, rise one bin
 //!   per bin, or fill to the last bin, so Fugu reads one value, a
 //!   contiguous slice and one value; MPC, whose spans are a few bins wide,
-//!   reads each bin's landing, a clamped shift.
+//!   reads each bin's landing, a clamped shift, and evaluates the rule per
+//!   bin only near a tie (below).
 //! - **A select max-plus.**  Each value folds the rungs in ascending order
 //!   through `score > best ? score : best`, which is what a packed `max`
 //!   computes.  The combine is the planner's: MPC-HM's reference groups
@@ -55,7 +60,10 @@
 //! piece.  Where `c + ½` lies within 1e-9 of an integer, bins may round
 //! apart and the rising piece need not be a shift, so [`Landing::of`]
 //! declines and MPC evaluates the rule bin by bin.  A time above
-//! `MAX_BUFFER_SECONDS` drains every bin.
+//! `MAX_BUFFER_SECONDS` drains every bin.  Reading the landing instead of
+//! the rule at every bin plans about 1.5× faster on mixed contexts (0–15 s
+//! buffers, 0.1–2.5 MB/s) and about 3% slower where every span is a bin or
+//! two (12–13 s, 3–6 MB/s), on a 2-vCPU Xeon.
 
 use crate::predictor::{HarmonicMean, RobustDiscount, ThroughputPredictor};
 use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
@@ -91,21 +99,16 @@ const COLD_START_THROUGHPUT: f64 = 50_000.0;
 
 /// Nearest buffer bin to `buffer`: exactly `((buffer / BIN_W).round() as
 /// usize).min(BUFFER_BINS - 1)`, the discretization both MPC and Fugu's
-/// planner (§4.4) use, without the `round` libm call.  With `x = buffer /
-/// BIN_W` and `i = ⌊x⌋`, `x − i` is exact for 0 ≤ x < 2⁵³, so rounding half
-/// away from zero is `i + 1` exactly when `x − i ≥ 0.5`; negative `x` gives
-/// 0 like the saturating cast of a rounded negative.
+/// planner (§4.4) use, without the `round` libm call or a branch.  With `x
+/// = buffer / BIN_W` and `i = ⌊x⌋`, `x − i` is exact for 0 ≤ x < 2⁵³, so
+/// rounding half away from zero is `i + 1` exactly when `x − i ≥ 0.5`
+/// (clamping `i` first changes nothing below the last bin); negative `x`
+/// gives 0 like the saturating cast of a rounded negative.
 #[inline]
 pub fn buffer_bin(buffer: f64) -> usize {
     let x: f64 = buffer / BIN_W;
-    let i = x as usize;
-    if i >= BUFFER_BINS - 1 {
-        BUFFER_BINS - 1
-    } else if x - i as f64 >= 0.5 {
-        i + 1
-    } else {
-        i
-    }
+    let i = (x as usize).min(BUFFER_BINS - 1);
+    (i + usize::from(x - i as f64 >= 0.5)).min(BUFFER_BINS - 1)
 }
 
 /// Playback buffer after a chunk that takes `t` seconds to send: it drains
@@ -120,12 +123,14 @@ pub fn buffer_after(buffer: f64, t: f64) -> f64 {
 
 /// Where one transfer time leaves each buffer bin: bin `bin` lands on
 /// `clamp(bin + shift, drained, BUFFER_BINS − 1)`, with `drained =
-/// buffer_bin(CHUNK_SECONDS)`.  So a span's bins fall into three pieces, any
-/// of them empty: a drained piece, a rising piece that lands one bin further
-/// per bin, and a full piece.
+/// buffer_bin(CHUNK_SECONDS)`.  So the grid falls into three pieces, any of
+/// them empty: bins below `rise` drain, bins from `rise` to `full` land one
+/// bin further per bin, and bins from `full` on fill the buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct Landing {
     shift: isize,
+    rise: usize,
+    full: usize,
 }
 
 impl Landing {
@@ -143,11 +148,10 @@ impl Landing {
         } else {
             return None;
         };
-        let landing = Landing { shift };
-        debug_assert!(
-            (0..BUFFER_BINS).all(|bin| landing.at(bin) == buffer_bin(buffer_after(GRID[bin], t)))
-        );
-        Some(landing)
+        let bins = BUFFER_BINS as isize;
+        let rise = (buffer_bin(CHUNK_SECONDS) as isize + 1 - shift).clamp(0, bins);
+        let full = (bins - 1 - shift).clamp(rise, bins);
+        Some(Landing { shift, rise: rise as usize, full: full as usize })
     }
 
     /// The bin `bin` lands on.
@@ -157,16 +161,12 @@ impl Landing {
         (bin as isize + self.shift).clamp(drained, BUFFER_BINS as isize - 1) as usize
     }
 
-    /// Split `span` at the break points: how many of its first bins drain
-    /// (they land where `span.start` does), and the contiguous bins the
-    /// rising ones after them land on.  The rest land on the last bin.
+    /// How many of `span`'s first bins drain, and how many after them
+    /// rise; the rest fill the buffer.
     #[inline]
-    pub fn pieces(self, span: Range<usize>) -> (usize, Range<usize>) {
-        let (lo, hi) = (span.start as isize, span.end as isize);
-        let rise = (buffer_bin(CHUNK_SECONDS) as isize + 1 - self.shift).clamp(lo, hi);
-        let full = (BUFFER_BINS as isize - 1 - self.shift).clamp(rise, hi);
-        let first = self.at(rise as usize);
-        ((rise - lo) as usize, first..first + (full - rise) as usize)
+    pub fn pieces(self, span: Range<usize>) -> (usize, usize) {
+        let rise = self.rise.clamp(span.start, span.end);
+        (rise - span.start, self.full.clamp(span.start, span.end) - rise)
     }
 }
 
@@ -186,18 +186,18 @@ fn hull(spans: &[Range<usize>]) -> Range<usize> {
 #[derive(Debug, Clone, Default)]
 pub struct ValueTables {
     /// Value of each previous rung at each bin, for the step below.
-    pub value: Vec<f64>,
+    value: Vec<f64>,
     /// The table being built for this step (ping/pong partner of `value`).
-    pub next_value: Vec<f64>,
+    next_value: Vec<f64>,
     /// The value past the horizon: zero.
     zeros: Vec<f64>,
     /// The planner's two `W` rows per rung, which its combine reads.
-    pub rows: [Vec<f64>; 2],
+    rows: [Vec<f64>; 2],
     /// Quality minus the λ·|Δssim| variation penalty per (prev, rung).
     m: Vec<f64>,
     /// Bins each step reads each previous rung's value at; step 0's are
     /// empty.
-    pub reach: Vec<Range<usize>>,
+    reach: Vec<Range<usize>>,
 }
 
 impl ValueTables {
@@ -206,63 +206,70 @@ impl ValueTables {
     }
 
     /// Run the value iteration over `menus` (the plan's horizon) and return
-    /// step 1's value table for the planner's root.
+    /// step 1's value table, `[prev·B + bin]`, for the planner's root (zero
+    /// for a one-step horizon).
     ///
-    /// - `image(step, a, span)` is the lowest and highest bin rung `a`'s
+    /// - `image(step, span, spans)` writes as `spans[a]` the bins rung `a`'s
     ///   transfer at `step` takes the bins `span` to (the root's buffer when
-    ///   `step` is 0); `lo > hi` when it takes them nowhere.
-    /// - `fill_w(step, span, value, rows)` writes the rows over `span` for
-    ///   every rung, from the value table of the step below.
+    ///   `step` is 0), empty when it takes them nowhere.  A wider span is
+    ///   also correct, only slower.
+    /// - `fill_w(step, span, value, rows)` writes both rows of every rung
+    ///   over `span` from `value`, the value table of the step below (zero
+    ///   past the horizon).
     /// - `combine(m, x, y)` scores rung `a` from `m[prev][a]` and its rows.
-    // lint: panic-free — every index is a rung/step below the dims that size the tables here, or a bin of a reachable span (< BUFFER_BINS)
     // lint: alloc-free — the tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
     pub fn solve(
         &mut self,
         menus: &[ChunkMenu],
         n_rungs: usize,
-        mut image: impl FnMut(usize, usize, Range<usize>) -> (usize, usize),
+        mut image: impl FnMut(usize, Range<usize>, &mut [Range<usize>]),
         mut fill_w: impl FnMut(usize, Range<usize>, &[f64], &mut [Vec<f64>; 2]),
         combine: impl Fn(f64, f64, f64) -> f64,
     ) -> &[f64] {
-        let (bins, horizon) = (BUFFER_BINS, menus.len());
+        let (horizon, n) = (menus.len(), n_rungs);
         for table in [&mut self.value, &mut self.next_value, &mut self.zeros] {
-            table.resize(n_rungs * bins, 0.0);
+            table.resize(n * BUFFER_BINS, 0.0);
         }
-        self.rows.iter_mut().for_each(|row| row.resize(n_rungs * bins, 0.0));
-        self.m.resize(n_rungs * n_rungs, 0.0);
+        self.rows.iter_mut().for_each(|row| row.resize(n * BUFFER_BINS, 0.0));
+        self.m.resize(n * n, 0.0);
         self.reach.clear();
-        self.reach.resize(horizon * n_rungs, 0..0);
-
+        self.reach.resize(horizon * n, 0..0);
         // Forward pass.  Spans stay empty below a step nothing reads.
+        let mut from = 0..0;
         for step in 1..horizon {
-            let from = hull(&self.reach[(step - 1) * n_rungs..step * n_rungs]);
             if step > 1 && from.is_empty() {
                 break;
             }
-            for a in 0..n_rungs {
-                let (lo, hi) = image(step - 1, a, from.clone());
-                self.reach[step * n_rungs + a] = if lo <= hi { lo..hi + 1 } else { 0..0 };
-            }
+            let spans = self.reach.get_mut(step * n..(step + 1) * n).unwrap_or_default();
+            image(step - 1, from, spans);
+            from = hull(spans);
         }
 
-        for step in (1..horizon).rev() {
-            let spans = &self.reach[step * n_rungs..(step + 1) * n_rungs];
+        for (step, pair) in menus.windows(2).enumerate().rev().map(|(s, p)| (s + 1, p)) {
+            let spans = self.reach.get(step * n..(step + 1) * n).unwrap_or_default();
             let value = if step + 1 < horizon { &self.value } else { &self.zeros };
             fill_w(step, hull(spans), value, &mut self.rows);
-            for (prev, popt) in menus[step - 1].options.iter().enumerate() {
-                let m_row = &mut self.m[prev * n_rungs..(prev + 1) * n_rungs];
-                for (ma, opt) in m_row.iter_mut().zip(&menus[step].options) {
+            let [prev_menu, menu] = pair else { continue };
+            for (prev, popt) in prev_menu.options.iter().enumerate() {
+                let m_row = self.m.get_mut(prev * n..(prev + 1) * n).unwrap_or_default();
+                for (ma, opt) in m_row.iter_mut().zip(&menu.options) {
                     *ma = opt.ssim_db - LAMBDA * (opt.ssim_db - popt.ssim_db).abs();
                 }
             }
             // The max-plus: each rung's value over its own span, rungs in
-            // ascending order, bins innermost.
-            for (prev, span) in spans.iter().enumerate() {
-                let nv = &mut self.next_value[prev * bins..(prev + 1) * bins][span.clone()];
+            // ascending order, bins innermost.  Each span is copied out:
+            // read through `self.reach`, it would be reloaded after every
+            // store to `next_value`, which costs Fugu's plan about 4%.
+            let [xs, ys] = &self.rows;
+            let tables = self.next_value.chunks_exact_mut(BUFFER_BINS).zip(spans.iter().cloned());
+            for (prev, (nv, span)) in tables.enumerate() {
+                let nv = nv.get_mut(span.clone()).unwrap_or_default();
                 nv.fill(f64::NEG_INFINITY);
-                for (a, &ma) in self.m[prev * n_rungs..(prev + 1) * n_rungs].iter().enumerate() {
-                    let x = &self.rows[0][a * bins..(a + 1) * bins][span.clone()];
-                    let y = &self.rows[1][a * bins..(a + 1) * bins][span.clone()];
+                let m_row = self.m.get(prev * n..(prev + 1) * n).unwrap_or_default();
+                let rows = xs.chunks_exact(BUFFER_BINS).zip(ys.chunks_exact(BUFFER_BINS));
+                for (&ma, (x, y)) in m_row.iter().zip(rows) {
+                    let x = x.get(span.clone()).unwrap_or_default();
+                    let y = y.get(span.clone()).unwrap_or_default();
                     for ((best, &x), &y) in nv.iter_mut().zip(x).zip(y) {
                         let score = combine(ma, x, y);
                         *best = if score > *best { score } else { *best };
@@ -277,11 +284,42 @@ impl ValueTables {
             &self.zeros
         }
     }
+
+    /// Each rung's step-1 span and value row after a [`ValueTables::solve`]
+    /// of `n_rungs` rungs (none for a one-step horizon).  For tests.
+    #[doc(hidden)]
+    pub fn step_one(&self, n_rungs: usize) -> impl Iterator<Item = (Range<usize>, &[f64])> {
+        let spans = self.reach.get(n_rungs..2 * n_rungs).unwrap_or_default();
+        spans.iter().cloned().zip(self.value.chunks_exact(BUFFER_BINS))
+    }
+
+    /// Fill every value and `W` entry with a huge finite value, so that a
+    /// plan reading an entry it did not write wins the max and flips its
+    /// decision.  For tests.
+    #[doc(hidden)]
+    pub fn poison(&mut self, n_rungs: usize) {
+        let [x, y] = &mut self.rows;
+        for table in [&mut self.value, &mut self.next_value, x, y] {
+            table.clear();
+            table.resize(n_rungs * BUFFER_BINS, f64::MAX / 4.0);
+        }
+    }
 }
 
 /// Reusable tables for [`Mpc::plan_with`]: the shared core's, with `µ ·
-/// stall` and the value-to-go after the transfer as its two rows.
-pub type MpcScratch = ValueTables;
+/// stall` and the value-to-go after the transfer as its two rows, and each
+/// (step, rung)'s transfer time, `times[step·R + a]`.
+#[derive(Debug, Clone, Default)]
+pub struct MpcScratch {
+    tables: ValueTables,
+    times: Vec<f64>,
+}
+
+impl MpcScratch {
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 /// MPC-HM (and RobustMPC-HM with `robust = true`).
 ///
@@ -365,11 +403,12 @@ impl Mpc {
     /// tail of a live stream's encoder queue) falls back to rung 0 instead
     /// of panicking on `menus[0]`.
     ///
-    /// Runs [`ValueTables::solve`] with the transmission time `t = size /
-    /// throughput` of each (step, rung), one [`Landing`] per (step, rung)
-    /// for the value-to-go, and the rows `µ·(t − buffer)⁺` and value-to-go
-    /// combined as `(m − µ·stall) + to_go`: the reference's `((ssim −
-    /// λ·|Δ|) − µ·stall) + to_go` with the quality folded into `m`.
+    /// Runs the [`ValueTables`] core with the transmission time `t = size /
+    /// throughput` of each (step, rung), computed once per plan, one
+    /// [`Landing`] per (step, rung) for the value-to-go, and the rows
+    /// `µ·(t − buffer)⁺` and value-to-go combined as `(m − µ·stall) +
+    /// to_go`: the reference's `((ssim − λ·|Δ|) − µ·stall) + to_go` with the
+    /// quality folded into `m`.
     ///
     /// Decision equivalence with the naive reference value iteration (kept
     /// beside the tests) is exact, not approximate: every floating-point
@@ -380,27 +419,36 @@ impl Mpc {
     /// by the property tests below.
     // lint-root: panic-free, alloc-free
     // lint: panic-free — every index is a step/rung of the horizon's menus or a bin below BUFFER_BINS
+    // lint: alloc-free — the transfer times grow once to horizon*rungs; warm calls are allocation-free per tests/alloc_gate.rs
     pub fn plan_with(&self, ctx: &AbrContext, throughput: f64, scratch: &mut MpcScratch) -> usize {
         if ctx.lookahead.is_empty() {
             return 0;
         }
         let menus = &ctx.lookahead[..HORIZON.min(ctx.lookahead.len())];
-        let bins = BUFFER_BINS;
-        let value = scratch.solve(
+        let (bins, n_rungs) = (BUFFER_BINS, menus[0].n_rungs());
+        scratch.times.resize(menus.len() * n_rungs, 0.0);
+        for (step, menu) in menus.iter().enumerate() {
+            let row = &mut scratch.times[step * n_rungs..(step + 1) * n_rungs];
+            for (t, opt) in row.iter_mut().zip(&menu.options) {
+                *t = opt.size / throughput;
+            }
+        }
+        let times = &scratch.times;
+        let value = scratch.tables.solve(
             menus,
-            menus[0].n_rungs(),
-            |step, a, from| {
-                let t = menus[step].options[a].size / throughput;
+            n_rungs,
+            |step, from, spans| {
                 let (lo, hi) = if step == 0 {
                     (ctx.buffer, ctx.buffer)
                 } else {
                     (GRID[from.start], GRID[from.end - 1])
                 };
-                (buffer_bin(buffer_after(lo, t)), buffer_bin(buffer_after(hi, t)))
+                for (span, &t) in spans.iter_mut().zip(&times[step * n_rungs..]) {
+                    *span = buffer_bin(buffer_after(lo, t))..buffer_bin(buffer_after(hi, t)) + 1;
+                }
             },
             |step, span, value, [mu_stall, to_go]| {
-                for (a, opt) in menus[step].options.iter().enumerate() {
-                    let t = opt.size / throughput;
+                for (a, &t) in times[step * n_rungs..(step + 1) * n_rungs].iter().enumerate() {
                     let row = a * bins..(a + 1) * bins;
                     let landing = Landing::of(t);
                     let value = &value[row.clone()];
@@ -423,8 +471,7 @@ impl Mpc {
         // evaluated exactly as the reference does.
         let mut best_rung = 0;
         let mut best_score = f64::NEG_INFINITY;
-        for (a, opt) in menus[0].options.iter().enumerate() {
-            let t = opt.size / throughput;
+        for (a, (opt, &t)) in menus[0].options.iter().zip(times).enumerate() {
             let stall = (t - ctx.buffer).max(0.0);
             let q = chunk_qoe(opt.ssim_db, ctx.prev_ssim_db, stall);
             let score = q + value[a * bins + buffer_bin(buffer_after(ctx.buffer, t))];
@@ -690,16 +737,6 @@ mod tests {
         }
     }
 
-    /// Fill every value and `W` entry with a huge finite value, so a read
-    /// outside the spans a plan computes wins the max and flips the
-    /// decision.
-    fn poison(scratch: &mut MpcScratch, n_rungs: usize) {
-        let poison = vec![f64::MAX / 4.0; n_rungs * BUFFER_BINS];
-        scratch.value = poison.clone();
-        scratch.next_value = poison.clone();
-        scratch.rows = [poison.clone(), poison];
-    }
-
     /// `Landing::of(t)` either lands every bin where the buffer rule does,
     /// also when read as the pieces of `span`, or declines within 1e-9 of a
     /// rounding tie `CHUNK_SECONDS − (m + ½)·BIN_W` (rule-sized bins apart
@@ -718,13 +755,16 @@ mod tests {
         for bin in 0..BUFFER_BINS {
             assert_eq!(landing.at(bin), rule(bin), "t={t:e} bin={bin}");
         }
+        // Read as Fugu reads the pieces: the drained bins land where the
+        // span's first bin does, the rising ones one bin apart from where
+        // the first of them lands.
         let (drained, rising) = landing.pieces(span.clone());
-        assert!(drained + rising.len() <= span.len(), "t={t:e} span={span:?}");
+        assert!(drained + rising <= span.len(), "t={t:e} span={span:?}");
         for (i, bin) in span.clone().enumerate() {
             let got = if i < drained {
                 landing.at(span.start)
-            } else if i < drained + rising.len() {
-                rising.start + (i - drained)
+            } else if i < drained + rising {
+                landing.at(span.start + drained) + (i - drained)
             } else {
                 BUFFER_BINS - 1
             };
@@ -821,7 +861,7 @@ mod tests {
             let c = AbrContext { prev_ssim_db: prev, ..ctx(buffer, &m, &hist) };
             let mpc = if robust { Mpc::robust_mpc_hm() } else { Mpc::mpc_hm() };
             let mut scratch = MpcScratch::new();
-            poison(&mut scratch, n_rungs);
+            scratch.tables.poison(n_rungs);
             let fast = mpc.plan_with(&c, throughput, &mut scratch);
             let slow = mpc.plan_reference(&c, throughput);
             proptest::prop_assert_eq!(
@@ -830,7 +870,7 @@ mod tests {
                 h, n_rungs, buffer, throughput, dup
             );
             // Reusing the warmed scratch must not change the answer.
-            poison(&mut scratch, n_rungs);
+            scratch.tables.poison(n_rungs);
             let again = mpc.plan_with(&c, throughput, &mut scratch);
             proptest::prop_assert_eq!(again, fast);
         }

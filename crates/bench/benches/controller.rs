@@ -2,7 +2,8 @@
 //! deterministic MPC it extends, per chunk decision.  `fugu_stochastic_plan`
 //! includes the TTP inference that fills the distributions;
 //! `fugu_plan_from_dists` times the value iteration alone; `mpc_plan_grid`
-//! times the MPC planner over a grid of buffers and throughputs.
+//! times the MPC planner over a grid of buffers and throughputs, and
+//! `mpc_plan_deep_fast` over its deep-buffer, fast-link corner.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fugu::{ControllerConfig, PlanScratch, StochasticMpc, Ttp, TtpConfig};
@@ -91,6 +92,22 @@ fn bench(c: &mut Criterion) {
             for buffer in [0.0, 2.0, 5.0, 8.0, 11.0, 14.0] {
                 let ctx = AbrContext { buffer, ..ctx.clone() };
                 for throughput in [1e5, 2.5e5, 5e5, 1e6, 2e6] {
+                    rungs += mpc.plan_with(black_box(&ctx), throughput, &mut scratch);
+                }
+            }
+            black_box(rungs)
+        })
+    });
+
+    // The corner where every rung's span is a bin or two: a deep buffer on
+    // a fast link (12–14 s × 3–6 MB/s), 9 plans per iteration.  Here the
+    // planner's fixed per-plan work, not its spans, sets the cost.
+    c.bench_function("mpc_plan_deep_fast", |b| {
+        b.iter(|| {
+            let mut rungs = 0;
+            for buffer in [12.0, 13.0, 14.0] {
+                let ctx = AbrContext { buffer, ..ctx.clone() };
+                for throughput in [3e6, 4.5e6, 6e6] {
                     rungs += mpc.plan_with(black_box(&ctx), throughput, &mut scratch);
                 }
             }

@@ -9,16 +9,16 @@
 //! where the transmission-time distribution comes from the TTP.  "To make the
 //! DP computationally feasible, it discretizes Bᵢ into bins" — the recursion
 //! runs backward over (previous rung × buffer bin) on the value-iteration
-//! core the deterministic MPC in `puffer-abr` runs on
-//! ([`ValueTables::solve`]): the same grid ([`BUFFER_BINS`] bins [`BIN_W`]
-//! apart), buffer rule ([`buffer_after`], [`buffer_bin`]), objective
-//! ([`chunk_qoe`]), per-rung reachable spans, three-piece value-to-go
-//! ([`Landing`]) and select max-plus.  The only difference is the
-//! expectation over the 21 time bins: a rung's transfer takes a span to the
-//! images of its ends under every time bin the planner keeps, and `W` sums
-//! over them.  With `point_estimate = true` the distribution is collapsed to
-//! its maximum-likelihood bin, which is the "Point Estimate" ablation
-//! deployed in August 2019 (§4.6) whose rebuffering was 3–9× worse.
+//! core the deterministic MPC in `puffer-abr` runs on ([`ValueTables`]): the
+//! same grid ([`BUFFER_BINS`] bins [`BIN_W`] apart), buffer rule
+//! ([`buffer_after`], [`buffer_bin`]), objective ([`chunk_qoe`]), reachable
+//! spans, three-piece value-to-go ([`Landing`]) and select max-plus.  The
+//! only difference is the expectation over the 21 time bins: a rung's
+//! transfer takes a span to the images of its ends under every time bin the
+//! planner keeps, and `W` sums over them.  With `point_estimate = true` the
+//! distribution is collapsed to its maximum-likelihood bin, which is the
+//! "Point Estimate" ablation deployed in August 2019 (§4.6) whose
+//! rebuffering was 3–9× worse.
 //!
 //! Every `bin_midpoint(b)` is a multiple of `BIN_W` for `b ≥ 1` and half a
 //! bin for `b = 0`, so no time bin sits near a rounding tie of the buffer
@@ -184,12 +184,13 @@ impl StochasticMpc {
     /// The root reads rung `a`'s step-1 value at the real buffer's image
     /// under each time bin of `a`'s distribution it does not skip (`p <
     /// PROB_EPSILON`), and a rung's transfer takes a span to the images of
-    /// its ends under its own unskipped time bins: those are the per-rung
-    /// spans [`ValueTables::solve`] computes values over.  `W[a]` sums
-    /// `p·(v − µ·stall)` over the unskipped time bins, and the combine is
-    /// `M + W`.  Every value the core stores is bit-identical to the full
-    /// table's, because each is the same sum of the same terms in the same
-    /// order and the same strict-`>` first-max over rungs in ascending order.
+    /// its ends under its own unskipped time bins; each step's span, which
+    /// [`ValueTables`] computes every rung's value over, is the union of
+    /// those images over the rungs.  `W[a]` sums `p·(v − µ·stall)` over the
+    /// unskipped time bins, and the combine is `M + W`.  Every value the
+    /// core stores is bit-identical to the full table's, because each is the
+    /// same sum of the same terms in the same order and the same strict-`>`
+    /// first-max over rungs in ascending order.
     // lint: panic-free — every index is a bin of a reachable span or a landing bin (< bins), a time bin < N_BINS, or a rung/step below the dims that size the tables
     pub fn plan_from_dists(
         &self,
@@ -229,21 +230,26 @@ impl StochasticMpc {
         let value = scratch.tables.solve(
             &ctx.lookahead[..horizon],
             n_rungs,
-            |step, a, from| {
+            // Every rung's span is the union of their images: per-rung spans
+            // would save only about 12% of the max-plus cells, and measured
+            // 2–3% slower.
+            |step, from, spans| {
                 let (mut lo, mut hi) = (usize::MAX, 0);
-                for (b, &p) in dists[(step * n_rungs + a) * N_BINS..][..N_BINS].iter().enumerate() {
-                    if p < PROB_EPSILON {
-                        continue;
+                for da in dists[step * stride..(step + 1) * stride].chunks_exact(N_BINS) {
+                    for (b, &p) in da.iter().enumerate() {
+                        if p < PROB_EPSILON {
+                            continue;
+                        }
+                        let landing = transfers.landing[b];
+                        let (to_lo, to_hi) = if step == 0 {
+                            (root_bin[b], root_bin[b])
+                        } else {
+                            (landing.at(from.start), landing.at(from.end - 1))
+                        };
+                        (lo, hi) = (lo.min(to_lo), hi.max(to_hi));
                     }
-                    let landing = transfers.landing[b];
-                    let (to_lo, to_hi) = if step == 0 {
-                        (root_bin[b], root_bin[b])
-                    } else {
-                        (landing.at(from.start), landing.at(from.end - 1))
-                    };
-                    (lo, hi) = (lo.min(to_lo), hi.max(to_hi));
                 }
-                (lo, hi)
+                spans.fill(if lo <= hi { lo..hi + 1 } else { 0..0 });
             },
             // W[a][bin]: expected (−µ·stall + value-to-go).
             |step, span, value, [w, _]| {
@@ -257,20 +263,27 @@ impl StochasticMpc {
                         if p < PROB_EPSILON {
                             continue;
                         }
+                        let stall_row = &transfers.stall[b][span.clone()];
+                        if step + 1 == horizon {
+                            for (wab, &stall) in wa.iter_mut().zip(stall_row) {
+                                *wab += p * (0.0 - MU * stall);
+                            }
+                            continue;
+                        }
                         // The drained and full pieces read one value-to-go
                         // each, the rising piece a contiguous slice.
                         let landing = transfers.landing[b];
                         let (drained, rising) = landing.pieces(span.clone());
                         let (w_drained, w_rest) = wa.split_at_mut(drained);
-                        let (w_rising, w_full) = w_rest.split_at_mut(rising.len());
-                        let stall_row = &transfers.stall[b][span.clone()];
+                        let (w_rising, w_full) = w_rest.split_at_mut(rising);
                         let (stall_drained, stall_rest) = stall_row.split_at(drained);
-                        let (stall_rising, stall_full) = stall_rest.split_at(rising.len());
+                        let (stall_rising, stall_full) = stall_rest.split_at(rising);
                         let v = value_a[landing.at(span.start)];
                         for (wab, &stall) in w_drained.iter_mut().zip(stall_drained) {
                             *wab += p * (v - MU * stall);
                         }
-                        let to_go = &value_a[rising];
+                        let at = landing.at(span.start + drained);
+                        let to_go = &value_a[at..at + rising];
                         for ((wab, &stall), &v) in w_rising.iter_mut().zip(stall_rising).zip(to_go)
                         {
                             *wab += p * (v - MU * stall);
@@ -730,10 +743,7 @@ mod tests {
             // Poisoned tables: a value or `W` entry read outside the spans
             // the plan computes wins the max and flips the decision.
             let mut scratch = PlanScratch::new();
-            let poison = vec![f64::MAX / 4.0; n_rungs * BUFFER_BINS];
-            scratch.tables.value = poison.clone();
-            scratch.tables.next_value = poison.clone();
-            scratch.tables.rows = [poison.clone(), poison];
+            scratch.tables.poison(n_rungs);
             scratch.dists_for(h, n_rungs).copy_from_slice(&table);
             let rung = planner.plan_from_dists(&ctx, HORIZON, &mut scratch);
             let (best, got) = (scores[expected], scores[rung]);
@@ -747,11 +757,9 @@ mod tests {
             proptest::prop_assert!(!dup || rung.is_multiple_of(2), "duplicate rung {} chosen", rung);
             // Step 1's values, each rung's over its own span: the rest of
             // the table is not computed.
-            let spans = if h > 1 { &scratch.tables.reach[n_rungs..2 * n_rungs] } else { &[] };
-            for (prev, span) in spans.iter().enumerate() {
-                for bin in span.clone() {
-                    let fast = scratch.tables.value[prev * BUFFER_BINS + bin];
-                    let slow = value[bin][prev];
+            for (prev, (span, values)) in scratch.tables.step_one(n_rungs).enumerate() {
+                for bin in span {
+                    let (fast, slow) = (values[bin], value[bin][prev]);
                     proptest::prop_assert!(
                         (fast - slow).abs() <= 1e-9 * (1.0 + slow.abs()),
                         "value {} vs {} at bin {} prev {}", fast, slow, bin, prev
