@@ -13,11 +13,11 @@
 //! "MPC and Fugu even share most of their codebase" (§5.1): Fugu is this
 //! MPC with a probabilistic transmission-time predictor (§4.4).  Both plan
 //! by value iteration over a discretized buffer ([`BUFFER_BINS`] levels
-//! [`BIN_W`] apart) on one set of tables, [`ValueTables`]: its forward pass
-//! records the reachable spans, and for each step from the last one back
-//! the planner fills its two `W` rows and the core runs the `M` fill and the
-//! max-plus.  Each planner brings only its transfer, its `W` rows, its
-//! combine and its root.
+//! [`BIN_W`] apart) through one core, [`ValueTables::solve`]: a forward
+//! pass records the reachable spans, then for each step from the last one
+//! back the planner fills its two `W` rows and the core runs the `M` fill
+//! and the max-plus.  Each planner brings only its transfer, its `W` rows,
+//! its combine and its root.
 //!
 //! - **Reachable spans.**  Like the deployed controller's forward recursion
 //!   with memoization, the core visits only states the root can reach.  The
