@@ -213,9 +213,9 @@ impl ValueTables {
     ///   transfer at `step` takes the bins `span` to (the root's buffer when
     ///   `step` is 0), empty when it takes them nowhere.  A wider span is
     ///   also correct, only slower.
-    /// - `fill_w(step, span, value, rows)` writes both rows of every rung
-    ///   over `span` from `value`, the value table of the step below (zero
-    ///   past the horizon).
+    /// - `fill_w(step, span, value, rows)` writes the rows `combine` reads,
+    ///   for every rung over `span`, from `value`, the value table of the
+    ///   step below (zero past the horizon).
     /// - `combine(m, x, y)` scores rung `a` from `m[prev][a]` and its rows.
     // lint: alloc-free — the tables grow once per shape change; warm plans are allocation-free per tests/alloc_gate.rs
     pub fn solve(
