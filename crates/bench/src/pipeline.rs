@@ -202,17 +202,18 @@ impl CachedArm {
 
 fn render_cached_arms(arms: &[CachedArm]) -> String {
     use std::fmt::Write as _;
-    let mut out = String::from("puffer-rct-results v1\n");
+    let mut out = String::from("puffer-rct-results v2\n");
     for a in arms {
         let _ = writeln!(
             out,
-            "arm\t{}\t{}\t{}\t{}\t{}\t{}",
+            "arm\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             a.name,
             a.consort.sessions,
             a.consort.streams,
             a.consort.never_began,
             a.consort.short_watch,
-            a.consort.considered
+            a.consort.considered,
+            a.consort.quarantined
         );
         for s in &a.streams {
             let _ = writeln!(
@@ -238,7 +239,7 @@ fn render_cached_arms(arms: &[CachedArm]) -> String {
 
 fn parse_cached_arms(text: &str) -> Result<Vec<CachedArm>, String> {
     let mut lines = text.lines();
-    if lines.next() != Some("puffer-rct-results v1") {
+    if lines.next() != Some("puffer-rct-results v2") {
         return Err("bad magic".into());
     }
     let mut arms: Vec<CachedArm> = Vec::new();
@@ -250,7 +251,7 @@ fn parse_cached_arms(text: &str) -> Result<Vec<CachedArm>, String> {
                 let nums: Vec<usize> = f
                     .map(|v| v.parse().map_err(|_| "bad consort count".to_string()))
                     .collect::<Result<_, _>>()?;
-                if nums.len() != 5 {
+                if nums.len() != 6 {
                     return Err("consort field count".into());
                 }
                 arms.push(CachedArm {
@@ -261,7 +262,7 @@ fn parse_cached_arms(text: &str) -> Result<Vec<CachedArm>, String> {
                         never_began: nums[2],
                         short_watch: nums[3],
                         considered: nums[4],
-                        quarantined: 0,
+                        quarantined: nums[5],
                     },
                     streams: Vec::new(),
                     session_durations: Vec::new(),
@@ -304,4 +305,46 @@ fn parse_cached_arms(text: &str) -> Result<Vec<CachedArm>, String> {
         return Err("no arms".into());
     }
     Ok(arms)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cached_arms_round_trip_every_consort_count() {
+        let arm = CachedArm {
+            name: "Fugu".to_string(),
+            consort: puffer_platform::ConsortCounts {
+                sessions: 9,
+                streams: 14,
+                never_began: 2,
+                short_watch: 3,
+                considered: 9,
+                quarantined: 4,
+            },
+            streams: vec![puffer_stats::StreamSummary {
+                startup_delay: 0.5,
+                watch_time: 61.25,
+                stall_time: 0.1,
+                mean_ssim_db: 16.3,
+                ssim_variation_db: 0.7,
+                first_chunk_ssim_db: 15.9,
+                mean_delivery_rate: 1.25e6,
+                total_bytes: 3.5e7,
+                chunks: 30,
+            }],
+            session_durations: vec![61.25, 0.1 + 0.2],
+        };
+        let text = render_cached_arms(std::slice::from_ref(&arm));
+        let back = parse_cached_arms(&text).unwrap();
+        assert_eq!(back.len(), 1);
+        assert_eq!(back[0].name, arm.name);
+        assert_eq!(back[0].consort, arm.consort);
+        assert_eq!(back[0].streams, arm.streams);
+        assert_eq!(back[0].session_durations, arm.session_durations);
+        // A cache written before quarantines were kept is rebuilt, not
+        // misread as having none.
+        assert!(parse_cached_arms(&text.replacen(" v2", " v1", 1)).is_err());
+    }
 }

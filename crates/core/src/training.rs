@@ -19,9 +19,9 @@
 //! derives one independent RNG stream per lookahead step — `horizon` seeds
 //! drawn from the caller's RNG in fixed step order — and each step-net trains
 //! entirely from its own stream.  Since the five step-nets share no mutable
-//! state, they can train on separate threads ([`TrainConfig::threads`]) with
-//! results reduced in fixed step order, and the retrained model is
-//! bit-identical to the sequential run at any thread count.
+//! state, they train on scoped worker threads ([`TrainConfig::threads`]; one
+//! worker takes every step in order) with results reduced in fixed step
+//! order, and the retrained model is bit-identical at any thread count.
 //!
 //! The per-minibatch path is allocation-free in steady state: each worker owns
 //! a [`TrainScratch`] whose buffers (scaled-feature matrix, minibatch gather
@@ -243,22 +243,17 @@ pub fn train<R: Rng + ?Sized>(
         }
         (s, srng)
     };
-    let mut per_step: Vec<(Vec<Sample>, StdRng)> = if threads <= 1 {
-        (0..horizon).map(build_step).collect()
-    } else {
-        let build_step = &build_step;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..horizon)
-                .collect::<Vec<_>>()
-                .chunks(chunk)
-                .map(|steps| {
-                    let steps = steps.to_vec();
-                    scope.spawn(move || steps.into_iter().map(build_step).collect::<Vec<_>>())
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("sample builder panicked")).collect()
-        })
-    };
+    let build_step = &build_step;
+    let mut per_step: Vec<(Vec<Sample>, StdRng)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..horizon)
+            .step_by(chunk)
+            .map(|first| {
+                let steps = first..(first + chunk).min(horizon);
+                scope.spawn(move || steps.map(build_step).collect::<Vec<_>>())
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("sample builder panicked")).collect()
+    });
     if per_step[0].0.is_empty() {
         return None;
     }
@@ -279,32 +274,24 @@ pub fn train<R: Rng + ?Sized>(
         }
         (samples.len(), train_one_net(net, scaler, samples, cfg, srng, scratch))
     };
-    let results: Vec<(usize, f32)> = if threads <= 1 {
-        let mut scratch = TrainScratch::new();
-        nets.iter_mut()
-            .zip(per_step.iter_mut())
-            .map(|(net, state)| run_step(net, state, &mut scratch))
-            .collect()
-    } else {
-        let run_step = &run_step;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = nets
-                .chunks_mut(chunk)
-                .zip(per_step.chunks_mut(chunk))
-                .map(|(net_chunk, state_chunk)| {
-                    scope.spawn(move || {
-                        let mut scratch = TrainScratch::new();
-                        net_chunk
-                            .iter_mut()
-                            .zip(state_chunk.iter_mut())
-                            .map(|(net, state)| run_step(net, state, &mut scratch))
-                            .collect::<Vec<_>>()
-                    })
+    let run_step = &run_step;
+    let results: Vec<(usize, f32)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = nets
+            .chunks_mut(chunk)
+            .zip(per_step.chunks_mut(chunk))
+            .map(|(net_chunk, state_chunk)| {
+                scope.spawn(move || {
+                    let mut scratch = TrainScratch::new();
+                    net_chunk
+                        .iter_mut()
+                        .zip(state_chunk.iter_mut())
+                        .map(|(net, state)| run_step(net, state, &mut scratch))
+                        .collect::<Vec<_>>()
                 })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("step trainer panicked")).collect()
-        })
-    };
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("step trainer panicked")).collect()
+    });
     let (samples_per_step, final_ce_per_step) = results.into_iter().unzip();
     Some(TrainReport { samples_per_step, final_ce_per_step })
 }

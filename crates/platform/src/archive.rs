@@ -3,101 +3,70 @@
 //! "Along with this paper, we are publishing our full archive of traces and
 //! results on the Puffer website.  The system posts new data each day" —
 //! three measurements per day: `video_sent`, `video_acked`, and
-//! `client_buffer`, with sensitive fields redacted.  [`DailyArchive`]
-//! accumulates a day's telemetry and writes the same three CSV files.
+//! `client_buffer`, with sensitive fields redacted.  The RCT's archive sink
+//! spools each day's telemetry to a compacted `.puf` archive
+//! ([`TelemetrySpool`], [`merge_spools`]); [`export_csv`] streams one back
+//! out as the same three CSV files.
 
-use crate::archive_format::{ArchiveWriter, DEFAULT_BLOCK_ROWS};
+use crate::archive_format::{ArchiveReader, ArchiveWriter, DEFAULT_BLOCK_ROWS};
+use crate::faults::{incidents_csv, Incident};
 use crate::telemetry::{
-    write_client_buffer_csv, write_video_acked_csv, write_video_sent_csv, StreamTelemetry,
-    VideoAcked,
+    write_client_buffer_row, write_video_acked_row, write_video_sent_row, StreamTelemetry,
+    CLIENT_BUFFER_CSV_HEADER, VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Accumulates one day's telemetry and writes the public dump.
-#[derive(Debug, Default, Clone)]
-pub struct DailyArchive {
-    video_sent: Vec<crate::telemetry::VideoSent>,
-    video_acked: Vec<VideoAcked>,
-    client_buffer: Vec<crate::telemetry::ClientBuffer>,
-}
-
-impl DailyArchive {
-    pub fn new() -> Self {
-        DailyArchive::default()
-    }
-
-    /// Fold one stream's telemetry into the day.
-    pub fn add_stream(&mut self, telemetry: &StreamTelemetry) {
-        self.video_sent.extend_from_slice(&telemetry.video_sent);
-        self.video_acked.extend_from_slice(&telemetry.video_acked);
-        self.client_buffer.extend_from_slice(&telemetry.client_buffer);
-    }
-
-    /// Data points accumulated, per measurement.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        (self.video_sent.len(), self.video_acked.len(), self.client_buffer.len())
-    }
-
-    /// In-memory `video_acked` CSV (same bytes the streamed write produces).
-    pub fn video_acked_csv(&self) -> String {
-        crate::telemetry::video_acked_csv(&self.video_acked)
-    }
-
-    /// Write `video_sent_<day>.csv`, `video_acked_<day>.csv`, and
-    /// `client_buffer_<day>.csv` under `dir`; returns the paths written.
-    ///
-    /// Each file streams row-by-row through a `BufWriter` — a paper-scale day
-    /// (§3.4: hundreds of thousands of chunks) never holds its rendered CSV
-    /// in memory, only the fixed-size write buffer.  The bytes on disk are
-    /// identical to the in-memory renderings (pinned by
-    /// `streamed_write_matches_in_memory_csv`).
-    pub fn write(&self, dir: &Path, day: u32) -> std::io::Result<Vec<PathBuf>> {
-        std::fs::create_dir_all(dir)?;
-        let mut paths = Vec::new();
-        let stream_to = |name: String,
-                         write: &dyn Fn(&mut BufWriter<std::fs::File>) -> std::io::Result<()>|
-         -> std::io::Result<PathBuf> {
-            let path = dir.join(name);
-            let mut out = BufWriter::new(std::fs::File::create(&path)?);
-            write(&mut out)?;
-            out.flush()?;
-            Ok(path)
-        };
-        paths.push(stream_to(format!("video_sent_{day}.csv"), &|out| {
-            write_video_sent_csv(out, &self.video_sent)
-        })?);
-        paths.push(stream_to(format!("video_acked_{day}.csv"), &|out| {
-            write_video_acked_csv(out, &self.video_acked)
-        })?);
-        paths.push(stream_to(format!("client_buffer_{day}.csv"), &|out| {
-            write_client_buffer_csv(out, &self.client_buffer)
-        })?);
-        Ok(paths)
-    }
-
-    /// Write the day as one compacted binary archive, `telemetry_<day>.puf`
-    /// (`docs/ARCHIVE.md`), holding the same rows as the three CSVs.
-    ///
-    /// Rows stream through the fixed-size block buffers of
-    /// [`ArchiveWriter`]; nothing day-sized is rendered in memory.
-    pub fn write_binary(&self, dir: &Path, day: u32) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("telemetry_{day}.puf"));
-        let mut w = ArchiveWriter::new(BufWriter::new(File::create(&path)?))?;
-        for d in &self.video_sent {
-            w.push_sent(d)?;
+/// Stream the `.puf` archive at `puf` out as the three Appendix-B CSVs,
+/// `video_sent_<day>.csv`, `video_acked_<day>.csv` and
+/// `client_buffer_<day>.csv` under `out_dir`, plus `incidents_<day>.csv`
+/// when the archive carries incident blocks.  Returns each file written
+/// with its row count, in that order.
+///
+/// One bounded-memory pass: rows stream block by block through the row
+/// writers of [`crate::telemetry`], so a paper-scale day (§3.4: hundreds of
+/// thousands of chunks) is never rendered in memory.
+pub fn export_csv(puf: &Path, out_dir: &Path, day: u32) -> std::io::Result<Vec<(PathBuf, u64)>> {
+    let mut reader = ArchiveReader::new(BufReader::new(File::open(puf)?))?;
+    std::fs::create_dir_all(out_dir)?;
+    let create = |name: String, header: &[u8]| -> std::io::Result<(BufWriter<File>, PathBuf)> {
+        let path = out_dir.join(name);
+        let mut out = BufWriter::new(File::create(&path)?);
+        out.write_all(header)?;
+        Ok((out, path))
+    };
+    let (mut sent, sent_path) = create(format!("video_sent_{day}.csv"), VIDEO_SENT_CSV_HEADER)?;
+    let (mut acked, acked_path) = create(format!("video_acked_{day}.csv"), VIDEO_ACKED_CSV_HEADER)?;
+    let (mut buffer, buffer_path) =
+        create(format!("client_buffer_{day}.csv"), CLIENT_BUFFER_CSV_HEADER)?;
+    let mut rows = [0u64; 3];
+    let mut incidents: Vec<Incident> = Vec::new();
+    while let Some(block) = reader.next_block()? {
+        for d in &block.video_sent {
+            write_video_sent_row(&mut sent, d)?;
         }
-        for d in &self.video_acked {
-            w.push_acked(d)?;
+        for d in &block.video_acked {
+            write_video_acked_row(&mut acked, d)?;
         }
-        for d in &self.client_buffer {
-            w.push_buffer(d)?;
+        for d in &block.client_buffer {
+            write_client_buffer_row(&mut buffer, d)?;
         }
-        w.finish()?.flush()?;
-        Ok(path)
+        rows[0] += block.video_sent.len() as u64;
+        rows[1] += block.video_acked.len() as u64;
+        rows[2] += block.client_buffer.len() as u64;
+        incidents.extend(block.incidents.iter().filter_map(Incident::from_row));
     }
+    for out in [&mut sent, &mut acked, &mut buffer] {
+        out.flush()?;
+    }
+    let mut outputs = vec![(sent_path, rows[0]), (acked_path, rows[1]), (buffer_path, rows[2])];
+    if !incidents.is_empty() {
+        let path = out_dir.join(format!("incidents_{day}.csv"));
+        std::fs::write(&path, incidents_csv(&incidents))?;
+        outputs.push((path, incidents.len() as u64));
+    }
+    Ok(outputs)
 }
 
 /// Incremental per-worker `.puf` spool used by the RCT's `archive_sink`.
@@ -145,8 +114,9 @@ impl TelemetrySpool {
         Ok(self.path)
     }
 
-    /// The spool's on-disk path (for cleanup when a spool is abandoned after
-    /// a write error without reaching [`TelemetrySpool::finish`]).
+    /// The spool's on-disk path (for cleanup after the day's merge, or when
+    /// a spool is abandoned after a write error without reaching
+    /// [`TelemetrySpool::finish`]).
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -183,103 +153,4 @@ pub fn append_incidents(path: &Path, incidents: &[crate::faults::Incident]) -> s
 /// scheduling (the same invariant `run_rct` keeps for its statistics).
 pub fn merge_spools(spools: &[PathBuf], out: &Path) -> std::io::Result<()> {
     crate::archive_format::merge_archives(spools, out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::telemetry::{BufferEvent, ClientBuffer, VideoSent};
-
-    fn telemetry() -> StreamTelemetry {
-        let mut t = StreamTelemetry::default();
-        t.video_sent.push(VideoSent {
-            time: 1.0,
-            stream_id: 5,
-            expt_id: 1,
-            video_ts: 180_180,
-            size: 4e5,
-            ssim_index: 0.97,
-            cwnd: 20.0,
-            in_flight: 2.0,
-            min_rtt: 0.04,
-            rtt: 0.05,
-            delivery_rate: 9e5,
-        });
-        t.video_acked.push(VideoAcked {
-            time: 1.5,
-            stream_id: 5,
-            expt_id: 1,
-            video_ts: 180_180,
-            size: 4e5,
-        });
-        t.client_buffer.push(ClientBuffer {
-            time: 1.5,
-            stream_id: 5,
-            expt_id: 1,
-            event: BufferEvent::Startup,
-            buffer: 2.002,
-            cum_rebuf: 0.0,
-        });
-        t
-    }
-
-    #[test]
-    fn accumulates_streams() {
-        let mut a = DailyArchive::new();
-        a.add_stream(&telemetry());
-        a.add_stream(&telemetry());
-        assert_eq!(a.counts(), (2, 2, 2));
-    }
-
-    #[test]
-    fn writes_three_csv_files() {
-        let mut a = DailyArchive::new();
-        a.add_stream(&telemetry());
-        let dir = std::env::temp_dir().join("puffer_archive_test");
-        let paths = a.write(&dir, 17).unwrap();
-        assert_eq!(paths.len(), 3);
-        for p in &paths {
-            let content = std::fs::read_to_string(p).unwrap();
-            assert!(content.lines().count() >= 2, "{p:?} has header + data");
-            assert!(content.starts_with("time,"), "{p:?} has the schema header");
-        }
-        assert!(paths[0].file_name().unwrap().to_str().unwrap().contains("video_sent_17"));
-        for p in paths {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn streamed_write_matches_in_memory_csv() {
-        // The BufWriter path must produce byte-identical files to the
-        // in-memory renderings the old `write` materialized.
-        use crate::telemetry::{client_buffer_csv, video_sent_csv};
-        let mut a = DailyArchive::new();
-        for _ in 0..3 {
-            a.add_stream(&telemetry());
-        }
-        let dir = std::env::temp_dir().join("puffer_archive_stream_test");
-        let paths = a.write(&dir, 3).unwrap();
-        let expected = [
-            video_sent_csv(&a.video_sent),
-            a.video_acked_csv(),
-            client_buffer_csv(&a.client_buffer),
-        ];
-        for (p, want) in paths.iter().zip(&expected) {
-            let got = std::fs::read_to_string(p).unwrap();
-            assert_eq!(&got, want, "{p:?} must match the in-memory rendering byte for byte");
-        }
-        for p in paths {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn acked_join_preserved_in_dump() {
-        let mut a = DailyArchive::new();
-        a.add_stream(&telemetry());
-        let csv = a.video_acked_csv();
-        assert!(csv.starts_with("time,stream_id,expt_id,video_ts,size\n"));
-        assert!(csv.contains("1.500,5,1,180180,400000"));
-    }
 }

@@ -12,6 +12,7 @@ use crate::archive::TelemetrySpool;
 use crate::batch::{BatchRunner, Retired};
 use crate::faults::{
     observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
+    ModelOutage,
 };
 use crate::scheme::SchemeSpec;
 use crate::session::SessionOutcome;
@@ -26,8 +27,9 @@ use puffer_stats::StreamSummary;
 use puffer_trace::TraceBank;
 use rand::Rng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// CONSORT-style stream accounting for one arm (Fig. A1).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -228,11 +230,9 @@ struct WorkerDay<'c> {
     results: Vec<(usize, SessionResult)>,
     /// The worker's telemetry spool while its archive sink is healthy.
     spool: Option<TelemetrySpool>,
-    /// The finished spool file, once [`WorkerDay::close`] has written it.
+    /// The spool's file, finished or abandoned after a write error;
+    /// [`merge_archive`] removes it.
     spool_path: Option<PathBuf>,
-    /// A spool abandoned after a write error (partial file awaiting
-    /// cleanup).
-    abandoned_spool: Option<PathBuf>,
     /// Archive-degradation incidents this worker hit (the caller sorts them
     /// by session coordinate, restoring scheduling independence).
     incidents: Vec<Incident>,
@@ -243,7 +243,7 @@ struct WorkerDay<'c> {
 impl<'c> WorkerDay<'c> {
     /// Start the day.  With the archive sink on, each worker spools
     /// telemetry to its own `.puf` file as sessions finish; the per-day
-    /// merge in [`run_rct`] restores session order.
+    /// merge in [`merge_archive`] restores session order.
     fn open(cfg: &'c ExperimentConfig, day: u32, worker: usize) -> Self {
         let mut w = WorkerDay {
             day,
@@ -251,13 +251,15 @@ impl<'c> WorkerDay<'c> {
             results: Vec::new(),
             spool: None,
             spool_path: None,
-            abandoned_spool: None,
             incidents: Vec::new(),
             archive_failed: false,
         };
         if let Some(dir) = &cfg.archive_sink {
             match TelemetrySpool::create(dir, &format!(".spool_day{day}_worker{worker}.puf")) {
-                Ok(spool) => w.spool = Some(spool),
+                Ok(spool) => {
+                    w.spool_path = Some(spool.path().to_owned());
+                    w.spool = Some(spool);
+                }
                 Err(_) => w.archive_fault(None),
             }
         }
@@ -290,7 +292,7 @@ impl<'c> WorkerDay<'c> {
         };
         if self.spill(i, &outcome).is_err() {
             self.archive_fault(Some((arm, i)));
-            self.abandoned_spool = self.spool.take().map(|s| s.path().to_owned());
+            self.spool = None;
         }
         let mut res = account_session(arm, outcome);
         if self.faults.nan_telemetry_at(self.day, i as u64) {
@@ -312,13 +314,8 @@ impl<'c> WorkerDay<'c> {
     /// End the day: finish the spool file.
     fn close(mut self) -> Self {
         if let Some(spool) = self.spool.take() {
-            let path = spool.path().to_owned();
-            match spool.finish() {
-                Ok(p) => self.spool_path = Some(p),
-                Err(_) => {
-                    self.archive_fault(None);
-                    self.abandoned_spool = Some(path);
-                }
+            if spool.finish().is_err() {
+                self.archive_fault(None);
             }
         }
         self
@@ -371,6 +368,10 @@ fn run_day_worker<'c>(
 /// collected so far (14-day window, recency-weighted, warm-started) —
 /// behind a validation gate with one bounded retry and rollback
 /// (docs/ROBUSTNESS.md).
+///
+/// Every day runs the same seven stages, in order: `degrade`, `assign`,
+/// `run_sessions`, `merge_archive`, `aggregate`, `retrain` and
+/// `persist_incidents`.  The incident log is appended in that order too.
 pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResult {
     assert!(!schemes.is_empty(), "need at least one arm");
     assert!(cfg.sessions_per_day > 0 && cfg.days > 0);
@@ -392,7 +393,7 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
         .collect();
     // Day-0 snapshots back the Fugu → frozen-snapshot → BBA fallback ladder
     // when an arm's serving model is unavailable.
-    let frozen_snapshots: Vec<Option<std::sync::Arc<Ttp>>> =
+    let frozen_snapshots: Vec<Option<Arc<Ttp>>> =
         schemes.iter().map(|s| s.ttp().cloned()).collect();
     let mut dataset = Dataset::new();
     let mut total_sessions = 0usize;
@@ -401,325 +402,15 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
 
     for day in 0..cfg.days {
         let day_incident_start = incidents.len();
-        // Degradation ladder: an arm whose serving model is unavailable
-        // today falls back to its frozen day-0 snapshot, and if that is
-        // unavailable too, to BBA.  `day_schemes` are clones of the live
-        // specs (Arc identity preserved, so batching groups are unchanged);
-        // the master `schemes` stay the retraining target.
-        let mut day_schemes = schemes.clone();
-        for (a, spec) in day_schemes.iter_mut().enumerate() {
-            let Some(outage) = cfg.faults.model_outage(day, a as u32) else {
-                continue;
-            };
-            let (variant, label, retrain_daily) = match spec {
-                SchemeSpec::Fugu { variant, label, retrain_daily, .. } => {
-                    (*variant, *label, *retrain_daily)
-                }
-                _ => continue, // only Fugu arms carry a servable model
-            };
-            match outage {
-                crate::faults::ModelOutage::Primary => {
-                    let Some(frozen) = &frozen_snapshots[a] else {
-                        continue;
-                    };
-                    *spec = SchemeSpec::Fugu { ttp: frozen.clone(), variant, label, retrain_daily };
-                    incidents.push(Incident::on_arm(
-                        day,
-                        a,
-                        IncidentKind::ModelUnavailable,
-                        DegradeAction::ServedFrozen,
-                        1,
-                    ));
-                }
-                crate::faults::ModelOutage::PrimaryAndFrozen => {
-                    *spec = SchemeSpec::Bba;
-                    incidents.push(Incident::on_arm(
-                        day,
-                        a,
-                        IncidentKind::ModelUnavailable,
-                        DegradeAction::ServedBba,
-                        2,
-                    ));
-                }
-            }
-        }
-
-        // Blinded randomization: arm assignment depends only on the seed
-        // stream, never on the user or path.  The session's own randomness
-        // (user intent, path, trace, content) is seeded *without* the arm —
-        // common random numbers, so identical sessions landing in different
-        // arms differ only through the algorithm's decisions.
-        let mut assign_rng =
-            rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, usize::MAX, 0));
-        let specs: Vec<(usize, u64, u64)> = if cfg.paired {
-            // Within-subjects: every session under every arm.
-            (0..cfg.sessions_per_day)
-                .flat_map(|i| (0..schemes.len()).map(move |arm| (arm, i)))
-                .map(|(arm, i)| (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0)))
-                .collect()
-        } else {
-            (0..cfg.sessions_per_day)
-                .map(|i| {
-                    let arm = assign_rng.random_range(0..schemes.len());
-                    (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0))
-                })
-                .collect()
-        };
+        let day_schemes = degrade(&schemes, &frozen_snapshots, &cfg.faults, day, &mut incidents);
+        let specs = assign(cfg, day, schemes.len());
         total_sessions += specs.len();
-
-        // Run the day's sessions.  Workers claim specs dynamically off a
-        // shared counter (heavy-tailed session lengths make pre-dealt shares
-        // badly imbalanced), so which worker runs which session is
-        // scheduling-dependent — but every session is a pure function of its
-        // seed and results are merged back in session-index order, so the
-        // output is deterministic and thread-count-independent.
-        // `cfg.threads` is an upper bound, not a demand: oversubscribing the
-        // machine's cores costs real time on this pure-CPU workload (context
-        // switches, and each extra worker splits the batch wave and carries
-        // its own spare ABRs) while results are thread-count-independent, so
-        // capping at the available parallelism is observationally free.
-        let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
-        let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
-        let next = AtomicUsize::new(0);
-        let mut worker_days: Vec<WorkerDay> = if n_workers <= 1 {
-            vec![run_day_worker(&specs, &next, &day_schemes, &bank, cfg, day, 0)]
-        } else {
-            let specs_ref = &specs;
-            let next_ref = &next;
-            let schemes_ref = &day_schemes;
-            let bank_ref = &bank;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n_workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            run_day_worker(specs_ref, next_ref, schemes_ref, bank_ref, cfg, day, w)
-                        })
-                    })
-                    .collect();
-                // A panic escaping here is a worker-level bug, not a session
-                // failure — sessions are isolated inside the worker.
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-        };
-        let day_archive_failed = worker_days.iter().any(|w| w.archive_failed);
-        let mut indexed: Vec<(usize, SessionResult)> = Vec::new();
-        let mut spools: Vec<std::path::PathBuf> = Vec::new();
-        let mut abandoned: Vec<std::path::PathBuf> = Vec::new();
-        let mut worker_incidents: Vec<Incident> = Vec::new();
-        for w in worker_days.drain(..) {
-            indexed.extend(w.results);
-            spools.extend(w.spool_path);
-            abandoned.extend(w.abandoned_spool);
-            worker_incidents.extend(w.incidents);
-        }
-        // Which worker hit an archive fault is scheduling-dependent; the
-        // incident coordinates are not.  Sorting restores a deterministic
-        // log for injected faults (coordinate-keyed); real faults keep their
-        // coordinates but may legitimately vary across runs.
-        worker_incidents.sort_unstable_by_key(|inc| {
-            (inc.session, inc.arm, inc.kind.code(), inc.action.code(), inc.value)
-        });
-        incidents.extend(worker_incidents);
-
-        // Merge per-worker spools into the day's archive.  Blocks are
-        // reordered by session index during the merge, so the merged bytes
-        // are independent of which worker ran which session.  If *any*
-        // worker's sink failed, the day's archive would be missing sessions
-        // non-deterministically — so the whole day degrades to CSV-only
-        // (deterministic at every thread count) and the spools are removed.
-        let mut day_archive_path: Option<std::path::PathBuf> = None;
-        if let Some(dir) = &cfg.archive_sink {
-            if day_archive_failed {
-                for s in spools.drain(..).chain(abandoned.drain(..)) {
-                    std::fs::remove_file(s).ok();
-                }
-            } else {
-                let day_path = dir.join(format!("telemetry_day{day}.puf"));
-                match crate::archive::merge_spools(&spools, &day_path) {
-                    Ok(()) => {
-                        for s in spools.drain(..) {
-                            std::fs::remove_file(s).ok();
-                        }
-                        archive_paths.push(day_path.clone());
-                        day_archive_path = Some(day_path);
-                    }
-                    Err(_) => {
-                        incidents.push(Incident::on_day(
-                            day,
-                            IncidentKind::ArchiveIo,
-                            DegradeAction::CsvOnly,
-                            0,
-                        ));
-                        for s in spools.drain(..) {
-                            std::fs::remove_file(s).ok();
-                        }
-                        std::fs::remove_file(&day_path).ok();
-                    }
-                }
-            }
-        }
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        debug_assert!(indexed.iter().enumerate().all(|(k, &(i, _))| k == i));
-
-        // Aggregate in deterministic (session-index) order.  Quarantined
-        // sessions are excluded here — identically at any thread count,
-        // because exclusion keys on the session's spec index, not on which
-        // worker caught the panic.  Streams carrying non-finite telemetry
-        // features are kept in the QoE statistics but dropped from the
-        // training dataset: one NaN would poison the nightly retrain's
-        // scaler and every gradient after it.
-        for (i, r) in indexed {
-            let arm = &mut arms[r.arm];
-            if let Some(decisions) = r.quarantined {
-                arm.consort.quarantined += 1;
-                incidents.push(Incident::on_session(
-                    day,
-                    r.arm,
-                    i,
-                    IncidentKind::SessionPanic,
-                    DegradeAction::Quarantined,
-                    u64::from(decisions),
-                ));
-                continue;
-            }
-            arm.streams.extend(r.summaries);
-            arm.session_durations.push(r.session_duration);
-            arm.consort.sessions += r.consort.sessions;
-            arm.consort.streams += r.consort.streams;
-            arm.consort.never_began += r.consort.never_began;
-            arm.consort.short_watch += r.consort.short_watch;
-            arm.consort.considered += r.consort.considered;
-            for stream_obs in r.observations {
-                if stream_obs.iter().all(observation_is_finite) {
-                    dataset.add_stream(day, stream_obs);
-                } else {
-                    incidents.push(Incident::on_session(
-                        day,
-                        r.arm,
-                        i,
-                        IncidentKind::BadTelemetry,
-                        DegradeAction::ObservationsDropped,
-                        stream_obs.len() as u64,
-                    ));
-                }
-            }
-        }
-
-        // Nightly retraining (§4.3): warm start from today's weights, gated
-        // before the swap (docs/ROBUSTNESS.md).  A candidate that fails the
-        // validation gate gets one bounded retry on an independent RNG
-        // stream; if that fails too, the incumbent keeps serving.
-        if let Some(train_cfg) = &cfg.retrain {
-            for (a, spec) in schemes.iter_mut().enumerate() {
-                if !spec.retrains_daily() {
-                    continue;
-                }
-                let Some(incumbent) = spec.ttp().cloned() else {
-                    incidents.push(Incident::on_arm(
-                        day,
-                        a,
-                        IncidentKind::RetrainSkipped,
-                        DegradeAction::SkippedRetrain,
-                        0,
-                    ));
-                    continue;
-                };
-                let gate = RetrainGate::default();
-                let fault = cfg.faults.retrain_fault(day, a as u32);
-                let mut accepted: Option<Ttp> = None;
-                for attempt in 0..2u8 {
-                    let mut candidate: Ttp = (*incumbent).clone();
-                    // Attempt 0 uses the stream retrains have always used
-                    // (zero-fault identity); the retry draws an independent
-                    // one so the re-shuffle differs.
-                    let stream = if attempt == 0 { usize::MAX - 1 } else { usize::MAX - 2 };
-                    let mut rng =
-                        rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, stream, 7));
-                    if train(&mut candidate, &dataset, day, train_cfg, &mut rng).is_none() {
-                        break; // empty window: nothing to retrain on
-                    }
-                    if let Some(f) = fault {
-                        if f.hits(attempt) {
-                            crate::faults::corrupt_ttp(f.mode, &mut candidate);
-                        }
-                    }
-                    let verdict = validate_retrained(
-                        &candidate,
-                        &incumbent,
-                        &dataset,
-                        day,
-                        train_cfg.window_days,
-                        &gate,
-                    );
-                    match (verdict, attempt) {
-                        (GateVerdict::Pass, 0) => {
-                            accepted = Some(candidate);
-                            break;
-                        }
-                        (GateVerdict::Pass, _) => {
-                            incidents.push(Incident::on_arm(
-                                day,
-                                a,
-                                IncidentKind::RetrainRecovered,
-                                DegradeAction::RetrySucceeded,
-                                0,
-                            ));
-                            accepted = Some(candidate);
-                            break;
-                        }
-                        // The action, not the value, records which attempt
-                        // was rejected.
-                        (v, attempt) => incidents.push(Incident::on_arm(
-                            day,
-                            a,
-                            IncidentKind::RetrainRejected,
-                            if attempt == 0 {
-                                DegradeAction::RetriedTraining
-                            } else {
-                                DegradeAction::RolledBack
-                            },
-                            u64::from(v.code()),
-                        )),
-                    }
-                }
-                let Some(new_ttp) = accepted else {
-                    continue; // incumbent keeps serving
-                };
-                // Injected checkpoint truncation: the accepted model's
-                // checkpoint is cut mid-file before reload.  The loader must
-                // reject it (never panic), and the incumbent keeps serving —
-                // exactly what a crash between write and rename would do
-                // without the atomic-save path.
-                if cfg.faults.checkpoint_truncated(day, a as u32) {
-                    let text = fugu::checkpoint::save_to_string(&new_ttp);
-                    let cut = text.len() / 2;
-                    match fugu::checkpoint::load_from_str(&text[..cut]) {
-                        Err(_) => {
-                            incidents.push(Incident::on_arm(
-                                day,
-                                a,
-                                IncidentKind::CheckpointTruncated,
-                                DegradeAction::KeptIncumbent,
-                                cut as u64,
-                            ));
-                        }
-                        Ok(reloaded) => spec.update_ttp(reloaded),
-                    }
-                } else {
-                    spec.update_ttp(new_ttp);
-                }
-            }
-        }
-
-        // Persist the day's incidents into the day archive (when one was
-        // written) as `BlockKind::Incident` blocks.  Failure here degrades
-        // silently — the run-level `incidents.csv` still carries the log.
-        if let Some(day_path) = &day_archive_path {
-            let day_slice = &incidents[day_incident_start..];
-            if !day_slice.is_empty() {
-                crate::archive::append_incidents(day_path, day_slice).ok();
-            }
-        }
+        let workers = run_sessions(&specs, &day_schemes, &bank, cfg, day);
+        let (results, day_archive) = merge_archive(workers, cfg, day, &mut incidents);
+        aggregate(results, day, &mut arms, &mut dataset, &mut incidents);
+        retrain(&mut schemes, &dataset, cfg, day, &mut incidents);
+        persist_incidents(day_archive.as_deref(), &incidents[day_incident_start..]);
+        archive_paths.extend(day_archive);
     }
 
     // The deterministic incident log lands next to the archives.  Nothing is
@@ -733,6 +424,329 @@ pub fn run_rct(mut schemes: Vec<SchemeSpec>, cfg: &ExperimentConfig) -> RctResul
     }
 
     RctResult { arms, dataset, total_sessions, archive_paths, incidents, schemes }
+}
+
+/// Stage 1, the degradation ladder: an arm whose serving model is
+/// unavailable today falls back to its `frozen` day-0 snapshot, and if that
+/// is unavailable too, to BBA.  Returns the day's specs: clones of the live
+/// `schemes` (Arc identity preserved, so batching groups are unchanged),
+/// which stay the retraining target.
+fn degrade(
+    schemes: &[SchemeSpec],
+    frozen: &[Option<Arc<Ttp>>],
+    faults: &FaultPlan,
+    day: u32,
+    incidents: &mut Vec<Incident>,
+) -> Vec<SchemeSpec> {
+    let mut day_schemes = schemes.to_vec();
+    for (a, spec) in day_schemes.iter_mut().enumerate() {
+        let Some(outage) = faults.model_outage(day, a as u32) else {
+            continue;
+        };
+        let &mut SchemeSpec::Fugu { variant, label, retrain_daily, .. } = spec else {
+            continue; // only Fugu arms carry a servable model
+        };
+        let (served, action, step) = match outage {
+            ModelOutage::Primary => {
+                let Some(ttp) = &frozen[a] else {
+                    continue;
+                };
+                let ttp = ttp.clone();
+                (
+                    SchemeSpec::Fugu { ttp, variant, label, retrain_daily },
+                    DegradeAction::ServedFrozen,
+                    1,
+                )
+            }
+            ModelOutage::PrimaryAndFrozen => (SchemeSpec::Bba, DegradeAction::ServedBba, 2),
+        };
+        *spec = served;
+        incidents.push(Incident::on_arm(day, a, IncidentKind::ModelUnavailable, action, step));
+    }
+    day_schemes
+}
+
+/// Stage 2, blinded randomization: one `(arm, session id, seed)` per
+/// session, in session-index order.  Arm assignment depends only on the
+/// seed stream, never on the user or path.  The session's own randomness
+/// (user intent, path, trace, content) is seeded *without* the arm — common
+/// random numbers, so identical sessions landing in different arms differ
+/// only through the algorithm's decisions.
+fn assign(cfg: &ExperimentConfig, day: u32, n_arms: usize) -> Vec<(usize, u64, u64)> {
+    if cfg.paired {
+        // Within-subjects: every session under every arm.
+        (0..cfg.sessions_per_day)
+            .flat_map(|i| (0..n_arms).map(move |arm| (arm, i)))
+            .map(|(arm, i)| (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0)))
+            .collect()
+    } else {
+        let mut assign_rng =
+            rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, usize::MAX, 0));
+        (0..cfg.sessions_per_day)
+            .map(|i| {
+                let arm = assign_rng.random_range(0..n_arms);
+                (arm, session_id(day, i), mix_seed(cfg.seed, day, i, 0))
+            })
+            .collect()
+    }
+}
+
+/// Stage 3: run the day's sessions on scoped workers, each claiming specs
+/// into its own wave ([`run_day_worker`]).  Workers claim specs dynamically
+/// off a shared counter (heavy-tailed session lengths make pre-dealt shares
+/// badly imbalanced), so which worker runs which session is
+/// scheduling-dependent — but every session is a pure function of its seed
+/// and [`aggregate`] folds results back in session-index order, so the
+/// output is deterministic and thread-count-independent.
+///
+/// `cfg.threads` is an upper bound, not a demand: oversubscribing the
+/// machine's cores costs real time on this pure-CPU workload (context
+/// switches, and each extra worker splits the batch wave and carries its
+/// own spare ABRs) while results are thread-count-independent, so capping at
+/// the available parallelism is observationally free.
+fn run_sessions<'c>(
+    specs: &[(usize, u64, u64)],
+    schemes: &[SchemeSpec],
+    bank: &TraceBank,
+    cfg: &'c ExperimentConfig,
+    day: u32,
+) -> Vec<WorkerDay<'c>> {
+    let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
+    let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
+    let next = &AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers)
+            .map(|w| scope.spawn(move || run_day_worker(specs, next, schemes, bank, cfg, day, w)))
+            .collect();
+        // A panic escaping here is a worker-level bug, not a session
+        // failure — sessions are isolated inside the worker.
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    })
+}
+
+/// Stage 4: collect the workers' session results (in completion order) and
+/// archive incidents, and merge their spools into the day's archive, which
+/// it returns.
+///
+/// Blocks are reordered by session index during the merge, so the merged
+/// bytes are independent of which worker ran which session.  If *any*
+/// worker's sink failed, the day's archive would be missing sessions
+/// non-deterministically — so the whole day degrades to CSV-only
+/// (deterministic at every thread count).  Every spool is removed either
+/// way.
+fn merge_archive(
+    workers: Vec<WorkerDay>,
+    cfg: &ExperimentConfig,
+    day: u32,
+    incidents: &mut Vec<Incident>,
+) -> (Vec<(usize, SessionResult)>, Option<PathBuf>) {
+    let archive_failed = workers.iter().any(|w| w.archive_failed);
+    let mut results = Vec::new();
+    let mut spools = Vec::new();
+    let mut worker_incidents = Vec::new();
+    for w in workers {
+        results.extend(w.results);
+        spools.extend(w.spool_path);
+        worker_incidents.extend(w.incidents);
+    }
+    // Which worker hit an archive fault is scheduling-dependent; the
+    // incident coordinates are not.  Sorting restores a deterministic log
+    // for injected faults (coordinate-keyed); real faults keep their
+    // coordinates but may legitimately vary across runs.
+    worker_incidents.sort_unstable_by_key(|inc| {
+        (inc.session, inc.arm, inc.kind.code(), inc.action.code(), inc.value)
+    });
+    incidents.extend(worker_incidents);
+
+    let day_archive = match &cfg.archive_sink {
+        Some(dir) if !archive_failed => {
+            let path = dir.join(format!("telemetry_day{day}.puf"));
+            if crate::archive::merge_spools(&spools, &path).is_ok() {
+                Some(path)
+            } else {
+                incidents.push(Incident::on_day(
+                    day,
+                    IncidentKind::ArchiveIo,
+                    DegradeAction::CsvOnly,
+                    0,
+                ));
+                std::fs::remove_file(&path).ok();
+                None
+            }
+        }
+        _ => None,
+    };
+    for s in &spools {
+        std::fs::remove_file(s).ok();
+    }
+    (results, day_archive)
+}
+
+/// Stage 5: fold the day's session results into the arms and the training
+/// dataset in deterministic (session-index) order.  Quarantined sessions are
+/// excluded here — identically at any thread count, because exclusion keys
+/// on the session's spec index, not on which worker caught the panic.
+/// Streams carrying non-finite telemetry features are kept in the QoE
+/// statistics but dropped from the training dataset: one NaN would poison
+/// the nightly retrain's scaler and every gradient after it.
+fn aggregate(
+    mut results: Vec<(usize, SessionResult)>,
+    day: u32,
+    arms: &mut [SchemeArm],
+    dataset: &mut Dataset,
+    incidents: &mut Vec<Incident>,
+) {
+    results.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(results.iter().enumerate().all(|(k, &(i, _))| k == i));
+    for (i, r) in results {
+        let arm = &mut arms[r.arm];
+        if let Some(decisions) = r.quarantined {
+            arm.consort.quarantined += 1;
+            incidents.push(Incident::on_session(
+                day,
+                r.arm,
+                i,
+                IncidentKind::SessionPanic,
+                DegradeAction::Quarantined,
+                u64::from(decisions),
+            ));
+            continue;
+        }
+        arm.streams.extend(r.summaries);
+        arm.session_durations.push(r.session_duration);
+        arm.consort.sessions += r.consort.sessions;
+        arm.consort.streams += r.consort.streams;
+        arm.consort.never_began += r.consort.never_began;
+        arm.consort.short_watch += r.consort.short_watch;
+        arm.consort.considered += r.consort.considered;
+        for stream_obs in r.observations {
+            if stream_obs.iter().all(observation_is_finite) {
+                dataset.add_stream(day, stream_obs);
+            } else {
+                incidents.push(Incident::on_session(
+                    day,
+                    r.arm,
+                    i,
+                    IncidentKind::BadTelemetry,
+                    DegradeAction::ObservationsDropped,
+                    stream_obs.len() as u64,
+                ));
+            }
+        }
+    }
+}
+
+/// Stage 6, nightly retraining (§4.3): warm start every `retrain_daily` arm
+/// from today's weights, gated before the swap (docs/ROBUSTNESS.md).  A
+/// candidate that fails the validation gate gets one bounded retry on an
+/// independent RNG stream; if that fails too, the incumbent keeps serving.
+fn retrain(
+    schemes: &mut [SchemeSpec],
+    dataset: &Dataset,
+    cfg: &ExperimentConfig,
+    day: u32,
+    incidents: &mut Vec<Incident>,
+) {
+    let Some(train_cfg) = &cfg.retrain else {
+        return;
+    };
+    for (a, spec) in schemes.iter_mut().enumerate() {
+        if !spec.retrains_daily() {
+            continue;
+        }
+        let Some(incumbent) = spec.ttp().cloned() else {
+            incidents.push(Incident::on_arm(
+                day,
+                a,
+                IncidentKind::RetrainSkipped,
+                DegradeAction::SkippedRetrain,
+                0,
+            ));
+            continue;
+        };
+        let gate = RetrainGate::default();
+        let fault = cfg.faults.retrain_fault(day, a as u32);
+        let mut accepted: Option<Ttp> = None;
+        for attempt in 0..2u8 {
+            let mut candidate: Ttp = (*incumbent).clone();
+            // Attempt 0 uses the stream retrains have always used
+            // (zero-fault identity); the retry draws an independent one so
+            // the re-shuffle differs.
+            let stream = if attempt == 0 { usize::MAX - 1 } else { usize::MAX - 2 };
+            let mut rng = rand::rngs::StdRng::seed_from_u64(mix_seed(cfg.seed, day, stream, 7));
+            if train(&mut candidate, dataset, day, train_cfg, &mut rng).is_none() {
+                break; // empty window: nothing to retrain on
+            }
+            if let Some(f) = fault {
+                if f.hits(attempt) {
+                    crate::faults::corrupt_ttp(f.mode, &mut candidate);
+                }
+            }
+            let verdict = validate_retrained(
+                &candidate,
+                &incumbent,
+                dataset,
+                day,
+                train_cfg.window_days,
+                &gate,
+            );
+            if verdict == GateVerdict::Pass {
+                if attempt > 0 {
+                    incidents.push(Incident::on_arm(
+                        day,
+                        a,
+                        IncidentKind::RetrainRecovered,
+                        DegradeAction::RetrySucceeded,
+                        0,
+                    ));
+                }
+                accepted = Some(candidate);
+                break;
+            }
+            // The action, not the value, records which attempt was rejected.
+            let action = if attempt == 0 {
+                DegradeAction::RetriedTraining
+            } else {
+                DegradeAction::RolledBack
+            };
+            let code = u64::from(verdict.code());
+            incidents.push(Incident::on_arm(day, a, IncidentKind::RetrainRejected, action, code));
+        }
+        let Some(new_ttp) = accepted else {
+            continue; // incumbent keeps serving
+        };
+        // Injected checkpoint truncation: the accepted model's checkpoint is
+        // cut mid-file before reload.  The loader must reject it (never
+        // panic), and the incumbent keeps serving — exactly what a crash
+        // between write and rename would do without the atomic-save path.
+        if cfg.faults.checkpoint_truncated(day, a as u32) {
+            let text = fugu::checkpoint::save_to_string(&new_ttp);
+            let cut = text.len() / 2;
+            match fugu::checkpoint::load_from_str(&text[..cut]) {
+                Err(_) => {
+                    incidents.push(Incident::on_arm(
+                        day,
+                        a,
+                        IncidentKind::CheckpointTruncated,
+                        DegradeAction::KeptIncumbent,
+                        cut as u64,
+                    ));
+                }
+                Ok(reloaded) => spec.update_ttp(reloaded),
+            }
+        } else {
+            spec.update_ttp(new_ttp);
+        }
+    }
+}
+
+/// Stage 7: append the day's incidents to its archive (when one was
+/// written) as `BlockKind::Incident` blocks.  Failure here degrades silently
+/// — the run-level `incidents.csv` still carries the log.
+fn persist_incidents(day_archive: Option<&Path>, day_incidents: &[Incident]) {
+    if let Some(path) = day_archive {
+        crate::archive::append_incidents(path, day_incidents).ok();
+    }
 }
 
 /// Collect a TTP training dataset by running `sessions_per_day × days`
@@ -893,7 +907,7 @@ mod tests {
         // Stream ids embed the session id (`session_id * 1000 + seq`); the
         // telemetry CSVs and the sent↔acked join must survive ids from the
         // widened packing (day in the high half) without truncation.
-        use crate::telemetry::video_sent_csv;
+        use crate::telemetry::{write_video_sent_row, VIDEO_SENT_CSV_HEADER};
         let bank = TraceBank::puffer();
         let mut abr = puffer_abr::Bba::default();
         let id = session_id(117, 1_500_000);
@@ -909,7 +923,11 @@ mod tests {
         let sent: Vec<_> =
             out.streams.iter().flat_map(|s| s.telemetry.video_sent.iter().copied()).collect();
         assert!(!sent.is_empty(), "session produced no telemetry");
-        let csv = video_sent_csv(&sent);
+        let mut csv = VIDEO_SENT_CSV_HEADER.to_vec();
+        for v in &sent {
+            write_video_sent_row(&mut csv, v).unwrap();
+        }
+        let csv = String::from_utf8(csv).unwrap();
         for (row, v) in csv.lines().skip(1).zip(&sent) {
             let sid: u64 = row.split(',').nth(1).expect("stream_id column").parse().unwrap();
             assert_eq!(sid, v.stream_id, "stream id must round-trip through the CSV");

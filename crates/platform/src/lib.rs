@@ -17,7 +17,9 @@
 //!   channel zapping, stall abandonment, and QoE-sensitive tail retention
 //!   (the Fig. 10 phenomenon);
 //! * [`telemetry`] — the `video_sent` / `video_acked` / `client_buffer`
-//!   measurements of Appendix B, plus the daily-archive writer;
+//!   measurements of Appendix B, plus their CSV row writers;
+//! * [`archive`] — the RCT's per-day telemetry spools and the `.puf`→CSV
+//!   export of the daily dump;
 //! * [`archive_format`] — the `.puf` compacted binary telemetry archive
 //!   (streaming writer/reader, deterministic multi-spool merge) that lets a
 //!   multi-month RCT spill telemetry to disk instead of holding days of
@@ -46,7 +48,7 @@ pub mod stream;
 pub mod telemetry;
 pub mod user;
 
-pub use archive::{append_incidents, merge_spools, DailyArchive, TelemetrySpool};
+pub use archive::{append_incidents, export_csv, merge_spools, TelemetrySpool};
 pub use archive_format::{ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, IncidentRow};
 pub use experiment::{run_rct, ConsortCounts, ExperimentConfig, RctResult, SchemeArm};
 pub use faults::{

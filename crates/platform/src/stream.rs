@@ -143,7 +143,6 @@ pub struct StreamRun {
     observations: Vec<ChunkObservation>,
     prev_ssim_db: Option<f64>,
     prev_rung: Option<usize>,
-    delivery_rates: Vec<f64>,
     quit: QuitReason,
     end_time: f64,
     last_completion: f64,
@@ -181,7 +180,6 @@ impl StreamRun {
             observations: Vec::new(),
             prev_ssim_db: None,
             prev_rung: None,
-            delivery_rates: Vec::new(),
             quit: QuitReason::IntentDone,
             end_time: deadline,
             last_completion: start_time.max(conn.last_completion()),
@@ -261,7 +259,6 @@ impl StreamRun {
             rtt: tcp_info.rtt,
             delivery_rate: tcp_info.delivery_rate,
         });
-        self.delivery_rates.push(tcp_info.delivery_rate);
 
         let transfer = conn.send(send_t, opt.size);
         let arrival = transfer.completion;
@@ -371,7 +368,6 @@ impl StreamRun {
             telemetry,
             chunk_log,
             observations,
-            delivery_rates,
             quit,
             end_time,
             ..
@@ -407,10 +403,11 @@ impl StreamRun {
             mean_ssim_db: mean_ssim,
             ssim_variation_db: variation,
             first_chunk_ssim_db: ssims.first().copied().unwrap_or(0.0),
-            mean_delivery_rate: if delivery_rates.is_empty() {
+            mean_delivery_rate: if telemetry.video_sent.is_empty() {
                 0.0
             } else {
-                delivery_rates.iter().sum::<f64>() / delivery_rates.len() as f64
+                telemetry.video_sent.iter().map(|s| s.delivery_rate).sum::<f64>()
+                    / telemetry.video_sent.len() as f64
             },
             total_bytes: chunk_log.iter().map(|c| c.size).sum(),
             chunks: chunk_log.len(),

@@ -6,7 +6,7 @@
 //! per acknowledgement, from which transmission time is derived), and
 //! `client_buffer` (quarter-second buffer/rebuffer reports and events).  We
 //! reproduce the same schema so analyses written against the paper's archive
-//! shape work against simulated data, and provide a CSV-ish writer for the
+//! shape work against simulated data, and provide the CSV row writers for the
 //! daily dumps.
 
 /// Presentation timestamp increment per 2.002-second chunk, in the archive's
@@ -161,8 +161,9 @@ pub const VIDEO_ACKED_CSV_HEADER: &[u8] = b"time,stream_id,expt_id,video_ts,size
 pub const CLIENT_BUFFER_CSV_HEADER: &[u8] = b"time,stream_id,expt_id,event,buffer,cum_rebuf\n";
 
 /// Write one `video_sent` CSV row (no header).  The single definition of the
-/// row rendering: the batch writer below and the streaming `.puf`→CSV export
-/// both call it, so their bytes cannot drift apart.
+/// row rendering: the streaming `.puf`→CSV export
+/// ([`crate::archive::export_csv`]) and every test that renders a reference
+/// CSV call it, so their bytes cannot drift apart.
 pub fn write_video_sent_row<W: std::io::Write>(out: &mut W, d: &VideoSent) -> std::io::Result<()> {
     writeln!(
         out,
@@ -204,69 +205,6 @@ pub fn write_client_buffer_row<W: std::io::Write>(
         d.buffer,
         d.cum_rebuf
     )
-}
-
-/// Stream `video_sent` data as the daily CSV dump, row by row.
-///
-/// Writer-based so [`crate::DailyArchive::write`] can stream a day straight
-/// to a `BufWriter` without materializing the full CSV in memory.
-pub fn write_video_sent_csv<W: std::io::Write>(
-    out: &mut W,
-    data: &[VideoSent],
-) -> std::io::Result<()> {
-    out.write_all(VIDEO_SENT_CSV_HEADER)?;
-    for d in data {
-        write_video_sent_row(out, d)?;
-    }
-    Ok(())
-}
-
-/// Stream `video_acked` data as the daily CSV dump, row by row.
-pub fn write_video_acked_csv<W: std::io::Write>(
-    out: &mut W,
-    data: &[VideoAcked],
-) -> std::io::Result<()> {
-    out.write_all(VIDEO_ACKED_CSV_HEADER)?;
-    for d in data {
-        write_video_acked_row(out, d)?;
-    }
-    Ok(())
-}
-
-/// Render `video_acked` data as an in-memory CSV (same bytes as
-/// [`write_video_acked_csv`]).
-pub fn video_acked_csv(data: &[VideoAcked]) -> String {
-    let mut out = Vec::new();
-    write_video_acked_csv(&mut out, data).expect("writing to memory cannot fail");
-    String::from_utf8(out).expect("CSV is ASCII")
-}
-
-/// Render `video_sent` data as an in-memory CSV (same bytes as
-/// [`write_video_sent_csv`]).
-pub fn video_sent_csv(data: &[VideoSent]) -> String {
-    let mut out = Vec::new();
-    write_video_sent_csv(&mut out, data).expect("writing to memory cannot fail");
-    String::from_utf8(out).expect("CSV is ASCII")
-}
-
-/// Stream `client_buffer` data as the daily CSV dump, row by row.
-pub fn write_client_buffer_csv<W: std::io::Write>(
-    out: &mut W,
-    data: &[ClientBuffer],
-) -> std::io::Result<()> {
-    out.write_all(CLIENT_BUFFER_CSV_HEADER)?;
-    for d in data {
-        write_client_buffer_row(out, d)?;
-    }
-    Ok(())
-}
-
-/// Render `client_buffer` data as an in-memory CSV (same bytes as
-/// [`write_client_buffer_csv`]).
-pub fn client_buffer_csv(data: &[ClientBuffer]) -> String {
-    let mut out = Vec::new();
-    write_client_buffer_csv(&mut out, data).expect("writing to memory cannot fail");
-    String::from_utf8(out).expect("CSV is ASCII")
 }
 
 #[cfg(test)]
@@ -331,25 +269,34 @@ mod tests {
 
     #[test]
     fn csv_has_header_and_rows() {
-        let csv = video_sent_csv(&[sent_ts(1.0, 0), sent_ts(2.0, 1)]);
+        let mut csv = VIDEO_SENT_CSV_HEADER.to_vec();
+        for d in [sent_ts(1.0, 0), sent_ts(2.0, 1)] {
+            write_video_sent_row(&mut csv, &d).unwrap();
+        }
+        let csv = String::from_utf8(csv).unwrap();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("time,stream_id,expt_id,video_ts"));
         assert!(lines[1].starts_with("1.000,7,2,0,500000,0.97500"));
         assert!(lines[2].starts_with("2.000,7,2,180180,500000,0.97500"));
+        let mut acked = VIDEO_ACKED_CSV_HEADER.to_vec();
+        write_video_acked_row(&mut acked, &acked_ts(1.5, 1)).unwrap();
+        assert_eq!(acked, b"time,stream_id,expt_id,video_ts,size\n1.500,7,2,180180,500000\n");
     }
 
     #[test]
     fn buffer_event_names() {
         assert_eq!(BufferEvent::Rebuffer.name(), "rebuffer");
-        let csv = client_buffer_csv(&[ClientBuffer {
+        let mut csv = Vec::new();
+        let row = ClientBuffer {
             time: 3.25,
             stream_id: 1,
             expt_id: 0,
             event: BufferEvent::Startup,
             buffer: 2.002,
             cum_rebuf: 0.0,
-        }]);
-        assert!(csv.contains("startup"));
+        };
+        write_client_buffer_row(&mut csv, &row).unwrap();
+        assert_eq!(csv, b"3.250,1,0,startup,2.002,0.000\n");
     }
 }

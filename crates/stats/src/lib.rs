@@ -17,7 +17,7 @@
 //! * the detectability analysis ([`detect`]) behind "it takes about 2
 //!   stream-years of data to reliably distinguish two ABR schemes whose
 //!   innate 'true' performance differs by 15%" (§5.3);
-//! * mergeable streaming accumulators ([`streaming`]) so the same
+//! * mergeable streaming accumulators ([`streaming`]) so the stall-ratio
 //!   statistics run out-of-core over `.puf` telemetry archives at paper
 //!   scale (≥1M stream-hours) in one bounded-memory pass.
 
@@ -31,7 +31,7 @@ pub mod weighted;
 pub use bootstrap::{bootstrap_ratio_ci, ConfidenceInterval};
 pub use ccdf::ccdf_points;
 pub use detect::{stream_years_to_distinguish, PowerCurve, PowerPoint};
-pub use streaming::{PoissonBootstrap, RatioAccumulator, Reservoir, WeightedMeanAccumulator};
+pub use streaming::{PoissonBootstrap, RatioAccumulator, Reservoir};
 pub use summary::{SchemeSummary, StreamSummary};
 pub use weighted::{weighted_mean, weighted_mean_ci};
 

@@ -2,14 +2,12 @@
 //!
 //! The paper's power analysis needs statistics over ≥1M stream-hours — far
 //! more rows than fit comfortably in RAM once telemetry lives on disk in
-//! `.puf` archives.  Every statistic §3.4 uses decomposes into a small,
-//! mergeable state that one streaming pass can maintain:
+//! `.puf` archives.  Its stall-ratio statistics decompose into a small,
+//! mergeable state that one streaming pass can maintain (the
+//! duration-weighted SSIM mean stays in memory, [`crate::weighted`]):
 //!
 //! * [`RatioAccumulator`] — the aggregate rebuffering ratio Σ stall/Σ watch
 //!   ("the fraction of time spent stalled... a ratio of sums");
-//! * [`WeightedMeanAccumulator`] — the duration-weighted SSIM mean and its
-//!   weighted standard error ("weighting each stream by its duration"),
-//!   matching [`crate::weighted`] exactly via the expanded moment form;
 //! * [`Reservoir`] — a uniform fixed-size sample of an unbounded stream
 //!   (Vitter's Algorithm R), for quantiles and spot checks;
 //! * [`PoissonBootstrap`] — percentile bootstrap CIs on the ratio of sums
@@ -61,73 +59,6 @@ impl RatioAccumulator {
         } else {
             0.0
         }
-    }
-}
-
-/// Streaming duration-weighted mean and weighted standard error.
-///
-/// Maintains the moments Σw, Σwx, Σw², Σw²x, Σw²x² so that
-/// [`crate::weighted::weighted_standard_error`]'s
-/// `SE² = Σ wᵢ²(xᵢ − x̄_w)² / (Σ wᵢ)²` is recovered by expanding the
-/// square: `Σw²(x−m)² = Σw²x² − 2m·Σw²x + m²·Σw²` (pinned against the
-/// two-pass formula in the tests).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WeightedMeanAccumulator {
-    n: u64,
-    w_sum: f64,
-    wx_sum: f64,
-    w2_sum: f64,
-    w2x_sum: f64,
-    w2x2_sum: f64,
-}
-
-impl WeightedMeanAccumulator {
-    /// Fold in one value with its non-negative weight.
-    pub fn push(&mut self, value: f64, weight: f64) {
-        self.n += 1;
-        self.w_sum += weight;
-        self.wx_sum += weight * value;
-        let w2 = weight * weight;
-        self.w2_sum += w2;
-        self.w2x_sum += w2 * value;
-        self.w2x2_sum += w2 * value * value;
-    }
-
-    /// Combine with another accumulator (addition of moments).
-    pub fn merge(&mut self, other: &WeightedMeanAccumulator) {
-        self.n += other.n;
-        self.w_sum += other.w_sum;
-        self.wx_sum += other.wx_sum;
-        self.w2_sum += other.w2_sum;
-        self.w2x_sum += other.w2x_sum;
-        self.w2x2_sum += other.w2x2_sum;
-    }
-
-    /// Values folded in.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The weighted mean x̄_w = Σwx / Σw.
-    pub fn mean(&self) -> f64 {
-        assert!(self.w_sum > 0.0, "weights must sum to a positive value");
-        self.wx_sum / self.w_sum
-    }
-
-    /// The weighted standard error (same quantity as
-    /// [`crate::weighted::weighted_standard_error`]).
-    pub fn standard_error(&self) -> f64 {
-        let m = self.mean();
-        let var_num = self.w2x2_sum - 2.0 * m * self.w2x_sum + m * m * self.w2_sum;
-        // Cancellation can push the expanded form a hair below zero.
-        (var_num.max(0.0) / (self.w_sum * self.w_sum)).sqrt()
-    }
-
-    /// Normal-approximation CI around the weighted mean (`z = 1.96` at 95%).
-    pub fn ci(&self, z: f64) -> ConfidenceInterval {
-        let mean = self.mean();
-        let se = self.standard_error();
-        ConfidenceInterval { lo: mean - z * se, point: mean, hi: mean + z * se }
     }
 }
 
@@ -277,7 +208,6 @@ impl PoissonBootstrap {
 mod tests {
     use super::*;
     use crate::bootstrap::bootstrap_ratio_ci;
-    use crate::weighted::{weighted_mean, weighted_standard_error};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> rand::rngs::StdRng {
@@ -314,42 +244,6 @@ mod tests {
         left.merge(&right);
         assert_eq!(left.n, whole.n);
         assert!((left.ratio() - whole.ratio()).abs() < 1e-15);
-    }
-
-    #[test]
-    fn weighted_accumulator_matches_two_pass_formulas() {
-        let mut r = rng(2);
-        let values: Vec<f64> = (0..300).map(|_| 10.0 + 8.0 * r.random::<f64>()).collect();
-        let weights: Vec<f64> = (0..300).map(|_| 1.0 + 5000.0 * r.random::<f64>()).collect();
-        let mut acc = WeightedMeanAccumulator::default();
-        for (v, w) in values.iter().zip(&weights) {
-            acc.push(*v, *w);
-        }
-        let mean = weighted_mean(&values, &weights);
-        let se = weighted_standard_error(&values, &weights);
-        assert!((acc.mean() - mean).abs() < 1e-9 * mean.abs(), "{} vs {mean}", acc.mean());
-        assert!((acc.standard_error() - se).abs() < 1e-6 * se.max(1e-12), "se mismatch");
-        let ci = acc.ci(1.96);
-        assert!(ci.lo < ci.point && ci.point < ci.hi);
-    }
-
-    #[test]
-    fn weighted_accumulator_merge_is_exact() {
-        let mut whole = WeightedMeanAccumulator::default();
-        let mut a = WeightedMeanAccumulator::default();
-        let mut b = WeightedMeanAccumulator::default();
-        for i in 0..100 {
-            let v = (i % 17) as f64;
-            let w = 1.0 + (i % 5) as f64;
-            whole.push(v, w);
-            if i < 40 {
-                a.push(v, w);
-            } else {
-                b.push(v, w);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * `collect`        — run sessions and write a TTP training dataset
 //! * `train-ttp`      — train a TTP variant on a collected dataset
 //! * `run-rct`        — run a randomized controlled trial, print the table
-//! * `archive` — run sessions and write the Appendix-B daily archive (CSV,
-//!   compacted `.puf` binary, or both)
+//! * `archive` — run one RCT day of BBA sessions and write its Appendix-B
+//!   daily archive (CSV, compacted `.puf` binary, or both)
 //! * `archive-export` — stream a `.puf` archive back out as the three CSVs
 //! * `archive-stats` — one bounded-memory pass over a `.puf`: row counts,
 //!   bytes/row, and the equivalent CSV size
@@ -26,8 +26,8 @@ use puffer_repro::platform::telemetry::{
 };
 use puffer_repro::platform::user::StreamIntent;
 use puffer_repro::platform::{
-    incidents_csv, run_stream, ArchiveReader, ArchiveWriter, DailyArchive, ExperimentConfig,
-    FaultPlan, FaultRates, Incident, SchemeSpec, StreamClock, StreamConfig, UserModel,
+    export_csv, run_stream, ArchiveReader, ArchiveWriter, ExperimentConfig, FaultPlan, FaultRates,
+    SchemeSpec, StreamClock, StreamConfig, UserModel,
 };
 use puffer_repro::stats::{bootstrap_ratio_ci, PowerCurve, Reservoir, SchemeSummary};
 use puffer_repro::trace::TraceBank;
@@ -162,7 +162,14 @@ fn scheme_by_name(name: &str) -> Option<SchemeSpec> {
 
 fn cmd_simulate(flags: BTreeMap<String, String>) -> ExitCode {
     let seed: u64 = get(&flags, "seed", 1);
-    let seconds: f64 = get(&flags, "seconds", 180.0);
+    let user = UserModel { zap_prob: 0.0, ..UserModel::default() };
+    let seconds: f64 = get_in(
+        &flags,
+        "seconds",
+        180.0,
+        |&s| s > 0.0 && s <= user.intent_cap,
+        &format!("in (0, {}] (the user model's intent cap)", user.intent_cap),
+    );
     let scheme = flags.get("scheme").map(String::as_str).unwrap_or("bba");
     let Some(spec) = scheme_by_name(scheme) else {
         eprintln!("unknown scheme '{scheme}'");
@@ -181,7 +188,6 @@ fn cmd_simulate(flags: BTreeMap<String, String>) -> ExitCode {
         0.0,
     );
     let mut source = VideoSource::puffer_default();
-    let user = UserModel { zap_prob: 0.0, ..UserModel::default() };
     let out = run_stream(
         &mut conn,
         &mut source,
@@ -381,116 +387,75 @@ fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// One day of BBA sessions through [`run_rct`]'s archive sink, then the
+/// Appendix-B CSVs exported from its `telemetry_day0.puf`
+/// ([`export_csv`]).  `--format csv` keeps only the CSVs, `puf` only the
+/// archive.
 fn cmd_archive(flags: BTreeMap<String, String>) -> ExitCode {
     let Some(out_dir) = flags.get("out") else {
         eprintln!("archive needs --out <dir>");
         return ExitCode::from(2);
     };
-    let seed: u64 = get(&flags, "seed", 1);
-    let sessions: usize = get(&flags, "sessions", 20);
-    let bank = TraceBank::puffer();
-    let user = UserModel::default();
-    let mut archive = DailyArchive::new();
-    for i in 0..sessions {
-        let mut abr = SchemeSpec::Bba.instantiate();
-        let out = puffer_repro::platform::run_session(
-            &bank,
-            abr.as_mut(),
-            &user,
-            CongestionControl::Bbr,
-            StreamConfig::default(),
-            i as u64,
-            // lint: seed-mix — derives the per-session RNG seed from the CLI seed
-            seed.wrapping_add(i as u64),
-        );
-        for s in &out.streams {
-            archive.add_stream(&s.telemetry);
-        }
-    }
     let format = flags.get("format").map(String::as_str).unwrap_or("csv");
-    let mut paths = Vec::new();
-    if format == "csv" || format == "both" {
-        match archive.write(Path::new(out_dir), 0) {
-            Ok(p) => paths.extend(p),
+    let (csv, puf) = match format {
+        "csv" => (true, false),
+        "puf" => (false, true),
+        "both" => (true, true),
+        _ => {
+            eprintln!("unknown format '{format}' (use csv, puf, or both)");
+            return ExitCode::from(2);
+        }
+    };
+    let cfg = ExperimentConfig {
+        seed: get(&flags, "seed", 1),
+        sessions_per_day: get_in(&flags, "sessions", 20, |&n| n > 0, "at least 1"),
+        days: 1,
+        retrain: None,
+        archive_sink: Some(PathBuf::from(out_dir)),
+        ..ExperimentConfig::default()
+    };
+    let result = run_rct(vec![SchemeSpec::Bba], &cfg);
+    let Some(archive) = result.archive_paths.first() else {
+        eprintln!("archive write failed under {out_dir}");
+        return ExitCode::FAILURE;
+    };
+    let csvs = if csv {
+        match export_csv(archive, Path::new(out_dir), 0) {
+            Ok(written) => written,
             Err(e) => {
-                eprintln!("archive write failed: {e}");
+                eprintln!("CSV export failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if format == "puf" || format == "both" {
-        match archive.write_binary(Path::new(out_dir), 0) {
-            Ok(p) => paths.push(p),
-            Err(e) => {
-                eprintln!("archive write failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    } else {
+        Vec::new()
+    };
+    if !puf {
+        if let Err(e) = std::fs::remove_file(archive) {
+            eprintln!("cannot remove {}: {e}", archive.display());
+            return ExitCode::FAILURE;
         }
     }
-    if paths.is_empty() {
-        eprintln!("unknown format '{format}' (use csv, puf, or both)");
-        return ExitCode::from(2);
+    let bytes = |p: &Path| std::fs::metadata(p).map_or(0, |m| m.len());
+    println!("wrote {} sessions:", result.total_sessions);
+    for (path, rows) in &csvs {
+        println!("  {} ({rows} rows, {} bytes)", path.display(), bytes(path));
     }
-    let (vs, va, cb) = archive.counts();
-    println!("wrote {vs} video_sent, {va} video_acked, {cb} client_buffer data points:");
-    for p in paths {
-        let bytes = std::fs::metadata(&p).map(|m| m.len()).unwrap_or(0);
-        println!("  {} ({bytes} bytes)", p.display());
+    if puf {
+        println!("  {} ({} bytes)", archive.display(), bytes(archive));
     }
     ExitCode::SUCCESS
 }
 
-/// Stream a `.puf` archive back out as the three Appendix-B CSVs —
-/// byte-identical to what [`DailyArchive::write`] would have produced for
-/// the same rows, but without ever materializing the day in memory.
+/// Stream a `.puf` archive back out as the three Appendix-B CSVs
+/// ([`export_csv`]), without ever materializing the day in memory.
 fn cmd_archive_export(flags: BTreeMap<String, String>) -> ExitCode {
     let (Some(in_path), Some(out_dir)) = (flags.get("in"), flags.get("out")) else {
         eprintln!("archive-export needs --in <file.puf> and --out <dir>");
         return ExitCode::from(2);
     };
     let day: u32 = get(&flags, "day", 0);
-    let run = || -> std::io::Result<Vec<(PathBuf, u64)>> {
-        std::fs::create_dir_all(out_dir)?;
-        let input = std::io::BufReader::new(std::fs::File::open(in_path)?);
-        let mut reader = ArchiveReader::new(input)?;
-        let dir = Path::new(out_dir);
-        let make = |name: String, header: &[u8]| -> std::io::Result<_> {
-            let path = dir.join(name);
-            let mut out = std::io::BufWriter::new(std::fs::File::create(&path)?);
-            out.write_all(header)?;
-            Ok((out, path, 0u64))
-        };
-        let mut sent = make(format!("video_sent_{day}.csv"), VIDEO_SENT_CSV_HEADER)?;
-        let mut acked = make(format!("video_acked_{day}.csv"), VIDEO_ACKED_CSV_HEADER)?;
-        let mut buffer = make(format!("client_buffer_{day}.csv"), CLIENT_BUFFER_CSV_HEADER)?;
-        let mut incidents: Vec<Incident> = Vec::new();
-        while let Some(block) = reader.next_block()? {
-            for d in &block.video_sent {
-                write_video_sent_row(&mut sent.0, d)?;
-            }
-            sent.2 += block.video_sent.len() as u64;
-            for d in &block.video_acked {
-                write_video_acked_row(&mut acked.0, d)?;
-            }
-            acked.2 += block.video_acked.len() as u64;
-            for d in &block.client_buffer {
-                write_client_buffer_row(&mut buffer.0, d)?;
-            }
-            buffer.2 += block.client_buffer.len() as u64;
-            incidents.extend(block.incidents.iter().filter_map(Incident::from_row));
-        }
-        sent.0.flush()?;
-        acked.0.flush()?;
-        buffer.0.flush()?;
-        let mut outputs = vec![(sent.1, sent.2), (acked.1, acked.2), (buffer.1, buffer.2)];
-        if !incidents.is_empty() {
-            let path = dir.join(format!("incidents_{day}.csv"));
-            std::fs::write(&path, incidents_csv(&incidents))?;
-            outputs.push((path, incidents.len() as u64));
-        }
-        Ok(outputs)
-    };
-    match run() {
+    match export_csv(Path::new(in_path), Path::new(out_dir), day) {
         Ok(outputs) => {
             for (path, rows) in outputs {
                 println!("{} ({rows} rows)", path.display());

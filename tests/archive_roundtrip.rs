@@ -1,7 +1,8 @@
 //! Integration: the compacted `.puf` telemetry archive round-trips real and
 //! adversarial data bit-exactly, degrades to errors (never panics) on
-//! corrupt input, and the RCT's incremental archive sink produces the same
-//! bytes as the in-memory archive — at any thread count.
+//! corrupt input, exports the exact CSV bytes of the telemetry it holds, and
+//! the RCT's incremental archive sink produces the same bytes at any thread
+//! count and leaves only its day archives behind.
 
 use puffer_repro::abr::Abr;
 use puffer_repro::platform::telemetry::{
@@ -10,8 +11,8 @@ use puffer_repro::platform::telemetry::{
     VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
 use puffer_repro::platform::{
-    run_rct, run_session, ArchiveReader, ArchiveWriter, DailyArchive, ExperimentConfig, SchemeSpec,
-    StreamConfig, UserModel,
+    export_csv, run_rct, run_session, ArchiveReader, ArchiveWriter, ExperimentConfig, FaultPlan,
+    SchemeSpec, StreamConfig, UserModel,
 };
 use puffer_repro::trace::TraceBank;
 use rand::rngs::StdRng;
@@ -199,14 +200,14 @@ fn session_tags_survive_in_order() {
     assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
 }
 
-/// The `.puf` form of a simulated day renders back to the exact CSV bytes
-/// `DailyArchive::write` produces — the binary archive loses nothing the
-/// Appendix-B CSVs carry.
+/// The `.puf` form of a simulated day exports ([`export_csv`]) to exactly
+/// the CSV bytes the row writers render from the in-memory telemetry — the
+/// binary archive loses nothing the Appendix-B CSVs carry.
 #[test]
 fn binary_archive_renders_the_exact_csv_bytes() {
     let bank = TraceBank::puffer();
     let user = UserModel::default();
-    let mut archive = DailyArchive::new();
+    let mut streams: Vec<StreamTelemetry> = Vec::new();
     for i in 0..4 {
         let mut abr: Box<dyn Abr> = SchemeSpec::Bba.instantiate();
         let out = run_session(
@@ -219,38 +220,35 @@ fn binary_archive_renders_the_exact_csv_bytes() {
             // lint: seed-mix — derives the per-session RNG seed for this fixture
             90u64.wrapping_add(i),
         );
-        for s in &out.streams {
-            archive.add_stream(&s.telemetry);
+        streams.extend(out.streams.into_iter().map(|s| s.telemetry));
+    }
+
+    // The reference CSVs, rendered row by row from memory.
+    let mut sent = VIDEO_SENT_CSV_HEADER.to_vec();
+    let mut acked = VIDEO_ACKED_CSV_HEADER.to_vec();
+    let mut buffer = CLIENT_BUFFER_CSV_HEADER.to_vec();
+    for t in &streams {
+        for d in &t.video_sent {
+            write_video_sent_row(&mut sent, d).unwrap();
+        }
+        for d in &t.video_acked {
+            write_video_acked_row(&mut acked, d).unwrap();
+        }
+        for d in &t.client_buffer {
+            write_client_buffer_row(&mut buffer, d).unwrap();
         }
     }
 
     let dir = std::env::temp_dir().join(format!("puf_csv_eq_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let csv_paths = archive.write(&dir, 0).unwrap();
-    let puf_path = archive.write_binary(&dir, 0).unwrap();
-
-    // Render the binary archive to CSV through the same row writers.
-    let mut sent = VIDEO_SENT_CSV_HEADER.to_vec();
-    let mut acked = VIDEO_ACKED_CSV_HEADER.to_vec();
-    let mut buffer = CLIENT_BUFFER_CSV_HEADER.to_vec();
-    let file = std::fs::File::open(&puf_path).unwrap();
-    let mut reader = ArchiveReader::new(std::io::BufReader::new(file)).unwrap();
-    while let Some(block) = reader.next_block().unwrap() {
-        for d in &block.video_sent {
-            write_video_sent_row(&mut sent, d).unwrap();
-        }
-        for d in &block.video_acked {
-            write_video_acked_row(&mut acked, d).unwrap();
-        }
-        for d in &block.client_buffer {
-            write_client_buffer_row(&mut buffer, d).unwrap();
-        }
-    }
-    for (rendered, path) in
-        [(&sent, &csv_paths[0]), (&acked, &csv_paths[1]), (&buffer, &csv_paths[2])]
-    {
-        let want = std::fs::read(path).unwrap();
-        assert_eq!(rendered, &want, "CSV bytes diverge for {}", path.display());
+    let puf_path = dir.join("telemetry_0.puf");
+    std::fs::write(&puf_path, write_archive(&streams, 64)).unwrap();
+    let exported = export_csv(&puf_path, &dir, 0).unwrap();
+    assert_eq!(exported.len(), 3);
+    for ((path, rows), want) in exported.iter().zip([&sent, &acked, &buffer]) {
+        let got = std::fs::read(path).unwrap();
+        assert_eq!(&got, want, "CSV bytes diverge for {}", path.display());
+        assert_eq!(*rows as usize, want.iter().filter(|&&b| b == b'\n').count() - 1);
     }
 
     std::fs::remove_dir_all(&dir).ok();
@@ -297,5 +295,41 @@ fn rct_archive_sink_is_thread_count_invariant() {
     // the archive must carry the whole experiment, not a subset.
     assert!(total_buffer_rows as usize >= r1.total_sessions, "archive too small");
 
+    std::fs::remove_dir_all(&base).ok();
+}
+
+/// The archive sink leaves no spool files: after a two-day run its
+/// directory holds one `telemetry_day<d>.puf` per day that was not degraded
+/// — plus `incidents.csv` when a fault was injected — and nothing else.
+#[test]
+fn archive_sink_leaves_only_day_archives() {
+    let base = std::env::temp_dir().join(format!("puf_sink_files_{}", std::process::id()));
+    for (sub, faults, want) in [
+        ("clean", FaultPlan::none(), &["telemetry_day0.puf", "telemetry_day1.puf"][..]),
+        (
+            "faulted",
+            FaultPlan::none().with_archive_error(0, 3),
+            &["incidents.csv", "telemetry_day1.puf"][..],
+        ),
+    ] {
+        let dir = base.join(sub);
+        let cfg = ExperimentConfig {
+            seed: 9,
+            sessions_per_day: 8,
+            days: 2,
+            threads: 2,
+            retrain: None,
+            archive_sink: Some(dir.clone()),
+            faults,
+            ..ExperimentConfig::default()
+        };
+        run_rct(vec![SchemeSpec::Bba], &cfg);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, want, "{sub} run");
+    }
     std::fs::remove_dir_all(&base).ok();
 }

@@ -28,15 +28,22 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         (&["power-analysis", "--cuts", "50,5"], "--cuts"),
         (&["power-analysis", "--improvement", "1.5"], "--improvement"),
         (&["power-analysis", "--boot", "0"], "--boot"),
+        (&["archive", "--sessions", "0"], "--sessions"),
+        (&["simulate", "--seconds", "nan"], "--seconds"),
+        (&["simulate", "--seconds", "inf"], "--seconds"),
+        (&["simulate", "--seconds", "1e12"], "--seconds"),
+        (&["simulate", "--seconds", "0"], "--seconds"),
+        (&["simulate", "--seconds", "-5"], "--seconds"),
     ];
     for (case, &(args, flag)) in cases.iter().enumerate() {
         let dir = out_dir(case);
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_puffer"));
         cmd.args(args);
-        // `collect` and `power-analysis` need an output; nothing may reach it.
+        // `collect`, `power-analysis` and `archive` need an output; nothing
+        // may reach it.
         match args[0] {
             "collect" => cmd.arg("--out").arg(dir.join("data.txt")),
-            "power-analysis" => cmd.arg("--out").arg(&dir),
+            "power-analysis" | "archive" => cmd.arg("--out").arg(&dir),
             _ => &mut cmd,
         };
         let out = cmd.output().expect("runs the puffer binary");

@@ -1,40 +1,36 @@
-//! Integration: telemetry flows end-to-end from simulated sessions into the
-//! Appendix-B style archive, and the dumped CSVs are internally consistent.
+//! Integration: telemetry flows end-to-end from an RCT day through its
+//! archive sink into the Appendix-B style CSVs, and the exported CSVs are
+//! internally consistent.
 
-use puffer_repro::abr::Abr;
-use puffer_repro::net::CongestionControl;
-use puffer_repro::platform::{run_session, DailyArchive, SchemeSpec, StreamConfig, UserModel};
-use puffer_repro::trace::TraceBank;
+use puffer_repro::platform::{export_csv, run_rct, ExperimentConfig, SchemeSpec};
+use std::path::PathBuf;
 
-fn simulate_archive(seed: u64, sessions: usize) -> (DailyArchive, usize) {
-    let bank = TraceBank::puffer();
-    let user = UserModel::default();
-    let mut archive = DailyArchive::new();
-    let mut streams = 0;
-    for i in 0..sessions {
-        let mut abr: Box<dyn Abr> = SchemeSpec::Bba.instantiate();
-        let out = run_session(
-            &bank,
-            abr.as_mut(),
-            &user,
-            CongestionControl::Bbr,
-            StreamConfig::default(),
-            i as u64,
-            // lint: seed-mix — derives the per-session RNG seed for the archive run
-            seed.wrapping_add(i as u64),
-        );
-        for s in &out.streams {
-            archive.add_stream(&s.telemetry);
-            streams += 1;
-        }
-    }
-    (archive, streams)
+/// One day of `sessions` BBA sessions archived under a fresh directory
+/// named `name`, exported to CSV.  Returns the directory, the exported
+/// `(path, rows)` of `video_sent`, `video_acked` and `client_buffer`, and
+/// the number of streams the day started.
+fn simulate_archive(name: &str, seed: u64, sessions: usize) -> (PathBuf, Vec<(PathBuf, u64)>, u64) {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("telemetry_archive_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ExperimentConfig {
+        seed,
+        sessions_per_day: sessions,
+        days: 1,
+        retrain: None,
+        archive_sink: Some(dir.clone()),
+        ..ExperimentConfig::default()
+    };
+    let result = run_rct(vec![SchemeSpec::Bba], &cfg);
+    assert_eq!(result.archive_paths, vec![dir.join("telemetry_day0.puf")]);
+    let csvs = export_csv(&result.archive_paths[0], &dir, 3).unwrap();
+    assert_eq!(csvs.len(), 3, "a clean day carries no incidents");
+    (dir, csvs, result.arms[0].consort.streams as u64)
 }
 
 #[test]
 fn archive_counts_are_consistent() {
-    let (archive, streams) = simulate_archive(41, 8);
-    let (sent, acked, buffer) = archive.counts();
+    let (dir, csvs, streams) = simulate_archive("counts", 41, 8);
+    let (sent, acked, buffer) = (csvs[0].1, csvs[1].1, csvs[2].1);
     assert!(sent > 50, "eight sessions should send chunks, got {sent}");
     // Each stream can leave at most one chunk in flight (sent, never acked)
     // when the user departs.
@@ -44,17 +40,17 @@ fn archive_counts_are_consistent() {
     // so there are at most as many as acks.
     assert!(buffer <= acked);
     assert!(buffer > 0);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn archive_csvs_parse_back() {
-    let (archive, _) = simulate_archive(42, 5);
-    let dir = std::env::temp_dir().join(format!("puffer_archive_it_{}", std::process::id()));
-    let paths = archive.write(&dir, 3).unwrap();
-    assert_eq!(paths.len(), 3);
+    let (dir, csvs, _) = simulate_archive("parse", 42, 5);
+    let names: Vec<_> = csvs.iter().map(|(p, _)| p.file_name().unwrap().to_owned()).collect();
+    assert_eq!(names, ["video_sent_3.csv", "video_acked_3.csv", "client_buffer_3.csv"]);
 
     // Parse video_sent back and sanity-check every row.
-    let sent_csv = std::fs::read_to_string(&paths[0]).unwrap();
+    let sent_csv = std::fs::read_to_string(&csvs[0].0).unwrap();
     let mut rows = 0;
     let mut sent_by_chunk = std::collections::BTreeMap::new();
     for line in sent_csv.lines().skip(1) {
@@ -72,11 +68,11 @@ fn archive_csvs_parse_back() {
         sent_by_chunk.insert((fields[1].to_string(), fields[3].to_string()), time);
         rows += 1;
     }
-    assert_eq!(rows, archive.counts().0);
+    assert_eq!(rows, csvs[0].1);
 
     // Every video_acked row joins a video_sent row on chunk identity, and
     // the ack never precedes the send.
-    let acked_csv = std::fs::read_to_string(&paths[1]).unwrap();
+    let acked_csv = std::fs::read_to_string(&csvs[1].0).unwrap();
     let mut acked_rows = 0;
     for line in acked_csv.lines().skip(1) {
         let fields: Vec<&str> = line.split(',').collect();
@@ -89,17 +85,19 @@ fn archive_csvs_parse_back() {
         acked_rows += 1;
     }
     assert!(acked_rows <= rows);
-    assert_eq!(acked_rows, archive.counts().1);
-
-    for p in paths {
-        std::fs::remove_file(p).ok();
-    }
-    std::fs::remove_dir(dir).ok();
+    assert_eq!(acked_rows, csvs[1].1);
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn archive_is_deterministic() {
-    let (a, _) = simulate_archive(77, 4);
-    let (b, _) = simulate_archive(77, 4);
-    assert_eq!(a.counts(), b.counts());
+    let (a_dir, a, _) = simulate_archive("det_a", 77, 4);
+    let (b_dir, b, _) = simulate_archive("det_b", 77, 4);
+    for ((pa, rows_a), (pb, rows_b)) in a.iter().zip(&b) {
+        assert_eq!(rows_a, rows_b);
+        let (bytes_a, bytes_b) = (std::fs::read(pa).unwrap(), std::fs::read(pb).unwrap());
+        assert!(bytes_a == bytes_b, "{} and {} differ", pa.display(), pb.display());
+    }
+    std::fs::remove_dir_all(a_dir).ok();
+    std::fs::remove_dir_all(b_dir).ok();
 }
