@@ -18,7 +18,9 @@
 use crate::{Abr, AbrContext, ChunkRecord, HISTORY_LEN};
 use puffer_media::MAX_BUFFER_SECONDS;
 use puffer_nn::serialize::{self as nn_ser, LoadError};
-use puffer_nn::{loss, optim::Adam, Activation, BackwardScratch, Matrix, Mlp, TrainCache};
+use puffer_nn::{
+    loss, optim::Adam, Activation, BackwardScratch, Matrix, Mlp, MlpScratch, TrainCache,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -44,6 +46,10 @@ const CRITIC_DIMS: [usize; 4] = [N_FEATURES, 64, 64, 1];
 pub struct PensievePolicy {
     policy: Mlp,
     value: Mlp,
+    /// The actor's input row and forward-pass buffers, reused by every
+    /// decision so steady-state inference allocates nothing.
+    input: Matrix,
+    scratch: MlpScratch,
     /// Sample from the softmax (training) instead of argmax (deployment).
     stochastic: bool,
     /// Probability of starting a sticky exploration burst per decision
@@ -71,6 +77,8 @@ impl PensievePolicy {
         PensievePolicy {
             policy,
             value,
+            input: Matrix::default(),
+            scratch: MlpScratch::new(),
             stochastic: false,
             epsilon: 0.0,
             burst: None,
@@ -147,20 +155,19 @@ impl PensievePolicy {
     }
 
     /// Action probabilities for a feature vector.
-    pub fn action_probs(&self, features: &[f32]) -> Vec<f32> {
-        let logits = self.policy.forward(&Matrix::row_vector(features));
-        loss::softmax_rows(&logits).row(0).to_vec()
-    }
-
-    /// Critic estimate of the state value.
-    pub fn state_value(&self, features: &[f32]) -> f32 {
-        self.value.forward(&Matrix::row_vector(features)).get(0, 0)
+    pub fn action_probs(&mut self, features: &[f32]) -> &[f32] {
+        self.input.resize(1, features.len());
+        self.input.data_mut().copy_from_slice(features);
+        let logits = self.policy.forward_into(&self.input, &mut self.scratch);
+        loss::softmax_rows_inplace(logits);
+        logits.row(0)
     }
 
     /// Select an action for a feature vector (stochastic or greedy per
     /// configuration).
     pub fn act(&mut self, features: &[f32]) -> usize {
-        let probs = self.action_probs(features);
+        let mut probs = [0.0f32; N_RUNGS];
+        probs.copy_from_slice(self.action_probs(features));
         if self.stochastic {
             if let Some((action, left)) = self.burst {
                 self.burst = if left > 1 { Some((action, left - 1)) } else { None };
@@ -291,6 +298,8 @@ pub struct PensieveTrainer {
     /// The update batch and every layer's activations, for the critic's
     /// pass and then the actor's.
     cache: TrainCache,
+    /// The actor's action probabilities over the batch.
+    probs: Matrix,
     scratch: BackwardScratch,
 }
 
@@ -302,6 +311,7 @@ impl PensieveTrainer {
             policy_opt: Adam::new(lr),
             value_opt: Adam::new(lr),
             cache: TrainCache::new(),
+            probs: Matrix::default(),
             scratch: BackwardScratch::new(),
         }
     }
@@ -368,8 +378,11 @@ impl PensieveTrainer {
 
         // Actor update: ∇(−logπ(a|s)·A − β·H(π)), over the same batch.
         agent.policy.forward_train(&mut self.cache);
-        let probs = loss::softmax_rows(self.cache.logits());
-        let entropies = loss::entropy_rows(&probs);
+        let probs = &mut self.probs;
+        probs.resize(n, N_RUNGS);
+        probs.data_mut().copy_from_slice(self.cache.logits().data());
+        loss::softmax_rows_inplace(probs);
+        let entropies = loss::entropy_rows(probs);
         let mut dlogits = Matrix::zeros(n, N_RUNGS);
         let beta = self.entropy_weight;
         for i in 0..n {
@@ -471,7 +484,7 @@ mod tests {
 
     #[test]
     fn action_probs_are_a_distribution() {
-        let p = PensievePolicy::new(4);
+        let mut p = PensievePolicy::new(4);
         let m = [menu10()];
         let f = p.features(&ctx(&m, &[]));
         let probs = p.action_probs(&f);
@@ -539,12 +552,12 @@ mod tests {
 
     #[test]
     fn checkpoint_roundtrip_preserves_actions() {
-        let p = PensievePolicy::new(11);
+        let mut p = PensievePolicy::new(11);
         let s = p.save_to_string();
-        let loaded = PensievePolicy::load_from_str(&s, 999).unwrap();
+        let mut loaded = PensievePolicy::load_from_str(&s, 999).unwrap();
         let f: Vec<f32> = (0..N_FEATURES).map(|i| (i as f32 * 0.03).cos()).collect();
         assert_eq!(p.action_probs(&f), loaded.action_probs(&f));
-        assert!((p.state_value(&f) - loaded.state_value(&f)).abs() < 1e-6);
+        assert_eq!(p.save_to_string(), loaded.save_to_string(), "actor and critic round-trip");
     }
 
     #[test]

@@ -192,8 +192,9 @@ impl Dataset {
                 // chunks [0, n) and the label comes from chunk n + step.
                 for n in 0..stream.len() {
                     let Some(labelled) = stream.get(n + step) else { break };
-                    let features =
-                        ttp.raw_features(&records[..n], &stream[n].tcp_info, labelled.size);
+                    let (history, info) = (&records[..n], &stream[n].tcp_info);
+                    let mut features = Vec::with_capacity(ttp.config().n_features());
+                    ttp.raw_features_into(history, info, labelled.size, &mut features);
                     let target = ttp.target_bin(labelled.size, labelled.transmission_time);
                     out.push(Sample { features, target, weight });
                 }

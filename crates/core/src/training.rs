@@ -31,8 +31,8 @@
 //! pinned equivalence oracle for both properties.
 
 use crate::dataset::{Dataset, Sample};
-use crate::ttp::Ttp;
-use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, MlpScratch, Scaler, TrainCache};
+use crate::ttp::{Ttp, TtpScratch};
+use puffer_nn::{loss, optim::Sgd, BackwardScratch, Matrix, Scaler, TrainCache};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -319,11 +319,13 @@ pub fn evaluate(ttp: &Ttp, data: &Dataset, current_day: u32, window_days: u32) -
     let mut ce = 0.0f64;
     let mut expected = 0.0f64;
     let mut correct = 0usize;
-    score_step0(ttp, &samples, |s, probs| {
-        let p_true = f64::from(probs[s.target]).max(1e-12);
+    let raw_row = |i: usize, raw: &mut Vec<f32>| raw.clone_from(&samples[i].features);
+    ttp.score_rows(0, samples.len(), raw_row, &mut TtpScratch::new(), |i, probs| {
+        let target = samples[i].target;
+        let p_true = f64::from(probs[target]).max(1e-12);
         ce += -p_true.ln();
         expected += p_true;
-        if loss::argmax(probs) == s.target {
+        if loss::argmax(probs) == target {
             correct += 1;
         }
     });
@@ -388,37 +390,16 @@ impl GateVerdict {
     }
 }
 
-/// Rows per forward pass of [`score_step0`].
-const SCORE_BLOCK: usize = 256;
-
-/// Call `f(sample, probs)` with each sample's step-0 output distribution,
-/// in sample order.  Samples are scored in blocks of [`SCORE_BLOCK`] rows,
-/// one forward pass and softmax per block; both are row-wise, so every
-/// row's probabilities equal [`Ttp::predict_probs`] on that sample alone.
-fn score_step0(ttp: &Ttp, samples: &[Sample], mut f: impl FnMut(&Sample, &[f32])) {
-    let net = &ttp.nets()[0];
-    let mut x = Matrix::default();
-    let mut scratch = MlpScratch::new();
-    for block in samples.chunks(SCORE_BLOCK) {
-        x.resize(block.len(), net.input_dim());
-        for (i, s) in block.iter().enumerate() {
-            ttp.scaler().transform_into(&s.features, x.row_mut(i));
-        }
-        let probs = net.forward_into(&x, &mut scratch);
-        loss::softmax_rows_inplace(probs);
-        for (i, s) in block.iter().enumerate() {
-            f(s, probs.row(i));
-        }
-    }
-}
-
 /// Mean step-0 cross-entropy of `ttp` over pre-built samples, one `f64`
 /// sum in sample order.  NaN model outputs map to the 1e-12 probability
 /// floor, so a numerically broken model scores a huge *finite* CE rather
 /// than poisoning the comparison.
 fn holdout_ce(ttp: &Ttp, samples: &[Sample]) -> f32 {
     let mut ce = 0.0f64;
-    score_step0(ttp, samples, |s, probs| ce += -f64::from(probs[s.target]).max(1e-12).ln());
+    let raw_row = |i: usize, raw: &mut Vec<f32>| raw.clone_from(&samples[i].features);
+    ttp.score_rows(0, samples.len(), raw_row, &mut TtpScratch::new(), |i, probs| {
+        ce += -f64::from(probs[samples[i].target]).max(1e-12).ln();
+    });
     (ce / samples.len() as f64) as f32
 }
 
@@ -460,6 +441,7 @@ mod tests {
     use super::*;
     use crate::dataset::ChunkObservation;
     use crate::ttp::TtpConfig;
+    use puffer_abr::ChunkRecord;
     use puffer_net::TcpInfo;
     use rand::SeedableRng;
 
@@ -530,7 +512,7 @@ mod tests {
 
         // Fit on step-0 features (all steps share the feature layout).
         let rows: Vec<Vec<f32>> = per_step[0].iter().map(|s| s.features.clone()).collect();
-        ttp.set_scaler(Scaler::fit(&rows));
+        ttp.set_scaler(Scaler::fit_from(rows.iter().map(Vec::as_slice)));
         let scaler = ttp.scaler().clone();
 
         let mut samples_per_step = Vec::with_capacity(ttp.horizon());
@@ -542,8 +524,14 @@ mod tests {
                 continue;
             }
             // Pre-scale features once.
-            let scaled: Vec<Vec<f32>> =
-                samples.iter().map(|s| scaler.transform(&s.features)).collect();
+            let scaled: Vec<Vec<f32>> = samples
+                .iter()
+                .map(|s| {
+                    let mut row = vec![0.0; s.features.len()];
+                    scaler.transform_into(&s.features, &mut row);
+                    row
+                })
+                .collect();
             let mut order: Vec<usize> = (0..samples.len()).collect();
             let mut opt = Sgd::new(LR, MOMENTUM);
             let mut last_epoch_ce = 0.0f64;
@@ -554,16 +542,20 @@ mod tests {
                 let mut epoch_ce = 0.0f64;
                 let mut batches = 0usize;
                 for batch in order.chunks(BATCH_SIZE) {
-                    let rows: Vec<Vec<f32>> = batch.iter().map(|&i| scaled[i].clone()).collect();
+                    let rows: Vec<f32> = batch.iter().flat_map(|&i| scaled[i].clone()).collect();
                     let targets: Vec<usize> = batch.iter().map(|&i| samples[i].target).collect();
                     let weights: Vec<f32> = batch.iter().map(|&i| samples[i].weight).collect();
-                    let x = Matrix::from_rows(&rows);
                     let mut cache = TrainCache::new();
-                    cache.input_mut(x.rows(), x.cols()).data_mut().copy_from_slice(x.data());
+                    cache.input_mut(batch.len(), scaler.dim()).data_mut().copy_from_slice(&rows);
                     let net = &mut ttp.nets_mut()[step];
                     net.forward_train(&mut cache);
-                    let (ce, dlogits) =
-                        loss::softmax_cross_entropy(cache.logits(), &targets, Some(&weights));
+                    let mut dlogits = Matrix::default();
+                    let ce = loss::softmax_cross_entropy_into(
+                        cache.logits(),
+                        &targets,
+                        Some(&weights),
+                        &mut dlogits,
+                    );
                     net.zero_grad();
                     net.backward_into(&cache, &dlogits, &mut BackwardScratch::new());
                     net.clip_grad_norm(5.0);
@@ -731,11 +723,16 @@ mod tests {
         train(&mut ttp, &data, 2, &cfg, &mut rng(32)).unwrap();
         let loaded = crate::checkpoint::load_from_str(&fingerprint(&ttp)).unwrap();
         // Bit-identical predictions from the reloaded model, on every step.
-        let sample_features: Vec<f32> = data.build_samples(&ttp, 0, 2, 14, 4.0)[0].features.clone();
+        let stream = data.streams().next().unwrap();
+        let history: Vec<ChunkRecord> = stream[..8]
+            .iter()
+            .map(|o| ChunkRecord { size: o.size, transmission_time: o.transmission_time })
+            .collect();
+        let (info, size) = (stream[8].tcp_info, stream[8].size);
         for step in 0..ttp.horizon() {
             assert_eq!(
-                ttp.predict_probs(step, &sample_features),
-                loaded.predict_probs(step, &sample_features),
+                ttp.predict_time_distribution(step, &history, &info, size),
+                loaded.predict_time_distribution(step, &history, &info, size),
                 "step {step} predictions diverged after save/load"
             );
         }
@@ -836,10 +833,10 @@ mod tests {
         let mut ttp = Ttp::new(TtpConfig::default(), 17);
         train(&mut ttp, &data, 1, &quick_cfg(), &mut rng(17)).unwrap();
         let samples = data.build_samples(&ttp, 0, 1, 14, f64::INFINITY);
-        assert!(samples.len() > SCORE_BLOCK);
+        assert!(samples.len() > crate::ttp::SCORE_BLOCK);
         let mut ce = 0.0f64;
         for s in &samples {
-            let probs = ttp.predict_probs(0, &s.features);
+            let probs = crate::ttp::tests::naive_probs(&ttp, 0, &s.features);
             ce += -f64::from(probs[s.target]).max(1e-12).ln();
         }
         let per_sample = (ce / samples.len() as f64) as f32;

@@ -117,7 +117,7 @@ impl TtpConfig {
 /// Reusable buffers for [`Ttp::predict_time_distributions_batched_into`], so
 /// the controller's inner loop (5 steps × all ladder rungs per chunk decision)
 /// performs no heap allocations in steady state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TtpScratch {
     /// Raw feature row (shared across rungs except the proposed-size column).
     raw: Vec<f32>,
@@ -125,27 +125,15 @@ pub struct TtpScratch {
     scaled: Vec<f32>,
     /// Standardized proposed-size column, one entry per rung.
     lasts: Vec<f32>,
-    /// Batched input matrix (throughput ablation only; the transmission-time
-    /// path stages first-layer rows instead of materializing the batch).
+    /// Standardized input block of [`Ttp::score_rows`] (the throughput
+    /// ablation and evaluation; the transmission-time path stages
+    /// first-layer rows instead of materializing the batch).
     features: Matrix,
     /// Hidden-width accumulator for one query's shared-prefix response while
     /// the staged batch matrix is lent out.
     partial: Vec<f32>,
     /// Ping/pong activation buffers for the forward pass.
     mlp: MlpScratch,
-}
-
-impl Default for TtpScratch {
-    fn default() -> Self {
-        TtpScratch {
-            raw: Vec::new(),
-            scaled: Vec::new(),
-            lasts: Vec::new(),
-            features: Matrix::zeros(0, 0),
-            partial: Vec::new(),
-            mlp: MlpScratch::new(),
-        }
-    }
 }
 
 impl TtpScratch {
@@ -169,6 +157,9 @@ fn rebin_throughput_to_time(probs: &[f32], size: f64, time_row: &mut [f64]) {
         time_row[bins::bin_index_total(t)] += f64::from(p);
     }
 }
+
+/// Rows per forward pass of [`Ttp::score_rows`].
+pub(crate) const SCORE_BLOCK: usize = 256;
 
 /// One stream's query within a batched TTP call
 /// ([`Ttp::predict_time_distributions_batched_into`]): the (history,
@@ -258,23 +249,11 @@ impl Ttp {
         })
     }
 
-    /// Raw (unscaled) feature vector for a prediction.
+    /// Raw (unscaled) feature vector for a prediction, into a reusable
+    /// buffer (cleared first).
     ///
     /// `history` is oldest-first and zero-padded on the left when shorter
     /// than `history_len` — the same convention at training and serving time.
-    pub fn raw_features(
-        &self,
-        history: &[ChunkRecord],
-        tcp_info: &TcpInfo,
-        proposed_size: f64,
-    ) -> Vec<f32> {
-        let mut f = Vec::with_capacity(self.config.n_features());
-        self.raw_features_into(history, tcp_info, proposed_size, &mut f);
-        f
-    }
-
-    /// [`Ttp::raw_features`] into a reusable buffer (cleared first).
-    // lint: panic-free — the history slice start is clamped with saturating_sub before slicing
     // lint: alloc-free — pushes refill the caller's reused feature buffer (cleared, never shrunk); capacity is steady after the first call
     pub fn raw_features_into(
         &self,
@@ -286,16 +265,12 @@ impl Ttp {
         let h = self.config.history_len;
         f.clear();
         let pad = h.saturating_sub(history.len());
-        let recent = &history[history.len().saturating_sub(h)..];
+        let recent = || history.iter().skip(history.len().saturating_sub(h));
         // Left-pad each block with zeros when the history is short.
         f.resize(pad, 0.0);
-        for r in recent {
-            f.push(r.size as f32);
-        }
+        f.extend(recent().map(|r| r.size as f32));
         f.resize(h + pad, 0.0);
-        for r in recent {
-            f.push(r.transmission_time as f32);
-        }
+        f.extend(recent().map(|r| r.transmission_time as f32));
         if self.config.use_tcp_info {
             f.push(tcp_info.cwnd as f32);
             f.push(tcp_info.in_flight as f32);
@@ -309,14 +284,37 @@ impl Ttp {
         debug_assert_eq!(f.len(), self.config.n_features());
     }
 
-    /// Network output distribution for a *raw* feature vector at lookahead
-    /// `step` (0 = the chunk about to be sent).  For the throughput target,
-    /// the distribution ranges over throughput bins.
-    pub fn predict_probs(&self, step: usize, raw_features: &[f32]) -> Vec<f32> {
-        assert!(step < self.config.horizon, "step {step} beyond horizon");
-        let scaled = self.scaler.transform(raw_features);
-        let logits = self.nets[step].forward(&Matrix::row_vector(&scaled));
-        loss::softmax_rows(&logits).row(0).to_vec()
+    /// Score `n` raw feature rows at lookahead `step` (0 = the chunk about
+    /// to be sent): `raw_row(i, buf)` writes row `i`'s raw features into
+    /// `buf`, and `f(i, probs)` receives its output distribution, over
+    /// throughput bins for the throughput target, in row order.  Rows are
+    /// standardized into blocks of [`SCORE_BLOCK`], one forward pass and
+    /// softmax per block; both are row-wise, so no row's value depends on
+    /// the block it lands in.
+    // lint: panic-free — `step` is below the horizon: the batched entry point asserts it, and evaluation scores step 0
+    // lint: alloc-free — the input block and raw row grow once to their steady shapes; warm calls are allocation-free per tests/alloc_gate.rs
+    pub(crate) fn score_rows(
+        &self,
+        step: usize,
+        n: usize,
+        mut raw_row: impl FnMut(usize, &mut Vec<f32>),
+        scratch: &mut TtpScratch,
+        mut f: impl FnMut(usize, &[f32]),
+    ) {
+        let net = &self.nets[step];
+        for start in (0..n).step_by(SCORE_BLOCK) {
+            let rows = start..n.min(start + SCORE_BLOCK);
+            scratch.features.resize(rows.len(), net.input_dim());
+            for (r, i) in rows.clone().enumerate() {
+                raw_row(i, &mut scratch.raw);
+                self.scaler.transform_into(&scratch.raw, scratch.features.row_mut(r));
+            }
+            let probs = net.forward_into(&scratch.features, &mut scratch.mlp);
+            loss::softmax_rows_inplace(probs);
+            for (r, i) in rows.enumerate() {
+                f(i, probs.row(r));
+            }
+        }
     }
 
     /// Probability distribution over *transmission-time* bins for sending a
@@ -364,7 +362,7 @@ impl Ttp {
     /// batch shape (pinned by `tests/alloc_gate.rs`).
     // lint-root: panic-free, alloc-free
     // lint: panic-free — entry asserts pin per-query dims; batch row offsets are multiples of the asserted strides
-    // lint: alloc-free — the batched input matrix grows once to the max batch shape; warm calls are allocation-free per tests/alloc_gate.rs
+    // lint: alloc-free — the scratch buffers grow once to the max batch shape; warm calls are allocation-free per tests/alloc_gate.rs
     pub fn predict_time_distributions_batched_into(
         &self,
         step: usize,
@@ -377,10 +375,10 @@ impl Ttp {
         let total: usize = queries.iter().map(|q| q.proposed_sizes.len()).sum();
         assert!(queries.iter().all(|q| !q.proposed_sizes.is_empty()));
         assert_eq!(out.len(), total * N_BINS, "output buffer shape mismatch");
-        let f = self.config.n_features();
-        scratch.scaled.resize(f, 0.0);
         match self.config.target {
             PredictionTarget::TransmissionTime => {
+                let f = self.config.n_features();
+                scratch.scaled.resize(f, 0.0);
                 let net = &self.nets[step];
                 let (mean, std) = (self.scaler.mean()[f - 1], self.scaler.std()[f - 1]);
                 let staged = scratch.mlp.staged_rows_mut(total, net.layers()[0].out_dim());
@@ -414,33 +412,22 @@ impl Ttp {
                 // The throughput net ignores the proposed size, so one row
                 // per *query* suffices; each query's row is then re-binned
                 // once per rung (each throughput bin implies a time).
-                scratch.features.resize(queries.len(), f);
-                for (i, q) in queries.iter().enumerate() {
-                    self.raw_features_into(
-                        q.history,
-                        q.tcp_info,
-                        q.proposed_sizes[0],
-                        &mut scratch.raw,
-                    );
-                    self.scaler.transform_into(&scratch.raw, &mut scratch.scaled);
-                    scratch.features.row_mut(i).copy_from_slice(&scratch.scaled);
-                }
-                let logits = self.nets[step].forward_into(&scratch.features, &mut scratch.mlp);
-                loss::softmax_rows_inplace(logits);
                 out.fill(0.0);
-                let mut row0 = 0;
-                for (i, q) in queries.iter().enumerate() {
-                    let probs = logits.row(i);
-                    for (r, &size) in q.proposed_sizes.iter().enumerate() {
-                        let row = row0 + r;
-                        rebin_throughput_to_time(
-                            probs,
-                            size,
-                            &mut out[row * N_BINS..(row + 1) * N_BINS],
-                        );
-                    }
-                    row0 += q.proposed_sizes.len();
-                }
+                let mut rows = out.chunks_exact_mut(N_BINS);
+                self.score_rows(
+                    step,
+                    queries.len(),
+                    |i, raw| {
+                        let q = &queries[i];
+                        self.raw_features_into(q.history, q.tcp_info, q.proposed_sizes[0], raw);
+                    },
+                    scratch,
+                    |i, probs| {
+                        for (&size, time_row) in queries[i].proposed_sizes.iter().zip(&mut rows) {
+                            rebin_throughput_to_time(probs, size, time_row);
+                        }
+                    },
+                );
             }
         }
     }
@@ -471,11 +458,27 @@ impl Ttp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tcp() -> TcpInfo {
         TcpInfo { cwnd: 20.0, in_flight: 5.0, min_rtt: 0.04, rtt: 0.05, delivery_rate: 500_000.0 }
+    }
+
+    fn raw_features(ttp: &Ttp, history: &[ChunkRecord], info: &TcpInfo, size: f64) -> Vec<f32> {
+        let mut f = Vec::new();
+        ttp.raw_features_into(history, info, size, &mut f);
+        f
+    }
+
+    /// The naive per-row reference for the staged batch and the block scorer:
+    /// standardize one raw row, a one-row forward pass, softmax.
+    pub(crate) fn naive_probs(ttp: &Ttp, step: usize, raw: &[f32]) -> Vec<f32> {
+        let (mut x, mut scratch) = (Matrix::zeros(1, raw.len()), MlpScratch::new());
+        ttp.scaler().transform_into(raw, x.row_mut(0));
+        let logits = ttp.nets()[step].forward_into(&x, &mut scratch);
+        loss::softmax_rows_inplace(logits);
+        logits.row(0).to_vec()
     }
 
     fn history(n: usize) -> Vec<ChunkRecord> {
@@ -514,7 +517,7 @@ mod tests {
     #[test]
     fn feature_padding_on_short_history() {
         let ttp = Ttp::new(TtpConfig::default(), 2);
-        let f = ttp.raw_features(&history(3), &tcp(), 1_000_000.0);
+        let f = raw_features(&ttp, &history(3), &tcp(), 1_000_000.0);
         assert_eq!(f.len(), 22);
         // First five size slots and first five time slots are zero.
         for k in 0..5 {
@@ -530,7 +533,7 @@ mod tests {
     fn long_history_is_truncated_to_last_eight() {
         let ttp = Ttp::new(TtpConfig::default(), 3);
         let h = history(20);
-        let f = ttp.raw_features(&h, &tcp(), 500_000.0);
+        let f = raw_features(&ttp, &h, &tcp(), 500_000.0);
         // First size slot should be h[12].size (the 8th-from-last).
         assert_eq!(f[0], h[12].size as f32);
     }
@@ -623,14 +626,20 @@ mod tests {
                     let row = &flat[r * N_BINS..(r + 1) * N_BINS];
                     let one = ttp.predict_time_distribution(step, &h, &info, size);
                     assert_eq!(row, one, "step {step} rung {r}");
-                    // Pin against the fully naive per-size path (raw features
-                    // → scale → one-row `forward` → softmax), which shares
-                    // none of the staged shared-prefix machinery.
-                    if target == PredictionTarget::TransmissionTime {
-                        let naive = ttp.predict_probs(step, &ttp.raw_features(&h, &info, size));
-                        let naive: Vec<f64> = naive.iter().map(|&p| f64::from(p)).collect();
-                        assert_eq!(row, naive, "naive path step {step} rung {r}");
-                    }
+                    // Pin against the naive per-size path; the throughput
+                    // net's bins are re-binned into time bins for the size.
+                    let naive = naive_probs(&ttp, step, &raw_features(&ttp, &h, &info, size));
+                    let want: Vec<f64> = match target {
+                        PredictionTarget::TransmissionTime => {
+                            naive.iter().map(|&p| f64::from(p)).collect()
+                        }
+                        PredictionTarget::Throughput => {
+                            let mut time_row = vec![0.0f64; N_BINS];
+                            rebin_throughput_to_time(&naive, size, &mut time_row);
+                            time_row
+                        }
+                    };
+                    assert_eq!(row, want, "naive path step {step} rung {r}");
                 }
             }
         }
@@ -723,7 +732,6 @@ mod tests {
     #[should_panic(expected = "beyond horizon")]
     fn step_beyond_horizon_panics() {
         let ttp = Ttp::new(TtpConfig::default(), 10);
-        let f = ttp.raw_features(&history(8), &tcp(), 1.0);
-        let _ = ttp.predict_probs(5, &f);
+        let _ = ttp.predict_time_distribution(5, &history(8), &tcp(), 1.0);
     }
 }

@@ -7,12 +7,13 @@
 //!
 //! * fully-connected networks with ReLU hidden layers ([`Mlp`]),
 //! * softmax + cross-entropy classification over discretized transmission-time
-//!   bins ([`loss::softmax_cross_entropy`]),
+//!   bins ([`loss::softmax_cross_entropy_into`]),
 //! * stochastic gradient descent with momentum and Adam ([`optim`]),
 //! * per-feature input standardization ([`Scaler`]),
-//! * allocation-free scratch paths for both inference ([`MlpScratch`]) and
-//!   training ([`TrainCache`] + [`BackwardScratch`], driven by
-//!   [`Mlp::forward_train`] / [`Mlp::backward_into`]),
+//! * allocation-free scratch paths for both inference ([`MlpScratch`],
+//!   driven by [`Mlp::forward_into`]) and training ([`TrainCache`] +
+//!   [`BackwardScratch`], driven by [`Mlp::forward_train`] /
+//!   [`Mlp::backward_into`]),
 //! * plain-text checkpoints so models can be saved/loaded deterministically
 //!   without a serialization framework ([`serialize`]), with one reader for
 //!   model files that concatenate several networks.
@@ -32,7 +33,7 @@
 //! ## Example
 //!
 //! ```
-//! use puffer_nn::{loss, optim::Sgd, Activation, BackwardScratch, Mlp, TrainCache};
+//! use puffer_nn::{loss, optim::Sgd, Activation, BackwardScratch, Matrix, Mlp, MlpScratch, TrainCache};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -40,16 +41,19 @@
 //! let mut net = Mlp::new(&[4, 16, 3], Activation::Relu, &mut rng);
 //! let mut opt = Sgd::new(0.05, 0.9);
 //! let (mut cache, mut scratch) = (TrainCache::new(), BackwardScratch::new());
+//! let mut dlogits = Matrix::default();
 //! cache.input_mut(1, 4).data_mut().copy_from_slice(&[0.1, -0.2, 0.3, 0.4]);
 //! for _ in 0..50 {
 //!     net.forward_train(&mut cache);
-//!     let (_loss, dlogits) = loss::softmax_cross_entropy(cache.logits(), &[2], None);
+//!     loss::softmax_cross_entropy_into(cache.logits(), &[2], None, &mut dlogits);
 //!     net.zero_grad();
 //!     net.backward_into(&cache, &dlogits, &mut scratch);
 //!     net.step(&mut opt);
 //! }
-//! let x = puffer_nn::Matrix::row_vector(&[0.1, -0.2, 0.3, 0.4]);
-//! let probs = loss::softmax_rows(&net.forward(&x));
+//! let x = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.4]);
+//! let mut inference = MlpScratch::new();
+//! let probs = net.forward_into(&x, &mut inference);
+//! loss::softmax_rows_inplace(probs);
 //! assert!(probs.get(0, 2) > 0.9);
 //! ```
 

@@ -8,15 +8,8 @@
 
 use crate::matrix::Matrix;
 
-/// Numerically-stable row-wise softmax.
-pub fn softmax_rows(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    softmax_rows_inplace(&mut out);
-    out
-}
-
-/// Row-wise softmax applied in place — the allocation-free core of
-/// [`softmax_rows`], used on inference hot paths.
+/// Numerically-stable row-wise softmax, applied in place (allocation-free
+/// on inference hot paths).
 // lint: panic-free — the only division is f32 by the row's exp-sum (total by IEEE-754)
 pub fn softmax_rows_inplace(logits: &mut Matrix) {
     for r in 0..logits.rows() {
@@ -35,26 +28,14 @@ pub fn softmax_rows_inplace(logits: &mut Matrix) {
 
 /// Mean cross-entropy over the batch with optional per-sample weights.
 ///
-/// Returns `(loss, dlogits)` where `dlogits` is the gradient of the (weighted)
+/// Returns the loss and writes `dlogits`, the gradient of the (weighted)
 /// mean loss with respect to the logits — ready to feed to
-/// [`Mlp::backward_into`](crate::Mlp::backward_into).
+/// [`Mlp::backward_into`](crate::Mlp::backward_into) — into a caller-owned
+/// matrix (resized to fit), so the training hot loop performs no
+/// allocations in steady state.
 ///
 /// Weights implement the paper's recency weighting: "Within the 14-day window,
 /// we weight more recent days more heavily" (§4.3).
-pub fn softmax_cross_entropy(
-    logits: &Matrix,
-    targets: &[usize],
-    weights: Option<&[f32]>,
-) -> (f32, Matrix) {
-    let mut dlogits = Matrix::zeros(0, 0);
-    let loss = softmax_cross_entropy_into(logits, targets, weights, &mut dlogits);
-    (loss, dlogits)
-}
-
-/// [`softmax_cross_entropy`] writing the logit gradient into a caller-owned
-/// matrix (resized to fit), so the training hot loop performs no allocations
-/// in steady state.  Bit-identical to the allocating wrapper — it *is* the
-/// wrapper's implementation.
 // lint: panic-free — entry asserts pin logits/targets/weights dims; divisions are f32 by total_weight asserted > 0
 // lint: alloc-free — dlogits resizes once to the batch shape; warm calls are allocation-free per tests/alloc_gate.rs
 pub fn softmax_cross_entropy_into(
@@ -123,12 +104,12 @@ pub fn entropy_rows(probs: &Matrix) -> Vec<f32> {
 /// Generic over the element type so `f64` probability tables can be argmaxed
 /// directly instead of being narrowed through an intermediate `Vec<f32>`
 /// (which can flip near-ties and costs an allocation per call).
-// lint: panic-free — i ranges over 1..v.len() and best holds a previously visited index
 pub fn argmax<T: PartialOrd>(v: &[T]) -> usize {
+    let Some(mut max) = v.first() else { return 0 };
     let mut best = 0;
-    for i in 1..v.len() {
-        if v[i] > v[best] {
-            best = i;
+    for (i, x) in v.iter().enumerate().skip(1) {
+        if x > max {
+            (best, max) = (i, x);
         }
     }
     best
@@ -138,10 +119,22 @@ pub fn argmax<T: PartialOrd>(v: &[T]) -> usize {
 mod tests {
     use super::*;
 
+    fn softmax(logits: &Matrix) -> Matrix {
+        let mut p = logits.clone();
+        softmax_rows_inplace(&mut p);
+        p
+    }
+
+    fn cross_entropy(logits: &Matrix, targets: &[usize], weights: Option<&[f32]>) -> (f32, Matrix) {
+        let mut dlogits = Matrix::default();
+        let loss = softmax_cross_entropy_into(logits, targets, weights, &mut dlogits);
+        (loss, dlogits)
+    }
+
     #[test]
     fn softmax_rows_sum_to_one() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![-100.0, 0.0, 100.0]]);
-        let p = softmax_rows(&m);
+        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -100.0, 0.0, 100.0]);
+        let p = softmax(&m);
         for r in 0..2 {
             let s: f32 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
@@ -153,22 +146,22 @@ mod tests {
 
     #[test]
     fn cross_entropy_perfect_prediction_is_near_zero() {
-        let logits = Matrix::from_rows(&[vec![50.0, 0.0, 0.0]]);
-        let (l, _) = softmax_cross_entropy(&logits, &[0], None);
+        let logits = Matrix::from_vec(1, 3, vec![50.0, 0.0, 0.0]);
+        let (l, _) = cross_entropy(&logits, &[0], None);
         assert!(l < 1e-4);
     }
 
     #[test]
     fn cross_entropy_uniform_is_log_k() {
-        let logits = Matrix::from_rows(&[vec![0.0; 21]]);
-        let (l, _) = softmax_cross_entropy(&logits, &[7], None);
+        let logits = Matrix::zeros(1, 21);
+        let (l, _) = cross_entropy(&logits, &[7], None);
         assert!((l - (21f32).ln()).abs() < 1e-4);
     }
 
     #[test]
     fn cross_entropy_gradient_sums_to_zero_per_row() {
-        let logits = Matrix::from_rows(&[vec![0.3, -1.0, 2.0], vec![1.0, 1.0, 1.0]]);
-        let (_, d) = softmax_cross_entropy(&logits, &[2, 0], None);
+        let logits = Matrix::from_vec(2, 3, vec![0.3, -1.0, 2.0, 1.0, 1.0, 1.0]);
+        let (_, d) = cross_entropy(&logits, &[2, 0], None);
         for r in 0..2 {
             let s: f32 = d.row(r).iter().sum();
             assert!(s.abs() < 1e-6, "softmax-CE grad rows sum to zero");
@@ -179,15 +172,15 @@ mod tests {
     fn weighted_cross_entropy_prefers_heavy_samples() {
         // Two contradictory samples; with weight on the second, loss is
         // dominated by it.
-        let logits = Matrix::from_rows(&[vec![5.0, 0.0], vec![5.0, 0.0]]);
-        let (unweighted, _) = softmax_cross_entropy(&logits, &[0, 1], None);
-        let (weighted, _) = softmax_cross_entropy(&logits, &[0, 1], Some(&[0.01, 1.0]));
+        let logits = Matrix::from_vec(2, 2, vec![5.0, 0.0, 5.0, 0.0]);
+        let (unweighted, _) = cross_entropy(&logits, &[0, 1], None);
+        let (weighted, _) = cross_entropy(&logits, &[0, 1], Some(&[0.01, 1.0]));
         assert!(weighted > unweighted, "weighting the wrong sample raises the loss");
     }
 
     #[test]
     fn mse_known_value() {
-        let p = Matrix::from_rows(&[vec![1.0], vec![3.0]]);
+        let p = Matrix::from_vec(2, 1, vec![1.0, 3.0]);
         let (l, d) = mse(&p, &[0.0, 3.0]);
         assert!((l - 0.5).abs() < 1e-6);
         assert!((d.get(0, 0) - 1.0).abs() < 1e-6);
@@ -196,7 +189,7 @@ mod tests {
 
     #[test]
     fn entropy_peaks_at_uniform() {
-        let p = Matrix::from_rows(&[vec![0.25; 4], vec![1.0, 0.0, 0.0, 0.0]]);
+        let p = Matrix::from_vec(2, 4, vec![0.25, 0.25, 0.25, 0.25, 1.0, 0.0, 0.0, 0.0]);
         let h = entropy_rows(&p);
         assert!((h[0] - (4f32).ln()).abs() < 1e-5);
         assert!(h[1].abs() < 1e-6);
@@ -219,14 +212,5 @@ mod tests {
         let b = 0.1f64 + 1e-12;
         assert_eq!(a as f32, b as f32, "precondition: indistinguishable in f32");
         assert_eq!(argmax(&[a, b]), 1);
-    }
-
-    #[test]
-    fn softmax_inplace_matches_allocating() {
-        let m = Matrix::from_rows(&[vec![0.3, -1.5, 2.0, 0.0], vec![5.0, 5.0, -5.0, 1.0]]);
-        let reference = softmax_rows(&m);
-        let mut inplace = m.clone();
-        softmax_rows_inplace(&mut inplace);
-        assert_eq!(reference.data(), inplace.data());
     }
 }

@@ -529,20 +529,14 @@ fn accum_cols<const T: usize, const MASKED: bool, const DENSE: bool>(
     }
 }
 
-/// A dense row-major matrix of `f32`.
-#[derive(Debug, Clone, PartialEq)]
+/// A dense row-major matrix of `f32`.  The default is the empty 0 × 0
+/// matrix, the starting state of every reusable scratch buffer before its
+/// first resize.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
-}
-
-impl Default for Matrix {
-    /// An empty (0 × 0) matrix — the starting state of every reusable
-    /// scratch buffer before its first resize.
-    fn default() -> Self {
-        Matrix::zeros(0, 0)
-    }
 }
 
 impl Matrix {
@@ -559,23 +553,6 @@ impl Matrix {
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/buffer mismatch");
         Matrix { rows, cols, data }
-    }
-
-    /// Build from row slices; all rows must have equal length.
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        assert!(!rows.is_empty(), "at least one row required");
-        let cols = rows[0].len();
-        let mut data = Vec::with_capacity(rows.len() * cols);
-        for r in rows {
-            assert_eq!(r.len(), cols, "ragged rows");
-            data.extend_from_slice(r);
-        }
-        Matrix { rows: rows.len(), cols, data }
-    }
-
-    /// A 1×n row vector.
-    pub fn row_vector(v: &[f32]) -> Self {
-        Matrix { rows: 1, cols: v.len(), data: v.to_vec() }
     }
 
     pub fn rows(&self) -> usize {
@@ -630,16 +607,9 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
-    /// `self * other` — (m×k)·(k×n) → m×n.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Matrix::matmul`] writing into a caller-owned matrix (resized to fit)
-    /// so steady-state inference performs no allocations.  Dispatches to the
-    /// best kernel tier the CPU supports ([`Tier::detect`]).
+    /// `self * other` — (m×k)·(k×n) → m×n — into a caller-owned matrix
+    /// (resized to fit), so steady-state inference performs no allocations.
+    /// Dispatches to the best kernel tier the CPU supports ([`Tier::detect`]).
     pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
         self.matmul_into_with(Tier::detect(), other, out)
     }
@@ -694,13 +664,6 @@ impl Matrix {
         accum_rows(tier, true, &self.data, self.cols, &other.data, other.cols, &mut out.data);
     }
 
-    /// The transpose as a new matrix.
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.transpose_into(&mut out);
-        out
-    }
-
     /// Write `selfᵀ` into a caller-owned matrix (resized to fit), so the
     /// training backward pass transposes its operands without allocating.
     // lint: panic-free — chunks_exact over this matrix's own shape; the output index `c·rows + r` stays below rows·cols
@@ -734,13 +697,6 @@ impl Matrix {
         for x in &mut self.data {
             *x = f(*x);
         }
-    }
-
-    /// Sum each column into a vector (used for bias gradients).
-    pub fn col_sums(&self) -> Vec<f32> {
-        let mut out = vec![0.0; self.cols];
-        self.col_sums_acc(&mut out);
-        out
     }
 
     /// Accumulate each column's sum into a caller-owned slice (`out[c] +=
@@ -849,20 +805,14 @@ mod tests {
     }
 
     #[test]
-    fn matmul_small_known() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
     fn transpose_into_reuses_the_buffer() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0, 0.5], vec![0.0, 3.0, 4.0]]);
+        let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.5, 0.0, 3.0, 4.0]);
         let mut t = Matrix::zeros(7, 7);
         a.transpose_into(&mut t);
-        assert_eq!(t, Matrix::from_rows(&[vec![1.0, 0.0], vec![-2.0, 3.0], vec![0.5, 4.0]]));
-        assert_eq!(t.transpose(), a);
+        assert_eq!(t, Matrix::from_vec(3, 2, vec![1.0, 0.0, -2.0, 3.0, 0.5, 4.0]));
+        let mut back = Matrix::default();
+        t.transpose_into(&mut back);
+        assert_eq!(back, a);
     }
 
     #[test]
@@ -870,9 +820,10 @@ mod tests {
         // `dx = dy·Wᵀ` must not skip: 0·∞ is NaN.  And a chain that has
         // underflowed to −0 stays −0 when the next term is skipped, but
         // becomes +0 when it is added (−0 + +0 = +0).
-        let dy = Matrix::from_rows(&[vec![0.0, 1.0], vec![1e-30, 0.0]]);
-        let w = Matrix::from_rows(&[vec![f32::INFINITY, 2.0], vec![-1e-30, 5.0]]);
-        let wt = w.transpose();
+        let dy = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1e-30, 0.0]);
+        let w = Matrix::from_vec(2, 2, vec![f32::INFINITY, 2.0, -1e-30, 5.0]);
+        let mut wt = Matrix::default();
+        w.transpose_into(&mut wt);
         for tier in supported_tiers() {
             let (mut skip, mut dense) = (Matrix::default(), Matrix::default());
             dy.matmul_into_with(tier, &wt, &mut skip);
@@ -886,9 +837,10 @@ mod tests {
 
     #[test]
     fn matmul_acc_accumulates_onto_out() {
-        let a = Matrix::from_rows(&[vec![1.0, -2.0, 0.0], vec![0.5, 3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![2.0, 1.0], vec![-1.0, 0.25], vec![3.0, -0.5]]);
-        let reference = a.matmul(&b);
+        let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 0.0, 0.5, 3.0, 4.0]);
+        let b = Matrix::from_vec(3, 2, vec![2.0, 1.0, -1.0, 0.25, 3.0, -0.5]);
+        let mut reference = Matrix::default();
+        a.matmul_into(&b, &mut reference);
         for tier in supported_tiers() {
             let mut acc = Matrix::zeros(2, 2);
             a.matmul_acc_with(tier, &b, &mut acc);
@@ -930,16 +882,16 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_matches_matmul_across_reuses() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
+    fn matmul_into_reuses_the_buffer_across_shapes() {
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
         let mut out = Matrix::zeros(0, 0);
         a.matmul_into(&b, &mut out);
-        assert_eq!(out, a.matmul(&b));
+        assert_eq!(out.data(), &[19.0, 22.0, 43.0, 50.0]);
         // Reuse with a different (smaller) shape: stale contents must not leak.
-        let c = Matrix::from_rows(&[vec![1.0, -1.0]]);
+        let c = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         c.matmul_into(&b, &mut out);
-        assert_eq!(out, c.matmul(&b));
+        assert_eq!(out.data(), &[-2.0, -2.0]);
         assert_eq!((out.rows(), out.cols()), (1, 2));
     }
 
@@ -947,7 +899,9 @@ mod tests {
     fn broadcast_and_colsums() {
         let mut m = Matrix::zeros(3, 2);
         m.add_row_broadcast(&[1.0, -1.0]);
-        assert_eq!(m.col_sums(), vec![3.0, -3.0]);
+        let mut sums = vec![0.0f32; 2];
+        m.col_sums_acc(&mut sums);
+        assert_eq!(sums, vec![3.0, -3.0]);
     }
 
     #[test]
@@ -955,7 +909,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Matrix::default());
     }
 
     #[test]
@@ -999,7 +953,7 @@ mod tests {
 
     #[test]
     fn col_sums_acc_accumulates() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, -4.0]]);
+        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, -4.0]);
         let mut out = vec![10.0f32, 20.0];
         m.col_sums_acc(&mut out);
         assert_eq!(out, vec![14.0, 18.0]);

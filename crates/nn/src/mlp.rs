@@ -182,16 +182,10 @@ impl BackwardScratch {
 /// Keeping these caller-owned lets steady-state inference (the TTP is queried
 /// for every rung of every lookahead step of every chunk decision) run with
 /// zero heap allocations after warm-up.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
     ping: Matrix,
     pong: Matrix,
-}
-
-impl Default for MlpScratch {
-    fn default() -> Self {
-        MlpScratch { ping: Matrix::zeros(0, 0), pong: Matrix::zeros(0, 0) }
-    }
 }
 
 impl MlpScratch {
@@ -257,12 +251,6 @@ impl Mlp {
         self.layers[0].in_dim()
     }
 
-    /// Forward pass returning only the output: [`Mlp::forward_into`] on a
-    /// fresh scratch.
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        std::mem::take(self.forward_into(x, &mut MlpScratch::new()))
-    }
-
     /// Forward pass through caller-owned scratch buffers: no allocations once
     /// the scratch has reached steady-state size.  Returns a reference to the
     /// scratch matrix holding the output.
@@ -303,7 +291,7 @@ impl Mlp {
     /// zero-skip, then the row's own last-feature `axpy`) is the ikj
     /// matmul's on the materialized row, whose last feature is the final
     /// accumulation step, so every staged row is bit-identical to
-    /// [`Mlp::forward`]'s first layer on that row.
+    /// [`Mlp::forward_into`]'s first layer on that row.
     ///
     /// `partial` is a reusable hidden-width accumulator owned by the caller
     /// (it cannot live in the scratch, whose `ping` is lent out as `staged`).
@@ -347,9 +335,9 @@ impl Mlp {
     ///
     /// The bias broadcast, activation, and tail matmuls are all row-wise
     /// independent with a fixed per-element operation order, so each row of
-    /// the result is bit-identical to [`Mlp::forward`] on the materialized
-    /// row — the argument `docs/BATCHING.md` spells out.  Returns the logits
-    /// (one row per staged row).
+    /// the result is bit-identical to [`Mlp::forward_into`] on the
+    /// materialized row — the argument `docs/BATCHING.md` spells out.
+    /// Returns the logits (one row per staged row).
     // lint: panic-free — entry asserts pin the staged dims; layer indexing is over self.layers
     pub fn forward_staged_into<'a>(&self, scratch: &'a mut MlpScratch) -> &'a mut Matrix {
         let l0 = &self.layers[0];
@@ -366,8 +354,9 @@ impl Mlp {
     /// activation for [`Mlp::backward_into`].
     ///
     /// The same matmul kernel, bias add, and activation, in the same order,
-    /// as [`Mlp::forward`], but every layer's output is kept, in caller-owned
-    /// storage, so steady-state training minibatches allocate nothing.
+    /// as [`Mlp::forward_into`], but every layer's output is kept, in
+    /// caller-owned storage, so steady-state training minibatches allocate
+    /// nothing.
     // lint: panic-free — entry asserts pin the batch dims; per-layer indexing is over self.layers
     // lint: alloc-free — cache matrices grow once to the minibatch shape; warm epochs are allocation-free per tests/alloc_gate.rs
     pub fn forward_train(&self, cache: &mut TrainCache) {
@@ -482,13 +471,24 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(42)
     }
 
+    fn forward(net: &Mlp, x: &Matrix) -> Matrix {
+        net.forward_into(x, &mut MlpScratch::new()).clone()
+    }
+
+    /// Mean unweighted cross-entropy of `logits` and its logit gradient.
+    fn cross_entropy(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
+        let mut dlogits = Matrix::default();
+        let ce = loss::softmax_cross_entropy_into(logits, targets, None, &mut dlogits);
+        (ce, dlogits)
+    }
+
     /// Zero the gradients and backpropagate the cross-entropy of `x` against
     /// `targets` through the scratch path.
     fn backprop(net: &mut Mlp, x: &Matrix, targets: &[usize]) {
         let mut cache = TrainCache::new();
         cache.input_mut(x.rows(), x.cols()).data_mut().copy_from_slice(x.data());
         net.forward_train(&mut cache);
-        let (_, dlogits) = loss::softmax_cross_entropy(cache.logits(), targets, None);
+        let (_, dlogits) = cross_entropy(cache.logits(), targets);
         net.zero_grad();
         net.backward_into(&cache, &dlogits, &mut BackwardScratch::new());
     }
@@ -502,14 +502,15 @@ mod tests {
         let (act, last) = (net.activation, net.layers.len() - 1);
         let mut acts = vec![x.clone()];
         for (i, layer) in net.layers.iter().enumerate() {
-            let mut h = acts[i].matmul(&layer.w);
+            let mut h = Matrix::default();
+            acts[i].matmul_into(&layer.w, &mut h);
             h.add_row_broadcast(&layer.b);
             if i != last {
                 h.map_inplace(|v| act.apply(v));
             }
             acts.push(h);
         }
-        let (ce, mut grad) = loss::softmax_cross_entropy(&acts[last + 1], targets, None);
+        let (ce, mut grad) = cross_entropy(&acts[last + 1], targets);
         net.zero_grad();
         for (i, layer) in net.layers.iter_mut().enumerate().rev() {
             if i != last {
@@ -517,15 +518,20 @@ mod tests {
                     *g *= act.derivative_from_output(y);
                 }
             }
-            let gw = acts[i].transpose().matmul(&grad);
+            let (mut xt, mut gw) = (Matrix::default(), Matrix::default());
+            acts[i].transpose_into(&mut xt);
+            xt.matmul_into(&grad, &mut gw);
             for (g, n) in layer.gw.data_mut().iter_mut().zip(gw.data()) {
                 *g += n;
             }
-            for (g, n) in layer.gb.iter_mut().zip(grad.col_sums()) {
+            let mut gb = vec![0.0f32; grad.cols()];
+            grad.col_sums_acc(&mut gb);
+            for (g, n) in layer.gb.iter_mut().zip(gb) {
                 *g += n;
             }
-            let mut dx = Matrix::default();
-            grad.matmul_dense_into_with(Tier::detect(), &layer.w.transpose(), &mut dx);
+            let (mut wt, mut dx) = (Matrix::default(), Matrix::default());
+            layer.w.transpose_into(&mut wt);
+            grad.matmul_dense_into_with(Tier::detect(), &wt, &mut dx);
             grad = dx;
         }
         (ce, acts.pop().unwrap())
@@ -539,7 +545,7 @@ mod tests {
     fn forward_shapes() {
         let net = Mlp::new(&[5, 8, 3], Activation::Relu, &mut rng());
         let x = Matrix::zeros(4, 5);
-        let y = net.forward(&x);
+        let y = forward(&net, &x);
         assert_eq!((y.rows(), y.cols()), (4, 3));
     }
 
@@ -547,15 +553,15 @@ mod tests {
     fn identity_two_layer_is_linear() {
         let mut r = rng();
         let net = Mlp::new(&[3, 2], Activation::Identity, &mut r);
-        let x1 = Matrix::row_vector(&[1.0, 0.0, 0.0]);
-        let x2 = Matrix::row_vector(&[0.0, 1.0, 0.0]);
-        let x12 = Matrix::row_vector(&[1.0, 1.0, 0.0]);
+        let x1 = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
+        let x2 = Matrix::from_vec(1, 3, vec![0.0, 1.0, 0.0]);
+        let x12 = Matrix::from_vec(1, 3, vec![1.0, 1.0, 0.0]);
         // Linearity: f(x1 + x2) - f(0) == (f(x1) - f(0)) + (f(x2) - f(0)).
-        let zero = Matrix::row_vector(&[0.0, 0.0, 0.0]);
-        let f0 = net.forward(&zero);
-        let f1 = net.forward(&x1);
-        let f2 = net.forward(&x2);
-        let f12 = net.forward(&x12);
+        let zero = Matrix::zeros(1, 3);
+        let f0 = forward(&net, &zero);
+        let f1 = forward(&net, &x1);
+        let f2 = forward(&net, &x2);
+        let f12 = forward(&net, &x12);
         for c in 0..2 {
             let lhs = f12.get(0, c) - f0.get(0, c);
             let rhs = (f1.get(0, c) - f0.get(0, c)) + (f2.get(0, c) - f0.get(0, c));
@@ -569,7 +575,7 @@ mod tests {
     fn gradient_check_cross_entropy() {
         let mut r = rng();
         let mut net = Mlp::new(&[4, 6, 3], Activation::Tanh, &mut r);
-        let x = Matrix::from_rows(&[vec![0.5, -1.0, 0.25, 2.0], vec![-0.5, 0.3, 1.5, -0.7]]);
+        let x = Matrix::from_vec(2, 4, vec![0.5, -1.0, 0.25, 2.0, -0.5, 0.3, 1.5, -0.7]);
         let targets = [0usize, 2];
         backprop(&mut net, &x, &targets);
 
@@ -606,9 +612,9 @@ mod tests {
                     };
                     let orig = read(&net, k);
                     write(&mut net, k, orig + eps);
-                    let (lp, _) = loss::softmax_cross_entropy(&net.forward(&x), &targets, None);
+                    let (lp, _) = cross_entropy(&forward(&net, &x), &targets);
                     write(&mut net, k, orig - eps);
-                    let (lm, _) = loss::softmax_cross_entropy(&net.forward(&x), &targets, None);
+                    let (lm, _) = cross_entropy(&forward(&net, &x), &targets);
                     write(&mut net, k, orig);
                     let numeric = (lp - lm) / (2.0 * eps);
                     let ana = analytic[idx];
@@ -628,7 +634,7 @@ mod tests {
     fn grad_clipping_bounds_norm() {
         let mut r = rng();
         let mut net = Mlp::new(&[4, 8, 3], Activation::Relu, &mut r);
-        let x = Matrix::from_rows(&[vec![10.0, -10.0, 5.0, 3.0]]);
+        let x = Matrix::from_vec(1, 4, vec![10.0, -10.0, 5.0, 3.0]);
         backprop(&mut net, &x, &[1]);
         net.clip_grad_norm(0.01);
         let mut sq = 0.0f32;
@@ -640,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_is_bit_identical_to_forward() {
+    fn forward_into_reuses_scratch_across_batch_sizes() {
         let mut r = rng();
         for dims in [&[5usize, 8, 3][..], &[4, 21][..], &[6, 16, 16, 7][..]] {
             let net = Mlp::new(dims, Activation::Relu, &mut r);
@@ -652,7 +658,7 @@ mod tests {
                 for (i, v) in x.data_mut().iter_mut().enumerate() {
                     *v = (i as f32 * 0.37).sin();
                 }
-                let reference = net.forward(&x);
+                let reference = forward(&net, &x);
                 let out = net.forward_into(&x, &mut scratch);
                 assert_eq!(reference.data(), out.data());
                 assert_eq!((out.rows(), out.cols()), (batch, *dims.last().unwrap()));
@@ -712,7 +718,7 @@ mod tests {
                     batch.row_mut(i)[..f - 1].copy_from_slice(shared);
                     batch.row_mut(i)[f - 1] = l;
                 }
-                let reference = net.forward(&batch);
+                let reference = forward(&net, &batch);
                 assert_eq!(
                     reference.data(),
                     &flat[row0 * cols..(row0 + lasts.len()) * cols],

@@ -24,17 +24,11 @@ impl Scaler {
 
     /// Fit means and standard deviations over a dataset of feature rows.
     ///
-    /// Features with (near-)zero variance get `std = 1` so they pass through
-    /// centred but unscaled instead of exploding.
-    pub fn fit(rows: &[Vec<f32>]) -> Self {
-        Self::fit_from(rows.iter().map(Vec::as_slice))
-    }
-
-    /// [`Scaler::fit`] over borrowed rows: any re-iterable source of feature
-    /// slices works, so callers holding samples in richer structures can fit
-    /// without materializing a `Vec<Vec<f32>>` copy of every row (the
-    /// training pipeline fits directly on `&[Sample]`).  Accumulation order
-    /// matches [`Scaler::fit`] exactly, so the statistics are bit-identical.
+    /// Any re-iterable source of feature slices works, so callers holding
+    /// samples in richer structures fit without copying every row (the
+    /// training pipeline fits directly on `&[Sample]`).  Features with
+    /// (near-)zero variance get `std = 1` so they pass through centred but
+    /// unscaled instead of exploding.
     pub fn fit_from<'a, I>(rows: I) -> Self
     where
         I: IntoIterator<Item = &'a [f32]> + Clone,
@@ -93,23 +87,8 @@ impl Scaler {
         Scaler { mean, std }
     }
 
-    /// Standardize one feature row in place.
-    pub fn transform_inplace(&self, row: &mut [f32]) {
-        assert_eq!(row.len(), self.mean.len(), "feature dimension mismatch");
-        for ((x, &m), &s) in row.iter_mut().zip(&self.mean).zip(&self.std) {
-            *x = (*x - m) / s;
-        }
-    }
-
-    /// Standardize a copy of the row.
-    pub fn transform(&self, row: &[f32]) -> Vec<f32> {
-        let mut out = row.to_vec();
-        self.transform_inplace(&mut out);
-        out
-    }
-
-    /// Standardize `row` into a caller-owned buffer, avoiding the allocation
-    /// of [`Scaler::transform`] on hot inference paths.
+    /// Standardize `row` into a caller-owned buffer: `(x - mean) / std` per
+    /// feature, allocation-free on hot inference paths.
     // lint: panic-free — entry asserts pin the feature dims; (x-m)/s is f32 division, total by IEEE-754
     pub fn transform_into(&self, row: &[f32], out: &mut [f32]) {
         assert_eq!(row.len(), self.mean.len(), "feature dimension mismatch");
@@ -124,12 +103,22 @@ impl Scaler {
 mod tests {
     use super::*;
 
+    fn fit(rows: &[Vec<f32>]) -> Scaler {
+        Scaler::fit_from(rows.iter().map(Vec::as_slice))
+    }
+
+    fn transform(s: &Scaler, row: &[f32]) -> Vec<f32> {
+        let mut out = vec![0.0; row.len()];
+        s.transform_into(row, &mut out);
+        out
+    }
+
     #[test]
     fn fit_then_transform_standardizes() {
         let rows: Vec<Vec<f32>> =
             (0..100).map(|i| vec![i as f32, 1000.0 + 10.0 * i as f32]).collect();
-        let s = Scaler::fit(&rows);
-        let transformed: Vec<Vec<f32>> = rows.iter().map(|r| s.transform(r)).collect();
+        let s = fit(&rows);
+        let transformed: Vec<Vec<f32>> = rows.iter().map(|r| transform(&s, r)).collect();
         for d in 0..2 {
             let mean: f32 = transformed.iter().map(|r| r[d]).sum::<f32>() / 100.0;
             let var: f32 = transformed.iter().map(|r| (r[d] - mean).powi(2)).sum::<f32>() / 100.0;
@@ -141,32 +130,31 @@ mod tests {
     #[test]
     fn constant_feature_does_not_explode() {
         let rows = vec![vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]];
-        let s = Scaler::fit(&rows);
-        let t = s.transform(&[5.0, 2.0]);
+        let s = fit(&rows);
+        let t = transform(&s, &[5.0, 2.0]);
         assert!(t[0].abs() < 1e-6);
         assert!(t.iter().all(|x| x.is_finite()));
     }
 
     #[test]
-    fn transform_into_matches_transform() {
+    fn transform_into_is_elementwise_standardization() {
         let rows = vec![vec![1.0, -3.0], vec![2.0, 4.0], vec![0.5, 10.0]];
-        let s = Scaler::fit(&rows);
+        let s = fit(&rows);
         let x = [1.7f32, 6.2];
-        let mut buf = [0.0f32; 2];
-        s.transform_into(&x, &mut buf);
-        assert_eq!(buf.to_vec(), s.transform(&x));
+        let want: Vec<f32> = (0..2).map(|d| (x[d] - s.mean()[d]) / s.std()[d]).collect();
+        assert_eq!(transform(&s, &x), want);
     }
 
     #[test]
     fn identity_is_noop() {
         let s = Scaler::identity(3);
-        assert_eq!(s.transform(&[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
+        assert_eq!(transform(&s, &[1.0, 2.0, 3.0]), vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     #[should_panic(expected = "feature dimension mismatch")]
     fn dimension_mismatch_panics() {
         let s = Scaler::identity(2);
-        s.transform(&[1.0, 2.0, 3.0]);
+        s.transform_into(&[1.0, 2.0, 3.0], &mut [0.0; 3]);
     }
 }

@@ -112,13 +112,6 @@ pub fn save_to_string(ckpt: &Checkpoint) -> String {
     out
 }
 
-/// Parse a checkpoint holding exactly one network.
-pub fn load_from_str(s: &str) -> Result<Checkpoint, LoadError> {
-    let [ckpt] = <[Checkpoint; 1]>::try_from(load_concatenated(s.lines())?)
-        .map_err(|v| LoadError::Format(format!("expected one network, found {}", v.len())))?;
-    Ok(ckpt)
-}
-
 /// Parse every checkpoint in `lines`, back to back, up to the end of input:
 /// the body of a model file after its own header.  A line after the last
 /// `end` that does not open another checkpoint is an error.
@@ -240,26 +233,33 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mlp::MlpScratch;
     use rand::SeedableRng;
 
     fn sample_checkpoint() -> Checkpoint {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let net = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
-        let scaler = Scaler::fit(&[
-            vec![0.0, 10.0, 100.0, -5.0],
-            vec![1.0, 20.0, 50.0, 5.0],
-            vec![2.0, 30.0, 75.0, 0.0],
+        let scaler = Scaler::fit_from([
+            &[0.0, 10.0, 100.0, -5.0][..],
+            &[1.0, 20.0, 50.0, 5.0],
+            &[2.0, 30.0, 75.0, 0.0],
         ]);
         Checkpoint { net, scaler }
+    }
+
+    fn load(s: &str) -> Result<Vec<Checkpoint>, LoadError> {
+        load_concatenated(s.lines())
     }
 
     #[test]
     fn roundtrip_preserves_predictions() {
         let ckpt = sample_checkpoint();
         let s = save_to_string(&ckpt);
-        let loaded = load_from_str(&s).unwrap();
-        let x = Matrix::row_vector(&ckpt.scaler.transform(&[1.5, 22.0, 60.0, 1.0]));
-        assert_eq!(ckpt.net.forward(&x).data(), loaded.net.forward(&x).data());
+        let [loaded] = <[Checkpoint; 1]>::try_from(load(&s).unwrap()).unwrap();
+        let mut x = Matrix::zeros(1, 4);
+        ckpt.scaler.transform_into(&[1.5, 22.0, 60.0, 1.0], x.row_mut(0));
+        let want = ckpt.net.forward_into(&x, &mut MlpScratch::new()).clone();
+        assert_eq!(want.data(), loaded.net.forward_into(&x, &mut MlpScratch::new()).data());
         assert_eq!(ckpt.scaler, loaded.scaler);
     }
 
@@ -267,14 +267,14 @@ mod tests {
     fn double_roundtrip_is_fixed_point() {
         let ckpt = sample_checkpoint();
         let s1 = save_to_string(&ckpt);
-        let s2 = save_to_string(&load_from_str(&s1).unwrap());
+        let s2 = save_to_string(&load(&s1).unwrap()[0]);
         assert_eq!(s1, s2, "text format must be a serialization fixed point");
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(load_from_str("not a checkpoint").is_err());
-        assert!(load_from_str("").is_err());
+        assert!(load("not a checkpoint").is_err());
+        assert!(load("\n").is_err());
     }
 
     #[test]
@@ -282,7 +282,7 @@ mod tests {
         let ckpt = sample_checkpoint();
         let s = save_to_string(&ckpt);
         let truncated: String = s.lines().take(5).collect::<Vec<_>>().join("\n");
-        assert!(load_from_str(&truncated).is_err());
+        assert!(load(&truncated).is_err());
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
             })
             .collect::<Vec<_>>()
             .join("\n");
-        assert!(load_from_str(&hacked).is_err());
+        assert!(load(&hacked).is_err());
     }
 
     #[test]
@@ -316,7 +316,7 @@ mod tests {
         let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
         let spliced = [&a[..9], &b[6..9], &a[12..]].concat().join("\n");
         assert!(spliced.contains("layer 4 8\n") && spliced.contains("layer 7 3\n"));
-        let err = load_from_str(&spliced).unwrap_err();
+        let err = load(&spliced).unwrap_err();
         assert!(err.to_string().contains("layer 1 takes 7 inputs, but 8 reach it"), "{err}");
     }
 
@@ -324,7 +324,7 @@ mod tests {
     fn rejects_scaler_narrower_than_the_input() {
         let mut ckpt = sample_checkpoint();
         ckpt.scaler = Scaler::identity(3);
-        let err = load_from_str(&save_to_string(&ckpt)).unwrap_err();
+        let err = load(&save_to_string(&ckpt)).unwrap_err();
         assert!(err.to_string().contains("layer 0 takes 4 inputs, but 3 reach it"), "{err}");
     }
 
@@ -340,7 +340,6 @@ mod tests {
         assert_eq!(loaded.len(), 2);
         assert_eq!(save_to_string(&loaded[0]), save_to_string(&a));
         assert_eq!(save_to_string(&loaded[1]), save_to_string(&b));
-        assert!(load_from_str(&text).is_err(), "one network expected");
         for tail in ["x\n", "\n", "end\n"] {
             assert!(load_concatenated((text.clone() + tail).lines()).is_err(), "{tail:?}");
         }

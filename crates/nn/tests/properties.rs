@@ -8,8 +8,8 @@
 #![cfg(not(miri))]
 
 use proptest::prelude::*;
-use puffer_nn::serialize::{load_from_str, save_to_string, Checkpoint};
-use puffer_nn::{loss, Activation, Matrix, Mlp, Scaler, Tier};
+use puffer_nn::serialize::{load_concatenated, save_to_string, Checkpoint};
+use puffer_nn::{loss, Activation, Matrix, Mlp, MlpScratch, Scaler, Tier};
 use rand::SeedableRng;
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -82,7 +82,10 @@ proptest! {
 
     #[test]
     fn transpose_is_involution(m in arb_matrix(4, 7)) {
-        prop_assert_eq!(m.transpose().transpose(), m);
+        let (mut t, mut tt) = (Matrix::default(), Matrix::default());
+        m.transpose_into(&mut t);
+        t.transpose_into(&mut tt);
+        prop_assert_eq!(tt, m);
     }
 
     #[test]
@@ -113,7 +116,8 @@ proptest! {
         for i in 0..5 {
             eye.set(i, i, 1.0);
         }
-        let out = m.matmul(&eye);
+        let mut out = Matrix::default();
+        m.matmul_into(&eye, &mut out);
         for (x, y) in out.data().iter().zip(m.data()) {
             prop_assert!((x - y).abs() < 1e-5);
         }
@@ -121,7 +125,8 @@ proptest! {
 
     #[test]
     fn softmax_rows_are_distributions(logits in arb_matrix(6, 21)) {
-        let p = loss::softmax_rows(&logits);
+        let mut p = logits;
+        loss::softmax_rows_inplace(&mut p);
         for r in 0..p.rows() {
             let sum: f32 = p.row(r).iter().sum();
             prop_assert!((sum - 1.0).abs() < 1e-4);
@@ -134,7 +139,8 @@ proptest! {
         logits in arb_matrix(4, 10),
         targets in prop::collection::vec(0usize..10, 4),
     ) {
-        let (ce, grad) = loss::softmax_cross_entropy(&logits, &targets, None);
+        let mut grad = Matrix::default();
+        let ce = loss::softmax_cross_entropy_into(&logits, &targets, None, &mut grad);
         prop_assert!(ce >= 0.0);
         for r in 0..grad.rows() {
             let s: f32 = grad.row(r).iter().sum();
@@ -155,10 +161,12 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let net = Mlp::new(&dims, Activation::Relu, &mut rng);
         let ckpt = Checkpoint { net, scaler: Scaler::identity(input) };
-        let loaded = load_from_str(&save_to_string(&ckpt)).unwrap();
-        let x = Matrix::row_vector(&vec![0.5; input]);
-        let a = ckpt.net.forward(&x);
-        let b = loaded.net.forward(&x);
+        let loaded = load_concatenated(save_to_string(&ckpt).lines()).unwrap();
+        prop_assert_eq!(loaded.len(), 1);
+        let x = Matrix::from_vec(1, input, vec![0.5; input]);
+        let (mut sa, mut sb) = (MlpScratch::new(), MlpScratch::new());
+        let a = ckpt.net.forward_into(&x, &mut sa);
+        let b = loaded[0].net.forward_into(&x, &mut sb);
         prop_assert_eq!(a.data(), b.data());
     }
 
@@ -217,9 +225,10 @@ proptest! {
     ) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let net = Mlp::new(&[8, 16, 5], Activation::Tanh, &mut rng);
-        let x = Matrix::row_vector(&features);
-        let a = net.forward(&x);
-        let b = net.forward(&x);
+        let x = Matrix::from_vec(1, 8, features);
+        let (mut sa, mut sb) = (MlpScratch::new(), MlpScratch::new());
+        let a = net.forward_into(&x, &mut sa);
+        let b = net.forward_into(&x, &mut sb);
         prop_assert_eq!(a.data(), b.data());
         prop_assert!(a.data().iter().all(|v| v.is_finite()));
     }

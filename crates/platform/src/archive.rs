@@ -5,8 +5,8 @@
 //! three measurements per day: `video_sent`, `video_acked`, and
 //! `client_buffer`, with sensitive fields redacted.  The RCT's archive sink
 //! spools each day's telemetry to a compacted `.puf` archive
-//! ([`TelemetrySpool`], [`merge_spools`]); [`export_csv`] streams one back
-//! out as the same three CSV files.
+//! ([`TelemetrySpool`], [`merge_spools`](crate::merge_spools));
+//! [`export_csv`] streams one back out as the same three CSV files.
 
 use crate::archive_format::{ArchiveReader, ArchiveWriter, DEFAULT_BLOCK_ROWS};
 use crate::faults::{incidents_csv, Incident};
@@ -26,21 +26,46 @@ use std::path::{Path, PathBuf};
 ///
 /// One bounded-memory pass: rows stream block by block through the row
 /// writers of [`crate::telemetry`], so a paper-scale day (§3.4: hundreds of
-/// thousands of chunks) is never rendered in memory.
+/// thousands of chunks) is never rendered in memory.  Each file is written
+/// under a temporary name (`<name>.tmp`) and renamed into place only once
+/// the whole archive has been read, so a failed export (a truncated or
+/// corrupt `.puf`, a full disk) leaves no partial CSV behind and keeps an
+/// earlier export of the same day intact.
 pub fn export_csv(puf: &Path, out_dir: &Path, day: u32) -> std::io::Result<Vec<(PathBuf, u64)>> {
     let mut reader = ArchiveReader::new(BufReader::new(File::open(puf)?))?;
     std::fs::create_dir_all(out_dir)?;
-    let create = |name: String, header: &[u8]| -> std::io::Result<(BufWriter<File>, PathBuf)> {
-        let path = out_dir.join(name);
-        let mut out = BufWriter::new(File::create(&path)?);
-        out.write_all(header)?;
-        Ok((out, path))
+    let mut staged = Vec::new();
+    let result = write_csvs(&mut reader, out_dir, day, &mut staged);
+    for (tmp, path) in &staged {
+        if result.is_ok() {
+            std::fs::rename(tmp, path)?;
+        } else {
+            std::fs::remove_file(tmp).ok();
+        }
+    }
+    result
+}
+
+/// [`export_csv`]'s pass over the archive: every CSV it creates is pushed
+/// onto `staged` as `(temporary path, final path)` before its first byte.
+fn write_csvs<R: std::io::Read>(
+    reader: &mut ArchiveReader<R>,
+    out_dir: &Path,
+    day: u32,
+    staged: &mut Vec<(PathBuf, PathBuf)>,
+) -> std::io::Result<Vec<(PathBuf, u64)>> {
+    let mut create = |name: String, head: &[u8]| -> std::io::Result<BufWriter<File>> {
+        let tmp = out_dir.join(format!("{name}.tmp"));
+        let file = File::create(&tmp)?;
+        staged.push((tmp, out_dir.join(name)));
+        let mut out = BufWriter::new(file);
+        out.write_all(head)?;
+        Ok(out)
     };
-    let (mut sent, sent_path) = create(format!("video_sent_{day}.csv"), VIDEO_SENT_CSV_HEADER)?;
-    let (mut acked, acked_path) = create(format!("video_acked_{day}.csv"), VIDEO_ACKED_CSV_HEADER)?;
-    let (mut buffer, buffer_path) =
-        create(format!("client_buffer_{day}.csv"), CLIENT_BUFFER_CSV_HEADER)?;
-    let mut rows = [0u64; 3];
+    let mut sent = create(format!("video_sent_{day}.csv"), VIDEO_SENT_CSV_HEADER)?;
+    let mut acked = create(format!("video_acked_{day}.csv"), VIDEO_ACKED_CSV_HEADER)?;
+    let mut buffer = create(format!("client_buffer_{day}.csv"), CLIENT_BUFFER_CSV_HEADER)?;
+    let mut rows = vec![0u64; 3];
     let mut incidents: Vec<Incident> = Vec::new();
     while let Some(block) = reader.next_block()? {
         for d in &block.video_sent {
@@ -60,13 +85,11 @@ pub fn export_csv(puf: &Path, out_dir: &Path, day: u32) -> std::io::Result<Vec<(
     for out in [&mut sent, &mut acked, &mut buffer] {
         out.flush()?;
     }
-    let mut outputs = vec![(sent_path, rows[0]), (acked_path, rows[1]), (buffer_path, rows[2])];
     if !incidents.is_empty() {
-        let path = out_dir.join(format!("incidents_{day}.csv"));
-        std::fs::write(&path, incidents_csv(&incidents))?;
-        outputs.push((path, incidents.len() as u64));
+        create(format!("incidents_{day}.csv"), incidents_csv(&incidents).as_bytes())?.flush()?;
+        rows.push(incidents.len() as u64);
     }
-    Ok(outputs)
+    Ok(staged.iter().map(|(_, path)| path.clone()).zip(rows).collect())
 }
 
 /// Incremental per-worker `.puf` spool used by the RCT's `archive_sink`.
@@ -143,14 +166,4 @@ pub fn append_incidents(path: &Path, incidents: &[crate::faults::Incident]) -> s
     let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
     f.write_all(&bytes[FILE_HEADER_LEN..])?;
     f.flush()
-}
-
-/// Merge per-worker spools into one deterministic day archive at `out`.
-///
-/// Blocks are ordered by `(tag, kind, offset)` — tag is the session's spec
-/// index and offsets preserve each session's internal block order — so the
-/// merged bytes depend only on the experiment, not on worker count or
-/// scheduling (the same invariant `run_rct` keeps for its statistics).
-pub fn merge_spools(spools: &[PathBuf], out: &Path) -> std::io::Result<()> {
-    crate::archive_format::merge_archives(spools, out)
 }

@@ -17,7 +17,7 @@
 //!   bounded memory, and
 //! * the bytes are **deterministic** — a fixed little-endian layout with no
 //!   timestamps, padding guaranteed zero, and a block-merge rule
-//!   ([`merge_archives`]) keyed only on experiment-level tags, so the same
+//!   ([`merge_spools`]) keyed only on experiment-level tags, so the same
 //!   experiment produces the same file at any worker count.
 //!
 //! ## Layout (v1)
@@ -479,17 +479,7 @@ pub struct ArchiveReader<R: Read> {
 impl<R: Read> ArchiveReader<R> {
     /// Read and validate the 8-byte file header.
     pub fn new(mut input: R) -> io::Result<ArchiveReader<R>> {
-        let mut header = [0u8; FILE_HEADER_LEN];
-        input.read_exact(&mut header).map_err(|_| invalid("missing or short .puf header"))?;
-        if header[..4] != MAGIC {
-            return Err(invalid("bad magic: not a .puf file"));
-        }
-        if header[4] != VERSION {
-            return Err(invalid("unsupported .puf version"));
-        }
-        if header[5..] != [0, 0, 0] {
-            return Err(invalid("nonzero reserved bytes in .puf header"));
-        }
+        read_file_header(&mut input)?;
         Ok(ArchiveReader {
             input,
             block: DecodedBlock::default(),
@@ -521,43 +511,12 @@ impl<R: Read> ArchiveReader<R> {
 
     /// Read one block into `self.block`.  `Ok(false)` means clean EOF.
     fn read_block(&mut self) -> io::Result<bool> {
-        let mut header = [0u8; BLOCK_HEADER_LEN];
-        if !read_exact_or_eof(&mut self.input, &mut header, "block header")? {
+        let Some(BlockFrame { kind, rows, tag, col_lens, payload }) = read_frame(&mut self.input)?
+        else {
             return Ok(false);
-        }
-        let kind =
-            BlockKind::from_code(header[0]).ok_or_else(|| invalid("unknown block kind code"))?;
-        if header[1..4] != [0, 0, 0] {
-            return Err(invalid("nonzero padding in block header"));
-        }
-        let rows = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-        let tag = u64::from_le_bytes([
-            header[8], header[9], header[10], header[11], header[12], header[13], header[14],
-            header[15],
-        ]);
+        };
         let n_cols = kind.n_cols();
-        let mut len_bytes = [0u8; MAX_COLS * 4];
-        self.input
-            .read_exact(&mut len_bytes[..n_cols * 4])
-            .map_err(|_| invalid("truncated column length table"))?;
-        let mut col_lens = [0usize; MAX_COLS];
-        let mut total = 0usize;
-        for (i, len) in col_lens[..n_cols].iter_mut().enumerate() {
-            let l = u32::from_le_bytes([
-                len_bytes[i * 4],
-                len_bytes[i * 4 + 1],
-                len_bytes[i * 4 + 2],
-                len_bytes[i * 4 + 3],
-            ]) as usize;
-            // A column of `rows` u64 varints can never exceed 10 bytes/row;
-            // a larger claim is corruption and must not drive an allocation.
-            if l > rows * MAX_VARINT_LEN {
-                return Err(invalid("column length exceeds the per-row varint bound"));
-            }
-            *len = l;
-            total += l;
-        }
-        self.raw.resize(total, 0);
+        self.raw.resize(payload, 0);
         self.input.read_exact(&mut self.raw).map_err(|_| invalid("truncated column data"))?;
 
         self.block.kind = Some(kind);
@@ -685,80 +644,107 @@ fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8], what: &str) -> io::
     Ok(true)
 }
 
-/// Location and identity of one block inside a `.puf` file, as found by
-/// [`scan_block_metas`] without decoding any rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockMeta {
-    /// Writer-assigned group tag.
-    pub tag: u64,
-    /// Byte offset of the block header within the file.
-    pub offset: u64,
-    /// Whole-block byte length (header + length table + columns).
-    pub len: u64,
-    /// Wire code of the block's kind.
-    pub kind: u8,
-    /// Row count (from the header; the rows stay encoded).
-    pub rows: u32,
-}
-
-/// Scan a `.puf` file's block table by seeking over column payloads —
-/// no row is decoded, so this is O(blocks), not O(rows).
-pub fn scan_block_metas<R: Read + Seek>(input: &mut R) -> io::Result<Vec<BlockMeta>> {
-    input.seek(SeekFrom::Start(0))?;
+/// Read and check a `.puf` file header: magic, version, zero reserved bytes.
+fn read_file_header<R: Read>(input: &mut R) -> io::Result<()> {
     let mut header = [0u8; FILE_HEADER_LEN];
     input.read_exact(&mut header).map_err(|_| invalid("missing or short .puf header"))?;
-    if header[..4] != MAGIC || header[4] != VERSION {
-        return Err(invalid("bad magic or unsupported version"));
+    if header[..4] != MAGIC {
+        return Err(invalid("bad magic: not a .puf file"));
     }
-    let mut metas = Vec::new();
-    let mut offset = FILE_HEADER_LEN as u64;
-    loop {
-        let mut bh = [0u8; BLOCK_HEADER_LEN];
-        if !read_exact_or_eof(input, &mut bh, "block header")? {
-            return Ok(metas);
-        }
-        let kind = BlockKind::from_code(bh[0]).ok_or_else(|| invalid("unknown block kind code"))?;
-        let rows = u32::from_le_bytes([bh[4], bh[5], bh[6], bh[7]]);
-        let tag =
-            u64::from_le_bytes([bh[8], bh[9], bh[10], bh[11], bh[12], bh[13], bh[14], bh[15]]);
-        let n_cols = kind.n_cols();
-        let mut len_bytes = [0u8; MAX_COLS * 4];
-        input
-            .read_exact(&mut len_bytes[..n_cols * 4])
-            .map_err(|_| invalid("truncated column length table"))?;
-        let mut payload = 0u64;
-        for i in 0..n_cols {
-            payload += u64::from(u32::from_le_bytes([
-                len_bytes[i * 4],
-                len_bytes[i * 4 + 1],
-                len_bytes[i * 4 + 2],
-                len_bytes[i * 4 + 3],
-            ]));
-        }
-        let total = (BLOCK_HEADER_LEN + n_cols * 4) as u64 + payload;
-        metas.push(BlockMeta { tag, offset, len: total, kind: kind.code(), rows });
-        input.seek(SeekFrom::Current(
-            i64::try_from(payload).map_err(|_| invalid("block payload length overflows"))?,
-        ))?;
-        offset += total;
+    if header[4] != VERSION {
+        return Err(invalid("unsupported .puf version"));
     }
+    if header[5..] != [0, 0, 0] {
+        return Err(invalid("nonzero reserved bytes in .puf header"));
+    }
+    Ok(())
 }
 
-/// Merge several `.puf` files into one, ordering blocks by
-/// `(tag, source offset)` and copying their bytes verbatim.
+/// One block's framing: its header fields and column byte lengths.
+struct BlockFrame {
+    kind: BlockKind,
+    rows: usize,
+    tag: u64,
+    /// Byte length of each column; the first `kind.n_cols()` are used.
+    col_lens: [usize; MAX_COLS],
+    /// Column bytes in all, after the length table.
+    payload: usize,
+}
+
+/// Read and check the next block's header and column length table, leaving
+/// `input` at its column bytes; `Ok(None)` at clean end-of-file.
+fn read_frame<R: Read>(input: &mut R) -> io::Result<Option<BlockFrame>> {
+    let mut header = [0u8; BLOCK_HEADER_LEN];
+    if !read_exact_or_eof(input, &mut header, "block header")? {
+        return Ok(None);
+    }
+    let [code, pad @ .., r0, r1, r2, r3, t0, t1, t2, t3, t4, t5, t6, t7] = header;
+    let kind = BlockKind::from_code(code).ok_or_else(|| invalid("unknown block kind code"))?;
+    if pad != [0, 0, 0] {
+        return Err(invalid("nonzero padding in block header"));
+    }
+    let rows = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
+    let tag = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
+    let n_cols = kind.n_cols();
+    let mut len_bytes = [0u8; MAX_COLS * 4];
+    input
+        .read_exact(&mut len_bytes[..n_cols * 4])
+        .map_err(|_| invalid("truncated column length table"))?;
+    let mut col_lens = [0usize; MAX_COLS];
+    let mut payload = 0usize;
+    for (len, bytes) in col_lens.iter_mut().zip(len_bytes[..n_cols * 4].chunks_exact(4)) {
+        let l = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
+        // A column of `rows` u64 varints can never exceed 10 bytes/row;
+        // a larger claim is corruption and must not drive an allocation.
+        if l > rows * MAX_VARINT_LEN {
+            return Err(invalid("column length exceeds the per-row varint bound"));
+        }
+        *len = l;
+        payload += l;
+    }
+    Ok(Some(BlockFrame { kind, rows, tag, col_lens, payload }))
+}
+
+/// The `(tag, offset, len)` of every block in a `.puf` file — offset of the
+/// block header, whole-block length — found by checking each block's
+/// framing as [`ArchiveReader`] does and seeking over its column bytes: no
+/// row is decoded, so this is O(blocks), not O(rows).  A block that runs
+/// past the end of the file is an error.
+fn scan_blocks<R: Read + Seek>(input: &mut R) -> io::Result<Vec<(u64, u64, u64)>> {
+    let file_len = input.seek(SeekFrom::End(0))?;
+    input.seek(SeekFrom::Start(0))?;
+    read_file_header(input)?;
+    let mut blocks = Vec::new();
+    let mut offset = FILE_HEADER_LEN as u64;
+    while let Some(frame) = read_frame(input)? {
+        let end = offset + (BLOCK_HEADER_LEN + frame.kind.n_cols() * 4 + frame.payload) as u64;
+        if end > file_len {
+            return Err(invalid("truncated column data"));
+        }
+        blocks.push((frame.tag, offset, end - offset));
+        offset = input.seek(SeekFrom::Start(end))?;
+    }
+    Ok(blocks)
+}
+
+/// Merge per-worker spools into one deterministic day archive at `out`,
+/// ordering blocks by `(tag, source offset)` and copying their bytes
+/// verbatim.
 ///
 /// The RCT writes one spool per worker and tags every block with the
 /// session's spec index; since a tag lives entirely in one spool and its
 /// blocks appear there in write order, `(tag, offset)` is a total order
 /// that depends only on the experiment — the merged file is byte-identical
-/// at any worker count (pinned by `tests/telemetry_archive.rs`).
-pub fn merge_archives(inputs: &[PathBuf], out: &Path) -> io::Result<()> {
-    let mut files = Vec::with_capacity(inputs.len());
+/// at any worker count (pinned by `tests/telemetry_archive.rs`).  Every
+/// spool's framing is checked before `out` is created, so a malformed or
+/// truncated spool is an error and writes nothing.
+pub fn merge_spools(spools: &[PathBuf], out: &Path) -> io::Result<()> {
+    let mut files = Vec::with_capacity(spools.len());
     let mut plan: Vec<(u64, u64, usize, u64)> = Vec::new();
-    for (fi, path) in inputs.iter().enumerate() {
+    for (fi, path) in spools.iter().enumerate() {
         let mut f = std::fs::File::open(path)?;
-        for m in scan_block_metas(&mut f)? {
-            plan.push((m.tag, m.offset, fi, m.len));
+        for (tag, offset, len) in scan_blocks(&mut f)? {
+            plan.push((tag, offset, fi, len));
         }
         files.push(f);
     }
@@ -979,15 +965,23 @@ mod tests {
     }
 
     #[test]
-    fn scan_metas_match_written_blocks() {
+    fn scan_finds_written_blocks_and_rejects_a_cut_one() {
         let bytes = write_all(10, 4);
-        let mut cursor = io::Cursor::new(&bytes);
-        let metas = scan_block_metas(&mut cursor).unwrap();
-        // 10 rows at 4/block → 3 blocks per kind.
-        assert_eq!(metas.len(), 9);
-        assert_eq!(metas.iter().map(|m| u64::from(m.rows)).sum::<u64>(), 30);
-        let end = metas.last().map(|m| m.offset + m.len).unwrap();
+        let blocks = scan_blocks(&mut io::Cursor::new(&bytes)).unwrap();
+        // 10 rows at 4/block → 3 blocks per kind, back to back.
+        assert_eq!(blocks.len(), 9);
+        let mut end = FILE_HEADER_LEN as u64;
+        for &(_, offset, len) in &blocks {
+            assert_eq!(offset, end);
+            end += len;
+        }
         assert_eq!(end, bytes.len() as u64);
+        // Every cut inside a block is an error; cuts at block starts are not.
+        for cut in FILE_HEADER_LEN..bytes.len() {
+            let on_boundary = blocks.iter().any(|&(_, offset, _)| offset == cut as u64);
+            let scan = scan_blocks(&mut io::Cursor::new(&bytes[..cut]));
+            assert_eq!(scan.is_ok(), on_boundary, "cut={cut}");
+        }
     }
 
     #[test]
@@ -1013,8 +1007,8 @@ mod tests {
         let b2 = write_spool("b2.puf", &[1, 2, 3]);
         let out_a = dir.join("merged_a.puf");
         let out_b = dir.join("merged_b.puf");
-        merge_archives(&[a1, a2], &out_a).unwrap();
-        merge_archives(&[b1, b2], &out_b).unwrap();
+        merge_spools(&[a1, a2], &out_a).unwrap();
+        merge_spools(&[b1, b2], &out_b).unwrap();
         let bytes_a = std::fs::read(&out_a).unwrap();
         let bytes_b = std::fs::read(&out_b).unwrap();
         assert_eq!(bytes_a, bytes_b, "merge must not depend on the worker split");

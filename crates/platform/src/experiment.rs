@@ -561,7 +561,7 @@ fn merge_archive(
     let day_archive = match &cfg.archive_sink {
         Some(dir) if !archive_failed => {
             let path = dir.join(format!("telemetry_day{day}.puf"));
-            if crate::archive::merge_spools(&spools, &path).is_ok() {
+            if crate::archive_format::merge_spools(&spools, &path).is_ok() {
                 Some(path)
             } else {
                 incidents.push(Incident::on_day(

@@ -48,8 +48,10 @@ pub mod stream;
 pub mod telemetry;
 pub mod user;
 
-pub use archive::{append_incidents, export_csv, merge_spools, TelemetrySpool};
-pub use archive_format::{ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, IncidentRow};
+pub use archive::{append_incidents, export_csv, TelemetrySpool};
+pub use archive_format::{
+    merge_spools, ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, IncidentRow,
+};
 pub use experiment::{run_rct, ConsortCounts, ExperimentConfig, RctResult, SchemeArm};
 pub use faults::{
     incidents_csv, DegradeAction, DivergenceMode, FaultPlan, FaultRates, Incident, IncidentKind,

@@ -66,33 +66,22 @@ fn main() {
     let mut hm_abs_err = 0.0f64;
     let mut ttp_bin_hits = 0usize;
     let mut hm_bin_hits = 0usize;
-    for samples in [eval_data] {
-        // Walk every stream and replay the prediction problem.
-        for step0 in samples.build_samples(&ttp, 0, 0, u32::MAX, f64::INFINITY) {
-            // Reconstruct the pieces: the feature layout ends with the
-            // proposed size; the history throughputs occupy the front.
-            let feat = &step0.features;
-            let hist: Vec<ChunkRecord> = (0..8)
-                .filter(|&i| feat[i] > 0.0)
-                .map(|i| ChunkRecord {
-                    size: f64::from(feat[i]),
-                    transmission_time: f64::from(feat[8 + i]),
-                })
-                .collect();
-            let size = f64::from(*feat.last().unwrap());
-            let truth_bin = step0.target;
+    // Walk every held-out stream and replay each chunk's prediction problem:
+    // the chunks delivered before it, the tcp_info when it was sent, its size.
+    for stream in eval_data.streams() {
+        let mut history: Vec<ChunkRecord> = Vec::new();
+        for obs in stream {
+            let truth_bin = ttp.target_bin(obs.size, obs.transmission_time);
             let truth_time = bins::bin_midpoint(truth_bin);
 
-            let probs = ttp.predict_probs(0, feat);
-            let expected: f64 =
-                probs.iter().enumerate().map(|(b, &p)| f64::from(p) * bins::bin_midpoint(b)).sum();
+            let expected = ttp.expected_time(0, &history, &obs.tcp_info, obs.size);
             ttp_abs_err += (expected - truth_time).abs();
             if bins::bin_index(expected) == truth_bin {
                 ttp_bin_hits += 1;
             }
 
-            let hm_time = match HarmonicMean.predict(&hist) {
-                Some(tput) => size / tput,
+            let hm_time = match HarmonicMean.predict(&history) {
+                Some(tput) => obs.size / tput,
                 None => 1.0,
             };
             hm_abs_err += (hm_time.min(30.0) - truth_time).abs();
@@ -100,6 +89,7 @@ fn main() {
                 hm_bin_hits += 1;
             }
             n += 1;
+            history.push(ChunkRecord { size: obs.size, transmission_time: obs.transmission_time });
         }
     }
     println!("  {} held-out predictions", n);

@@ -11,8 +11,8 @@ use puffer_repro::platform::telemetry::{
     VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
 use puffer_repro::platform::{
-    export_csv, run_rct, run_session, ArchiveReader, ArchiveWriter, ExperimentConfig, FaultPlan,
-    SchemeSpec, StreamConfig, UserModel,
+    export_csv, merge_spools, run_rct, run_session, ArchiveReader, ArchiveWriter, ExperimentConfig,
+    FaultPlan, SchemeSpec, StreamConfig, UserModel,
 };
 use puffer_repro::trace::TraceBank;
 use rand::rngs::StdRng;
@@ -252,6 +252,66 @@ fn binary_archive_renders_the_exact_csv_bytes() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A spool cut short is an error for the day merge, which then writes no
+/// archive: the merge checks every block's framing against its file's end
+/// before copying a byte, as the reader would.
+#[test]
+fn truncated_spool_fails_the_merge() {
+    let dir = std::env::temp_dir().join(format!("puf_merge_cut_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = StdRng::seed_from_u64(23);
+    let streams: Vec<StreamTelemetry> = (0..2).map(|_| random_telemetry(&mut rng, 30)).collect();
+    let bytes = write_archive(&streams, 16);
+    let (whole, cut) = (dir.join("whole.puf"), dir.join("cut.puf"));
+    std::fs::write(&whole, &bytes).unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() - 20]).unwrap();
+
+    let out = dir.join("day.puf");
+    merge_spools(std::slice::from_ref(&whole), &out).unwrap();
+    assert_eq!(std::fs::read(&out).unwrap(), bytes, "one whole spool merges to itself");
+    std::fs::remove_file(&out).unwrap();
+    assert!(merge_spools(&[whole, cut], &out).is_err(), "a truncated spool must fail the merge");
+    assert!(!out.exists(), "a failed merge writes no archive");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed export — here a 200-row `.puf` of 16-row blocks cut to two
+/// thirds — leaves no CSV behind, and an earlier export of the same day in
+/// the same directory keeps its bytes.
+#[test]
+fn failed_export_leaves_no_partial_csvs() {
+    let base = std::env::temp_dir().join(format!("puf_export_cut_{}", std::process::id()));
+    let (good_dir, fresh_dir) = (base.join("good"), base.join("fresh"));
+    std::fs::create_dir_all(&base).unwrap();
+    let mut rng = StdRng::seed_from_u64(29);
+    let bytes = write_archive(&[random_telemetry(&mut rng, 200)], 16);
+    let (whole, cut) = (base.join("whole.puf"), base.join("cut.puf"));
+    std::fs::write(&whole, &bytes).unwrap();
+    std::fs::write(&cut, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    let listing = |dir: &std::path::Path| -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+
+    assert_eq!(export_csv(&whole, &good_dir, 0).unwrap().len(), 3);
+    let good = listing(&good_dir);
+    assert_eq!(good.len(), 3);
+    assert!(export_csv(&cut, &good_dir, 0).is_err());
+    assert_eq!(listing(&good_dir), good, "a failed export clobbered the earlier one");
+    assert!(export_csv(&cut, &fresh_dir, 0).is_err());
+    assert_eq!(listing(&fresh_dir), vec![], "a failed export left files behind");
+
+    std::fs::remove_dir_all(&base).ok();
 }
 
 /// The RCT archive sink is deterministic in the thread count: the merged
