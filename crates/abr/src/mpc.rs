@@ -70,7 +70,6 @@ use crate::{Abr, AbrContext, ChunkRecord, HORIZON};
 use puffer_media::qoe::{chunk_qoe, LAMBDA, MU};
 use puffer_media::{ChunkMenu, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Buffer levels both planners discretize `[0, MAX_BUFFER_SECONDS]` into
 /// (§4.4: "it discretizes Bᵢ into bins").
@@ -322,17 +321,11 @@ impl MpcScratch {
 }
 
 /// MPC-HM (and RobustMPC-HM with `robust = true`).
-///
-/// A custom throughput predictor — e.g. the CS2P-style Markov model — can be
-/// plugged in with [`Mpc::with_custom_predictor`], reproducing the paper's
-/// description of CS2P and Oboe as "better throughput predictors that inform
-/// the same control strategy (MPC)" (§2).
 #[derive(Clone)]
 pub struct Mpc {
     /// Apply RobustMPC's error discount to the predictor.
     robust: bool,
     predictor: RobustDiscount<HarmonicMean>,
-    custom: Option<Arc<dyn ThroughputPredictor + Send + Sync>>,
     /// Planner tables reused across decisions (planning is allocation-free
     /// after the first chunk).  Not per-stream state: every entry is fully
     /// rewritten by each plan, so `reset_stream` leaves it alone.
@@ -342,52 +335,32 @@ pub struct Mpc {
 
 impl std::fmt::Debug for Mpc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mpc")
-            .field("robust", &self.robust)
-            .field("name", &self.name)
-            .field("custom_predictor", &self.custom.is_some())
-            .finish()
+        f.debug_struct("Mpc").field("robust", &self.robust).field("name", &self.name).finish()
     }
 }
 
 impl Mpc {
-    fn build(
-        robust: bool,
-        custom: Option<Arc<dyn ThroughputPredictor + Send + Sync>>,
-        name: &'static str,
-    ) -> Self {
+    fn build(robust: bool, name: &'static str) -> Self {
         Mpc {
             robust,
             predictor: RobustDiscount::new(HarmonicMean),
-            custom,
             scratch: MpcScratch::new(),
             name,
         }
     }
 
-    /// MPC with a custom throughput predictor (e.g. [`crate::Cs2pModel`]) in
-    /// place of the harmonic mean.
-    pub fn with_custom_predictor(
-        predictor: Arc<dyn ThroughputPredictor + Send + Sync>,
-        name: &'static str,
-    ) -> Self {
-        Mpc::build(false, Some(predictor), name)
-    }
-
     /// The paper's MPC-HM.
     pub fn mpc_hm() -> Self {
-        Mpc::build(false, None, "MPC-HM")
+        Mpc::build(false, "MPC-HM")
     }
 
     /// The paper's RobustMPC-HM.
     pub fn robust_mpc_hm() -> Self {
-        Mpc::build(true, None, "RobustMPC-HM")
+        Mpc::build(true, "RobustMPC-HM")
     }
 
     fn predict(&self, ctx: &AbrContext) -> f64 {
-        let p = if let Some(custom) = &self.custom {
-            custom.predict(ctx.history)
-        } else if self.robust {
+        let p = if self.robust {
             self.predictor.predict(ctx.history)
         } else {
             HarmonicMean.predict(ctx.history)

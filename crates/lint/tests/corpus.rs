@@ -44,9 +44,8 @@ const GATED: &[(Option<&str>, &str)] = &[
     (Some("StochasticMpc"), "plan_with"),
     (Some("Mpc"), "plan_with"),
     (Some("Ttp"), "predict_time_distributions_batched_into"),
-    (Some("ArchiveWriter"), "push_sent"),
-    (Some("ArchiveWriter"), "push_acked"),
-    (Some("ArchiveWriter"), "push_buffer"),
+    (Some("ArchiveWriter"), "push"),
+    (Some("ArchiveReader"), "next_block"),
     (Some("Matrix"), "matmul_into_with"),
     (None, "train_one_net"),
 ];

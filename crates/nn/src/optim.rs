@@ -26,24 +26,17 @@ pub trait Optimizer {
     fn step(&mut self, params: &mut [f32], grads: &[f32], slot: usize);
 }
 
-/// Stochastic gradient descent with classical momentum and optional L2
-/// weight decay.
+/// Stochastic gradient descent with classical momentum.
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+        Sgd { lr, momentum, velocity: Vec::new() }
     }
 
     // lint: panic-free — the while loop above extends velocity to cover slot before indexing
@@ -66,9 +59,8 @@ impl Sgd {
 /// arithmetic (every `mul_add` is the one correctly-rounded fused op either
 /// way), so the dispatch is bitwise unobservable.
 #[inline(always)]
-fn sgd_update(params: &mut [f32], grads: &[f32], vel: &mut [f32], lr: f32, momentum: f32, wd: f32) {
+fn sgd_update(params: &mut [f32], grads: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
     for ((p, &g), v) in params.iter_mut().zip(grads).zip(vel.iter_mut()) {
-        let g = wd.mul_add(*p, g);
         *v = momentum.mul_add(*v, g);
         *p = (-lr).mul_add(*v, *p);
     }
@@ -77,31 +69,24 @@ fn sgd_update(params: &mut [f32], grads: &[f32], vel: &mut [f32], lr: f32, momen
 /// [`sgd_update`] compiled with the FMA instruction available.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "fma")]
-fn sgd_update_fma(
-    params: &mut [f32],
-    grads: &[f32],
-    vel: &mut [f32],
-    lr: f32,
-    momentum: f32,
-    wd: f32,
-) {
-    sgd_update(params, grads, vel, lr, momentum, wd)
+fn sgd_update_fma(params: &mut [f32], grads: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
+    sgd_update(params, grads, vel, lr, momentum)
 }
 
 impl Optimizer for Sgd {
     // lint: panic-free — the entry assert pins params/grads pairing; the update loop zips equal-length slices
     fn step(&mut self, params: &mut [f32], grads: &[f32], slot: usize) {
         assert_eq!(params.len(), grads.len());
-        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
+        let (lr, momentum) = (self.lr, self.momentum);
         let vel = self.slot_state(slot, params.len());
         #[cfg(target_arch = "x86_64")]
         if crate::matrix::cpu_features().fma {
             // SAFETY: runtime detection found FMA, which is the only
             // feature `sgd_update_fma` enables.
-            unsafe { sgd_update_fma(params, grads, vel, lr, momentum, wd) };
+            unsafe { sgd_update_fma(params, grads, vel, lr, momentum) };
             return;
         }
-        sgd_update(params, grads, vel, lr, momentum, wd);
+        sgd_update(params, grads, vel, lr, momentum);
     }
 }
 
@@ -112,7 +97,6 @@ pub struct Adam {
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: i32,
     m: Vec<Vec<f32>>,
     v: Vec<Vec<f32>>,
@@ -120,21 +104,7 @@ pub struct Adam {
 
 impl Adam {
     pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Advance the shared timestep.  Call once per optimization step, before
@@ -172,12 +142,10 @@ fn adam_update(
     b1: f32,
     b2: f32,
     eps: f32,
-    wd: f32,
     bc1: f32,
     bc2: f32,
 ) {
     for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m.iter_mut()).zip(v.iter_mut()) {
-        let g = wd.mul_add(*p, g);
         *m = b1.mul_add(*m, (1.0 - b1) * g);
         *v = b2.mul_add(*v, (1.0 - b2) * g * g);
         let mhat = *m / bc1;
@@ -199,11 +167,10 @@ fn adam_update_fma(
     b1: f32,
     b2: f32,
     eps: f32,
-    wd: f32,
     bc1: f32,
     bc2: f32,
 ) {
-    adam_update(params, grads, m, v, lr, b1, b2, eps, wd, bc1, bc2)
+    adam_update(params, grads, m, v, lr, b1, b2, eps, bc1, bc2)
 }
 
 impl Optimizer for Adam {
@@ -214,7 +181,7 @@ impl Optimizer for Adam {
             self.t += 1;
         }
         let t = self.t.max(1);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let bc1 = 1.0 - b1.powi(t);
         let bc2 = 1.0 - b2.powi(t);
         let (m, v) = self.state(slot, params.len());
@@ -222,10 +189,10 @@ impl Optimizer for Adam {
         if crate::matrix::cpu_features().fma {
             // SAFETY: runtime detection found FMA, which is the only
             // feature `adam_update_fma` enables.
-            unsafe { adam_update_fma(params, grads, m, v, lr, b1, b2, eps, wd, bc1, bc2) };
+            unsafe { adam_update_fma(params, grads, m, v, lr, b1, b2, eps, bc1, bc2) };
             return;
         }
-        adam_update(params, grads, m, v, lr, b1, b2, eps, wd, bc1, bc2);
+        adam_update(params, grads, m, v, lr, b1, b2, eps, bc1, bc2);
     }
 }
 
@@ -259,17 +226,6 @@ mod tests {
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         assert!((minimize(&mut opt, 500) - 3.0).abs() < 1e-2);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        // With zero gradient, weight decay should pull params toward zero.
-        let mut opt = Sgd::new(0.1, 0.0).with_weight_decay(0.5);
-        let mut p = [10.0f32];
-        for _ in 0..100 {
-            opt.step(&mut p, &[0.0], 0);
-        }
-        assert!(p[0].abs() < 1.0);
     }
 
     #[test]

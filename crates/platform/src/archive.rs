@@ -80,7 +80,7 @@ fn write_csvs<R: std::io::Read>(
         rows[0] += block.video_sent.len() as u64;
         rows[1] += block.video_acked.len() as u64;
         rows[2] += block.client_buffer.len() as u64;
-        incidents.extend(block.incidents.iter().filter_map(Incident::from_row));
+        incidents.extend_from_slice(&block.incidents);
     }
     for out in [&mut sent, &mut acked, &mut buffer] {
         out.flush()?;
@@ -160,7 +160,7 @@ pub fn append_incidents(path: &Path, incidents: &[crate::faults::Incident]) -> s
     let mut w = ArchiveWriter::new(Vec::new())?;
     w.set_tag(u64::MAX)?;
     for inc in incidents {
-        w.push_incident(&inc.to_row())?;
+        w.push(inc)?;
     }
     let bytes = w.finish()?;
     let mut f = std::fs::OpenOptions::new().append(true).open(path)?;

@@ -6,15 +6,16 @@
 //! bottleneck: a `video_sent` row is ~90 text bytes and must be re-parsed
 //! float-by-float on every analysis pass.  `.puf` is the compact,
 //! append-only on-disk form of the same three measurements
-//! (`video_sent`, `video_acked`, `client_buffer`), designed so that
+//! (`video_sent`, `video_acked`, `client_buffer`), plus the day's
+//! degradation incidents, designed so that
 //!
 //! * writing is **streaming and allocation-free** in steady state — the
 //!   RCT's `archive_sink` spills telemetry as sessions finish, never holding
 //!   a day's rows in RAM (one partially-filled block per measurement kind is
 //!   the peak), and
-//! * reading is **streaming** — [`ArchiveReader`] yields one decoded block
-//!   at a time into reused buffers, so a ≥1M-stream-hour analysis runs in
-//!   bounded memory, and
+//! * reading is **streaming and allocation-free** in steady state —
+//!   [`ArchiveReader`] yields one decoded block at a time into buffers it
+//!   keeps, so a ≥1M-stream-hour analysis runs in bounded memory, and
 //! * the bytes are **deterministic** — a fixed little-endian layout with no
 //!   timestamps, padding guaranteed zero, and a block-merge rule
 //!   ([`merge_spools`]) keyed only on experiment-level tags, so the same
@@ -27,29 +28,30 @@
 //!
 //! ```text
 //! file   := magic "PUF!" (4) | version u8 (=1) | reserved [0u8; 3] | block*
-//! block  := kind u8 | pad [0u8; 3] | rows u32 | tag u64     — 16 bytes
+//! block  := kind u8 | pad [0u8; 3] | rows u32 (> 0) | tag u64   — 16 bytes
 //!         | col_len u32 × n_cols(kind)
 //!         | col_bytes × n_cols(kind)
 //! ```
 //!
-//! `kind` selects the measurement ([`BlockKind`]) and fixes the column
-//! count and order (the struct field order of
-//! [`VideoSent`]/[`VideoAcked`]/[`ClientBuffer`]).  `tag` groups blocks
-//! belonging to one logical unit (the RCT uses the session's spec index);
-//! writers flush pending rows on tag change so a block never spans tags.
+//! `kind` selects the row type ([`BlockKind`]) and fixes the column count;
+//! the row type's [`PufRow`] codec fixes the column order.  `tag` groups
+//! blocks belonging to one logical unit (the RCT uses the session's spec
+//! index); writers flush pending rows on tag change so a block never spans
+//! tags.
 //!
 //! ## Column encoding
 //!
-//! Every cell is first mapped to a `u64` *word*: `f64` via `to_bits` (so
-//! round-trips are bit-exact, NaNs and `-0.0` included), `u64`/`u32` as-is,
-//! and [`BufferEvent`] via its stable wire code.  A column is then the
-//! LEB128 varint of each word XORed with its predecessor (predecessor starts
-//! at 0 for each column of each block).  XOR-prev needs no wrapping
-//! arithmetic and collapses near-constant columns (`stream_id`, `expt_id`,
-//! `min_rtt`…) to one byte per row; monotone timestamps keep their low bits
-//! short.  See `docs/ARCHIVE.md` for the full specification and measured
-//! size/throughput vs the CSV dump.
+//! Every cell is first mapped to a `u64` *word* by its row's codec: `f64`
+//! via `to_bits` (so round-trips are bit-exact, NaNs and `-0.0` included),
+//! `u64`/`u32` as-is, and enums via their stable wire code.  A column is
+//! then the LEB128 varint of each word XORed with its predecessor
+//! (predecessor starts at 0 for each column of each block).  XOR-prev needs
+//! no wrapping arithmetic and collapses near-constant columns (`stream_id`,
+//! `expt_id`, `min_rtt`…) to one byte per row; monotone timestamps keep
+//! their low bits short.  See `docs/ARCHIVE.md` for the full specification
+//! and measured size/throughput vs the CSV dump.
 
+use crate::faults::{DegradeAction, Incident, IncidentKind};
 use crate::telemetry::{BufferEvent, ClientBuffer, StreamTelemetry, VideoAcked, VideoSent};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -69,70 +71,196 @@ const MAX_COLS: usize = 11;
 /// Worst-case varint length of a u64 word.
 const MAX_VARINT_LEN: usize = 10;
 
-/// Which measurement a block holds.  The discriminants are wire values and
+/// Which row type a block holds.  The discriminants are wire values and
 /// must never be renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum BlockKind {
     /// `video_sent` rows, 11 columns.
-    VideoSent,
+    VideoSent = 0,
     /// `video_acked` rows, 5 columns.
-    VideoAcked,
+    VideoAcked = 1,
     /// `client_buffer` rows, 6 columns.
-    ClientBuffer,
-    /// Degradation-incident rows (`crate::faults::Incident`), 6 columns.
-    Incident,
+    ClientBuffer = 2,
+    /// Degradation-incident rows ([`Incident`]), 6 columns.
+    Incident = 3,
 }
 
 impl BlockKind {
+    /// Every kind, in wire-code order.
+    const ALL: [BlockKind; 4] =
+        [BlockKind::VideoSent, BlockKind::VideoAcked, BlockKind::ClientBuffer, BlockKind::Incident];
+
     /// Wire code of the kind (block header byte 0).
     pub fn code(self) -> u8 {
-        match self {
-            BlockKind::VideoSent => 0,
-            BlockKind::VideoAcked => 1,
-            BlockKind::ClientBuffer => 2,
-            BlockKind::Incident => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`BlockKind::code`]; `None` for codes v1 does not define.
     pub fn from_code(code: u8) -> Option<BlockKind> {
-        match code {
-            0 => Some(BlockKind::VideoSent),
-            1 => Some(BlockKind::VideoAcked),
-            2 => Some(BlockKind::ClientBuffer),
-            3 => Some(BlockKind::Incident),
-            _ => None,
-        }
+        BlockKind::ALL.get(usize::from(code)).copied()
     }
 
     /// Number of columns a block of this kind carries.
-    pub fn n_cols(self) -> usize {
+    pub const fn n_cols(self) -> usize {
         match self {
             BlockKind::VideoSent => 11,
             BlockKind::VideoAcked => 5,
-            BlockKind::ClientBuffer => 6,
-            BlockKind::Incident => 6,
+            BlockKind::ClientBuffer | BlockKind::Incident => 6,
         }
     }
 }
 
-/// One degradation-incident row in wire form: the six numeric columns of an
-/// [`BlockKind::Incident`] block.  `crate::faults::Incident` converts to and
-/// from this raw representation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IncidentRow {
-    /// Simulated day.
-    pub day: u64,
-    /// Arm index (`u32::MAX` = none).
-    pub arm: u64,
-    /// Session index within the day (`u64::MAX` = none).
-    pub session: u64,
-    /// `IncidentKind` wire code.
-    pub kind: u64,
-    /// `DegradeAction` wire code.
-    pub action: u64,
-    /// Kind-specific detail value.
-    pub value: u64,
+/// The codec of a row type stored in `.puf` blocks: its [`BlockKind`], its
+/// `COLS` words in column order, and the checked inverse.  Each row type's
+/// column order is written here and nowhere else.
+///
+/// The impls below mark `from_words` `#[inline]`: the reader calls it once
+/// per row from generic code compiled in the caller's crate, where an
+/// out-of-line call decoded `client_buffer` blocks at half speed.
+pub trait PufRow<const COLS: usize>: Sized {
+    /// The kind of the blocks that hold rows of this type.
+    const KIND: BlockKind;
+
+    /// The row's cells as words, in column order.
+    fn words(&self) -> [u64; COLS];
+
+    /// Rebuild a row from its words.  A word the field cannot hold — a
+    /// `u32` column above 32 bits, a wire code no variant carries — is an
+    /// [`io::ErrorKind::InvalidData`] error.
+    fn from_words(words: [u64; COLS]) -> io::Result<Self>;
+}
+
+impl PufRow<11> for VideoSent {
+    const KIND: BlockKind = BlockKind::VideoSent;
+
+    fn words(&self) -> [u64; 11] {
+        [
+            self.time.to_bits(),
+            self.stream_id,
+            u64::from(self.expt_id),
+            self.video_ts,
+            self.size.to_bits(),
+            self.ssim_index.to_bits(),
+            self.cwnd.to_bits(),
+            self.in_flight.to_bits(),
+            self.min_rtt.to_bits(),
+            self.rtt.to_bits(),
+            self.delivery_rate.to_bits(),
+        ]
+    }
+
+    #[inline]
+    fn from_words(w: [u64; 11]) -> io::Result<VideoSent> {
+        let [time, stream_id, expt_id, video_ts, size, ssim, cwnd, in_flight, min_rtt, rtt, rate] =
+            w;
+        Ok(VideoSent {
+            time: f64::from_bits(time),
+            stream_id,
+            expt_id: narrow_u32(expt_id)?,
+            video_ts,
+            size: f64::from_bits(size),
+            ssim_index: f64::from_bits(ssim),
+            cwnd: f64::from_bits(cwnd),
+            in_flight: f64::from_bits(in_flight),
+            min_rtt: f64::from_bits(min_rtt),
+            rtt: f64::from_bits(rtt),
+            delivery_rate: f64::from_bits(rate),
+        })
+    }
+}
+
+impl PufRow<5> for VideoAcked {
+    const KIND: BlockKind = BlockKind::VideoAcked;
+
+    fn words(&self) -> [u64; 5] {
+        [
+            self.time.to_bits(),
+            self.stream_id,
+            u64::from(self.expt_id),
+            self.video_ts,
+            self.size.to_bits(),
+        ]
+    }
+
+    #[inline]
+    fn from_words([time, stream_id, expt_id, video_ts, size]: [u64; 5]) -> io::Result<VideoAcked> {
+        Ok(VideoAcked {
+            time: f64::from_bits(time),
+            stream_id,
+            expt_id: narrow_u32(expt_id)?,
+            video_ts,
+            size: f64::from_bits(size),
+        })
+    }
+}
+
+impl PufRow<6> for ClientBuffer {
+    const KIND: BlockKind = BlockKind::ClientBuffer;
+
+    fn words(&self) -> [u64; 6] {
+        [
+            self.time.to_bits(),
+            self.stream_id,
+            u64::from(self.expt_id),
+            u64::from(self.event.code()),
+            self.buffer.to_bits(),
+            self.cum_rebuf.to_bits(),
+        ]
+    }
+
+    #[inline]
+    fn from_words(
+        [time, stream_id, expt_id, event, buffer, cum_rebuf]: [u64; 6],
+    ) -> io::Result<ClientBuffer> {
+        Ok(ClientBuffer {
+            time: f64::from_bits(time),
+            stream_id,
+            expt_id: narrow_u32(expt_id)?,
+            event: wire_code(event, BufferEvent::from_code, "unknown client_buffer event code")?,
+            buffer: f64::from_bits(buffer),
+            cum_rebuf: f64::from_bits(cum_rebuf),
+        })
+    }
+}
+
+impl PufRow<6> for Incident {
+    const KIND: BlockKind = BlockKind::Incident;
+
+    fn words(&self) -> [u64; 6] {
+        [
+            u64::from(self.day),
+            u64::from(self.arm),
+            self.session,
+            u64::from(self.kind.code()),
+            u64::from(self.action.code()),
+            self.value,
+        ]
+    }
+
+    #[inline]
+    fn from_words([day, arm, session, kind, action, value]: [u64; 6]) -> io::Result<Incident> {
+        Ok(Incident {
+            day: narrow_u32(day)?,
+            arm: narrow_u32(arm)?,
+            session,
+            kind: wire_code(kind, IncidentKind::from_code, "unknown incident kind code")?,
+            action: wire_code(action, DegradeAction::from_code, "unknown incident action code")?,
+            value,
+        })
+    }
+}
+
+/// Narrow a decoded word to the struct's `u32` field, rejecting corrupt
+/// values instead of truncating them.
+fn narrow_u32(word: u64) -> io::Result<u32> {
+    u32::try_from(word).map_err(|_| invalid("u32 column value exceeds 32 bits"))
+}
+
+/// Map a decoded word back to its enum through `from_code`; a word that is
+/// no defined wire code is `InvalidData` with `msg`.
+fn wire_code<T>(word: u64, from_code: impl Fn(u8) -> Option<T>, msg: &str) -> io::Result<T> {
+    u8::try_from(word).ok().and_then(from_code).ok_or_else(|| invalid(msg))
 }
 
 fn invalid(msg: &str) -> io::Error {
@@ -175,54 +303,45 @@ fn read_varint(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
 }
 
 /// Encode `words` as an XOR-prev varint column into `buf` (cleared first).
-fn encode_column<I: Iterator<Item = u64>>(buf: &mut Vec<u8>, words: I) {
+fn encode_column(buf: &mut Vec<u8>, words: &[u64]) {
     buf.clear();
     let mut prev = 0u64;
-    for w in words {
+    for &w in words {
         push_varint(buf, w ^ prev);
         prev = w;
     }
 }
 
-/// Decode an XOR-prev varint column of exactly `rows` words into `out`
-/// (cleared first).  Trailing bytes are a format error.
-fn decode_column(bytes: &[u8], rows: usize, out: &mut Vec<u64>) -> io::Result<()> {
-    out.clear();
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    for _ in 0..rows {
-        prev ^= read_varint(bytes, &mut pos)?;
-        out.push(prev);
-    }
-    if pos != bytes.len() {
-        return Err(invalid("column has trailing bytes after the last row"));
-    }
-    Ok(())
-}
-
 /// Streaming `.puf` writer.
 ///
-/// Rows arrive via [`ArchiveWriter::push_sent`] / `push_acked` /
-/// `push_buffer` (or a whole stream at once via
-/// [`ArchiveWriter::add_stream`]) and are buffered per kind until a block
-/// fills ([`DEFAULT_BLOCK_ROWS`] rows) or the tag changes, then encoded into
-/// reused column buffers and written out.  After construction the steady
-/// state allocates nothing per row (pinned by the `tests/alloc_gate.rs`
-/// `archive_writer_steady_state_is_allocation_free` gate).
+/// Rows arrive via [`ArchiveWriter::push`] (or a whole stream at once via
+/// [`ArchiveWriter::add_stream`]) and are buffered as words per kind until
+/// a block fills ([`DEFAULT_BLOCK_ROWS`] rows) or the tag changes, then
+/// encoded into reused column buffers and written out.  After construction
+/// the steady state allocates nothing per row (pinned by the
+/// `tests/alloc_gate.rs` `archive_writer_steady_state_is_allocation_free`
+/// gate).
 #[derive(Debug)]
 pub struct ArchiveWriter<W: Write> {
     out: W,
     block_rows: usize,
     tag: u64,
-    pending_sent: Vec<VideoSent>,
-    pending_acked: Vec<VideoAcked>,
-    pending_buffer: Vec<ClientBuffer>,
-    pending_incidents: Vec<IncidentRow>,
+    /// Each kind's rows since its last block, indexed by wire code.
+    pending: [PendingBlock; 4],
     /// Reused per-column encode buffers, sized for the worst case
     /// (`block_rows` × [`MAX_VARINT_LEN`] bytes) at construction.
     cols: [Vec<u8>; MAX_COLS],
     blocks_written: u64,
     rows_written: u64,
+}
+
+/// One kind's rows since its last block.
+#[derive(Debug)]
+struct PendingBlock {
+    rows: usize,
+    /// Column-major words: column `c` of row `r` is at `c·block_rows + r`;
+    /// sized to `block_rows` rows of the kind's columns at construction.
+    words: Vec<u64>,
 }
 
 impl<W: Write> ArchiveWriter<W> {
@@ -240,15 +359,14 @@ impl<W: Write> ArchiveWriter<W> {
         header[..4].copy_from_slice(&MAGIC);
         header[4] = VERSION;
         out.write_all(&header)?;
+        let pending = BlockKind::ALL
+            .map(|kind| PendingBlock { rows: 0, words: vec![0; block_rows * kind.n_cols()] });
         let cols = std::array::from_fn(|_| Vec::with_capacity(block_rows * MAX_VARINT_LEN));
         Ok(ArchiveWriter {
             out,
             block_rows,
             tag: 0,
-            pending_sent: Vec::with_capacity(block_rows),
-            pending_acked: Vec::with_capacity(block_rows),
-            pending_buffer: Vec::with_capacity(block_rows),
-            pending_incidents: Vec::new(),
+            pending,
             cols,
             blocks_written: 0,
             rows_written: 0,
@@ -265,46 +383,18 @@ impl<W: Write> ArchiveWriter<W> {
         Ok(())
     }
 
-    /// Buffer one `video_sent` row (flushes a block when full).
+    /// Buffer one row's words in its kind's pending block (writes the block
+    /// out when full).
     // lint-root: alloc-free
-    // lint: alloc-free — pending_sent is reserved to block_rows at construction and drained at that size; push never reallocates
-    pub fn push_sent(&mut self, row: &VideoSent) -> io::Result<()> {
-        self.pending_sent.push(*row);
-        if self.pending_sent.len() == self.block_rows {
-            self.flush_sent()?;
+    pub fn push<const COLS: usize, R: PufRow<COLS>>(&mut self, row: &R) -> io::Result<()> {
+        const { assert!(R::KIND.n_cols() == COLS, "a codec's width must match its kind") };
+        let block = &mut self.pending[R::KIND as usize];
+        for (col, word) in block.words.chunks_exact_mut(self.block_rows).zip(row.words()) {
+            col[block.rows] = word;
         }
-        Ok(())
-    }
-
-    /// Buffer one `video_acked` row (flushes a block when full).
-    // lint-root: alloc-free
-    // lint: alloc-free — pending_acked is reserved to block_rows at construction and drained at that size; push never reallocates
-    pub fn push_acked(&mut self, row: &VideoAcked) -> io::Result<()> {
-        self.pending_acked.push(*row);
-        if self.pending_acked.len() == self.block_rows {
-            self.flush_acked()?;
-        }
-        Ok(())
-    }
-
-    /// Buffer one `client_buffer` row (flushes a block when full).
-    // lint-root: alloc-free
-    // lint: alloc-free — pending_buffer is reserved to block_rows at construction and drained at that size; push never reallocates
-    pub fn push_buffer(&mut self, row: &ClientBuffer) -> io::Result<()> {
-        self.pending_buffer.push(*row);
-        if self.pending_buffer.len() == self.block_rows {
-            self.flush_buffer()?;
-        }
-        Ok(())
-    }
-
-    /// Buffer one degradation-incident row (flushes a block when full).
-    /// Off the hot path: incidents are rare supervision events, appended
-    /// once per day after the workers finish.
-    pub fn push_incident(&mut self, row: &IncidentRow) -> io::Result<()> {
-        self.pending_incidents.push(*row);
-        if self.pending_incidents.len() == self.block_rows {
-            self.flush_incidents()?;
+        block.rows += 1;
+        if block.rows == self.block_rows {
+            self.flush(R::KIND)?;
         }
         Ok(())
     }
@@ -312,13 +402,13 @@ impl<W: Write> ArchiveWriter<W> {
     /// Buffer every row of one stream's telemetry under the current tag.
     pub fn add_stream(&mut self, t: &StreamTelemetry) -> io::Result<()> {
         for d in &t.video_sent {
-            self.push_sent(d)?;
+            self.push(d)?;
         }
         for d in &t.video_acked {
-            self.push_acked(d)?;
+            self.push(d)?;
         }
         for d in &t.client_buffer {
-            self.push_buffer(d)?;
+            self.push(d)?;
         }
         Ok(())
     }
@@ -330,105 +420,38 @@ impl<W: Write> ArchiveWriter<W> {
 
     /// Flush all pending rows as (possibly short) blocks.
     fn flush_pending(&mut self) -> io::Result<()> {
-        self.flush_sent()?;
-        self.flush_acked()?;
-        self.flush_buffer()?;
-        self.flush_incidents()
+        BlockKind::ALL.into_iter().try_for_each(|kind| self.flush(kind))
     }
 
-    /// Write one block's framing: header, then the column length table, then
-    /// the first `n_cols` encode buffers.
-    fn write_block(&mut self, kind: BlockKind, rows: usize) -> io::Result<()> {
-        let n_cols = kind.n_cols();
+    /// Write `kind`'s pending rows as one block — header, column length
+    /// table, encoded columns — and empty it.  No pending rows, no block.
+    fn flush(&mut self, kind: BlockKind) -> io::Result<()> {
+        let block = &mut self.pending[kind as usize];
+        if block.rows == 0 {
+            return Ok(());
+        }
+        let cols = &mut self.cols[..kind.n_cols()];
+        for (col, words) in cols.iter_mut().zip(block.words.chunks_exact(self.block_rows)) {
+            encode_column(col, &words[..block.rows]);
+        }
         let mut header = [0u8; BLOCK_HEADER_LEN];
         header[0] = kind.code();
-        header[4..8].copy_from_slice(&(rows as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&(block.rows as u32).to_le_bytes());
         header[8..16].copy_from_slice(&self.tag.to_le_bytes());
         self.out.write_all(&header)?;
         let mut lens = [0u8; MAX_COLS * 4];
-        for (i, col) in self.cols[..n_cols].iter().enumerate() {
-            let len = u32::try_from(col.len()).expect("column shorter than 10 bytes/row");
-            lens[i * 4..i * 4 + 4].copy_from_slice(&len.to_le_bytes());
+        for (len, col) in lens.chunks_exact_mut(4).zip(cols.iter()) {
+            let n = u32::try_from(col.len()).expect("column shorter than 10 bytes/row");
+            len.copy_from_slice(&n.to_le_bytes());
         }
-        self.out.write_all(&lens[..n_cols * 4])?;
-        for col in &self.cols[..n_cols] {
+        self.out.write_all(&lens[..cols.len() * 4])?;
+        for col in cols.iter() {
             self.out.write_all(col)?;
         }
         self.blocks_written += 1;
-        self.rows_written += rows as u64;
+        self.rows_written += block.rows as u64;
+        block.rows = 0;
         Ok(())
-    }
-
-    fn flush_sent(&mut self) -> io::Result<()> {
-        if self.pending_sent.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.pending_sent);
-        encode_column(&mut self.cols[0], rows.iter().map(|d| d.time.to_bits()));
-        encode_column(&mut self.cols[1], rows.iter().map(|d| d.stream_id));
-        encode_column(&mut self.cols[2], rows.iter().map(|d| u64::from(d.expt_id)));
-        encode_column(&mut self.cols[3], rows.iter().map(|d| d.video_ts));
-        encode_column(&mut self.cols[4], rows.iter().map(|d| d.size.to_bits()));
-        encode_column(&mut self.cols[5], rows.iter().map(|d| d.ssim_index.to_bits()));
-        encode_column(&mut self.cols[6], rows.iter().map(|d| d.cwnd.to_bits()));
-        encode_column(&mut self.cols[7], rows.iter().map(|d| d.in_flight.to_bits()));
-        encode_column(&mut self.cols[8], rows.iter().map(|d| d.min_rtt.to_bits()));
-        encode_column(&mut self.cols[9], rows.iter().map(|d| d.rtt.to_bits()));
-        encode_column(&mut self.cols[10], rows.iter().map(|d| d.delivery_rate.to_bits()));
-        let n = rows.len();
-        self.pending_sent = rows;
-        self.pending_sent.clear();
-        self.write_block(BlockKind::VideoSent, n)
-    }
-
-    fn flush_acked(&mut self) -> io::Result<()> {
-        if self.pending_acked.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.pending_acked);
-        encode_column(&mut self.cols[0], rows.iter().map(|d| d.time.to_bits()));
-        encode_column(&mut self.cols[1], rows.iter().map(|d| d.stream_id));
-        encode_column(&mut self.cols[2], rows.iter().map(|d| u64::from(d.expt_id)));
-        encode_column(&mut self.cols[3], rows.iter().map(|d| d.video_ts));
-        encode_column(&mut self.cols[4], rows.iter().map(|d| d.size.to_bits()));
-        let n = rows.len();
-        self.pending_acked = rows;
-        self.pending_acked.clear();
-        self.write_block(BlockKind::VideoAcked, n)
-    }
-
-    fn flush_buffer(&mut self) -> io::Result<()> {
-        if self.pending_buffer.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.pending_buffer);
-        encode_column(&mut self.cols[0], rows.iter().map(|d| d.time.to_bits()));
-        encode_column(&mut self.cols[1], rows.iter().map(|d| d.stream_id));
-        encode_column(&mut self.cols[2], rows.iter().map(|d| u64::from(d.expt_id)));
-        encode_column(&mut self.cols[3], rows.iter().map(|d| u64::from(d.event.code())));
-        encode_column(&mut self.cols[4], rows.iter().map(|d| d.buffer.to_bits()));
-        encode_column(&mut self.cols[5], rows.iter().map(|d| d.cum_rebuf.to_bits()));
-        let n = rows.len();
-        self.pending_buffer = rows;
-        self.pending_buffer.clear();
-        self.write_block(BlockKind::ClientBuffer, n)
-    }
-
-    fn flush_incidents(&mut self) -> io::Result<()> {
-        if self.pending_incidents.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.pending_incidents);
-        encode_column(&mut self.cols[0], rows.iter().map(|d| d.day));
-        encode_column(&mut self.cols[1], rows.iter().map(|d| d.arm));
-        encode_column(&mut self.cols[2], rows.iter().map(|d| d.session));
-        encode_column(&mut self.cols[3], rows.iter().map(|d| d.kind));
-        encode_column(&mut self.cols[4], rows.iter().map(|d| d.action));
-        encode_column(&mut self.cols[5], rows.iter().map(|d| d.value));
-        let n = rows.len();
-        self.pending_incidents = rows;
-        self.pending_incidents.clear();
-        self.write_block(BlockKind::Incident, n)
     }
 
     /// Flush any pending rows and return the inner writer (callers flush it).
@@ -440,10 +463,10 @@ impl<W: Write> ArchiveWriter<W> {
 
 /// One decoded block, owned by the reader and reused across
 /// [`ArchiveReader::next_block`] calls.  Only the `Vec` matching
-/// [`DecodedBlock::kind`] is populated; the other two are empty.
+/// [`DecodedBlock::kind`] is populated; the other three are empty.
 #[derive(Debug, Default)]
 pub struct DecodedBlock {
-    /// Measurement kind of this block.
+    /// Row type of this block.
     pub kind: Option<BlockKind>,
     /// Writer-assigned group tag (the RCT uses the session's spec index).
     pub tag: u64,
@@ -454,24 +477,28 @@ pub struct DecodedBlock {
     /// Decoded `client_buffer` rows (empty unless `kind` says so).
     pub client_buffer: Vec<ClientBuffer>,
     /// Decoded incident rows (empty unless `kind` says so).
-    pub incidents: Vec<IncidentRow>,
+    pub incidents: Vec<Incident>,
 }
 
 /// Streaming `.puf` reader.
 ///
 /// Validates the file header at construction, then yields one block at a
-/// time via [`ArchiveReader::next_block`], decoding into buffers reused
+/// time via [`ArchiveReader::next_block`], decoding into buffers kept
 /// across calls — memory stays bounded by the largest single block no
-/// matter the file size.  Every malformed input (bad magic, unknown
-/// version or kind, nonzero padding, truncation mid-block, trailing or
-/// overrunning column bytes) is an [`io::ErrorKind::InvalidData`] error,
-/// never a panic; clean EOF at a block boundary ends iteration.
+/// matter the file size, and a block no larger than one already read
+/// allocates nothing (pinned by the `tests/alloc_gate.rs`
+/// `archive_reader_steady_state_is_allocation_free` gate).  Every
+/// malformed input (bad magic, unknown version or kind, nonzero padding, a
+/// zero-row block, truncation mid-block, trailing or overrunning column
+/// bytes, a word its field cannot hold) is an
+/// [`io::ErrorKind::InvalidData`] error, never a panic; clean EOF at a
+/// block boundary ends iteration.
 #[derive(Debug)]
 pub struct ArchiveReader<R: Read> {
     input: R,
     block: DecodedBlock,
+    /// The current block's column bytes.
     raw: Vec<u8>,
-    words: Vec<u64>,
     /// Set after an error or clean EOF so further calls yield `None`.
     done: bool,
 }
@@ -480,18 +507,13 @@ impl<R: Read> ArchiveReader<R> {
     /// Read and validate the 8-byte file header.
     pub fn new(mut input: R) -> io::Result<ArchiveReader<R>> {
         read_file_header(&mut input)?;
-        Ok(ArchiveReader {
-            input,
-            block: DecodedBlock::default(),
-            raw: Vec::new(),
-            words: Vec::new(),
-            done: false,
-        })
+        Ok(ArchiveReader { input, block: DecodedBlock::default(), raw: Vec::new(), done: false })
     }
 
     /// Decode the next block, or `Ok(None)` at clean end-of-file.  The
     /// returned reference borrows the reader's reused buffers and is valid
     /// until the next call.
+    // lint-root: alloc-free
     pub fn next_block(&mut self) -> io::Result<Option<&DecodedBlock>> {
         if self.done {
             return Ok(None);
@@ -511,122 +533,65 @@ impl<R: Read> ArchiveReader<R> {
 
     /// Read one block into `self.block`.  `Ok(false)` means clean EOF.
     fn read_block(&mut self) -> io::Result<bool> {
-        let Some(BlockFrame { kind, rows, tag, col_lens, payload }) = read_frame(&mut self.input)?
-        else {
+        let Some(frame) = read_frame(&mut self.input)? else {
             return Ok(false);
         };
-        let n_cols = kind.n_cols();
-        self.raw.resize(payload, 0);
+        // lint: alloc-free — raw keeps its capacity across blocks and grows only for a block larger than any before
+        self.raw.resize(frame.payload, 0);
         self.input.read_exact(&mut self.raw).map_err(|_| invalid("truncated column data"))?;
-
-        self.block.kind = Some(kind);
-        self.block.tag = tag;
-        self.block.video_sent.clear();
-        self.block.video_acked.clear();
-        self.block.client_buffer.clear();
-        self.block.incidents.clear();
-        match kind {
-            BlockKind::VideoSent => {
-                let mut cols: [Vec<u64>; 11] = std::array::from_fn(|_| Vec::new());
-                self.decode_cols(rows, &col_lens[..n_cols], &mut cols)?;
-                #[allow(clippy::needless_range_loop)] // r indexes parallel columns
-                for r in 0..rows {
-                    self.block.video_sent.push(VideoSent {
-                        time: f64::from_bits(cols[0][r]),
-                        stream_id: cols[1][r],
-                        expt_id: narrow_u32(cols[2][r])?,
-                        video_ts: cols[3][r],
-                        size: f64::from_bits(cols[4][r]),
-                        ssim_index: f64::from_bits(cols[5][r]),
-                        cwnd: f64::from_bits(cols[6][r]),
-                        in_flight: f64::from_bits(cols[7][r]),
-                        min_rtt: f64::from_bits(cols[8][r]),
-                        rtt: f64::from_bits(cols[9][r]),
-                        delivery_rate: f64::from_bits(cols[10][r]),
-                    });
-                }
-            }
-            BlockKind::VideoAcked => {
-                let mut cols: [Vec<u64>; 5] = std::array::from_fn(|_| Vec::new());
-                self.decode_cols(rows, &col_lens[..n_cols], &mut cols)?;
-                #[allow(clippy::needless_range_loop)] // r indexes parallel columns
-                for r in 0..rows {
-                    self.block.video_acked.push(VideoAcked {
-                        time: f64::from_bits(cols[0][r]),
-                        stream_id: cols[1][r],
-                        expt_id: narrow_u32(cols[2][r])?,
-                        video_ts: cols[3][r],
-                        size: f64::from_bits(cols[4][r]),
-                    });
-                }
-            }
-            BlockKind::ClientBuffer => {
-                let mut cols: [Vec<u64>; 6] = std::array::from_fn(|_| Vec::new());
-                self.decode_cols(rows, &col_lens[..n_cols], &mut cols)?;
-                #[allow(clippy::needless_range_loop)] // r indexes parallel columns
-                for r in 0..rows {
-                    let code = narrow_u32(cols[3][r])?;
-                    let code = u8::try_from(code)
-                        .ok()
-                        .and_then(BufferEvent::from_code)
-                        .ok_or_else(|| invalid("unknown client_buffer event code"))?;
-                    self.block.client_buffer.push(ClientBuffer {
-                        time: f64::from_bits(cols[0][r]),
-                        stream_id: cols[1][r],
-                        expt_id: narrow_u32(cols[2][r])?,
-                        event: code,
-                        buffer: f64::from_bits(cols[4][r]),
-                        cum_rebuf: f64::from_bits(cols[5][r]),
-                    });
-                }
-            }
-            BlockKind::Incident => {
-                let mut cols: [Vec<u64>; 6] = std::array::from_fn(|_| Vec::new());
-                self.decode_cols(rows, &col_lens[..n_cols], &mut cols)?;
-                #[allow(clippy::needless_range_loop)] // r indexes parallel columns
-                for r in 0..rows {
-                    self.block.incidents.push(IncidentRow {
-                        day: cols[0][r],
-                        arm: cols[1][r],
-                        session: cols[2][r],
-                        kind: cols[3][r],
-                        action: cols[4][r],
-                        value: cols[5][r],
-                    });
-                }
-            }
-        }
+        let (raw, lens, rows) = (&self.raw[..], &frame.col_lens, frame.rows);
+        let b = &mut self.block;
+        b.kind = Some(frame.kind);
+        b.tag = frame.tag;
+        b.video_sent.clear();
+        b.video_acked.clear();
+        b.client_buffer.clear();
+        b.incidents.clear();
+        match frame.kind {
+            BlockKind::VideoSent => decode_rows(raw, lens, rows, &mut b.video_sent),
+            BlockKind::VideoAcked => decode_rows(raw, lens, rows, &mut b.video_acked),
+            BlockKind::ClientBuffer => decode_rows(raw, lens, rows, &mut b.client_buffer),
+            BlockKind::Incident => decode_rows(raw, lens, rows, &mut b.incidents),
+        }?;
         Ok(true)
-    }
-
-    /// Decode each column's raw slice into per-column word vectors.
-    fn decode_cols<const N: usize>(
-        &mut self,
-        rows: usize,
-        lens: &[usize],
-        cols: &mut [Vec<u64>; N],
-    ) -> io::Result<()> {
-        let mut offset = 0usize;
-        for (i, col) in cols.iter_mut().enumerate() {
-            let bytes = &self.raw[offset..offset + lens[i]];
-            offset += lens[i];
-            decode_column(bytes, rows, &mut self.words)?;
-            std::mem::swap(col, &mut self.words);
-        }
-        Ok(())
     }
 }
 
-/// Narrow a decoded word to the struct's `u32` field, rejecting corrupt
-/// values instead of truncating them.
-fn narrow_u32(word: u64) -> io::Result<u32> {
-    u32::try_from(word).map_err(|_| invalid("u32 column value exceeds 32 bits"))
+/// Decode `rows` rows of `R` from a block's column bytes `raw` (column `c`
+/// is the next `lens[c]` bytes), reading the columns' XOR-prev varints in
+/// lockstep, and append them to `out`.  Bytes left in a column after the
+/// last row are a format error.
+fn decode_rows<const COLS: usize, R: PufRow<COLS>>(
+    raw: &[u8],
+    lens: &[usize; MAX_COLS],
+    rows: usize,
+    out: &mut Vec<R>,
+) -> io::Result<()> {
+    const { assert!(R::KIND.n_cols() == COLS, "a codec's width must match its kind") };
+    let mut cols = [raw; COLS];
+    let mut rest = raw;
+    for (col, &len) in cols.iter_mut().zip(lens) {
+        (*col, rest) = rest.split_at(len);
+    }
+    let mut pos = [0usize; COLS];
+    let mut words = [0u64; COLS];
+    for _ in 0..rows {
+        for ((word, col), pos) in words.iter_mut().zip(&cols).zip(&mut pos) {
+            *word ^= read_varint(col, pos)?;
+        }
+        // lint: alloc-free — `out` is one of the reader's row vectors, which keep their capacity across blocks
+        out.push(R::from_words(words)?);
+    }
+    if cols.iter().zip(pos).any(|(col, pos)| pos != col.len()) {
+        return Err(invalid("column has trailing bytes after the last row"));
+    }
+    Ok(())
 }
 
 /// Read exactly `buf.len()` bytes; `Ok(false)` on EOF *before any byte*,
-/// an `InvalidData` error on EOF mid-read (truncation), `Ok(true)` on
+/// an `InvalidData` error `msg` on EOF mid-read (truncation), `Ok(true)` on
 /// success.
-fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8], what: &str) -> io::Result<bool> {
+fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8], msg: &str) -> io::Result<bool> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match input.read(&mut buf[filled..]) {
@@ -634,7 +599,7 @@ fn read_exact_or_eof<R: Read>(input: &mut R, buf: &mut [u8], what: &str) -> io::
                 if filled == 0 {
                     return Ok(false);
                 }
-                return Err(invalid(&format!("truncated {what}")));
+                return Err(invalid(msg));
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -675,7 +640,7 @@ struct BlockFrame {
 /// `input` at its column bytes; `Ok(None)` at clean end-of-file.
 fn read_frame<R: Read>(input: &mut R) -> io::Result<Option<BlockFrame>> {
     let mut header = [0u8; BLOCK_HEADER_LEN];
-    if !read_exact_or_eof(input, &mut header, "block header")? {
+    if !read_exact_or_eof(input, &mut header, "truncated block header")? {
         return Ok(None);
     }
     let [code, pad @ .., r0, r1, r2, r3, t0, t1, t2, t3, t4, t5, t6, t7] = header;
@@ -684,6 +649,9 @@ fn read_frame<R: Read>(input: &mut R) -> io::Result<Option<BlockFrame>> {
         return Err(invalid("nonzero padding in block header"));
     }
     let rows = u32::from_le_bytes([r0, r1, r2, r3]) as usize;
+    if rows == 0 {
+        return Err(invalid("zero-row block"));
+    }
     let tag = u64::from_le_bytes([t0, t1, t2, t3, t4, t5, t6, t7]);
     let n_cols = kind.n_cols();
     let mut len_bytes = [0u8; MAX_COLS * 4];
@@ -809,9 +777,9 @@ mod tests {
     fn write_all(rows: u64, block_rows: usize) -> Vec<u8> {
         let mut w = ArchiveWriter::with_block_rows(Vec::new(), block_rows).unwrap();
         for i in 0..rows {
-            w.push_sent(&sent(i)).unwrap();
-            w.push_acked(&acked(i)).unwrap();
-            w.push_buffer(&buffer(i)).unwrap();
+            w.push(&sent(i)).unwrap();
+            w.push(&acked(i)).unwrap();
+            w.push(&buffer(i)).unwrap();
         }
         w.finish().unwrap()
     }
@@ -865,7 +833,7 @@ mod tests {
         row.rtt = f64::INFINITY;
         row.min_rtt = f64::MIN_POSITIVE / 2.0; // subnormal
         let mut w = ArchiveWriter::new(Vec::new()).unwrap();
-        w.push_sent(&row).unwrap();
+        w.push(&row).unwrap();
         let bytes = w.finish().unwrap();
         let mut r = ArchiveReader::new(&bytes[..]).unwrap();
         let block = r.next_block().unwrap().unwrap();
@@ -874,6 +842,30 @@ mod tests {
         assert_eq!(got.size.to_bits(), row.size.to_bits());
         assert_eq!(got.rtt.to_bits(), row.rtt.to_bits());
         assert_eq!(got.min_rtt.to_bits(), row.min_rtt.to_bits());
+    }
+
+    #[test]
+    fn incidents_round_trip_through_their_block() {
+        let incidents = [
+            Incident::on_session(
+                0,
+                1,
+                7,
+                IncidentKind::SessionPanic,
+                DegradeAction::Quarantined,
+                2,
+            ),
+            Incident::on_day(1, IncidentKind::ArchiveIo, DegradeAction::CsvOnly, 0),
+        ];
+        let mut w = ArchiveWriter::new(Vec::new()).unwrap();
+        for inc in &incidents {
+            w.push(inc).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        let mut r = ArchiveReader::new(&bytes[..]).unwrap();
+        let block = r.next_block().unwrap().unwrap();
+        assert_eq!(block.kind, Some(BlockKind::Incident));
+        assert_eq!(block.incidents, incidents);
     }
 
     #[test]
@@ -902,9 +894,9 @@ mod tests {
     fn tag_change_flushes_and_stamps_blocks() {
         let mut w = ArchiveWriter::new(Vec::new()).unwrap();
         w.set_tag(7).unwrap();
-        w.push_sent(&sent(0)).unwrap();
+        w.push(&sent(0)).unwrap();
         w.set_tag(9).unwrap();
-        w.push_sent(&sent(1)).unwrap();
+        w.push(&sent(1)).unwrap();
         let bytes = w.finish().unwrap();
         let mut r = ArchiveReader::new(&bytes[..]).unwrap();
         let tags: Vec<u64> =
@@ -955,7 +947,7 @@ mod tests {
     #[test]
     fn oversized_column_claim_is_rejected_before_allocation() {
         let mut w = ArchiveWriter::new(Vec::new()).unwrap();
-        w.push_sent(&sent(0)).unwrap();
+        w.push(&sent(0)).unwrap();
         let mut bytes = w.finish().unwrap();
         // Claim 4 GiB-ish for column 0 of a 1-row block.
         let len_at = FILE_HEADER_LEN + BLOCK_HEADER_LEN;
@@ -995,7 +987,7 @@ mod tests {
                     .unwrap();
             for &t in tags {
                 w.set_tag(t).unwrap();
-                w.push_sent(&sent(t)).unwrap();
+                w.push(&sent(t)).unwrap();
             }
             w.finish().unwrap().flush().unwrap();
             path

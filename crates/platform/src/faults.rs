@@ -36,56 +36,50 @@ pub const NO_ARM: u32 = u32::MAX;
 /// `session` column value for incidents not tied to one session.
 pub const NO_SESSION: u64 = u64::MAX;
 
-/// What failed.  The discriminant codes are wire values (they appear in
-/// `.puf` incident blocks) and must never be renumbered.
+/// What failed.  The discriminants are wire codes (`.puf` incident block
+/// column 3) and must never be renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum IncidentKind {
     /// A session panicked mid-run (injected or real) and was quarantined.
-    SessionPanic,
+    SessionPanic = 0,
     /// A stream carried non-finite (NaN/Inf) training features.
-    BadTelemetry,
+    BadTelemetry = 1,
     /// A nightly retrain attempt failed the validation gate.
-    RetrainRejected,
+    RetrainRejected = 2,
     /// A rejected retrain's bounded retry passed the gate and was swapped in.
-    RetrainRecovered,
+    RetrainRecovered = 3,
     /// An arm was flagged for retraining but carries no TTP.
-    RetrainSkipped,
+    RetrainSkipped = 4,
     /// A freshly retrained checkpoint failed to reload (truncated on disk).
-    CheckpointTruncated,
+    CheckpointTruncated = 5,
     /// The archive sink hit an I/O error; the day has no `.puf` archive.
-    ArchiveIo,
+    ArchiveIo = 6,
     /// An arm's serving model was unavailable for a day.
-    ModelUnavailable,
+    ModelUnavailable = 7,
 }
 
 impl IncidentKind {
+    /// Every kind, in wire-code order.
+    const ALL: [IncidentKind; 8] = [
+        IncidentKind::SessionPanic,
+        IncidentKind::BadTelemetry,
+        IncidentKind::RetrainRejected,
+        IncidentKind::RetrainRecovered,
+        IncidentKind::RetrainSkipped,
+        IncidentKind::CheckpointTruncated,
+        IncidentKind::ArchiveIo,
+        IncidentKind::ModelUnavailable,
+    ];
+
     /// Wire code (`.puf` incident block column 3).
     pub fn code(self) -> u8 {
-        match self {
-            IncidentKind::SessionPanic => 0,
-            IncidentKind::BadTelemetry => 1,
-            IncidentKind::RetrainRejected => 2,
-            IncidentKind::RetrainRecovered => 3,
-            IncidentKind::RetrainSkipped => 4,
-            IncidentKind::CheckpointTruncated => 5,
-            IncidentKind::ArchiveIo => 6,
-            IncidentKind::ModelUnavailable => 7,
-        }
+        self as u8
     }
 
     /// Inverse of [`IncidentKind::code`].
     pub fn from_code(code: u8) -> Option<IncidentKind> {
-        match code {
-            0 => Some(IncidentKind::SessionPanic),
-            1 => Some(IncidentKind::BadTelemetry),
-            2 => Some(IncidentKind::RetrainRejected),
-            3 => Some(IncidentKind::RetrainRecovered),
-            4 => Some(IncidentKind::RetrainSkipped),
-            5 => Some(IncidentKind::CheckpointTruncated),
-            6 => Some(IncidentKind::ArchiveIo),
-            7 => Some(IncidentKind::ModelUnavailable),
-            _ => None,
-        }
+        IncidentKind::ALL.get(usize::from(code)).copied()
     }
 
     /// Stable name used in `incidents.csv`.
@@ -103,64 +97,56 @@ impl IncidentKind {
     }
 }
 
-/// How the supervision layer degraded.  Codes are wire values like
-/// [`IncidentKind`]'s.
+/// How the supervision layer degraded.  The discriminants are wire codes
+/// (`.puf` incident block column 4), like [`IncidentKind`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[repr(u8)]
 pub enum DegradeAction {
     /// Session excluded from every statistic, archive, and the dataset.
-    Quarantined,
+    Quarantined = 0,
     /// Stream's observations dropped from the training dataset.
-    ObservationsDropped,
+    ObservationsDropped = 1,
     /// Rejected attempt triggered the one bounded retry.
-    RetriedTraining,
+    RetriedTraining = 2,
     /// Final attempt rejected; the incumbent snapshot keeps serving.
-    RolledBack,
+    RolledBack = 3,
     /// The retry passed the gate and was swapped in.
-    RetrySucceeded,
+    RetrySucceeded = 4,
     /// The freshly trained model was discarded; the incumbent keeps serving.
-    KeptIncumbent,
+    KeptIncumbent = 5,
     /// The day's telemetry exists only as in-memory/CSV rows, no `.puf`.
-    CsvOnly,
+    CsvOnly = 6,
     /// The arm served its frozen day-0 snapshot.
-    ServedFrozen,
+    ServedFrozen = 7,
     /// The arm fell all the way back to BBA.
-    ServedBba,
+    ServedBba = 8,
     /// The nightly loop skipped the arm.
-    SkippedRetrain,
+    SkippedRetrain = 9,
 }
 
 impl DegradeAction {
+    /// Every action, in wire-code order.
+    const ALL: [DegradeAction; 10] = [
+        DegradeAction::Quarantined,
+        DegradeAction::ObservationsDropped,
+        DegradeAction::RetriedTraining,
+        DegradeAction::RolledBack,
+        DegradeAction::RetrySucceeded,
+        DegradeAction::KeptIncumbent,
+        DegradeAction::CsvOnly,
+        DegradeAction::ServedFrozen,
+        DegradeAction::ServedBba,
+        DegradeAction::SkippedRetrain,
+    ];
+
     /// Wire code (`.puf` incident block column 4).
     pub fn code(self) -> u8 {
-        match self {
-            DegradeAction::Quarantined => 0,
-            DegradeAction::ObservationsDropped => 1,
-            DegradeAction::RetriedTraining => 2,
-            DegradeAction::RolledBack => 3,
-            DegradeAction::RetrySucceeded => 4,
-            DegradeAction::KeptIncumbent => 5,
-            DegradeAction::CsvOnly => 6,
-            DegradeAction::ServedFrozen => 7,
-            DegradeAction::ServedBba => 8,
-            DegradeAction::SkippedRetrain => 9,
-        }
+        self as u8
     }
 
     /// Inverse of [`DegradeAction::code`].
     pub fn from_code(code: u8) -> Option<DegradeAction> {
-        match code {
-            0 => Some(DegradeAction::Quarantined),
-            1 => Some(DegradeAction::ObservationsDropped),
-            2 => Some(DegradeAction::RetriedTraining),
-            3 => Some(DegradeAction::RolledBack),
-            4 => Some(DegradeAction::RetrySucceeded),
-            5 => Some(DegradeAction::KeptIncumbent),
-            6 => Some(DegradeAction::CsvOnly),
-            7 => Some(DegradeAction::ServedFrozen),
-            8 => Some(DegradeAction::ServedBba),
-            9 => Some(DegradeAction::SkippedRetrain),
-            _ => None,
-        }
+        DegradeAction::ALL.get(usize::from(code)).copied()
     }
 
     /// Stable name used in `incidents.csv`.
@@ -181,8 +167,9 @@ impl DegradeAction {
 }
 
 /// One degradation event.  All fields are numeric so incidents serialize
-/// losslessly into the columnar `.puf` incident block; `incidents.csv`
-/// renders the same record with stable kind/action names.
+/// losslessly into the columnar `.puf` incident block (its codec is in
+/// `archive_format`); `incidents.csv` renders the same record with stable
+/// kind/action names.
 ///
 /// `value` is kind-specific detail: the chunk decisions a panicked session
 /// made before it unwound, the observation count for dropped telemetry, the gate
@@ -237,30 +224,6 @@ impl Incident {
         value: u64,
     ) -> Incident {
         Incident { day, arm: arm as u32, session: session as u64, kind, action, value }
-    }
-
-    /// Wire form for the `.puf` incident block.
-    pub fn to_row(self) -> crate::archive_format::IncidentRow {
-        crate::archive_format::IncidentRow {
-            day: u64::from(self.day),
-            arm: u64::from(self.arm),
-            session: self.session,
-            kind: u64::from(self.kind.code()),
-            action: u64::from(self.action.code()),
-            value: self.value,
-        }
-    }
-
-    /// Decode a wire row; `None` if any coded field is out of range.
-    pub fn from_row(row: &crate::archive_format::IncidentRow) -> Option<Incident> {
-        Some(Incident {
-            day: u32::try_from(row.day).ok()?,
-            arm: u32::try_from(row.arm).ok()?,
-            session: row.session,
-            kind: IncidentKind::from_code(u8::try_from(row.kind).ok()?)?,
-            action: DegradeAction::from_code(u8::try_from(row.action).ok()?)?,
-            value: row.value,
-        })
     }
 
     fn csv_row(&self, out: &mut String) {

@@ -50,7 +50,7 @@ pub mod user;
 
 pub use archive::{append_incidents, export_csv, TelemetrySpool};
 pub use archive_format::{
-    merge_spools, ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, IncidentRow,
+    merge_spools, ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, PufRow,
 };
 pub use experiment::{run_rct, ConsortCounts, ExperimentConfig, RctResult, SchemeArm};
 pub use faults::{

@@ -55,21 +55,28 @@ pub struct VideoAcked {
     pub size: f64,
 }
 
-/// Event type of a `client_buffer` datum.
+/// Event type of a `client_buffer` datum.  The discriminants are the stable
+/// wire codes of the binary archive (`docs/ARCHIVE.md`): part of the `.puf`
+/// v1 format, never to be renumbered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum BufferEvent {
     /// Periodic report (the client reports every quarter second; we emit one
     /// per chunk arrival to bound volume).
-    Periodic,
+    Periodic = 0,
     /// Playback started.
-    Startup,
+    Startup = 1,
     /// The player entered rebuffering.
-    Rebuffer,
+    Rebuffer = 2,
     /// The player resumed after rebuffering.
-    Play,
+    Play = 3,
 }
 
 impl BufferEvent {
+    /// Every event, in wire-code order.
+    const ALL: [BufferEvent; 4] =
+        [BufferEvent::Periodic, BufferEvent::Startup, BufferEvent::Rebuffer, BufferEvent::Play];
+
     pub fn name(self) -> &'static str {
         match self {
             BufferEvent::Periodic => "periodic",
@@ -79,27 +86,15 @@ impl BufferEvent {
         }
     }
 
-    /// Stable wire code used by the binary archive (`docs/ARCHIVE.md`).
-    /// Codes are part of the `.puf` v1 format and must never be renumbered.
+    /// Stable wire code used by the binary archive: the discriminant.
     pub fn code(self) -> u8 {
-        match self {
-            BufferEvent::Periodic => 0,
-            BufferEvent::Startup => 1,
-            BufferEvent::Rebuffer => 2,
-            BufferEvent::Play => 3,
-        }
+        self as u8
     }
 
     /// Inverse of [`BufferEvent::code`]; `None` for codes outside the v1
     /// format (the archive reader turns that into a decode error).
     pub fn from_code(code: u8) -> Option<BufferEvent> {
-        match code {
-            0 => Some(BufferEvent::Periodic),
-            1 => Some(BufferEvent::Startup),
-            2 => Some(BufferEvent::Rebuffer),
-            3 => Some(BufferEvent::Play),
-            _ => None,
-        }
+        BufferEvent::ALL.get(usize::from(code)).copied()
     }
 }
 

@@ -686,7 +686,7 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
             let &(stall, watch) = &population[rng.random_range(0..population.len())];
             let arm = rng.random_range(0..2u32);
             let stream_id = i * 1000;
-            w.push_buffer(&ClientBuffer {
+            w.push(&ClientBuffer {
                 time: 0.0,
                 stream_id,
                 expt_id: arm,
@@ -694,7 +694,7 @@ fn cmd_power_analysis(flags: BTreeMap<String, String>) -> ExitCode {
                 buffer: 0.0,
                 cum_rebuf: 0.0,
             })?;
-            w.push_buffer(&ClientBuffer {
+            w.push(&ClientBuffer {
                 time: watch,
                 stream_id,
                 expt_id: arm,

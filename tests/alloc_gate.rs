@@ -22,8 +22,10 @@ use puffer_repro::abr::{AbrContext, ChunkRecord};
 use puffer_repro::media::{ChunkMenu, ChunkOption, CHUNK_SECONDS};
 use puffer_repro::net::TcpInfo;
 use puffer_repro::nn::{Activation, Mlp, Scaler};
-use puffer_repro::platform::telemetry::{BufferEvent, ClientBuffer, VideoAcked, VideoSent};
-use puffer_repro::platform::ArchiveWriter;
+use puffer_repro::platform::telemetry::{
+    BufferEvent, ClientBuffer, StreamTelemetry, VideoAcked, VideoSent,
+};
+use puffer_repro::platform::{ArchiveReader, ArchiveWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -205,16 +207,8 @@ fn ttp_batched_predict_into_is_allocation_free() {
     }
 }
 
-/// The `.puf` archive writer's steady state: zero heap operations to push a
-/// full block of every measurement kind — including the implicit flush that
-/// encodes the columns and emits the block.  All scratch (pending rows and
-/// per-column varint buffers) is sized up-front in `with_block_rows`, so
-/// spilling a day of telemetry costs the RCT loop no allocations per row.
-#[test]
-fn archive_writer_steady_state_is_allocation_free() {
-    const BLOCK_ROWS: usize = 256;
-    let mut w = ArchiveWriter::with_block_rows(std::io::sink(), BLOCK_ROWS).unwrap();
-    let sent = |i: usize| VideoSent {
+fn sent_row(i: usize) -> VideoSent {
+    VideoSent {
         time: i as f64 * 2.002,
         stream_id: 41_000,
         expt_id: 3,
@@ -226,39 +220,93 @@ fn archive_writer_steady_state_is_allocation_free() {
         min_rtt: 0.043,
         rtt: 0.051,
         delivery_rate: 1.4e6,
-    };
-    let acked = |i: usize| VideoAcked {
+    }
+}
+
+fn acked_row(i: usize) -> VideoAcked {
+    VideoAcked {
         time: i as f64 * 2.002 + 0.08,
         stream_id: 41_000,
         expt_id: 3,
         video_ts: i as u64 * 180_180,
         size: 350_000.0 + 11.0 * i as f64,
-    };
-    let buffer = |i: usize| ClientBuffer {
+    }
+}
+
+fn buffer_row(i: usize) -> ClientBuffer {
+    ClientBuffer {
         time: i as f64 * 2.002 + 0.1,
         stream_id: 41_000,
         expt_id: 3,
         event: BufferEvent::Periodic,
         buffer: 8.5,
         cum_rebuf: 0.25,
-    };
+    }
+}
+
+/// The `.puf` archive writer's steady state: zero heap operations to push a
+/// full block of every measurement kind — including the implicit flush that
+/// emits the block.  All scratch (each kind's per-column varint buffers) is
+/// sized up-front in `with_block_rows`, so spilling a day of telemetry
+/// costs the RCT loop no allocations per row.
+#[test]
+fn archive_writer_steady_state_is_allocation_free() {
+    const BLOCK_ROWS: usize = 256;
+    let mut w = ArchiveWriter::with_block_rows(std::io::sink(), BLOCK_ROWS).unwrap();
 
     // Warm: one full block of each kind, flushed on the wrap-around push.
     for i in 0..=BLOCK_ROWS {
-        w.push_sent(&sent(i)).unwrap();
-        w.push_acked(&acked(i)).unwrap();
-        w.push_buffer(&buffer(i)).unwrap();
+        w.push(&sent_row(i)).unwrap();
+        w.push(&acked_row(i)).unwrap();
+        w.push(&buffer_row(i)).unwrap();
     }
 
     let ops = heap_ops_in(|| {
         for i in 0..BLOCK_ROWS {
-            w.push_sent(&sent(i)).unwrap();
-            w.push_acked(&acked(i)).unwrap();
-            w.push_buffer(&buffer(i)).unwrap();
+            w.push(&sent_row(i)).unwrap();
+            w.push(&acked_row(i)).unwrap();
+            w.push(&buffer_row(i)).unwrap();
         }
     });
     assert_eq!(ops, 0, "ArchiveWriter allocated in steady state");
     assert!(w.written().1 >= 3 * BLOCK_ROWS as u64, "blocks actually flushed");
+}
+
+/// The `.puf` archive reader's steady state: zero heap operations to decode
+/// a block no larger than one it has already read.  The column bytes and
+/// each row kind's vector are kept across blocks, so folding a
+/// ≥1M-stream-hour archive block by block costs no allocation per block.
+#[test]
+fn archive_reader_steady_state_is_allocation_free() {
+    const BLOCK_ROWS: usize = 256;
+    let mut t = StreamTelemetry::default();
+    for i in 0..BLOCK_ROWS {
+        t.video_sent.push(sent_row(i));
+        t.video_acked.push(acked_row(i));
+        t.client_buffer.push(buffer_row(i));
+    }
+    // Eight sessions, each one full block of every kind.
+    let mut w = ArchiveWriter::with_block_rows(Vec::new(), BLOCK_ROWS).unwrap();
+    for tag in 0..8 {
+        w.set_tag(tag).unwrap();
+        w.add_stream(&t).unwrap();
+    }
+    let bytes = w.finish().unwrap();
+    let mut r = ArchiveReader::new(bytes.as_slice()).unwrap();
+
+    // Warm: the first session's block of each kind.
+    for _ in 0..3 {
+        r.next_block().unwrap().expect("a warm-up block");
+    }
+
+    let mut rows = 0;
+    let ops = heap_ops_in(|| {
+        while let Some(block) = r.next_block().unwrap() {
+            rows += block.video_sent.len() + block.video_acked.len() + block.client_buffer.len();
+        }
+    });
+    assert_eq!(ops, 0, "ArchiveReader allocated in steady state");
+    assert_eq!(rows, 7 * 3 * BLOCK_ROWS, "every later block decoded");
 }
 
 /// The training minibatch step: zero heap operations *per epoch* on a warm

@@ -278,6 +278,69 @@ fn truncated_spool_fails_the_merge() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A block claiming zero rows is malformed: the reader and the day merge
+/// both reject it, and the merge writes no archive.
+#[test]
+fn zero_row_block_fails_the_reader_and_the_merge() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut bytes = write_archive(&[random_telemetry(&mut rng, 5)], 16);
+    // A `video_sent` block header with rows = 0, then eleven zero column
+    // lengths and no column bytes.
+    bytes.extend_from_slice(&[0u8; 16 + 11 * 4]);
+    let mut reader = ArchiveReader::new(bytes.as_slice()).unwrap();
+    let err = loop {
+        match reader.next_block() {
+            Ok(Some(_)) => {}
+            Ok(None) => panic!("the zero-row block was accepted"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+
+    let dir = std::env::temp_dir().join(format!("puf_zero_rows_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (spool, out) = (dir.join("spool.puf"), dir.join("day.puf"));
+    std::fs::write(&spool, &bytes).unwrap();
+    assert!(merge_spools(&[spool], &out).is_err(), "a zero-row block must fail the merge");
+    assert!(!out.exists(), "a failed merge writes no archive");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-built incident block of two rows: a session panic, then a row
+/// whose kind code (99) no incident kind carries.  Each of its six columns
+/// is two one-byte varints.
+fn bad_incident_block() -> Vec<u8> {
+    let mut block = vec![3, 0, 0, 0];
+    block.extend_from_slice(&2u32.to_le_bytes());
+    block.extend_from_slice(&u64::MAX.to_le_bytes());
+    for _ in 0..6 {
+        block.extend_from_slice(&2u32.to_le_bytes());
+    }
+    for col in 0..6 {
+        block.extend_from_slice(&[0, if col == 3 { 99 } else { 0 }]);
+    }
+    block
+}
+
+/// An incident row with an undefined kind code fails the export instead of
+/// being dropped from `incidents_<day>.csv`, and the failed export leaves
+/// no CSV behind.
+#[test]
+fn export_rejects_an_unknown_incident_code() {
+    let dir = std::env::temp_dir().join(format!("puf_bad_incident_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut bytes = write_archive(&[random_telemetry(&mut rng, 20)], 16);
+    bytes.extend_from_slice(&bad_incident_block());
+    let puf = dir.join("telemetry_day0.puf");
+    std::fs::write(&puf, &bytes).unwrap();
+    let csv_dir = dir.join("csv");
+    let err = export_csv(&puf, &csv_dir, 0).expect_err("an undefined incident code must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(std::fs::read_dir(&csv_dir).unwrap().count(), 0, "a failed export left files");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A failed export — here a 200-row `.puf` of 16-row blocks cut to two
 /// thirds — leaves no CSV behind, and an earlier export of the same day in
 /// the same directory keeps its bytes.

@@ -97,11 +97,33 @@ fn archive_export_of_a_truncated_archive_exits_1_and_writes_nothing() {
     let mut w = ArchiveWriter::with_block_rows(Vec::new(), 16).unwrap();
     w.add_stream(&t).unwrap();
     let bytes = w.finish().unwrap();
+    assert_export_fails(1000, &bytes[..bytes.len() * 2 / 3]);
+}
 
-    let dir = out_dir(1000);
+#[test]
+fn archive_export_of_an_unknown_incident_code_exits_1_and_writes_nothing() {
+    // A header-only archive, then an incident block of two rows whose second
+    // carries kind code 99: six columns of two one-byte varints each.
+    let mut bytes = ArchiveWriter::new(Vec::new()).unwrap().finish().unwrap();
+    bytes.extend_from_slice(&[3, 0, 0, 0]);
+    bytes.extend_from_slice(&2u32.to_le_bytes());
+    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    for _ in 0..6 {
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+    }
+    for col in 0..6 {
+        bytes.extend_from_slice(&[0, if col == 3 { 99 } else { 0 }]);
+    }
+    assert_export_fails(1001, &bytes);
+}
+
+/// `puffer archive-export` of the `.puf` bytes `puf_bytes` must exit 1, say
+/// the export failed, and write no CSV.
+fn assert_export_fails(case: usize, puf_bytes: &[u8]) {
+    let dir = out_dir(case);
     std::fs::create_dir_all(&dir).unwrap();
     let puf = dir.join("telemetry_day0.puf");
-    std::fs::write(&puf, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    std::fs::write(&puf, puf_bytes).unwrap();
     let csv_dir = dir.join("csv");
     let out = Command::new(env!("CARGO_BIN_EXE_puffer"))
         .args(["archive-export", "--in"])

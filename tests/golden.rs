@@ -27,7 +27,7 @@ use puffer_repro::fugu::{checkpoint, TrainConfig, Ttp, TtpConfig, TtpVariant};
 use puffer_repro::platform::experiment::run_rct;
 use puffer_repro::platform::{
     train_pensieve, DivergenceMode, ExperimentConfig, FaultPlan, ModelOutage, PensieveTrainConfig,
-    RctResult, RetrainFault, SchemeSpec,
+    PufRow, RctResult, RetrainFault, SchemeSpec,
 };
 use puffer_repro::stats::StreamSummary;
 use std::path::{Path, PathBuf};
@@ -126,8 +126,7 @@ fn fingerprint(result: &RctResult, sink: Option<&Path>) -> u64 {
     }
     h.u64(result.incidents.len() as u64);
     for inc in &result.incidents {
-        let row = inc.to_row();
-        for x in [row.day, row.arm, row.session, row.kind, row.action, row.value] {
+        for x in inc.words() {
             h.u64(x);
         }
     }
