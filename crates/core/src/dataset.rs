@@ -5,7 +5,9 @@
 //! transmission time for the chunk."  The raw unit of telemetry is one
 //! completed chunk transfer ([`ChunkObservation`]); the dataset stores them
 //! grouped by stream and by (simulated) day so that the trainer can apply
-//! the 14-day sliding window and recency weights.
+//! the 14-day sliding window and recency weights.  The RCT aggregates one as
+//! it runs; `puffer_platform::read_dataset` rebuilds the same dataset from a
+//! run's `.puf` day archives.
 //!
 //! Training samples for lookahead step *i* pair the decision-time state
 //! before chunk *n* (the previous eight transfers plus `tcp_info`) with the
@@ -83,80 +85,9 @@ impl Dataset {
         self.days.values().flatten().map(Vec::as_slice)
     }
 
-    /// Serialize the dataset to a line-oriented text form (day/stream/chunk
-    /// records) — used by the experiment harness to collect telemetry once
-    /// and share it across figure binaries, mirroring how the paper's
-    /// training reads the published daily archives.
-    pub fn save_to_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("fugu-dataset v1\n");
-        for (&day, streams) in &self.days {
-            for stream in streams {
-                let _ = writeln!(out, "stream {day}");
-                for o in stream {
-                    let _ = writeln!(
-                        out,
-                        "c {} {} {} {} {} {} {}",
-                        o.size,
-                        o.transmission_time,
-                        o.tcp_info.cwnd,
-                        o.tcp_info.in_flight,
-                        o.tcp_info.min_rtt,
-                        o.tcp_info.rtt,
-                        o.tcp_info.delivery_rate
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse a dataset from [`Dataset::save_to_string`]'s format.
-    pub fn load_from_str(s: &str) -> Result<Dataset, String> {
-        let mut lines = s.lines();
-        if lines.next() != Some("fugu-dataset v1") {
-            return Err("missing dataset magic".into());
-        }
-        let mut data = Dataset::new();
-        let mut current_day: Option<u32> = None;
-        let mut current: Vec<ChunkObservation> = Vec::new();
-        let mut flush = |day: Option<u32>, obs: &mut Vec<ChunkObservation>| {
-            if let (Some(d), false) = (day, obs.is_empty()) {
-                data.add_stream(d, std::mem::take(obs));
-            }
-        };
-        for line in lines {
-            if let Some(day_str) = line.strip_prefix("stream ") {
-                flush(current_day, &mut current);
-                current_day = Some(day_str.parse().map_err(|_| format!("bad day '{day_str}'"))?);
-            } else if let Some(rest) = line.strip_prefix("c ") {
-                if current_day.is_none() {
-                    return Err("chunk record before any stream header".into());
-                }
-                let vals: Vec<f64> = rest
-                    .split_whitespace()
-                    .map(|v| v.parse().map_err(|_| format!("bad number '{v}'")))
-                    .collect::<Result<_, String>>()?;
-                if vals.len() != 7 {
-                    return Err(format!("expected 7 fields, got {}", vals.len()));
-                }
-                current.push(ChunkObservation {
-                    size: vals[0],
-                    transmission_time: vals[1],
-                    tcp_info: puffer_net::TcpInfo {
-                        cwnd: vals[2],
-                        in_flight: vals[3],
-                        min_rtt: vals[4],
-                        rtt: vals[5],
-                        delivery_rate: vals[6],
-                    },
-                });
-            } else if !line.trim().is_empty() {
-                return Err(format!("unrecognized line '{line}'"));
-            }
-        }
-        flush(current_day, &mut current);
-        Ok(data)
+    /// The streams stored under `day`, in the order they were added.
+    pub fn day_streams(&self, day: u32) -> &[Vec<ChunkObservation>] {
+        self.days.get(&day).map_or(&[], Vec::as_slice)
     }
 
     /// Build step-`step` training samples from the `window_days`-day window
@@ -230,6 +161,8 @@ mod tests {
         assert_eq!(d.n_streams(), 3);
         assert_eq!(d.n_observations(), 22);
         assert_eq!(d.days(), vec![1, 3]);
+        let lens = |day| d.day_streams(day).iter().map(Vec::len).collect::<Vec<_>>();
+        assert_eq!((lens(1), lens(2), lens(3)), (vec![10, 5], vec![], vec![7]));
     }
 
     #[test]
@@ -311,28 +244,6 @@ mod tests {
         d.add_stream(9, stream(2));
         d.prune_before(5);
         assert_eq!(d.days(), vec![5, 9]);
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let mut d = Dataset::new();
-        d.add_stream(3, stream(5));
-        d.add_stream(3, stream(2));
-        d.add_stream(7, stream(4));
-        let text = d.save_to_string();
-        let back = Dataset::load_from_str(&text).unwrap();
-        assert_eq!(back.days(), d.days());
-        assert_eq!(back.n_streams(), d.n_streams());
-        assert_eq!(back.n_observations(), d.n_observations());
-        // Round trip is a fixed point.
-        assert_eq!(back.save_to_string(), text);
-    }
-
-    #[test]
-    fn load_rejects_garbage() {
-        assert!(Dataset::load_from_str("junk").is_err());
-        assert!(Dataset::load_from_str("fugu-dataset v1\nc 1 2 3 4 5 6 7\n").is_err());
-        assert!(Dataset::load_from_str("fugu-dataset v1\nstream 1\nc 1 2 3\n").is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! changes mid-transfer.
 
 use crate::{INIT_CWND, MSS};
-use puffer_trace::RateTrace;
+use puffer_trace::{PathProfile, RateTrace};
 
 /// Which congestion controller shapes the flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,6 +124,14 @@ impl Connection {
             last_window_pkts: 0.0,
             bytes_sent: 0.0,
         }
+    }
+
+    /// Open a session's connection at time 0 over its sampled `path`: the
+    /// path's propagation RTT and a bottleneck queue of `buffer_seconds` at
+    /// its base rate, but never under 16 kB.
+    pub fn over_path(path: &PathProfile, trace: RateTrace, cc: CongestionControl) -> Self {
+        let queue_capacity = (path.buffer_seconds * path.base_rate).max(16_000.0);
+        Connection::new(trace, path.min_rtt, queue_capacity, cc, 0.0)
     }
 
     pub fn bytes_sent(&self) -> f64 {

@@ -6,17 +6,115 @@
 //! `client_buffer`, with sensitive fields redacted.  The RCT's archive sink
 //! spools each day's telemetry to a compacted `.puf` archive
 //! ([`TelemetrySpool`], [`merge_spools`](crate::merge_spools));
-//! [`export_csv`] streams one back out as the same three CSV files.
+//! [`export_csv`] streams one back out as the same three CSV files, and
+//! [`read_dataset`] rebuilds the TTP's training data from the day archives
+//! through the one `video_sent`⋈`video_acked` join, [`join_sent_acked`].
 
-use crate::archive_format::{ArchiveReader, ArchiveWriter, DEFAULT_BLOCK_ROWS};
-use crate::faults::{incidents_csv, Incident};
+use crate::archive_format::{invalid, ArchiveReader, ArchiveWriter, DEFAULT_BLOCK_ROWS};
+use crate::experiment::stream_day;
+use crate::faults::{incidents_csv, observation_is_finite, Incident};
 use crate::telemetry::{
     write_client_buffer_row, write_video_acked_row, write_video_sent_row, StreamTelemetry,
-    CLIENT_BUFFER_CSV_HEADER, VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
+    VideoAcked, VideoSent, CLIENT_BUFFER_CSV_HEADER, VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
+use fugu::{ChunkObservation, Dataset};
+use puffer_net::TcpInfo;
+use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write as _};
+use std::io::{self, BufReader, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+
+/// Rebuild a run's training [`Dataset`] from its day archives
+/// (`RctResult::archive_paths`: the `telemetry_day<d>.puf` files of
+/// `run-rct --archive <dir>`), one block at a time.
+///
+/// A session's blocks share its tag: the reader gathers a tag's
+/// `video_sent` and `video_acked` rows and joins them ([`join_sent_acked`])
+/// when the tag changes.  Each stream goes under the day its id embeds, in
+/// session-then-stream order, so a fault-free run's archives give back
+/// exactly `RctResult::dataset`, bit for bit.  (Injected faults break that:
+/// a day whose sink failed has no archive, and a poisoned stream is dropped
+/// only in memory.)  A malformed block, or rows the join rejects, is an
+/// [`io::ErrorKind::InvalidData`] error.
+pub fn read_dataset(archives: &[PathBuf]) -> io::Result<Dataset> {
+    let mut data = Dataset::new();
+    let (mut sent, mut acked) = (Vec::new(), Vec::new());
+    for path in archives {
+        let mut reader = ArchiveReader::new(BufReader::new(File::open(path)?))?;
+        let mut tag = None;
+        while let Some(block) = reader.next_block()? {
+            if tag != Some(block.tag) {
+                add_session(&mut data, &mut sent, &mut acked)?;
+                tag = Some(block.tag);
+            }
+            sent.extend_from_slice(&block.video_sent);
+            acked.extend_from_slice(&block.video_acked);
+        }
+        add_session(&mut data, &mut sent, &mut acked)?;
+    }
+    Ok(data)
+}
+
+/// Join one session's rows into `data`, one stream per run of acks with one
+/// stream id, and empty both row buffers.
+fn add_session(
+    data: &mut Dataset,
+    sent: &mut Vec<VideoSent>,
+    acked: &mut Vec<VideoAcked>,
+) -> io::Result<()> {
+    let joined = join_sent_acked(sent, acked)?;
+    for stream in joined.chunk_by(|a, b| a.0 == b.0) {
+        data.add_stream(stream_day(stream[0].0), stream.iter().map(|&(_, o)| o).collect());
+    }
+    sent.clear();
+    acked.clear();
+    Ok(())
+}
+
+/// The `video_sent`⋈`video_acked` join of Appendix B ("Each data point can
+/// be matched to a data point in video_sent ... and used to calculate the
+/// transmission time of the chunk"): each ack matched to the sent row of
+/// the same chunk on `(stream_id, video_ts)`, in ack order, as its stream id
+/// and its training observation — the sent row's size and `tcp_info`, and
+/// `acked.time − sent.time` as the transmission time.
+///
+/// Sent rows no ack matches (a chunk in flight when the user left) add
+/// nothing; pairing by key, not by position, keeps such a gap from shifting
+/// every later pair.  An ack with no sent row, two sent rows for one chunk,
+/// or a non-finite feature (it would poison every gradient of the training
+/// it fed) is an [`io::ErrorKind::InvalidData`] error.
+pub fn join_sent_acked(
+    sent: &[VideoSent],
+    acked: &[VideoAcked],
+) -> io::Result<Vec<(u64, ChunkObservation)>> {
+    let mut by_chunk = BTreeMap::new();
+    for s in sent {
+        if by_chunk.insert((s.stream_id, s.video_ts), s).is_some() {
+            return Err(invalid("two video_sent rows for one chunk"));
+        }
+    }
+    acked
+        .iter()
+        .map(|a| {
+            let s = by_chunk
+                .get(&(a.stream_id, a.video_ts))
+                .ok_or_else(|| invalid("video_acked row with no video_sent row"))?;
+            let tcp_info = TcpInfo {
+                cwnd: s.cwnd,
+                in_flight: s.in_flight,
+                min_rtt: s.min_rtt,
+                rtt: s.rtt,
+                delivery_rate: s.delivery_rate,
+            };
+            let observation =
+                ChunkObservation { size: s.size, transmission_time: a.time - s.time, tcp_info };
+            if !observation_is_finite(&observation) {
+                return Err(invalid("non-finite training observation"));
+            }
+            Ok((a.stream_id, observation))
+        })
+        .collect()
+}
 
 /// Stream the `.puf` archive at `puf` out as the three Appendix-B CSVs,
 /// `video_sent_<day>.csv`, `video_acked_<day>.csv` and

@@ -263,7 +263,7 @@ fn wire_code<T>(word: u64, from_code: impl Fn(u8) -> Option<T>, msg: &str) -> io
     u8::try_from(word).ok().and_then(from_code).ok_or_else(|| invalid(msg))
 }
 
-fn invalid(msg: &str) -> io::Error {
+pub(crate) fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 

@@ -15,7 +15,7 @@ use crate::faults::{
     ModelOutage,
 };
 use crate::scheme::SchemeSpec;
-use crate::session::SessionOutcome;
+use crate::session::{SessionOutcome, STREAM_ID_STRIDE};
 use crate::stream::QuitReason;
 use crate::user::UserModel;
 use crate::MIN_CONSIDERED_WATCH;
@@ -177,6 +177,12 @@ struct SessionResult {
 fn session_id(day: u32, index: usize) -> u64 {
     assert!((index as u64) < u64::from(u32::MAX), "session index must fit in 32 bits");
     (u64::from(day) << 32) | index as u64
+}
+
+/// The day a stream ran on, read back from its id: the stream id embeds its
+/// session id ([`STREAM_ID_STRIDE`]), whose high 32 bits are the day.
+pub(crate) fn stream_day(stream_id: u64) -> u32 {
+    ((stream_id / STREAM_ID_STRIDE) >> 32) as u32
 }
 
 /// Fold one session's outcome into the CONSORT accounting (Fig. A1).
@@ -933,10 +939,13 @@ mod tests {
             assert_eq!(sid, v.stream_id, "stream id must round-trip through the CSV");
             assert_eq!(sid / 1000, id, "stream id must still embed the session id");
         }
-        let n_joined: usize =
-            out.streams.iter().map(|s| s.telemetry.transmission_times().len()).sum();
-        let n_acked: usize = out.streams.iter().map(|s| s.telemetry.video_acked.len()).sum();
-        assert_eq!(n_joined, n_acked, "every acked chunk must join back to its sent row");
+        for s in &out.streams {
+            let t = &s.telemetry;
+            let joined = crate::archive::join_sent_acked(&t.video_sent, &t.video_acked)
+                .expect("every acked chunk joins back to its sent row");
+            assert_eq!(joined.len(), t.video_acked.len());
+            assert!(joined.iter().all(|&(sid, _)| stream_day(sid) == 117), "day from stream id");
+        }
     }
 
     #[test]

@@ -295,38 +295,6 @@ pub enum ModelOutage {
     PrimaryAndFrozen,
 }
 
-/// Per-class fault probabilities for [`FaultPlan::seeded`].  Session-level
-/// rates are per `(day, session)`; model-level rates are per `(day, arm)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRates {
-    /// Probability a session panics mid-run.
-    pub session_panic: f64,
-    /// Probability a session's telemetry features are poisoned with NaN/Inf.
-    pub nan_telemetry: f64,
-    /// Probability spilling a session to the archive sink fails.
-    pub archive_error: f64,
-    /// Probability a retraining arm's nightly candidate diverges.
-    pub retrain_divergence: f64,
-    /// Probability the accepted checkpoint is truncated on reload.
-    pub checkpoint_truncation: f64,
-    /// Probability an arm's serving model is unavailable for the day.
-    pub model_unavailable: f64,
-}
-
-impl FaultRates {
-    /// The same rate for every fault class.
-    pub fn uniform(rate: f64) -> FaultRates {
-        FaultRates {
-            session_panic: rate,
-            nan_telemetry: rate,
-            archive_error: rate,
-            retrain_divergence: rate,
-            checkpoint_truncation: rate,
-            model_unavailable: rate,
-        }
-    }
-}
-
 /// A deterministic schedule of injected faults.
 ///
 /// Coordinates are `(day, session index)` for session-level classes and
@@ -403,58 +371,32 @@ impl FaultPlan {
         self
     }
 
-    /// Derive a plan pseudo-randomly from the experiment seed: every
-    /// coordinate is visited in a fixed order and each class draws an
-    /// independent Bernoulli stream, so the plan — like everything else in
-    /// the RCT — is a pure function of `(seed, shape, rates)`.
+    /// Derive a plan pseudo-randomly from the experiment seed: each fault
+    /// class draws an independent Bernoulli stream at `rate` over its
+    /// coordinates, visited in a fixed order, so the plan — like everything
+    /// else in the RCT — is a pure function of `(seed, shape, rate)`.
     pub fn seeded(
         seed: u64,
         days: u32,
         sessions_per_day: usize,
         n_arms: usize,
-        rates: &FaultRates,
+        rate: f64,
     ) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        let mut class = 0u64;
-        let mut next_class_seed = || {
-            class += 1;
-            fault_mix(seed, class)
+        // Class `class`'s hits over `(day, 0..n)`, days outer: session
+        // classes take n = sessions per day, model classes n = arms.
+        let hits = move |class: u64, n: usize| {
+            let mut state = fault_mix(seed, class);
+            (0..days)
+                .flat_map(move |day| (0..n as u64).map(move |i| (day, i)))
+                .filter(move |_| bernoulli(&mut state, rate))
         };
-        type Insert<'a> = &'a mut dyn FnMut(&mut FaultPlan, u32, u64);
-        let session_classes: [(Insert, f64); 3] = [
-            (
-                &mut |p, d, s| {
-                    p.session_panics.insert((d, s), 2);
-                },
-                rates.session_panic,
-            ),
-            (
-                &mut |p, d, s| {
-                    p.nan_telemetry.insert((d, s));
-                },
-                rates.nan_telemetry,
-            ),
-            (
-                &mut |p, d, s| {
-                    p.archive_errors.insert((d, s));
-                },
-                rates.archive_error,
-            ),
-        ];
-        for (apply, rate) in session_classes {
-            let mut state = next_class_seed();
-            for day in 0..days {
-                for session in 0..sessions_per_day as u64 {
-                    if bernoulli(&mut state, rate) {
-                        apply(&mut plan, day, session);
-                    }
-                }
-            }
-        }
-        let mut state = next_class_seed();
-        for day in 0..days {
-            for arm in 0..n_arms as u32 {
-                if bernoulli(&mut state, rates.retrain_divergence) {
+        let arm_hits = |class| hits(class, n_arms).map(|(day, arm)| (day, arm as u32));
+        FaultPlan {
+            session_panics: hits(1, sessions_per_day).map(|at| (at, 2)).collect(),
+            nan_telemetry: hits(2, sessions_per_day).collect(),
+            archive_errors: hits(3, sessions_per_day).collect(),
+            retrain_faults: arm_hits(4)
+                .map(|(day, arm)| {
                     // Alternate recoverable and unrecoverable divergences so
                     // a seeded soak exercises both paths.
                     let attempts = if (day + arm) % 2 == 0 { 0b01 } else { 0b11 };
@@ -463,32 +405,21 @@ impl FaultPlan {
                     } else {
                         DivergenceMode::ExplodingLoss
                     };
-                    plan.retrain_faults.insert((day, arm), RetrainFault { mode, attempts });
-                }
-            }
-        }
-        let mut state = next_class_seed();
-        for day in 0..days {
-            for arm in 0..n_arms as u32 {
-                if bernoulli(&mut state, rates.checkpoint_truncation) {
-                    plan.checkpoint_truncations.insert((day, arm));
-                }
-            }
-        }
-        let mut state = next_class_seed();
-        for day in 0..days {
-            for arm in 0..n_arms as u32 {
-                if bernoulli(&mut state, rates.model_unavailable) {
+                    ((day, arm), RetrainFault { mode, attempts })
+                })
+                .collect(),
+            checkpoint_truncations: arm_hits(5).collect(),
+            outages: arm_hits(6)
+                .map(|(day, arm)| {
                     let outage = if (day + arm) % 3 == 0 {
                         ModelOutage::PrimaryAndFrozen
                     } else {
                         ModelOutage::Primary
                     };
-                    plan.outages.insert((day, arm), outage);
-                }
-            }
+                    ((day, arm), outage)
+                })
+                .collect(),
         }
-        plan
     }
 
     /// Whether any session panics are scheduled (the experiment installs the
@@ -650,21 +581,65 @@ mod tests {
 
     #[test]
     fn seeded_plans_are_deterministic() {
-        let rates = FaultRates::uniform(0.25);
-        let a = FaultPlan::seeded(7, 3, 40, 2, &rates);
-        let b = FaultPlan::seeded(7, 3, 40, 2, &rates);
+        let a = FaultPlan::seeded(7, 3, 40, 2, 0.25);
+        let b = FaultPlan::seeded(7, 3, 40, 2, 0.25);
         assert_eq!(a, b);
-        let c = FaultPlan::seeded(8, 3, 40, 2, &rates);
+        let c = FaultPlan::seeded(8, 3, 40, 2, 0.25);
         assert_ne!(a, c, "different seeds must give different plans");
     }
 
     #[test]
     fn seeded_rates_land_in_the_right_ballpark() {
-        let plan = FaultPlan::seeded(1, 10, 200, 2, &FaultRates::uniform(0.1));
+        let plan = FaultPlan::seeded(1, 10, 200, 2, 0.1);
         let n = plan.session_panics.len();
         // 2000 draws at p = 0.1: far outside [100, 300] means a broken
         // uniform draw, not bad luck.
         assert!((100..300).contains(&n), "panic count {n}");
+    }
+
+    /// The class order and each class's SplitMix64 stream are part of the
+    /// plan: these two plans were recorded from the six-rate `seeded` that
+    /// the one-rate form replaced, and must never move.
+    #[test]
+    fn seeded_plans_are_pinned() {
+        let (nonfinite, exploding) =
+            (DivergenceMode::NonFiniteWeights, DivergenceMode::ExplodingLoss);
+        let (primary, both) = (ModelOutage::Primary, ModelOutage::PrimaryAndFrozen);
+        let small = FaultPlan {
+            session_panics: [(0, 4), (1, 1), (1, 3)].map(|at| (at, 2)).into(),
+            nan_telemetry: [(0, 2), (0, 3)].into(),
+            archive_errors: [(0, 0), (0, 1), (1, 4)].into(),
+            retrain_faults: BTreeMap::new(),
+            checkpoint_truncations: [(1, 0)].into(),
+            outages: [((0, 1), primary), ((1, 1), primary)].into(),
+        };
+        assert_eq!(FaultPlan::seeded(7, 2, 6, 2, 0.3), small);
+        let fault = |mode, attempts| RetrainFault { mode, attempts };
+        let dense = FaultPlan {
+            session_panics: [(0, 1), (0, 2), (0, 3), (1, 3), (2, 0), (2, 2)]
+                .map(|at| (at, 2))
+                .into(),
+            nan_telemetry: [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1)].into(),
+            archive_errors: [(0, 0), (1, 0), (1, 2), (1, 3), (2, 0), (2, 2)].into(),
+            retrain_faults: [
+                ((0, 0), fault(nonfinite, 0b01)),
+                ((0, 1), fault(exploding, 0b11)),
+                ((0, 2), fault(nonfinite, 0b01)),
+                ((2, 0), fault(nonfinite, 0b01)),
+                ((2, 2), fault(nonfinite, 0b01)),
+            ]
+            .into(),
+            checkpoint_truncations: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)].into(),
+            outages: [
+                ((0, 1), primary),
+                ((1, 0), primary),
+                ((1, 1), primary),
+                ((1, 2), both),
+                ((2, 2), primary),
+            ]
+            .into(),
+        };
+        assert_eq!(FaultPlan::seeded(11, 3, 4, 3, 0.5), dense);
     }
 
     #[test]

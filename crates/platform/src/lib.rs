@@ -18,8 +18,9 @@
 //!   (the Fig. 10 phenomenon);
 //! * [`telemetry`] — the `video_sent` / `video_acked` / `client_buffer`
 //!   measurements of Appendix B, plus their CSV row writers;
-//! * [`archive`] — the RCT's per-day telemetry spools and the `.puf`→CSV
-//!   export of the daily dump;
+//! * [`archive`] — the RCT's per-day telemetry spools, the `.puf`→CSV
+//!   export of the daily dump, and the TTP's training data read back from
+//!   the day archives;
 //! * [`archive_format`] — the `.puf` compacted binary telemetry archive
 //!   (streaming writer/reader, deterministic multi-spool merge) that lets a
 //!   multi-month RCT spill telemetry to disk instead of holding days of
@@ -48,14 +49,14 @@ pub mod stream;
 pub mod telemetry;
 pub mod user;
 
-pub use archive::{append_incidents, export_csv, TelemetrySpool};
+pub use archive::{append_incidents, export_csv, join_sent_acked, read_dataset, TelemetrySpool};
 pub use archive_format::{
     merge_spools, ArchiveReader, ArchiveWriter, BlockKind, DecodedBlock, PufRow,
 };
 pub use experiment::{run_rct, ConsortCounts, ExperimentConfig, RctResult, SchemeArm};
 pub use faults::{
-    incidents_csv, DegradeAction, DivergenceMode, FaultPlan, FaultRates, Incident, IncidentKind,
-    ModelOutage, RetrainFault,
+    incidents_csv, DegradeAction, DivergenceMode, FaultPlan, Incident, IncidentKind, ModelOutage,
+    RetrainFault,
 };
 pub use pensieve_env::{train_pensieve, PensieveTrainConfig};
 pub use scheme::SchemeSpec;

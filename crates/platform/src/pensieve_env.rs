@@ -87,8 +87,7 @@ fn run_episode<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Trajectory {
     let (path, trace) = bank.sample_session(cfg.episode_seconds * 1.3 + 60.0, rng);
-    let queue = (path.buffer_seconds * path.base_rate).max(16_000.0);
-    let mut conn = Connection::new(trace, path.min_rtt, queue, CongestionControl::Bbr, 0.0);
+    let mut conn = Connection::over_path(&path, trace, CongestionControl::Bbr);
     let mut source = VideoSource::puffer_default();
     // An automated training client: never zaps, never abandons.
     let user = UserModel {

@@ -18,6 +18,10 @@ use rand::SeedableRng;
 /// (player teardown/setup on the same WebSocket), seconds.
 const CHANNEL_SWITCH_GAP: f64 = 0.25;
 
+/// A stream's id is its session's id times this, plus the stream's place in
+/// the session.
+pub(crate) const STREAM_ID_STRIDE: u64 = 1000;
+
 /// Everything one session produced.
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
@@ -76,8 +80,7 @@ impl SessionRun {
         // marathon sessions.
         let trace_horizon = (intent * 1.2 + 120.0).min(7200.0);
         let (path, trace) = bank.sample_session(trace_horizon, &mut rng);
-        let queue_capacity = (path.buffer_seconds * path.base_rate).max(16_000.0);
-        let conn = Connection::new(trace, path.min_rtt, queue_capacity, cc, 0.0);
+        let conn = Connection::over_path(&path, trace, cc);
         SessionRun {
             rng,
             conn,
@@ -138,7 +141,7 @@ impl SessionRun {
             let mut source = VideoSource::puffer_default();
             abr.reset_stream();
             let cfg = StreamConfig {
-                stream_id: self.session_id * 1000 + self.stream_seq,
+                stream_id: self.session_id * STREAM_ID_STRIDE + self.stream_seq,
                 ..self.base_stream_cfg
             };
             let clock = StreamClock {

@@ -268,8 +268,8 @@ impl StreamRun {
             // The user leaves while this chunk is still in flight: its last
             // byte is never acknowledged, so no `video_acked` row, no TTP
             // observation, and no history entry exist for it — only the
-            // `video_sent` row above (the unacked tail the identity join in
-            // [`StreamTelemetry::transmission_times`] drops).
+            // `video_sent` row above (the unacked tail the identity join,
+            // [`crate::archive::join_sent_acked`], drops).
             if !self.client.playing() {
                 self.quit = QuitReason::NeverBegan;
             }
@@ -518,12 +518,14 @@ mod tests {
         // At most one chunk (the one in flight when the user left) is sent
         // but never acknowledged.
         assert!(acked <= sent && sent <= acked + 1, "sent {sent} acked {acked}");
-        let tt = out.telemetry.transmission_times();
-        assert_eq!(tt.len(), acked, "one joined time per acknowledged chunk");
+        let joined =
+            crate::archive::join_sent_acked(&out.telemetry.video_sent, &out.telemetry.video_acked)
+                .unwrap();
+        assert_eq!(joined.len(), acked, "one joined observation per acknowledged chunk");
         assert_eq!(acked, out.chunk_log.len());
-        for (i, c) in out.chunk_log.iter().enumerate() {
-            assert!((tt[i] - c.transmission_time).abs() < 1e-9);
-            assert!(tt[i] > 0.0);
+        for ((_, o), c) in joined.iter().zip(&out.chunk_log) {
+            assert_eq!(o.transmission_time.to_bits(), c.transmission_time.to_bits());
+            assert!(o.transmission_time > 0.0);
         }
     }
 

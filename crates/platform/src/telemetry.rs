@@ -3,7 +3,8 @@
 //!
 //! Puffer's public archive has three essential measurements: `video_sent`
 //! (one datum per chunk sent, with `tcp_info` fields), `video_acked` (one
-//! per acknowledgement, from which transmission time is derived), and
+//! per acknowledgement; joined to its `video_sent` row it gives the chunk's
+//! transmission time, [`crate::archive::join_sent_acked`]), and
 //! `client_buffer` (quarter-second buffer/rebuffer reports and events).  We
 //! reproduce the same schema so analyses written against the paper's archive
 //! shape work against simulated data, and provide the CSV row writers for the
@@ -119,32 +120,6 @@ pub struct StreamTelemetry {
     pub client_buffer: Vec<ClientBuffer>,
 }
 
-impl StreamTelemetry {
-    /// Derive per-chunk transmission times by joining `video_sent` with
-    /// `video_acked` on chunk identity — the join the paper describes ("Each
-    /// data point can be matched to a data point in video_sent ... and used
-    /// to calculate the transmission time of the chunk").
-    ///
-    /// The join key is `(stream_id, video_ts)`.  A positional zip is wrong
-    /// whenever the two tables disagree in length — a chunk still in flight
-    /// when the user leaves is sent but never acked, and would shift every
-    /// later pair off by one.  Sent rows with no matching ack are dropped.
-    pub fn transmission_times(&self) -> Vec<f64> {
-        use std::collections::BTreeMap;
-        // BTreeMap, not HashMap: the index is only probed here, but keeping
-        // hashed containers out of result-affecting paths is a repo
-        // invariant (a later `iter()` must not become a nondeterminism bug).
-        let mut acked: BTreeMap<(u64, u64), f64> = BTreeMap::new();
-        for a in &self.video_acked {
-            acked.insert((a.stream_id, a.video_ts), a.time);
-        }
-        self.video_sent
-            .iter()
-            .filter_map(|s| acked.get(&(s.stream_id, s.video_ts)).map(|&t| t - s.time))
-            .collect()
-    }
-}
-
 /// Schema header line of the `video_sent` daily CSV.
 pub const VIDEO_SENT_CSV_HEADER: &[u8] =
     b"time,stream_id,expt_id,video_ts,size,ssim_index,cwnd,in_flight,min_rtt,rtt,delivery_rate\n";
@@ -205,6 +180,7 @@ pub fn write_client_buffer_row<W: std::io::Write>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::archive::join_sent_acked;
 
     fn sent_ts(time: f64, chunk: u64) -> VideoSent {
         VideoSent {
@@ -233,33 +209,28 @@ mod tests {
     }
 
     #[test]
-    fn transmission_times_from_join() {
-        let mut t = StreamTelemetry::default();
-        t.video_sent.push(sent_ts(10.0, 0));
-        t.video_acked.push(acked_ts(10.8, 0));
-        t.video_sent.push(sent_ts(11.0, 1));
-        t.video_acked.push(acked_ts(12.5, 1));
-        let tt = t.transmission_times();
-        assert!((tt[0] - 0.8).abs() < 1e-9);
-        assert!((tt[1] - 1.5).abs() < 1e-9);
+    fn join_pairs_each_ack_with_its_own_sent_row() {
+        // The middle chunk's ack is missing and the last chunk was in flight
+        // when the user left.  A positional zip would pair chunk 2's ack with
+        // chunk 1's send; the identity join must not.
+        let sent = [sent_ts(10.0, 0), sent_ts(11.0, 1), sent_ts(12.0, 2), sent_ts(13.0, 3)];
+        let joined = join_sent_acked(&sent, &[acked_ts(10.8, 0), acked_ts(12.5, 2)]).unwrap();
+        let got: Vec<(u64, f64)> =
+            joined.iter().map(|&(id, o)| (id, o.transmission_time)).collect();
+        assert_eq!(got, [(7, 10.8 - 10.0), (7, 12.5 - 12.0)]);
+        assert_eq!(joined[0].1.tcp_info.delivery_rate, 1.2e6);
     }
 
     #[test]
-    fn transmission_times_drop_unacked_tail() {
-        // Three chunks sent, but the user left while the last was in flight:
-        // only two acks.  A positional zip would mispair nothing here, but
-        // with the *middle* ack missing it would pair chunk 2's ack with
-        // chunk 1's send.  The identity join must survive both cases.
-        let mut t = StreamTelemetry::default();
-        t.video_sent.push(sent_ts(10.0, 0));
-        t.video_sent.push(sent_ts(11.0, 1));
-        t.video_sent.push(sent_ts(12.0, 2));
-        t.video_acked.push(acked_ts(10.8, 0));
-        t.video_acked.push(acked_ts(12.5, 2));
-        let tt = t.transmission_times();
-        assert_eq!(tt.len(), 2, "unmatched sent rows are dropped");
-        assert!((tt[0] - 0.8).abs() < 1e-9);
-        assert!((tt[1] - 0.5).abs() < 1e-9, "chunk 2 joins its own ack, got {}", tt[1]);
+    fn join_rejects_bad_rows() {
+        let invalid = |sent: &[VideoSent], acked: &[VideoAcked]| {
+            join_sent_acked(sent, acked).unwrap_err().kind() == std::io::ErrorKind::InvalidData
+        };
+        assert!(invalid(&[sent_ts(10.0, 0)], &[acked_ts(11.0, 1)]), "an ack with no sent row");
+        assert!(invalid(&[sent_ts(10.0, 0), sent_ts(10.5, 0)], &[]), "two sent rows for a chunk");
+        let mut nan = sent_ts(10.0, 0);
+        nan.delivery_rate = f64::NAN;
+        assert!(invalid(&[nan], &[acked_ts(10.8, 0)]), "a non-finite feature");
     }
 
     #[test]

@@ -23,6 +23,16 @@ use rand::Rng;
 /// "sessions lasting more than 2.5 hours" (§5.1).
 pub const TAIL_THRESHOLD: f64 = 2.5 * 3600.0;
 
+/// Median of the log-normal session-intent body, seconds (5 min).
+const INTENT_MEDIAN: f64 = 300.0;
+/// Sigma of the log-normal body.
+const INTENT_SIGMA: f64 = 1.5;
+/// Probability a session draws from the Pareto tail instead.
+const TAIL_PROB: f64 = 0.085;
+/// Pareto scale (seconds) and shape of the tail.
+const TAIL_SCALE: f64 = 3600.0;
+const TAIL_ALPHA: f64 = 1.30;
+
 /// What the user intends to do with the next stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamIntent {
@@ -37,15 +47,6 @@ pub enum StreamIntent {
 /// Behavioural parameters of the participant population.
 #[derive(Debug, Clone, Copy)]
 pub struct UserModel {
-    /// Median of the log-normal session-intent body, seconds.
-    pub intent_median: f64,
-    /// Sigma of the log-normal body.
-    pub intent_sigma: f64,
-    /// Probability a session draws from the Pareto tail instead.
-    pub tail_prob: f64,
-    /// Pareto scale (seconds) and shape of the tail.
-    pub tail_scale: f64,
-    pub tail_alpha: f64,
     /// Hard cap on session intent, seconds.
     pub intent_cap: f64,
     /// Probability that a stream is a zap rather than a watch segment.
@@ -59,11 +60,6 @@ pub struct UserModel {
 impl Default for UserModel {
     fn default() -> Self {
         UserModel {
-            intent_median: 300.0, // 5 min median
-            intent_sigma: 1.5,
-            tail_prob: 0.085,
-            tail_scale: 3600.0,
-            tail_alpha: 1.30,
             intent_cap: 12.0 * 3600.0,
             zap_prob: 0.55,
             stall_quit_rate: 0.05,
@@ -75,10 +71,10 @@ impl Default for UserModel {
 impl UserModel {
     /// Total time this participant intends to spend on the player (seconds).
     pub fn session_intent<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let intent = if rng.random::<f64>() < self.tail_prob {
-            dist::pareto(rng, self.tail_scale, self.tail_alpha)
+        let intent = if rng.random::<f64>() < TAIL_PROB {
+            dist::pareto(rng, TAIL_SCALE, TAIL_ALPHA)
         } else {
-            dist::log_normal_median(rng, self.intent_median, self.intent_sigma)
+            dist::log_normal_median(rng, INTENT_MEDIAN, INTENT_SIGMA)
         };
         intent.min(self.intent_cap).max(1.0)
     }
@@ -97,7 +93,7 @@ impl UserModel {
             StreamIntent::Zap(d.min(remaining))
         } else {
             // A watch segment: a chunk of the session, log-normal.
-            let seg = dist::log_normal_median(rng, self.intent_median, 1.0);
+            let seg = dist::log_normal_median(rng, INTENT_MEDIAN, 1.0);
             StreamIntent::Watch(seg.min(remaining))
         }
     }

@@ -28,8 +28,7 @@ fn main() {
     );
 
     // 2. Open a TCP connection over it (BBR, like the primary experiment).
-    let queue = path.buffer_seconds * path.base_rate;
-    let mut conn = Connection::new(trace, path.min_rtt, queue, CongestionControl::Bbr, 0.0);
+    let mut conn = Connection::over_path(&path, trace, CongestionControl::Bbr);
 
     // 3. Build Fugu.  An untrained TTP still plans sensibly (its
     //    distributions are just vague); train one with the

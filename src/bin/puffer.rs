@@ -3,8 +3,7 @@
 //! Subcommands:
 //!
 //! * `simulate`       — stream one video over a sampled path with a scheme
-//! * `collect`        — run sessions and write a TTP training dataset
-//! * `train-ttp`      — train a TTP variant on a collected dataset
+//! * `train-ttp`      — train a TTP variant on the day archives of a run
 //! * `run-rct`        — run a randomized controlled trial, print the table
 //! * `archive` — run one RCT day of BBA sessions and write its Appendix-B
 //!   daily archive (CSV, compacted `.puf` binary, or both)
@@ -16,18 +15,18 @@
 //!
 //! Every subcommand takes `--seed N`; runs are bit-reproducible.
 
-use puffer_repro::fugu::{checkpoint, Dataset, TrainConfig, TtpVariant};
+use puffer_repro::fugu::{checkpoint, TrainConfig, TtpVariant};
 use puffer_repro::media::VideoSource;
 use puffer_repro::net::{CongestionControl, Connection};
-use puffer_repro::platform::experiment::{collect_training_data, run_rct, train_ttp_on};
+use puffer_repro::platform::experiment::{run_rct, train_ttp_on};
 use puffer_repro::platform::telemetry::{
     write_client_buffer_row, write_video_acked_row, write_video_sent_row, BufferEvent,
     ClientBuffer, CLIENT_BUFFER_CSV_HEADER, VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
 use puffer_repro::platform::user::StreamIntent;
 use puffer_repro::platform::{
-    export_csv, run_stream, ArchiveReader, ArchiveWriter, ExperimentConfig, FaultPlan, FaultRates,
-    SchemeSpec, StreamClock, StreamConfig, UserModel,
+    export_csv, read_dataset, run_stream, ArchiveReader, ArchiveWriter, ExperimentConfig,
+    FaultPlan, SchemeSpec, StreamClock, StreamConfig, UserModel,
 };
 use puffer_repro::stats::{bootstrap_ratio_ci, PowerCurve, Reservoir, SchemeSummary};
 use puffer_repro::trace::TraceBank;
@@ -43,8 +42,7 @@ fn usage() -> ! {
          \n\
          commands:\n\
            simulate        --scheme <bba|bola|mpc|robustmpc> [--seconds N] [--seed N]\n\
-           collect         --out <file> [--sessions N] [--days N] [--emulation] [--seed N]\n\
-           train-ttp       --data <file> --out <file> [--variant full|linear|no-tcp-info|throughput] [--seed N]\n\
+           train-ttp       --data <dir> --out <file> [--variant full|linear|no-tcp-info|throughput] [--seed N]\n\
            run-rct         [--schemes bba,bola,mpc,robustmpc] [--sessions N] [--days N]\n\
                            [--paired] [--emulation] [--fugu <ttp-checkpoint>] [--archive <dir>]\n\
                            [--fault-rate R] [--seed N]\n\
@@ -180,13 +178,7 @@ fn cmd_simulate(flags: BTreeMap<String, String>) -> ExitCode {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let bank = TraceBank::puffer();
     let (path, trace) = bank.sample_session(seconds * 1.3 + 60.0, &mut rng);
-    let mut conn = Connection::new(
-        trace,
-        path.min_rtt,
-        (path.buffer_seconds * path.base_rate).max(16_000.0),
-        CongestionControl::Bbr,
-        0.0,
-    );
+    let mut conn = Connection::over_path(&path, trace, CongestionControl::Bbr);
     let mut source = VideoSource::puffer_default();
     let out = run_stream(
         &mut conn,
@@ -228,37 +220,13 @@ fn cmd_simulate(flags: BTreeMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_collect(flags: BTreeMap<String, String>) -> ExitCode {
-    let Some(out_path) = flags.get("out") else {
-        eprintln!("collect needs --out <file>");
-        return ExitCode::from(2);
-    };
-    let (sessions_per_day, days) = sessions_and_days(&flags, 100, 2);
-    let cfg = ExperimentConfig {
-        seed: get(&flags, "seed", 1),
-        sessions_per_day,
-        days,
-        emulation_world: flags.contains_key("emulation"),
-        retrain: None,
-        ..ExperimentConfig::default()
-    };
-    eprintln!("collecting {} sessions/day x {} days under BBA ...", cfg.sessions_per_day, cfg.days);
-    let data = collect_training_data(&SchemeSpec::Bba, &cfg);
-    if let Err(e) = std::fs::write(out_path, data.save_to_string()) {
-        eprintln!("write failed: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} streams / {} observations to {out_path}",
-        data.n_streams(),
-        data.n_observations()
-    );
-    ExitCode::SUCCESS
-}
-
+/// Train a fresh TTP on the day archives (`telemetry_day<d>.puf`) that
+/// `run-rct --archive <dir>` wrote to `--data <dir>`, read back through
+/// [`read_dataset`].  No archive, an archive that does not read, or no
+/// observation in them is exit 1, and no checkpoint is written.
 fn cmd_train_ttp(flags: BTreeMap<String, String>) -> ExitCode {
-    let (Some(data_path), Some(out_path)) = (flags.get("data"), flags.get("out")) else {
-        eprintln!("train-ttp needs --data <file> and --out <file>");
+    let (Some(data_dir), Some(out_path)) = (flags.get("data"), flags.get("out")) else {
+        eprintln!("train-ttp needs --data <dir> and --out <file>");
         return ExitCode::from(2);
     };
     let variant = match flags.get("variant").map(String::as_str).unwrap_or("full") {
@@ -271,17 +239,25 @@ fn cmd_train_ttp(flags: BTreeMap<String, String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let text = match std::fs::read_to_string(data_path) {
-        Ok(t) => t,
+    let archives = match day_archives(Path::new(data_dir)) {
+        Ok(paths) if paths.is_empty() => {
+            eprintln!("no day archive (telemetry_day<d>.puf) in {data_dir}");
+            return ExitCode::FAILURE;
+        }
+        Ok(paths) => paths,
         Err(e) => {
-            eprintln!("cannot read {data_path}: {e}");
+            eprintln!("cannot list {data_dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let data = match Dataset::load_from_str(&text) {
+    let data = match read_dataset(&archives) {
+        Ok(d) if d.n_observations() == 0 => {
+            eprintln!("the day archives in {data_dir} hold no training observation");
+            return ExitCode::FAILURE;
+        }
         Ok(d) => d,
         Err(e) => {
-            eprintln!("bad dataset: {e}");
+            eprintln!("cannot read the day archives in {data_dir}: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -293,6 +269,20 @@ fn cmd_train_ttp(flags: BTreeMap<String, String>) -> ExitCode {
     }
     println!("wrote TTP checkpoint to {out_path}");
     ExitCode::SUCCESS
+}
+
+/// The day archives in `dir`, by name.
+fn day_archives(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if name.starts_with("telemetry_day") && name.ends_with(".puf") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
 }
 
 fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
@@ -332,13 +322,8 @@ fn cmd_run_rct(flags: BTreeMap<String, String>) -> ExitCode {
         ..ExperimentConfig::default()
     };
     if fault_rate > 0.0 {
-        cfg.faults = FaultPlan::seeded(
-            cfg.seed,
-            cfg.days,
-            cfg.sessions_per_day,
-            schemes.len(),
-            &FaultRates::uniform(fault_rate),
-        );
+        cfg.faults =
+            FaultPlan::seeded(cfg.seed, cfg.days, cfg.sessions_per_day, schemes.len(), fault_rate);
     }
     eprintln!(
         "running RCT: {} arms, {} sessions/day x {} days{} ...",
@@ -808,7 +793,6 @@ fn main() -> ExitCode {
     });
     match command.as_str() {
         "simulate" => cmd_simulate(flags),
-        "collect" => cmd_collect(flags),
         "train-ttp" => cmd_train_ttp(flags),
         "run-rct" => cmd_run_rct(flags),
         "archive" => cmd_archive(flags),

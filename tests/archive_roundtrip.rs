@@ -2,17 +2,19 @@
 //! adversarial data bit-exactly, degrades to errors (never panics) on
 //! corrupt input, exports the exact CSV bytes of the telemetry it holds, and
 //! the RCT's incremental archive sink produces the same bytes at any thread
-//! count and leaves only its day archives behind.
+//! count and leaves only its day archives behind, from which the run's
+//! training dataset reads back exactly.
 
 use puffer_repro::abr::Abr;
+use puffer_repro::fugu::{ChunkObservation, Dataset, Ttp, TtpConfig};
 use puffer_repro::platform::telemetry::{
     write_client_buffer_row, write_video_acked_row, write_video_sent_row, BufferEvent,
     ClientBuffer, StreamTelemetry, VideoAcked, VideoSent, CLIENT_BUFFER_CSV_HEADER,
     VIDEO_ACKED_CSV_HEADER, VIDEO_SENT_CSV_HEADER,
 };
 use puffer_repro::platform::{
-    export_csv, merge_spools, run_rct, run_session, ArchiveReader, ArchiveWriter, ExperimentConfig,
-    FaultPlan, SchemeSpec, StreamConfig, UserModel,
+    export_csv, merge_spools, read_dataset, run_rct, run_session, ArchiveReader, ArchiveWriter,
+    ExperimentConfig, FaultPlan, SchemeSpec, StreamConfig, UserModel,
 };
 use puffer_repro::trace::TraceBank;
 use rand::rngs::StdRng;
@@ -455,4 +457,51 @@ fn archive_sink_leaves_only_day_archives() {
         assert_eq!(names, want, "{sub} run");
     }
     std::fs::remove_dir_all(&base).ok();
+}
+
+/// The day archives of a fault-free run read back, through the one
+/// sent⋈acked join, as exactly the dataset the run aggregated in memory: the
+/// same days, the same streams per day in the same order, and every
+/// observation's size, transmission time and `tcp_info` equal bit for bit,
+/// at 1 and 2 workers.
+#[test]
+fn archive_dataset_is_the_rct_dataset() {
+    let base = std::env::temp_dir().join(format!("puf_dataset_{}", std::process::id()));
+    for threads in [1, 2] {
+        let dir = base.join(format!("t{threads}"));
+        let cfg = ExperimentConfig {
+            seed: 12,
+            sessions_per_day: 10,
+            days: 2,
+            threads,
+            retrain: None,
+            archive_sink: Some(dir),
+            ..ExperimentConfig::default()
+        };
+        let fugu = SchemeSpec::fugu(Ttp::new(TtpConfig::default(), 12));
+        let result = run_rct(vec![SchemeSpec::Bba, fugu], &cfg);
+        assert_eq!(result.archive_paths.len(), 2, "one .puf per day");
+        let read = read_dataset(&result.archive_paths).unwrap();
+        assert_same_dataset(&read, &result.dataset, threads);
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+fn assert_same_dataset(read: &Dataset, want: &Dataset, threads: usize) {
+    assert_eq!(read.days(), want.days(), "threads={threads}");
+    assert!(want.n_streams() > 0);
+    // Each observation as its seven fields' bits, so NaN and −0.0 compare
+    // exactly.
+    let bits = |streams: &[Vec<ChunkObservation>]| -> Vec<Vec<[u64; 7]>> {
+        let fields = |o: &ChunkObservation| {
+            let t = o.tcp_info;
+            [o.size, o.transmission_time, t.cwnd, t.in_flight, t.min_rtt, t.rtt, t.delivery_rate]
+                .map(f64::to_bits)
+        };
+        streams.iter().map(|s| s.iter().map(fields).collect()).collect()
+    };
+    for day in want.days() {
+        let same = bits(read.day_streams(day)) == bits(want.day_streams(day));
+        assert!(same, "day {day}'s streams differ at {threads} workers");
+    }
 }

@@ -11,7 +11,7 @@ use puffer_repro::net::TcpInfo;
 use puffer_repro::nn::serialize::{self as nn_ser, LoadError};
 use puffer_repro::nn::{Activation, Mlp, Scaler};
 use puffer_repro::platform::experiment::collect_training_data;
-use puffer_repro::platform::{ExperimentConfig, SchemeSpec};
+use puffer_repro::platform::{read_dataset, run_rct, ExperimentConfig, SchemeSpec};
 use rand::SeedableRng;
 use std::process::Command;
 
@@ -101,24 +101,29 @@ fn pensieve_checkpoint_preserves_greedy_decisions() {
 
 #[test]
 fn dataset_roundtrip_preserves_training_outcome() {
+    let dir = std::env::temp_dir().join(format!("puffer_dataset_roundtrip_{}", std::process::id()));
     let cfg = ExperimentConfig {
         seed: 501,
         sessions_per_day: 10,
         days: 1,
         threads: 1,
         retrain: None,
+        archive_sink: Some(dir.clone()),
         ..ExperimentConfig::default()
     };
-    let data = collect_training_data(&SchemeSpec::Bba, &cfg);
-    let restored = Dataset::load_from_str(&data.save_to_string()).unwrap();
+    let result = run_rct(vec![SchemeSpec::Bba], &cfg);
+    let restored = read_dataset(&result.archive_paths).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 
-    // Training on the original and the round-tripped dataset with the same
-    // seed must produce identical models.
+    // Training on the dataset the run aggregated and on the one read back
+    // from its day archive, with the same seed, must produce identical
+    // models.
     let train_cfg = TrainConfig { epochs: 1, max_samples_per_step: 1500, ..TrainConfig::default() };
     let mut a = Ttp::new(TtpConfig::default(), 3);
     let mut b = Ttp::new(TtpConfig::default(), 3);
-    train(&mut a, &data, 0, &train_cfg, &mut rand::rngs::StdRng::seed_from_u64(4)).unwrap();
-    train(&mut b, &restored, 0, &train_cfg, &mut rand::rngs::StdRng::seed_from_u64(4)).unwrap();
+    let seeded = || rand::rngs::StdRng::seed_from_u64(4);
+    train(&mut a, &result.dataset, 0, &train_cfg, &mut seeded()).unwrap();
+    train(&mut b, &restored, 0, &train_cfg, &mut seeded()).unwrap();
     assert_eq!(
         checkpoint::save_to_string(&a),
         checkpoint::save_to_string(&b),

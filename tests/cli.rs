@@ -1,14 +1,18 @@
 //! The `puffer` CLI rejects out-of-range flag values right after parsing:
 //! exit code 2, the flag named on stderr, and no work done — never a panic
 //! (exit 101) in a library assert, and never a silent run with a clamped or
-//! ignored value.  An export of a damaged archive exits 1 and writes nothing.
+//! ignored value.  An export of a damaged archive exits 1 and writes nothing,
+//! and so does training on a directory without readable observations;
+//! `train-ttp` on the day archives of `run-rct --archive` writes a
+//! checkpoint that loads.
 
+use puffer_repro::fugu::checkpoint;
 use puffer_repro::platform::telemetry::{
     BufferEvent, ClientBuffer, StreamTelemetry, VideoAcked, VideoSent,
 };
 use puffer_repro::platform::ArchiveWriter;
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
 
 /// A fresh, not-yet-created output directory for one case.
 fn out_dir(case: usize) -> PathBuf {
@@ -25,8 +29,6 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         (&["run-rct", "--fault-rate", "7"], "--fault-rate"),
         (&["run-rct", "--fault-rate", "-1"], "--fault-rate"),
         (&["run-rct", "--fault-rate", "nan"], "--fault-rate"),
-        (&["collect", "--sessions", "0"], "--sessions"),
-        (&["collect", "--days", "0"], "--days"),
         (&["power-analysis", "--sessions", "0"], "--sessions"),
         (&["power-analysis", "--days", "0"], "--days"),
         (&["power-analysis", "--cuts", "50,5"], "--cuts"),
@@ -43,13 +45,10 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         let dir = out_dir(case);
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_puffer"));
         cmd.args(args);
-        // `collect`, `power-analysis` and `archive` need an output; nothing
-        // may reach it.
-        match args[0] {
-            "collect" => cmd.arg("--out").arg(dir.join("data.txt")),
-            "power-analysis" | "archive" => cmd.arg("--out").arg(&dir),
-            _ => &mut cmd,
-        };
+        // `power-analysis` and `archive` need an output; nothing may reach it.
+        if matches!(args[0], "power-analysis" | "archive") {
+            cmd.arg("--out").arg(&dir);
+        }
         let out = cmd.output().expect("runs the puffer binary");
         let stderr = String::from_utf8_lossy(&out.stderr);
         let shown = format!("{args:?}: {stderr}");
@@ -60,8 +59,55 @@ fn out_of_range_values_exit_2_naming_the_flag() {
     }
 }
 
+/// Run the `puffer` binary with `args`.
+fn puffer(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_puffer")).args(args).output().expect("runs the puffer binary")
+}
+
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("temporary paths are UTF-8")
+}
+
 #[test]
-fn archive_export_of_a_truncated_archive_exits_1_and_writes_nothing() {
+fn train_ttp_trains_on_the_day_archives_of_run_rct() {
+    let dir = out_dir(1002);
+    let ckpt = dir.join("ttp.txt");
+    let run = puffer(&["run-rct", "--schemes", "bba", "--archive", arg(&dir), "--sessions", "3"]);
+    assert_eq!(run.status.code(), Some(0), "{}", String::from_utf8_lossy(&run.stderr));
+    let train = puffer(&["train-ttp", "--data", arg(&dir), "--out", arg(&ckpt), "--seed", "3"]);
+    assert_eq!(train.status.code(), Some(0), "{}", String::from_utf8_lossy(&train.stderr));
+    checkpoint::load_from_file(&ckpt).expect("train-ttp writes a checkpoint that loads");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn train_ttp_without_readable_observations_exits_1_and_writes_nothing() {
+    let empty = out_dir(1003);
+    std::fs::create_dir_all(&empty).unwrap();
+    assert_train_fails(&empty, "no day archive");
+    let cut = out_dir(1004);
+    std::fs::create_dir_all(&cut).unwrap();
+    let bytes = telemetry_archive();
+    std::fs::write(cut.join("telemetry_day0.puf"), &bytes[..bytes.len() * 2 / 3]).unwrap();
+    assert_train_fails(&cut, "cannot read");
+    for dir in [empty, cut] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// `puffer train-ttp --data data` must exit 1 with `message` on stderr and
+/// write no checkpoint.
+fn assert_train_fails(data: &Path, message: &str) {
+    let ckpt = data.join("ttp.txt");
+    let out = puffer(&["train-ttp", "--data", arg(data), "--out", arg(&ckpt)]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
+    assert!(!ckpt.exists(), "wrote a checkpoint");
+}
+
+/// A 200-chunk stream's telemetry as a `.puf`, in 16-row blocks.
+fn telemetry_archive() -> Vec<u8> {
     let mut t = StreamTelemetry::default();
     for i in 0..200u64 {
         let time = i as f64 * 2.002;
@@ -96,7 +142,12 @@ fn archive_export_of_a_truncated_archive_exits_1_and_writes_nothing() {
     }
     let mut w = ArchiveWriter::with_block_rows(Vec::new(), 16).unwrap();
     w.add_stream(&t).unwrap();
-    let bytes = w.finish().unwrap();
+    w.finish().unwrap()
+}
+
+#[test]
+fn archive_export_of_a_truncated_archive_exits_1_and_writes_nothing() {
+    let bytes = telemetry_archive();
     assert_export_fails(1000, &bytes[..bytes.len() * 2 / 3]);
 }
 

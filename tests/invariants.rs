@@ -13,11 +13,12 @@
 
 use proptest::prelude::*;
 use puffer_repro::abr::{Abr, Bba, Mpc};
+use puffer_repro::fugu::ChunkObservation;
 use puffer_repro::media::{VideoSource, CHUNK_SECONDS, MAX_BUFFER_SECONDS};
 use puffer_repro::net::{CongestionControl, Connection};
 use puffer_repro::platform::user::StreamIntent;
 use puffer_repro::platform::{
-    run_stream, QuitReason, StreamClock, StreamConfig, StreamOutcome, UserModel,
+    join_sent_acked, run_stream, QuitReason, StreamClock, StreamConfig, StreamOutcome, UserModel,
 };
 use puffer_repro::trace::{PufferLikeProcess, RateProcess, MBPS};
 use rand::SeedableRng;
@@ -58,6 +59,16 @@ fn simulate(
     )
 }
 
+/// Each observation's seven fields as bits, so NaN and −0.0 compare exactly.
+fn observation_bits<'a>(stream: impl IntoIterator<Item = &'a ChunkObservation>) -> Vec<[u64; 7]> {
+    let bits = |o: &ChunkObservation| {
+        let t = o.tcp_info;
+        [o.size, o.transmission_time, t.cwnd, t.in_flight, t.min_rtt, t.rtt, t.delivery_rate]
+            .map(f64::to_bits)
+    };
+    stream.into_iter().map(bits).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -81,15 +92,16 @@ proptest! {
             acked.len() <= sent.len() && sent.len() <= acked.len() + 1,
             "sent {} acked {}", sent.len(), acked.len()
         );
-        for a in acked {
-            let s = sent
-                .iter()
-                .find(|s| s.stream_id == a.stream_id && s.video_ts == a.video_ts)
-                .expect("every ack joins a sent row");
-            prop_assert!(a.time > s.time, "ack must follow send");
-            prop_assert_eq!(s.size, a.size);
+        let joined = join_sent_acked(sent, acked).expect("every ack joins a sent row");
+        for ((_, o), a) in joined.iter().zip(acked) {
+            prop_assert!(o.transmission_time > 0.0, "ack must follow send");
+            prop_assert_eq!(o.size, a.size);
         }
-        prop_assert_eq!(out.telemetry.transmission_times().len(), acked.len());
+        // The join gives back the stream's training observations exactly.
+        prop_assert_eq!(
+            observation_bits(joined.iter().map(|(_, o)| o)),
+            observation_bits(&out.observations)
+        );
         // Sends are sequential in time.
         for w in out.telemetry.video_sent.windows(2) {
             prop_assert!(w[1].time >= w[0].time);
