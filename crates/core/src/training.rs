@@ -232,16 +232,19 @@ pub fn train<R: Rng + ?Sized>(
 
     // Phase 1: materialize per-step samples, subsampled from each step's own
     // RNG stream; the stream carries over into that step's SGD shuffles.
+    // The subsample shuffles the window's sample positions and builds only
+    // the ones it keeps: the shuffle draws the same indices whatever it
+    // permutes, so the samples, their order and the stream's state are
+    // those of shuffling every built sample.
     let ttp_ref: &Ttp = ttp;
     let build_step = |step: usize| -> (Vec<Sample>, StdRng) {
         let mut srng = StdRng::seed_from_u64(seeds[step]);
-        let mut s =
-            data.build_samples(ttp_ref, step, current_day, cfg.window_days, RECENCY_HALF_LIFE);
-        if s.len() > cfg.max_samples_per_step {
-            s.shuffle(&mut srng);
-            s.truncate(cfg.max_samples_per_step);
+        let mut positions = data.sample_positions(step, current_day, cfg.window_days);
+        if positions.len() > cfg.max_samples_per_step {
+            positions.shuffle(&mut srng);
+            positions.truncate(cfg.max_samples_per_step);
         }
-        (s, srng)
+        (data.build_samples(ttp_ref, step, current_day, RECENCY_HALF_LIFE, &positions), srng)
     };
     let build_step = &build_step;
     let mut per_step: Vec<(Vec<Sample>, StdRng)> = std::thread::scope(|scope| {
@@ -314,7 +317,7 @@ pub struct EvalReport {
 
 /// Evaluate step-0 prediction quality on a dataset window.
 pub fn evaluate(ttp: &Ttp, data: &Dataset, current_day: u32, window_days: u32) -> EvalReport {
-    let samples = data.build_samples(ttp, 0, current_day, window_days, f64::INFINITY);
+    let samples = step0_window(ttp, data, current_day, window_days);
     assert!(!samples.is_empty(), "cannot evaluate on an empty window");
     let mut ce = 0.0f64;
     let mut expected = 0.0f64;
@@ -390,6 +393,13 @@ impl GateVerdict {
     }
 }
 
+/// Every unweighted step-0 sample of the window, the set [`evaluate`] and
+/// the retrain gate score.
+fn step0_window(ttp: &Ttp, data: &Dataset, current_day: u32, window_days: u32) -> Vec<Sample> {
+    let every = data.sample_positions(0, current_day, window_days);
+    data.build_samples(ttp, 0, current_day, f64::INFINITY, &every)
+}
+
 /// Mean step-0 cross-entropy of `ttp` over pre-built samples, one `f64`
 /// sum in sample order.  NaN model outputs map to the 1e-12 probability
 /// floor, so a numerically broken model scores a huge *finite* CE rather
@@ -422,12 +432,17 @@ pub fn validate_retrained(
     if !candidate.weights_finite() {
         return GateVerdict::NonFiniteWeights;
     }
-    let samples = data.build_samples(candidate, 0, current_day, window_days, f64::INFINITY);
+    let samples = step0_window(candidate, data, current_day, window_days);
     if samples.is_empty() {
         return GateVerdict::Pass;
     }
-    let candidate_ce = holdout_ce(candidate, &samples);
-    let incumbent_ce = holdout_ce(incumbent, &samples);
+    // The two scores are independent: the incumbent's runs on a second
+    // thread while this one scores the candidate.
+    let (candidate_ce, incumbent_ce) = std::thread::scope(|scope| {
+        let incumbent_ce = scope.spawn(|| holdout_ce(incumbent, &samples));
+        let candidate_ce = holdout_ce(candidate, &samples);
+        (candidate_ce, incumbent_ce.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+    });
     let bound = incumbent_ce * gate.max_ce_ratio + gate.ce_slack;
     if candidate_ce.is_finite() && (!incumbent_ce.is_finite() || candidate_ce <= bound) {
         GateVerdict::Pass
@@ -482,9 +497,10 @@ mod tests {
     }
 
     /// The naive allocating sequential trainer, pinned as the equivalence
-    /// reference for [`train`]: per-batch row clones and fresh training
-    /// buffers per batch, with the same per-step RNG streams as [`train`] so
-    /// the two produce bit-identical models.
+    /// reference for [`train`]: it builds every sample of the window before
+    /// subsampling, and clones rows and allocates fresh training buffers per
+    /// batch, with the same per-step RNG streams as [`train`] so the two
+    /// produce bit-identical models.
     fn train_reference<R: Rng + ?Sized>(
         ttp: &mut Ttp,
         data: &Dataset,
@@ -494,11 +510,11 @@ mod tests {
     ) -> Option<TrainReport> {
         let seeds = per_step_seeds(ttp.horizon(), rng);
         let mut step_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        // Materialize per-step samples.
+        // Materialize every per-step sample, then subsample.
         let mut per_step: Vec<Vec<Sample>> = (0..ttp.horizon())
             .map(|step| {
-                let mut s =
-                    data.build_samples(ttp, step, current_day, cfg.window_days, RECENCY_HALF_LIFE);
+                let every = data.sample_positions(step, current_day, cfg.window_days);
+                let mut s = data.build_samples(ttp, step, current_day, RECENCY_HALF_LIFE, &every);
                 if s.len() > cfg.max_samples_per_step {
                     s.shuffle(&mut step_rngs[step]);
                     s.truncate(cfg.max_samples_per_step);
@@ -832,7 +848,7 @@ mod tests {
         let data = synthetic_dataset(1..=1, 10);
         let mut ttp = Ttp::new(TtpConfig::default(), 17);
         train(&mut ttp, &data, 1, &quick_cfg(), &mut rng(17)).unwrap();
-        let samples = data.build_samples(&ttp, 0, 1, 14, f64::INFINITY);
+        let samples = step0_window(&ttp, &data, 1, 14);
         assert!(samples.len() > crate::ttp::SCORE_BLOCK);
         let mut ce = 0.0f64;
         for s in &samples {

@@ -34,6 +34,11 @@
 //! unwinds only its session, which retires with the number of chunk
 //! decisions it made.  The shared batched forward pass runs outside every
 //! session's step, so a panic there still unwinds the worker.
+//!
+//! Across workers, a [`Handover`] moves waiting sessions from a busy wave to
+//! an idle worker: between rounds every waiting session holds a staged
+//! decision, its ABR and its planner scratch, so it finishes the same in any
+//! worker's wave (`docs/BATCHING.md`, "Scheduling across workers").
 
 use crate::experiment::ExperimentConfig;
 use crate::faults::InjectedPanic;
@@ -46,7 +51,7 @@ use puffer_abr::{Abr, ChunkRecord};
 use puffer_net::TcpInfo;
 use puffer_trace::TraceBank;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Wave size: sessions a worker keeps in flight at once.  Large enough that
 /// a full batch row count (`sessions × rungs`) dwarfs per-pass overhead,
@@ -60,13 +65,13 @@ pub(crate) const MAX_ACTIVE: usize = 64;
 pub(crate) type Retired = (usize, usize, Result<SessionOutcome, u32>);
 
 /// One admitted session.
-struct ActiveSession {
+pub(crate) struct ActiveSession {
     /// Position in the day's spec list (aggregation order).
     index: usize,
     arm: usize,
     run: SessionRun,
     /// This session's own instance of its arm's ABR.
-    abr: Box<dyn Abr>,
+    abr: Box<dyn Abr + Send>,
     /// Planner tables for this session's staged decision; reused across
     /// sessions via the spare list.
     scratch: PlanScratch,
@@ -165,7 +170,8 @@ fn ttp_groups_for(planners: &[Option<ArmPlanner>]) -> (Vec<Vec<usize>>, Vec<Opti
 }
 
 /// Per-worker scheduler: admits sessions, runs decision rounds, retires
-/// ended sessions.  No synchronization — each worker owns one.
+/// ended sessions.  Each worker owns one; waiting sessions move between
+/// runners only through a [`Handover`].
 pub(crate) struct BatchRunner<'a> {
     schemes: &'a [SchemeSpec],
     bank: &'a TraceBank,
@@ -184,7 +190,7 @@ pub(crate) struct BatchRunner<'a> {
     active: Vec<ActiveSession>,
     /// Per arm: ABR instances of retired sessions, reused by later
     /// admissions (`reset_stream` readies one for each stream).
-    spare_abrs: Vec<Vec<Box<dyn Abr>>>,
+    spare_abrs: Vec<Vec<Box<dyn Abr + Send>>>,
     /// Retired sessions' planner scratch, reused by later admissions.
     spare_scratch: Vec<PlanScratch>,
     ttp_scratch: TtpScratch,
@@ -240,6 +246,18 @@ impl<'a> BatchRunner<'a> {
 
     pub(crate) fn is_empty(&self) -> bool {
         self.active.is_empty()
+    }
+
+    /// Between rounds: hand half of the wave to a parked worker, if there
+    /// is one ([`Handover::offer`]).
+    pub(crate) fn share(&mut self, handover: &Handover<ActiveSession>) {
+        handover.offer(&mut self.active);
+    }
+
+    /// Take over sessions another worker's wave handed over; each joins
+    /// this wave with its staged decision and is answered by the next round.
+    pub(crate) fn adopt(&mut self, sessions: Vec<ActiveSession>) {
+        self.active.extend(sessions);
     }
 
     /// Begin session `index` and step it once: it joins the wave if it now
@@ -402,10 +420,102 @@ impl<'a> BatchRunner<'a> {
     }
 }
 
+/// The day's idle workers and the sessions handed to them.
+///
+/// A worker whose claims are exhausted and whose wave is empty parks in
+/// [`Handover::park`] without spinning.  Between rounds a busy worker
+/// [offers](Handover::offer) half of its wave when a worker is parked; the
+/// parked worker adopts it.  The day is over when every worker still
+/// present is parked and no session waits to be adopted.  Each worker holds
+/// an [`Attendance`] for the day: dropping it, on return or on unwind,
+/// departs, so a worker that panics can never leave another parked forever.
+pub(crate) struct Handover<T> {
+    state: Mutex<HandoverState<T>>,
+    wake: Condvar,
+}
+
+struct HandoverState<T> {
+    /// Handed-over items waiting for a parked worker.
+    pool: Vec<T>,
+    /// Workers waiting in [`Handover::park`].
+    parked: usize,
+    /// Workers that have not departed.
+    present: usize,
+    /// Set once every present worker was parked with the pool empty.
+    over: bool,
+}
+
+impl<T> Handover<T> {
+    pub(crate) fn new(workers: usize) -> Self {
+        let state = HandoverState { pool: Vec::new(), parked: 0, present: workers, over: false };
+        Handover { state: Mutex::new(state), wake: Condvar::new() }
+    }
+
+    /// Every critical section is a few field updates that cannot unwind
+    /// halfway, so a lock poisoned by a panicking worker is still sound.
+    fn lock(&self) -> MutexGuard<'_, HandoverState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hand the back half of `wave` to a parked worker when one is parked,
+    /// nothing is waiting for it yet and `wave` holds at least two items.
+    pub(crate) fn offer(&self, wave: &mut Vec<T>) {
+        if wave.len() < 2 {
+            return;
+        }
+        let mut s = self.lock();
+        if s.parked == 0 || !s.pool.is_empty() {
+            return;
+        }
+        s.pool.extend(wave.drain(wave.len() - wave.len() / 2..));
+        drop(s);
+        self.wake.notify_one();
+    }
+
+    /// Wait for handed-over items to adopt (`Some`), or for the end of the
+    /// day (`None`).
+    pub(crate) fn park(&self) -> Option<Vec<T>> {
+        let mut s = self.lock();
+        s.parked += 1;
+        loop {
+            if !s.pool.is_empty() {
+                s.parked -= 1;
+                return Some(std::mem::take(&mut s.pool));
+            }
+            if s.over || s.parked == s.present {
+                s.over = true;
+                drop(s);
+                self.wake.notify_all();
+                return None;
+            }
+            s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Join the day; the returned guard departs when dropped.
+    pub(crate) fn attend(&self) -> Attendance<'_, T> {
+        Attendance(self)
+    }
+}
+
+/// A worker's presence in a [`Handover`]; dropping it departs and wakes
+/// every parked worker to re-check whether the day is over.
+pub(crate) struct Attendance<'h, T>(&'h Handover<T>);
+
+impl<T> Drop for Attendance<'_, T> {
+    fn drop(&mut self) {
+        self.0.lock().present -= 1;
+        self.0.wake.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use fugu::{Ttp, TtpConfig, TtpVariant};
+    use puffer_stats::StreamSummary;
+    use std::time::Duration;
 
     fn planners_for(schemes: &[SchemeSpec]) -> Vec<Option<ArmPlanner>> {
         schemes
@@ -432,5 +542,157 @@ mod tests {
         let (groups, group_of) = ttp_groups_for(&planners);
         assert_eq!(groups, vec![vec![1, 2], vec![3]]);
         assert_eq!(group_of, vec![None, Some(0), Some(0), Some(1)]);
+    }
+
+    /// Sessions in the hand-over test; session `PANICKY` unwinds as it
+    /// stages its `PANIC_AFTER + 1`-th decision.
+    const SESSIONS: usize = 6;
+    const PANICKY: usize = 4;
+    const PANIC_AFTER: u32 = 5;
+
+    /// A retired session's outcome reduced to bits: every summary field of
+    /// every stream, the session duration, and each stream's observation
+    /// count; or the decision count of a quarantined session.
+    fn outcome_bits(retired: &mut [Retired]) -> Vec<(usize, Result<Vec<u64>, u32>)> {
+        retired.sort_unstable_by_key(|r| r.0);
+        let summary_bits = |s: &StreamSummary| {
+            let f = [
+                s.startup_delay,
+                s.watch_time,
+                s.stall_time,
+                s.mean_ssim_db,
+                s.ssim_variation_db,
+                s.first_chunk_ssim_db,
+                s.mean_delivery_rate,
+                s.total_bytes,
+            ];
+            f.iter().map(|x| x.to_bits()).chain([s.chunks as u64]).collect::<Vec<_>>()
+        };
+        retired
+            .iter()
+            .map(|(i, _, outcome)| {
+                let bits = outcome.as_ref().map_err(|&d| d).map(|o| {
+                    let mut bits = vec![o.total_time.to_bits()];
+                    for stream in &o.streams {
+                        bits.push(stream.observations.len() as u64);
+                        bits.extend(stream.summary.as_ref().map(summary_bits).unwrap_or_default());
+                    }
+                    bits
+                });
+                (*i, bits)
+            })
+            .collect()
+    }
+
+    /// Admit every session of the hand-over test to `runner`.
+    fn admit_all(runner: &mut BatchRunner<'_>, retired: &mut Vec<Retired>) {
+        for i in 0..SESSIONS {
+            runner.admit(i, 0, i as u64, 1000 + i as u64, retired);
+        }
+    }
+
+    #[test]
+    fn a_moved_session_finishes_as_if_it_never_moved() {
+        let ttp = Ttp::new(TtpConfig { hidden: vec![8], ..TtpConfig::default() }, 3);
+        let schemes = [SchemeSpec::fugu_frozen(ttp, TtpVariant::Full, "Fugu")];
+        let cfg = ExperimentConfig {
+            user: UserModel { intent_cap: 60.0, ..UserModel::default() },
+            faults: FaultPlan::none().with_session_panic(0, PANICKY as u64, PANIC_AFTER),
+            ..ExperimentConfig::default()
+        };
+        crate::faults::install_quiet_panic_hook();
+        let bank = TraceBank::puffer();
+
+        let mut alone = BatchRunner::new(&schemes, &bank, &cfg, 0);
+        let mut expected = Vec::new();
+        admit_all(&mut alone, &mut expected);
+        while !alone.is_empty() {
+            alone.round(&mut expected);
+        }
+        let expected = outcome_bits(&mut expected);
+        assert_eq!(expected.len(), SESSIONS);
+        assert_eq!(expected[PANICKY].1, Err(PANIC_AFTER), "the injected panic fires");
+
+        for rounds_before in [1, 3] {
+            for panicky_moves in [false, true] {
+                let mut a = BatchRunner::new(&schemes, &bank, &cfg, 0);
+                let mut b = BatchRunner::new(&schemes, &bank, &cfg, 0);
+                let mut retired = Vec::new();
+                admit_all(&mut a, &mut retired);
+                for _ in 0..rounds_before {
+                    a.round(&mut retired);
+                }
+                // `offer` hands over the back half of the wave: put the
+                // panicking session where this case wants it.
+                let at = a.active.iter().position(|s| s.index == PANICKY).expect("still waiting");
+                let to = if panicky_moves { a.active.len() - 1 } else { 0 };
+                a.active.swap(at, to);
+
+                let wave = a.active.len();
+                let counts = |runners: [&BatchRunner<'_>; 2]| {
+                    let mut c: Vec<_> = runners
+                        .iter()
+                        .flat_map(|r| {
+                            r.active.iter().map(|s| (s.index, s.decisions, s.panic_after))
+                        })
+                        .collect();
+                    c.sort_unstable();
+                    c
+                };
+                let before = counts([&a, &b]);
+                let handover = Handover::new(2);
+                let adopted = std::thread::scope(|scope| {
+                    let parked = scope.spawn(|| handover.park());
+                    while handover.lock().parked == 0 {
+                        std::thread::yield_now();
+                    }
+                    a.share(&handover);
+                    parked.join().expect("parking never panics")
+                });
+                let adopted = adopted.expect("the parked worker adopts half the wave");
+                assert_eq!((adopted.len(), a.active.len()), (wave / 2, wave - wave / 2));
+                assert_eq!(adopted.iter().any(|s| s.index == PANICKY), panicky_moves);
+                b.adopt(adopted);
+                assert_eq!(counts([&a, &b]), before, "moved sessions keep their counts");
+                while !a.is_empty() || !b.is_empty() {
+                    for runner in [&mut a, &mut b] {
+                        if !runner.is_empty() {
+                            runner.round(&mut retired);
+                        }
+                    }
+                }
+                let case = format!("{rounds_before} rounds before, panicky moves: {panicky_moves}");
+                assert_eq!(outcome_bits(&mut retired), expected, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_unwinding_worker_never_leaves_a_parked_worker_waiting() {
+        let handover = Handover::<u32>::new(2);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let handover = &handover;
+            scope.spawn(move || {
+                let _attendance = handover.attend();
+                tx.send(handover.park()).ok();
+            });
+            let unwound = scope.spawn(|| {
+                let _attendance = handover.attend();
+                while handover.lock().parked == 0 {
+                    std::thread::yield_now();
+                }
+                // A worker-level bug, unwinding without the panic report.
+                std::panic::resume_unwind(Box::new("worker bug"));
+            });
+            assert!(unwound.join().is_err(), "the second worker unwinds");
+            let woke = rx.recv_timeout(Duration::from_secs(10));
+            if woke.is_err() {
+                // Release the stuck worker so the scope can end, then fail.
+                handover.offer(&mut vec![0, 0]);
+                panic!("the parked worker was left waiting after the other unwound");
+            }
+            assert_eq!(woke.ok(), Some(None), "the parked worker returns \"day over\"");
+        });
     }
 }

@@ -9,7 +9,7 @@
 //! CONSORT style of Fig. A1.
 
 use crate::archive::TelemetrySpool;
-use crate::batch::{BatchRunner, Retired};
+use crate::batch::{ActiveSession, BatchRunner, Handover, Retired};
 use crate::faults::{
     observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
     ModelOutage,
@@ -330,21 +330,28 @@ impl<'c> WorkerDay<'c> {
 
 /// One worker's day: claim sessions off the shared counter and admit each
 /// to the worker's [`BatchRunner`] until its wave is full or the day's
-/// sessions run out, then run a decision round while the wave is not empty.
+/// sessions run out, then run a decision round while the wave is not empty,
+/// offering half of it to a parked worker after each round.  With its
+/// claims exhausted and its wave empty, the worker parks until another
+/// worker hands it sessions or the day is over.
 ///
 /// Every session runs contained inside the wave's `step`: a panic (injected
 /// or real) quarantines that session instead of killing the worker and the
 /// day.  Archive-sink errors abandon the spool and mark the day
 /// `archive_failed` instead of aborting.
+#[allow(clippy::too_many_arguments)]
 fn run_day_worker<'c>(
     specs: &[(usize, u64, u64)],
     next: &AtomicUsize,
+    handover: &Handover<ActiveSession>,
     schemes: &[SchemeSpec],
     bank: &TraceBank,
     cfg: &'c ExperimentConfig,
     day: u32,
     worker: usize,
 ) -> WorkerDay<'c> {
+    // Departs on return and on unwind, so a parked worker always wakes.
+    let _attendance = handover.attend();
     let mut account = WorkerDay::open(cfg, day, worker);
     let mut wave = BatchRunner::new(schemes, bank, cfg, day);
     let mut retired: Vec<Retired> = Vec::new();
@@ -359,6 +366,9 @@ fn run_day_worker<'c>(
             }
         } else if !wave.is_empty() {
             wave.round(&mut retired);
+            wave.share(handover);
+        } else if let Some(sessions) = handover.park() {
+            wave.adopt(sessions);
         } else {
             break;
         }
@@ -498,11 +508,16 @@ fn assign(cfg: &ExperimentConfig, day: u32, n_arms: usize) -> Vec<(usize, u64, u
 }
 
 /// Stage 3: run the day's sessions on scoped workers, each claiming specs
-/// into its own wave ([`run_day_worker`]).  Workers claim specs dynamically
-/// off a shared counter (heavy-tailed session lengths make pre-dealt shares
-/// badly imbalanced), so which worker runs which session is
-/// scheduling-dependent — but every session is a pure function of its seed
-/// and [`aggregate`] folds results back in session-index order, so the
+/// into its own wave ([`run_day_worker`]).  Workers claim specs off a shared
+/// counter, which balances the sessions that run to their end when
+/// admitted.  It cannot balance a wave: a worker claims its share of
+/// waiting sessions before its first round, and their heavy-tailed lengths
+/// leave one wave running long after the other has emptied.  So a worker
+/// with nothing left parks, and a busy worker hands it half of its wave
+/// between rounds ([`Handover`]).  Which worker runs (and retires) which
+/// session is therefore scheduling-dependent — but every session is a pure
+/// function of its seed, [`aggregate`] folds results back in session-index
+/// order, and the archive merge orders spooled blocks by session, so the
 /// output is deterministic and thread-count-independent.
 ///
 /// `cfg.threads` is an upper bound, not a demand: oversubscribing the
@@ -520,9 +535,14 @@ fn run_sessions<'c>(
     let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
     let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
     let next = &AtomicUsize::new(0);
+    let handover = &Handover::new(n_workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
-            .map(|w| scope.spawn(move || run_day_worker(specs, next, schemes, bank, cfg, day, w)))
+            .map(|w| {
+                scope.spawn(move || {
+                    run_day_worker(specs, next, handover, schemes, bank, cfg, day, w)
+                })
+            })
             .collect();
         // A panic escaping here is a worker-level bug, not a session
         // failure — sessions are isolated inside the worker.

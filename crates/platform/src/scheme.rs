@@ -82,8 +82,9 @@ impl SchemeSpec {
     }
 
     /// Build an algorithm instance; `reset_stream` readies it for each new
-    /// stream.
-    pub fn instantiate(&self) -> Box<dyn Abr> {
+    /// stream.  It is `Send` so that a waiting session can move, with its
+    /// instance, to another worker's wave.
+    pub fn instantiate(&self) -> Box<dyn Abr + Send> {
         match self {
             SchemeSpec::Bba => Box::new(Bba::default()),
             SchemeSpec::Bola => Box::new(Bola::default()),

@@ -5,6 +5,8 @@
 # Usage:
 #   scripts/bench_hotpath.sh [baseline.jsonl]   # merge into BENCH_hotpath.json
 #   scripts/bench_hotpath.sh --record           # only write the raw record
+#   scripts/bench_hotpath.sh --alternate <parent-tree> <bench>...
+#                                               # re-record some targets' rows
 #
 # Runs every Criterion microbench with the BENCH_JSON shim enabled and
 # writes the raw record of the run — a machine line, then one line per
@@ -34,13 +36,43 @@
 #     as a regression or an improvement (a since-removed reference-planner
 #     bench once drifted to 0.90x on an untouched path and nothing caught
 #     it).
+#
+# `--alternate` re-records only the rows of the named bench targets (e.g.
+# `rct_day ttp_training`) as a same-machine A/B against a parent tree (a
+# copy of the parent commit, `git archive <rev> | tar -x -C <dir>`).  It
+# builds both trees' bench binaries, then runs them interleaved — parent,
+# change, change, parent, ... — ALTERNATE_RUNS times per side (default and
+# minimum 3), so drift in the machine's load hits both sides alike instead
+# of reading as a speedup on code neither side changed.  Each row's
+# `baseline_ns` is the median of the parent runs' medians and `current_ns`
+# the median of the change runs' medians (`runs` records how many); its
+# `min_ns` is the change's fastest sample and `iqr_ns` the median of the
+# change runs' IQRs.  Every other row stays as it is.  The per-run rows of
+# both sides are kept in target/bench_hotpath_alternate.jsonl.  The machine
+# check is the same: it exits 3 if the committed snapshot was recorded
+# elsewhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 baseline=${1:-}
 record_only=false
+alternate=false
 if [[ $baseline == --record ]]; then
   record_only=true
+  baseline=
+elif [[ $baseline == --alternate ]]; then
+  if [[ $# -lt 3 ]]; then
+    echo "usage: $0 --alternate <parent-tree> <bench>..." >&2
+    exit 2
+  fi
+  alternate=true
+  parent=$(cd "$2" && pwd)
+  targets=("${@:3}")
+  runs=${ALTERNATE_RUNS:-3}
+  if ((runs < 3)); then
+    echo "error: ALTERNATE_RUNS must be at least 3" >&2
+    exit 2
+  fi
   baseline=
 fi
 
@@ -86,6 +118,46 @@ except FileNotFoundError:
     snapshot = {"benches": {}}
 prev = snapshot["benches"]
 same_machine = snapshot.get("machine") == machine
+
+def median(xs):
+    xs = sorted(xs)
+    mid = len(xs) // 2
+    return xs[mid] if len(xs) % 2 else (xs[mid - 1] + xs[mid]) / 2
+
+if mode == "alternate":
+    # Re-record only the rows these runs produced; keep every other row.
+    runs = {}
+    with open(sys.argv[4]) as f:
+        for line in f:
+            if line.strip():
+                row = json.loads(line)
+                runs.setdefault(row["name"], {"parent": [], "change": []})[row["side"]].append(row)
+    for name, sides in sorted(runs.items()):
+        parent, change = sides["parent"], sides["change"]
+        if not parent or not change:
+            print(f"note: {name} ran on one side only; its row is left as it was")
+            continue
+        current = round(median([r["median_ns"] for r in change]), 1)
+        baseline = round(median([r["median_ns"] for r in parent]), 1)
+        iqr = round(median([r["q3_ns"] - r["q1_ns"] for r in change]), 1)
+        entry = {"current_ns": current, "baseline_ns": baseline,
+                 "speedup": round(baseline / current, 3), "runs": len(change),
+                 "min_ns": min(r["min_ns"] for r in change), "iqr_ns": iqr}
+        if current > 0 and iqr / current > NOISE_FRACTION:
+            entry["noisy"] = True
+            print(f"WARNING: {name} is noisy (median IQR {100 * iqr / current:.1f}% of median); "
+                  "treat its median and speedup as unreliable")
+        history = prev.get(name, {}).get("history_ns", [])
+        entry["history_ns"] = (history + [current])[-HISTORY_CAP:]
+        prev[name] = entry
+        print(f"{name}: parent {baseline:.1f} ns, change {current:.1f} ns, "
+              f"{entry['speedup']}x over {len(change)} runs per side")
+    snapshot["benches"] = dict(sorted(prev.items()))
+    with open("BENCH_hotpath.json", "w") as f:
+        json.dump(snapshot, f, indent=2)
+        f.write("\n")
+    print("wrote BENCH_hotpath.json")
+    sys.exit(0)
 
 if mode == "check":
     if baseline_path:
@@ -156,6 +228,60 @@ EOF
 
 if ! $record_only; then
   python3 "$merge" check "$machine" "$baseline"
+fi
+
+if $alternate; then
+  # `bench_bins TREE`: build TREE's listed bench targets, print their paths.
+  bench_bins() {
+    local args=()
+    for t in "${targets[@]}"; do args+=(--bench "$t"); done
+    cargo bench --offline --no-run --message-format=json --manifest-path "$1/Cargo.toml" \
+      -p puffer-bench "${args[@]}" |
+      python3 -c 'import json, sys
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg.get("reason") == "compiler-artifact" and msg.get("executable") \
+            and "bench" in msg["target"]["kind"]:
+        print(msg["executable"])'
+  }
+  mapfile -t parent_bins < <(bench_bins "$parent")
+  mapfile -t change_bins < <(bench_bins "$PWD")
+  if ((${#parent_bins[@]} != ${#targets[@]} || ${#change_bins[@]} != ${#targets[@]})); then
+    echo "error: expected ${#targets[@]} bench binaries per tree, got" \
+      "${#parent_bins[@]} (parent) and ${#change_bins[@]} (change)" >&2
+    exit 2
+  fi
+  raw=target/bench_hotpath_alternate.jsonl
+  mkdir -p target
+  : > "$raw"
+  # `run_side SIDE TREE BIN...`: one run of every listed bench, rows tagged.
+  run_side() {
+    local side=$1 tree=$2 bin
+    shift 2
+    echo "run $side" >&2
+    : > "$fresh"
+    for bin in "$@"; do
+      (cd "$tree/crates/bench" && BENCH_JSON="$fresh" "$bin" > /dev/null)
+    done
+    python3 -c 'import json, sys
+for line in open(sys.argv[1]):
+    if line.strip():
+        row = json.loads(line)
+        row["side"] = sys.argv[2]
+        print(json.dumps(row))' "$fresh" "$side" >> "$raw"
+  }
+  for ((i = 0; i < runs; i++)); do
+    if ((i % 2 == 0)); then
+      run_side parent "$parent" "${parent_bins[@]}"
+      run_side change "$PWD" "${change_bins[@]}"
+    else
+      run_side change "$PWD" "${change_bins[@]}"
+      run_side parent "$parent" "${parent_bins[@]}"
+    fi
+  done
+  echo "wrote $raw"
+  python3 "$merge" alternate "$machine" "" "$raw"
+  exit 0
 fi
 
 # Every [[bench]] target in crates/bench/Cargo.toml must be listed here,
