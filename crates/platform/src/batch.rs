@@ -35,10 +35,11 @@
 //! decisions it made.  The shared batched forward pass runs outside every
 //! session's step, so a panic there still unwinds the worker.
 //!
-//! Across workers, a [`Handover`] moves waiting sessions from a busy wave to
-//! an idle worker: between rounds every waiting session holds a staged
-//! decision, its ABR and its planner scratch, so it finishes the same in any
-//! worker's wave (`docs/BATCHING.md`, "Scheduling across workers").
+//! Across workers, the [`DaySchedule`] hands out the day's sessions and moves
+//! waiting sessions from a busy wave to an idle worker: between rounds every
+//! waiting session holds a staged decision, its ABR and its planner scratch,
+//! so it finishes the same in any worker's wave (`docs/BATCHING.md`,
+//! "Scheduling across workers").
 
 use crate::experiment::ExperimentConfig;
 use crate::faults::InjectedPanic;
@@ -171,7 +172,7 @@ fn ttp_groups_for(planners: &[Option<ArmPlanner>]) -> (Vec<Vec<usize>>, Vec<Opti
 
 /// Per-worker scheduler: admits sessions, runs decision rounds, retires
 /// ended sessions.  Each worker owns one; waiting sessions move between
-/// runners only through a [`Handover`].
+/// runners only through the [`DaySchedule`].
 pub(crate) struct BatchRunner<'a> {
     schemes: &'a [SchemeSpec],
     bank: &'a TraceBank,
@@ -249,9 +250,9 @@ impl<'a> BatchRunner<'a> {
     }
 
     /// Between rounds: hand half of the wave to a parked worker, if there
-    /// is one ([`Handover::offer`]).
-    pub(crate) fn share(&mut self, handover: &Handover<ActiveSession>) {
-        handover.offer(&mut self.active);
+    /// is one ([`DaySchedule::offer`]).
+    pub(crate) fn share(&mut self, schedule: &DaySchedule<ActiveSession>) {
+        schedule.offer(&mut self.active);
     }
 
     /// Take over sessions another worker's wave handed over; each joins
@@ -420,41 +421,76 @@ impl<'a> BatchRunner<'a> {
     }
 }
 
-/// The day's idle workers and the sessions handed to them.
+/// Who runs which of the day's sessions: the claim counter, the idle
+/// workers and the sessions handed to them, under one lock.
 ///
-/// A worker whose claims are exhausted and whose wave is empty parks in
-/// [`Handover::park`] without spinning.  Between rounds a busy worker
-/// [offers](Handover::offer) half of its wave when a worker is parked; the
+/// Workers [claim](DaySchedule::claim) the day's sessions in index order.  A
+/// worker whose claims are exhausted and whose wave is empty parks in
+/// [`DaySchedule::park`] without spinning.  Between rounds a busy worker
+/// [offers](DaySchedule::offer) half of its wave when a worker is parked; the
 /// parked worker adopts it.  The day is over when every worker still
 /// present is parked and no session waits to be adopted.  Each worker holds
-/// an [`Attendance`] for the day: dropping it, on return or on unwind,
-/// departs, so a worker that panics can never leave another parked forever.
-pub(crate) struct Handover<T> {
-    state: Mutex<HandoverState<T>>,
+/// an [`Attendance`] for the day: it counts as present from
+/// [`DaySchedule::attend`] until the guard drops, on return or on unwind, so
+/// neither a worker that panics nor one whose thread never started can leave
+/// another parked forever.  A worker parks only once every session has been
+/// claimed, so one that attends late has nothing to claim and finds the day
+/// over or the others still busy.
+pub(crate) struct DaySchedule<T> {
+    state: Mutex<ScheduleState<T>>,
     wake: Condvar,
 }
 
-struct HandoverState<T> {
+struct ScheduleState<T> {
+    /// The day's session count.
+    sessions: usize,
+    /// The next unclaimed session index.
+    next: usize,
     /// Handed-over items waiting for a parked worker.
     pool: Vec<T>,
-    /// Workers waiting in [`Handover::park`].
+    /// Workers waiting in [`DaySchedule::park`].
     parked: usize,
-    /// Workers that have not departed.
+    /// Workers that have attended and not departed.
     present: usize,
     /// Set once every present worker was parked with the pool empty.
     over: bool,
 }
 
-impl<T> Handover<T> {
-    pub(crate) fn new(workers: usize) -> Self {
-        let state = HandoverState { pool: Vec::new(), parked: 0, present: workers, over: false };
-        Handover { state: Mutex::new(state), wake: Condvar::new() }
+impl<T> DaySchedule<T> {
+    /// A day of `sessions` sessions, none claimed and no worker present.
+    pub(crate) fn new(sessions: usize) -> Self {
+        let state = ScheduleState {
+            sessions,
+            next: 0,
+            pool: Vec::new(),
+            parked: 0,
+            present: 0,
+            over: false,
+        };
+        DaySchedule { state: Mutex::new(state), wake: Condvar::new() }
     }
 
     /// Every critical section is a few field updates that cannot unwind
     /// halfway, so a lock poisoned by a panicking worker is still sound.
-    fn lock(&self) -> MutexGuard<'_, HandoverState<T>> {
+    fn lock(&self) -> MutexGuard<'_, ScheduleState<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Join the day; the returned guard departs when dropped.
+    pub(crate) fn attend(&self) -> Attendance<'_, T> {
+        self.lock().present += 1;
+        Attendance(self)
+    }
+
+    /// The index of the next unclaimed session, or `None` once every
+    /// session is claimed.
+    pub(crate) fn claim(&self) -> Option<usize> {
+        let mut s = self.lock();
+        let i = s.next;
+        (i < s.sessions).then(|| {
+            s.next += 1;
+            i
+        })
     }
 
     /// Hand the back half of `wave` to a parked worker when one is parked,
@@ -491,16 +527,11 @@ impl<T> Handover<T> {
             s = self.wake.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Join the day; the returned guard departs when dropped.
-    pub(crate) fn attend(&self) -> Attendance<'_, T> {
-        Attendance(self)
-    }
 }
 
-/// A worker's presence in a [`Handover`]; dropping it departs and wakes
+/// A worker's presence in a [`DaySchedule`]; dropping it departs and wakes
 /// every parked worker to re-check whether the day is over.
-pub(crate) struct Attendance<'h, T>(&'h Handover<T>);
+pub(crate) struct Attendance<'h, T>(&'h DaySchedule<T>);
 
 impl<T> Drop for Attendance<'_, T> {
     fn drop(&mut self) {
@@ -515,6 +546,7 @@ mod tests {
     use crate::faults::FaultPlan;
     use fugu::{Ttp, TtpConfig, TtpVariant};
     use puffer_stats::StreamSummary;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     fn planners_for(schemes: &[SchemeSpec]) -> Vec<Option<ArmPlanner>> {
@@ -640,13 +672,17 @@ mod tests {
                     c
                 };
                 let before = counts([&a, &b]);
-                let handover = Handover::new(2);
+                let schedule = DaySchedule::new(SESSIONS);
+                let _a_attends = schedule.attend();
                 let adopted = std::thread::scope(|scope| {
-                    let parked = scope.spawn(|| handover.park());
-                    while handover.lock().parked == 0 {
+                    let parked = scope.spawn(|| {
+                        let _b_attends = schedule.attend();
+                        schedule.park()
+                    });
+                    while schedule.lock().parked == 0 {
                         std::thread::yield_now();
                     }
-                    a.share(&handover);
+                    a.share(&schedule);
                     parked.join().expect("parking never panics")
                 });
                 let adopted = adopted.expect("the parked worker adopts half the wave");
@@ -667,32 +703,67 @@ mod tests {
         }
     }
 
+    /// Wait up to 10 s for a parked worker's return on `rx`.  On a timeout,
+    /// release the worker (so its scope can end) and fail.
+    fn parked_return<R>(schedule: &DaySchedule<u32>, rx: &mpsc::Receiver<R>, case: &str) -> R {
+        rx.recv_timeout(Duration::from_secs(10)).unwrap_or_else(|_| {
+            schedule.offer(&mut vec![0, 0]);
+            panic!("the parked worker was left waiting: {case}");
+        })
+    }
+
     #[test]
     fn an_unwinding_worker_never_leaves_a_parked_worker_waiting() {
-        let handover = Handover::<u32>::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let schedule = DaySchedule::<u32>::new(0);
+        let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
-            let handover = &handover;
+            let schedule = &schedule;
             scope.spawn(move || {
-                let _attendance = handover.attend();
-                tx.send(handover.park()).ok();
+                let _attendance = schedule.attend();
+                tx.send(schedule.park()).ok();
             });
             let unwound = scope.spawn(|| {
-                let _attendance = handover.attend();
-                while handover.lock().parked == 0 {
+                let _attendance = schedule.attend();
+                while schedule.lock().parked == 0 {
                     std::thread::yield_now();
                 }
                 // A worker-level bug, unwinding without the panic report.
                 std::panic::resume_unwind(Box::new("worker bug"));
             });
             assert!(unwound.join().is_err(), "the second worker unwinds");
-            let woke = rx.recv_timeout(Duration::from_secs(10));
-            if woke.is_err() {
-                // Release the stuck worker so the scope can end, then fail.
-                handover.offer(&mut vec![0, 0]);
-                panic!("the parked worker was left waiting after the other unwound");
-            }
-            assert_eq!(woke.ok(), Some(None), "the parked worker returns \"day over\"");
+            let woke = parked_return(schedule, &rx, "the other unwound");
+            assert_eq!(woke, None, "the parked worker returns \"day over\"");
+        });
+    }
+
+    #[test]
+    fn a_worker_that_never_attends_cannot_hold_up_the_day() {
+        // Two workers are spawned, but only one ever attends, as when the
+        // OS refuses to start the other's thread.
+        let schedule = DaySchedule::<u32>::new(3);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let schedule = &schedule;
+            scope.spawn(move || {
+                let _attendance = schedule.attend();
+                let claimed: Vec<_> = std::iter::from_fn(|| schedule.claim()).collect();
+                tx.send((claimed, schedule.park())).ok();
+            });
+            scope.spawn(|| {});
+            let woke = parked_return(schedule, &rx, "a worker never attended");
+            assert_eq!(woke, (vec![0, 1, 2], None), "it claims every session, then the day ends");
+        });
+        // A worker that attends after the day ended has nothing to claim
+        // and nothing to adopt.
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let schedule = &schedule;
+            scope.spawn(move || {
+                let _attendance = schedule.attend();
+                tx.send((schedule.claim(), schedule.park())).ok();
+            });
+            let woke = parked_return(schedule, &rx, "a worker attended late");
+            assert_eq!(woke, (None, None));
         });
     }
 }

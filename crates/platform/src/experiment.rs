@@ -9,7 +9,7 @@
 //! CONSORT style of Fig. A1.
 
 use crate::archive::TelemetrySpool;
-use crate::batch::{ActiveSession, BatchRunner, Handover, Retired};
+use crate::batch::{ActiveSession, BatchRunner, DaySchedule, Retired};
 use crate::faults::{
     observation_is_finite, poison_observations, DegradeAction, FaultPlan, Incident, IncidentKind,
     ModelOutage,
@@ -28,7 +28,6 @@ use puffer_trace::TraceBank;
 use rand::Rng;
 use rand::SeedableRng;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// CONSORT-style stream accounting for one arm (Fig. A1).
@@ -328,7 +327,7 @@ impl<'c> WorkerDay<'c> {
     }
 }
 
-/// One worker's day: claim sessions off the shared counter and admit each
+/// One worker's day: claim sessions off the day's schedule and admit each
 /// to the worker's [`BatchRunner`] until its wave is full or the day's
 /// sessions run out, then run a decision round while the wave is not empty,
 /// offering half of it to a parked worker after each round.  With its
@@ -339,11 +338,9 @@ impl<'c> WorkerDay<'c> {
 /// or real) quarantines that session instead of killing the worker and the
 /// day.  Archive-sink errors abandon the spool and mark the day
 /// `archive_failed` instead of aborting.
-#[allow(clippy::too_many_arguments)]
 fn run_day_worker<'c>(
     specs: &[(usize, u64, u64)],
-    next: &AtomicUsize,
-    handover: &Handover<ActiveSession>,
+    schedule: &DaySchedule<ActiveSession>,
     schemes: &[SchemeSpec],
     bank: &TraceBank,
     cfg: &'c ExperimentConfig,
@@ -351,23 +348,24 @@ fn run_day_worker<'c>(
     worker: usize,
 ) -> WorkerDay<'c> {
     // Departs on return and on unwind, so a parked worker always wakes.
-    let _attendance = handover.attend();
+    let _attendance = schedule.attend();
     let mut account = WorkerDay::open(cfg, day, worker);
     let mut wave = BatchRunner::new(schemes, bank, cfg, day);
     let mut retired: Vec<Retired> = Vec::new();
     let mut exhausted = false;
     loop {
         if !exhausted && wave.has_room() {
-            // lint: atomic-ordering — RMW is already serialized; index alone claims the slot
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            match specs.get(i) {
-                Some(&(arm, id, seed)) => wave.admit(i, arm, id, seed, &mut retired),
+            match schedule.claim() {
+                Some(i) => {
+                    let (arm, id, seed) = specs[i];
+                    wave.admit(i, arm, id, seed, &mut retired);
+                }
                 None => exhausted = true,
             }
         } else if !wave.is_empty() {
             wave.round(&mut retired);
-            wave.share(handover);
-        } else if let Some(sessions) = handover.park() {
+            wave.share(schedule);
+        } else if let Some(sessions) = schedule.park() {
             wave.adopt(sessions);
         } else {
             break;
@@ -508,17 +506,17 @@ fn assign(cfg: &ExperimentConfig, day: u32, n_arms: usize) -> Vec<(usize, u64, u
 }
 
 /// Stage 3: run the day's sessions on scoped workers, each claiming specs
-/// into its own wave ([`run_day_worker`]).  Workers claim specs off a shared
-/// counter, which balances the sessions that run to their end when
-/// admitted.  It cannot balance a wave: a worker claims its share of
-/// waiting sessions before its first round, and their heavy-tailed lengths
-/// leave one wave running long after the other has emptied.  So a worker
-/// with nothing left parks, and a busy worker hands it half of its wave
-/// between rounds ([`Handover`]).  Which worker runs (and retires) which
-/// session is therefore scheduling-dependent — but every session is a pure
-/// function of its seed, [`aggregate`] folds results back in session-index
-/// order, and the archive merge orders spooled blocks by session, so the
-/// output is deterministic and thread-count-independent.
+/// into its own wave ([`run_day_worker`]).  Workers claim specs in index
+/// order off the day's [`DaySchedule`], which balances the sessions that
+/// run to their end when admitted.  It cannot balance a wave: a worker
+/// claims its share of waiting sessions before its first round, and their
+/// heavy-tailed lengths leave one wave running long after the other has
+/// emptied.  So a worker with nothing left parks, and a busy worker hands it
+/// half of its wave between rounds ([`DaySchedule::offer`]).  Which worker
+/// runs (and retires) which session is therefore scheduling-dependent — but
+/// every session is a pure function of its seed, [`aggregate`] folds results
+/// back in session-index order, and the archive merge orders spooled blocks
+/// by session, so the output is deterministic and thread-count-independent.
 ///
 /// `cfg.threads` is an upper bound, not a demand: oversubscribing the
 /// machine's cores costs real time on this pure-CPU workload (context
@@ -534,14 +532,11 @@ fn run_sessions<'c>(
 ) -> Vec<WorkerDay<'c>> {
     let hw = std::thread::available_parallelism().map_or(usize::MAX, std::num::NonZero::get);
     let n_workers = cfg.threads.min(hw).min(specs.len()).max(1);
-    let next = &AtomicUsize::new(0);
-    let handover = &Handover::new(n_workers);
+    let schedule = &DaySchedule::new(specs.len());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
             .map(|w| {
-                scope.spawn(move || {
-                    run_day_worker(specs, next, handover, schemes, bank, cfg, day, w)
-                })
+                scope.spawn(move || run_day_worker(specs, schedule, schemes, bank, cfg, day, w))
             })
             .collect();
         // A panic escaping here is a worker-level bug, not a session

@@ -41,9 +41,9 @@
 # `rct_day ttp_training`) as a same-machine A/B against a parent tree (a
 # copy of the parent commit, `git archive <rev> | tar -x -C <dir>`).  It
 # builds both trees' bench binaries, then runs them interleaved — parent,
-# change, change, parent, ... — ALTERNATE_RUNS times per side (default and
-# minimum 3), so drift in the machine's load hits both sides alike instead
-# of reading as a speedup on code neither side changed.  Each row's
+# change, change, parent, ... — five times per side, so drift in the
+# machine's load hits both sides alike instead of reading as a speedup on
+# code neither side changed.  Each row's
 # `baseline_ns` is the median of the parent runs' medians and `current_ns`
 # the median of the change runs' medians (`runs` records how many); its
 # `min_ns` is the change's fastest sample and `iqr_ns` the median of the
@@ -68,11 +68,7 @@ elif [[ $baseline == --alternate ]]; then
   alternate=true
   parent=$(cd "$2" && pwd)
   targets=("${@:3}")
-  runs=${ALTERNATE_RUNS:-3}
-  if ((runs < 3)); then
-    echo "error: ALTERNATE_RUNS must be at least 3" >&2
-    exit 2
-  fi
+  runs=5 # interleaved runs per side
   baseline=
 fi
 
